@@ -1,28 +1,14 @@
-"""Hot numeric kernels: numba-compiled loops with vectorized numpy fallbacks.
+"""Hot numeric kernels, vectorized over their grid argument in numpy.
 
-Set QG_NO_NUMBA=1 to force the numpy path. Both paths compute the same
-quantities; the test suite asserts their agreement and
-benchmarks/bench_kernels.py compares their timings.
+wigner_d_grid sums the factored Wigner small-d formula in log-factorials;
+itn_denominator and su2_norm_series are the truncated series behind the
+heat-kernel coherent-state tables. tests/test_kernels.py checks each one
+against an independent oracle.
 """
 
 import math
-import os
 
 import numpy as np
-
-USE_NUMBA = os.environ.get("QG_NO_NUMBA", "0") != "1"
-
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit
-
-        _threads = os.environ.get("QG_THREADS")
-        if _threads:
-            numba.set_num_threads(max(1, min(int(_threads),
-                                             numba.get_num_threads())))
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
 
 
 def _logfact_table(nmax):
@@ -32,44 +18,13 @@ def _logfact_table(nmax):
     return t
 
 
-# ---------------------------------------------------------------------------
-# Wigner small-d on a beta grid: stable factored sum with log-factorials.
-# out[b, i, col] = d^j_{m_i m_col}(beta_b), m ordered j, j-1, ..., -j.
-# ---------------------------------------------------------------------------
+def wigner_d_grid(twoj, beta):
+    """Wigner small-d on a beta grid: stable factored sum with log-factorials.
 
-def _wigner_d_grid_loop(twoj, beta, logfact):
-    n = twoj + 1
-    nb = beta.shape[0]
-    out = np.zeros((nb, n, n))
-    c = np.cos(beta / 2.0)
-    s = np.sin(beta / 2.0)
-    for i in range(n):
-        two_mp = twoj - 2 * i
-        for col in range(n):
-            two_m = twoj - 2 * col
-            jpm = (twoj + two_m) // 2
-            jmm = (twoj - two_m) // 2
-            jpmp = (twoj + two_mp) // 2
-            jmmp = (twoj - two_mp) // 2
-            lognorm = 0.5 * (logfact[jpm] + logfact[jmm]
-                             + logfact[jpmp] + logfact[jmmp])
-            diff = (two_mp - two_m) // 2  # m' - m
-            kmin = max(0, -diff)
-            kmax = min(jpm, jmmp)
-            for kk in range(kmin, kmax + 1):
-                pcos = jpm + jmmp - 2 * kk
-                psin = diff + 2 * kk
-                logden = (logfact[jpm - kk] + logfact[kk]
-                          + logfact[jmmp - kk] + logfact[diff + kk])
-                mag = math.exp(lognorm - logden)
-                if (diff + kk) % 2:
-                    mag = -mag
-                for b in range(nb):
-                    out[b, i, col] += mag * c[b] ** pcos * s[b] ** psin
-    return out
-
-
-def _wigner_d_grid_numpy(twoj, beta, logfact):
+    out[b, i, col] = d^j_{m_i m_col}(beta_b), m ordered j, j-1, ..., -j.
+    """
+    beta = np.ascontiguousarray(np.atleast_1d(np.asarray(beta, dtype=float)))
+    logfact = _logfact_table(2 * twoj + 1)
     n = twoj + 1
     nb = beta.shape[0]
     out = np.zeros((nb, n, n))
@@ -101,24 +56,10 @@ def _wigner_d_grid_numpy(twoj, beta, logfact):
     return out
 
 
-# ---------------------------------------------------------------------------
-# S(p) = sum_{m != 0, |m| <= mmax} m exp(-(p - t m/2)^2 / t)
-# ---------------------------------------------------------------------------
-
-def _itn_denominator_loop(p, t, mmax):
-    out = np.zeros(p.shape[0])
-    for i in range(p.shape[0]):
-        acc = 0.0
-        for m in range(-mmax, mmax + 1):
-            if m == 0:
-                continue
-            d = p[i] - 0.5 * t * m
-            acc += m * math.exp(-d * d / t)
-        out[i] = acc
-    return out
-
-
-def _itn_denominator_numpy(p, t, mmax):
+def itn_denominator(p, t, mmax):
+    """S(p) = sum_{m != 0, |m| <= mmax} m exp(-(p - t m/2)^2 / t)."""
+    p = np.ascontiguousarray(np.atleast_1d(np.asarray(p, dtype=float)))
+    t, mmax = float(t), int(mmax)
     out = np.zeros(p.shape[0])
     for m in range(-mmax, mmax + 1):
         if m == 0:
@@ -128,34 +69,15 @@ def _itn_denominator_numpy(p, t, mmax):
     return out
 
 
-# ---------------------------------------------------------------------------
-# sum_n n e^{-t (n^2 - 1)/4} sinh(n h)/sinh(h), stable for small and large h
-# ---------------------------------------------------------------------------
-
-def _su2_norm_series_loop(h, t, nmax):
-    out = np.zeros(h.shape[0])
-    for i in range(h.shape[0]):
-        hi = abs(h[i])
-        acc = 0.0
-        if hi < 1e-6:
-            for n in range(1, nmax + 1):
-                w = n * math.exp(-t * (n * n - 1) / 4.0)
-                acc += w * n * (1.0 + (n * n - 1) * hi * hi / 6.0)
-        else:
-            em2h = math.exp(-2.0 * hi)
-            for n in range(1, nmax + 1):
-                lw = math.log(n) - t * (n * n - 1) / 4.0 + (n - 1) * hi
-                ratio = (1.0 - math.exp(-2.0 * n * hi)) / (1.0 - em2h)
-                acc += math.exp(lw) * ratio
-        out[i] = acc
-    return out
-
-
-def _su2_norm_series_numpy(h, t, nmax):
+def su2_norm_series(h, t, nmax):
+    """sum_n n e^{-t (n^2 - 1)/4} sinh(n h)/sinh(h), stable for small and
+    large h."""
+    h = np.ascontiguousarray(np.atleast_1d(np.asarray(h, dtype=float)))
+    t = float(t)
     ha = np.abs(h)
     small = ha < 1e-6
     out = np.zeros(h.shape[0])
-    ns = np.arange(1, nmax + 1)
+    ns = np.arange(1, int(nmax) + 1)
     if small.any():
         hs = ha[small]
         w = ns * np.exp(-t * (ns * ns - 1) / 4.0)
@@ -171,29 +93,3 @@ def _su2_norm_series_numpy(h, t, nmax):
             / (1.0 - np.exp(-2.0 * hb))[None, :]
         out[big] = np.einsum("nk->k", np.exp(lw) * ratio)
     return out
-
-
-if USE_NUMBA:
-    _wigner_d_grid_impl = njit(cache=True)(_wigner_d_grid_loop)
-    _itn_denominator_impl = njit(cache=True)(_itn_denominator_loop)
-    _su2_norm_series_impl = njit(cache=True)(_su2_norm_series_loop)
-else:
-    _wigner_d_grid_impl = _wigner_d_grid_numpy
-    _itn_denominator_impl = _itn_denominator_numpy
-    _su2_norm_series_impl = _su2_norm_series_numpy
-
-
-def wigner_d_grid(twoj, beta):
-    beta = np.ascontiguousarray(np.atleast_1d(np.asarray(beta, dtype=float)))
-    logfact = _logfact_table(2 * twoj + 1)
-    return _wigner_d_grid_impl(twoj, beta, logfact)
-
-
-def itn_denominator(p, t, mmax):
-    p = np.ascontiguousarray(np.atleast_1d(np.asarray(p, dtype=float)))
-    return _itn_denominator_impl(p, float(t), int(mmax))
-
-
-def su2_norm_series(h, t, nmax):
-    h = np.ascontiguousarray(np.atleast_1d(np.asarray(h, dtype=float)))
-    return _su2_norm_series_impl(h, float(t), int(nmax))

@@ -236,10 +236,6 @@ def apply_symbol(sigma, phi, eps=1.0):
     return out
 
 
-def formal_adjoint(sigma):
-    return sigma.conjugate()
-
-
 def adjoint_pairing_residual(sigma, phi1, phi2, eps=1.0):
     """| (A_{conj sigma} phi1, phi2) - (phi1, A_sigma phi2) |."""
     lhs = apply_symbol(sigma.conjugate(), phi1, eps).inner(phi2)

@@ -15,21 +15,9 @@ byte-identical given (config, seed).
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
-
-
-def _set_threads():
-    n = os.environ.get("QG_THREADS")
-    if not n:
-        return
-    try:
-        import numba
-        numba.set_num_threads(max(1, min(int(n), numba.get_num_threads())))
-    except Exception:
-        pass
 
 
 def _dump(obj):
@@ -266,8 +254,6 @@ def build_parser():
                     "compact groups")
     p.add_argument("--cmd", required=True, choices=sorted(COMMANDS))
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", default=None, choices=["csv", "json"],
-                   help="advisory; table1 is CSV, the suites are JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--quad-degree", type=int, default=None)
@@ -280,7 +266,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _set_threads()
     args = build_parser().parse_args(argv)
     return COMMANDS[args.cmd](args)
 

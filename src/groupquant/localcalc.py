@@ -1,4 +1,4 @@
-"""Local (epsilon-scaled) Kohn-Nirenberg and Weyl calculus on T*G.
+r"""Local (epsilon-scaled) Kohn-Nirenberg and Weyl calculus on T*G.
 
 Local symbols are finite trigonometric polynomials in the momentum,
 
@@ -91,9 +91,6 @@ class LocalSymbol:
                            np.conj(self.coeffs), self.g_pw,
                            {k: _conj_coeff(self.g_pw, v)
                             for k, v in self.poly.items()})
-
-    def theta_eval(self, theta, g_values_of_coeffs):
-        raise NotImplementedError  # symbols live through their data here
 
 
 def _conj_coeff(g_pw, coef):

@@ -43,22 +43,6 @@ def kernel_eigenvalues(twoj, lmax=None):
     return out
 
 
-def kernel_eigenvalues_quadrature(twoj, lmax=None, quad_n=None):
-    """k_l by exact Gauss-Legendre (oracle route; loses the tail sign for
-    2j >= 32 where the integrand cancels below double precision)."""
-    if lmax is None:
-        lmax = twoj
-    if quad_n is None:
-        quad_n = twoj + lmax // 2 + 12
-    x, w = np.polynomial.legendre.leggauss(quad_n)
-    base = ((1.0 + x) / 2.0) ** twoj
-    out = np.empty(lmax + 1)
-    for l in range(lmax + 1):
-        Pl = np.polynomial.legendre.Legendre.basis(l)(x)
-        out[l] = (twoj + 1) / 2.0 * np.sum(w * base * Pl)
-    return out
-
-
 class OrbitSpec:
     def __init__(self, twoj, L=None):
         self.twoj = twoj
@@ -295,20 +279,6 @@ def momentum_scaled_label(twoj, k):
             "scaled weight %g/2 leaves the eps-sub-lattice of integer spins"
             % (k * twoj))
     return k * twoj
-
-
-def momentum_scaled_swf(psi_grid, quad, twoj, k, spec=None):
-    """F_{SW,eps}[Psi](pi, theta) = F_SW[Psi](eps^{-1} pi, theta), eps = 1/k.
-
-    A pure relabeling into the spin-(j/eps) orbit data; not invertible (it
-    reads only the eps-sub-lattice of orbits).
-    """
-    lab = momentum_scaled_label(twoj, k)
-    if spec is None:
-        spec = OrbitSpec(lab)
-    elif spec.twoj != lab:
-        raise ValueError("orbit spec does not match the scaled label")
-    return swf_transform(psi_grid, quad, [spec])[lab]
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,3 @@ class PWSpace:
     def multiplication_operator(self, grid_values):
         """Matrix of Psi -> f * Psi from samples of f on the quadrature grid."""
         return self._EW @ (grid_values[:, None] * self.E)
-
-    def hs_inner(self, A, B):
-        """Hilbert-Schmidt pairing tr(A* B) of coefficient matrices."""
-        return np.einsum("ij,ij->", A.conj(), B)
-
-    def operator_schwartz_kernel(self, A):
-        """K(x, g) with (A Psi)(g) = int K(x, g) Psi(x) dx on the grid."""
-        # K = E A E^dagger evaluated on (x-grid, g-grid): K[xk, gl]
-        return np.einsum("li,ij,kj->kl", self.E, A, self.E.conj())

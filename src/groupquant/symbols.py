@@ -7,11 +7,18 @@ g. Operators act on a truncated Peter-Weyl space. The quantization is
     (A Psi)(g) = sum_pi d_pi tr( pi(g)^* sigma(pi, g) Psihat(pi) ),
     Psihat(pi) = int Psi(g) pi(g) dg,
 
-the symbol of an operator is sigma_A(pi, g) = (pi A pi^*)(g), and the Weyl
-deformation twists the left convolution kernel by the group square root,
-F^W(h, g) = F^R(h, sqrt(h)^{-1} g). Square roots are taken through the
-exponential with rotation angle in (-pi, pi); kernels carrying mass at the
-branch locus (angle pi) are rejected.
+the symbol of an operator is sigma_A(pi, g) = (pi A pi^*)(g), and its left
+convolution kernel is F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g)). The
+Weyl deformation twists that kernel by the group square root,
+F^W(h, g) = F^R(h, sqrt(h)^{-1} g), so both Weyl directions reduce to the
+Kohn-Nirenberg calculus and one shift:
+
+    Weyl quantization = KN quantization o deform(sqrt(h)^{-1}),
+    Weyl symbol       = deform(sqrt(h)) o KN symbol,
+
+where deform(v) Fourier-transforms F(h, v_h g) in h. Square roots are taken
+through the exponential with rotation angle in (-pi, pi); kernels carrying
+mass at the branch locus (angle pi) are rejected.
 """
 
 import json
@@ -34,11 +41,17 @@ class BranchLocusError(ValueError):
 
 @dataclass
 class MatrixSymbol:
-    """sigma(pi, g) for labels up to pi_band, on the grid of g_pw.quad."""
+    """sigma(pi, g) for labels up to pi_band, on the grid of g_pw.quad.
+
+    projection_residual is what kn_symbol and weyl_symbol dropped outside
+    the g-band when they projected an operator's symbol onto g_pw, relative
+    to the largest symbol value; it is 0 for symbols built from grid data.
+    """
     group: str
     pi_band: int
     g_pw: PWSpace
     values: dict = field(default_factory=dict)  # label -> (N, d, d)
+    projection_residual: float = 0.0
 
     @property
     def labels(self):
@@ -134,10 +147,11 @@ class TruncatedOperator:
 @dataclass
 class ConvolutionKernel:
     """Left kernel F(h, g) in double Fourier form: K[pi](g)_{mn} with
-    F(h, g) = sum_pi d_pi tr(pi(h)^* K[pi](g))."""
+    F(h, g) = sum_pi d_pi tr(pi(h)^* K[pi](g)), sampled on g_pw.quad; K is
+    the KN symbol of the operator rho_L(F)."""
     group: str
     h_band: int
-    g_quad: object
+    g_pw: PWSpace
     K: dict = field(default_factory=dict)  # label -> (N_g, d, d)
 
 
@@ -167,9 +181,10 @@ def kn_quantize(sym, pw):
 def kn_symbol(op, pi_band, g_pw):
     """sigma_A(pi, g) = (pi A pi^*)(g), projected onto the g_pw band.
 
-    The projection residual (mass outside the g-band) is attached to the
-    returned symbol as .projection_residual; it vanishes for operators in
-    the band-limited calculus.
+    The largest value dropped outside the g-band, relative to the largest
+    symbol value over all labels, is returned as the symbol's
+    projection_residual; it vanishes for operators in the band-limited
+    calculus.
     """
     pw = op.pw
     quad = pw.quad
@@ -177,7 +192,7 @@ def kn_symbol(op, pi_band, g_pw):
     E_small = g_pw.eval_basis(pts)
     EW_small = (E_small.conj() * quad.weights[:, None]).T
     vals = {}
-    worst = 0.0
+    resid = scale = 0.0
     for lab in G.irrep_labels(pw.group, pi_band):
         if lab not in pw.labels:
             raise ValueError("operator band too small for label %r" % lab)
@@ -190,12 +205,11 @@ def kn_symbol(op, pi_band, g_pw):
         sig = np.einsum("kmn,knp->kmp", D, W.reshape(quad.n_nodes, d, d))
         coef = EW_small @ sig.reshape(quad.n_nodes, d * d)
         proj = (E_small @ coef).reshape(quad.n_nodes, d, d)
-        worst = max(worst, np.abs(proj - sig).max()
-                    / max(np.abs(sig).max(), 1e-300))
+        resid = max(resid, np.abs(proj - sig).max())
+        scale = max(scale, np.abs(sig).max())
         vals[lab] = (g_pw.E @ coef).reshape(g_pw.quad.n_nodes, d, d)
-    sym = MatrixSymbol(pw.group, pi_band, g_pw, vals)
-    sym.projection_residual = worst
-    return sym
+    return MatrixSymbol(pw.group, pi_band, g_pw, vals,
+                        projection_residual=resid / max(scale, 1e-300))
 
 
 def kn_compose(sa, sb, h_quad, h_chunk=64):
@@ -288,38 +302,48 @@ def branch_mass(group, quad, F_hg, margin=0.2):
     return float(np.sum(w[near] * m_h[near])) / total
 
 
-def kernel_values(sym, h_quad, shift_sqrt=False):
-    """F(h, g) on the double grid; with shift_sqrt, F^R(h, sqrt(h)^{-1} g)."""
-    group = sym.group
-    gq = sym.quad
-    N_h, N_g = h_quad.n_nodes, gq.n_nodes
-    out = np.zeros((N_h, N_g), dtype=complex)
-    if shift_sqrt:
-        roots = sqrt_elements(group, h_quad)
+def kernel_values(sym, h_quad, s=0):
+    """F(h, sqrt(h)^s g) on the (h_quad, sym.quad) double grid, s in
+    {0, -1, +1}, with F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g)).
+
+    The shift acts on the g-band PW coefficients of F(h, .) through
+    e_(pi,a,b)(v g) = sqrt(d_pi) sum_c pi(v)_{ac} pi(g)_{cb}.
+    """
+    if s not in (-1, 0, 1):
+        raise ValueError("shift exponent must be -1, 0 or +1")
+    group, g_pw = sym.group, sym.g_pw
+    N_h = h_quad.n_nodes
+    coef = np.zeros((N_h, g_pw.dim), dtype=complex)  # F(h, .) coefficients
     for lab in sym.labels:
         d = G.dim(group, lab)
-        Dh = h_quad.rep_grid(lab)
-        if not shift_sqrt:
-            out += d * np.einsum("hnm,gnm->hg", Dh.conj(), sym.values[lab],
-                                 optimize=True)
-            continue
-        coef = sym.coefficients(lab)
-        # sigma(lab, sqrt(h)^{-1} g) via the PW split of e_mu(v g)
-        shift = np.zeros((N_h, N_g, d, d), dtype=complex)
-        for lab2 in sym.g_pw.labels:
+        Dh = h_quad.rep_grid(lab).conj().reshape(N_h, d * d)
+        coef += d * Dh @ sym.coefficients(lab).reshape(g_pw.dim, d * d).T
+    if s:
+        v = sqrt_elements(group, h_quad)
+        if s < 0:
+            v = -v if group == G.U1 else G.quat_inv(v)
+        Ev = g_pw.eval_basis(v)                 # sqrt(d) pi(v_h) blocks
+        for lab2 in g_pw.labels:
             d2 = G.dim(group, lab2)
-            o = sym.g_pw.offsets[lab2]
-            c = coef[o:o + d2 * d2].reshape(d2, d2, d, d)
-            if group == G.U1:
-                Dv = np.exp(-1j * lab2 * roots)[:, None, None]
-            else:
-                from .wigner import wigner_D_euler_grid
-                Dv = wigner_D_euler_grid(
-                    lab2 - 1, *G.quat_to_euler(G.quat_inv(roots)))
-            Dg2 = gq.rep_grid(lab2)
-            shift += math.sqrt(d2) * np.einsum(
-                "hac,gcb,abmn->hgmn", Dv, Dg2, c, optimize=True)
-        out += d * np.einsum("hnm,hgnm->hg", Dh.conj(), shift, optimize=True)
+            blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
+            Dv = Ev[:, blk].reshape(N_h, d2, d2) / math.sqrt(d2)
+            c = coef[:, blk].reshape(N_h, d2, d2)
+            coef[:, blk] = np.einsum("hac,hab->hcb", Dv, c).reshape(N_h, -1)
+    return coef @ g_pw.E.T
+
+
+def _deform(sym, h_quad, s, pi_band, branch_tol):
+    """int dh F(h, sqrt(h)^s g) pi(h) for pi up to pi_band, after rejecting
+    kernels F(h, g) with more than branch_tol mass at the branch locus."""
+    mass = branch_mass(sym.group, h_quad, kernel_values(sym, h_quad))
+    if mass > branch_tol:
+        raise BranchLocusError(mass, branch_tol)
+    FwT = (kernel_values(sym, h_quad, s) * h_quad.weights[:, None]).T
+    out = {}
+    for lab in G.irrep_labels(sym.group, pi_band):
+        Dh = h_quad.rep_grid(lab)
+        out[lab] = (FwT @ Dh.reshape(h_quad.n_nodes, -1)).reshape(
+            (FwT.shape[0],) + Dh.shape[1:])
     return out
 
 
@@ -329,104 +353,31 @@ def weyl_deform(sym, h_quad, branch_tol=1e-12):
     Rejects symbols whose right kernel carries more than branch_tol relative
     mass near the square-root branch locus.
     """
-    FR = kernel_values(sym, h_quad, shift_sqrt=False)
-    mass = branch_mass(sym.group, h_quad, FR)
-    if mass > branch_tol:
-        raise BranchLocusError(mass, branch_tol)
-    FW = kernel_values(sym, h_quad, shift_sqrt=True)
-    K = {}
-    for lab in sym.labels:
-        Dh = h_quad.rep_grid(lab)
-        K[lab] = np.einsum("h,hg,hmn->gmn", h_quad.weights, FW, Dh,
-                           optimize=True)
-    return ConvolutionKernel(sym.group, sym.pi_band, sym.quad, K)
+    K = _deform(sym, h_quad, -1, sym.pi_band, branch_tol)
+    return ConvolutionKernel(sym.group, sym.pi_band, sym.g_pw, K)
 
 
-def kernel_quantize(kernel, pw, h_quad, h_chunk=64):
-    """rho_L(F): (A Psi)(g) = int dh F(h, g) Psi(h^{-1} g) on the PW space."""
-    group = kernel.group
-    gq = kernel.g_quad
-    N_h = h_quad.n_nodes
-    F = np.zeros((N_h, gq.n_nodes), dtype=complex)
-    for lab, Kv in kernel.K.items():
-        d = G.dim(group, lab)
-        Dh = h_quad.rep_grid(lab)
-        F += d * np.einsum("hnm,gnm->hg", Dh.conj(), Kv, optimize=True)
-    out_vals = np.zeros((gq.n_nodes, pw.dim), dtype=complex)
-    eye = np.eye(pw.dim, dtype=complex)
-    for start in range(0, N_h, h_chunk):
-        sl = slice(start, min(start + h_chunk, N_h))
-        shift = _eval_left_shifted(pw, eye, h_quad, sl, gq)  # (nh, Ng, dim)
-        out_vals += np.einsum("h,hg,hgi->gi", h_quad.weights[sl], F[sl],
-                              shift, optimize=True)
-    # analysis on the kernel's g-grid with the operator-space basis
-    pts = gq.angles if group == G.U1 else gq.quats
-    E = pw.eval_basis(pts)
-    EW = (E.conj() * gq.weights[:, None]).T
-    coeffs = EW @ out_vals
-    resid = np.abs(out_vals - E @ coeffs).max() / max(np.abs(out_vals).max(),
-                                                      1e-300)
-    return TruncatedOperator(pw, coeffs, truncation_error=resid)
+def kernel_quantize(kernel, pw, h_quad):
+    """rho_L(F): (A Psi)(g) = int dh F(h, g) Psi(h^{-1} g) on the PW space.
+
+    kernel.K is the KN symbol of rho_L(F), so this is kn_quantize. h_quad is
+    not read; the parameter stays for the callers that pass it.
+    """
+    return kn_quantize(MatrixSymbol(kernel.group, kernel.h_band,
+                                    kernel.g_pw, kernel.K), pw)
 
 
 def weyl_quantize(sym, pw, h_quad, branch_tol=1e-12):
     return kernel_quantize(weyl_deform(sym, h_quad, branch_tol), pw, h_quad)
 
 
-def weyl_symbol(op, pi_band, g_pw, h_quad, branch_tol=1e-12, h_chunk=64):
-    """sigma^W_A(pi, g) = int dh F_A(h, sqrt(h) g) pi(h) through the operator
-    Schwartz kernel; F_A(h, sqrt(h) g) = K_A(sqrt(h)^{-1} g, sqrt(h) g)."""
-    pw = op.pw
-    group = pw.group
-    gq = g_pw.quad
-    roots = sqrt_elements(group, h_quad)
-    # branch check on F_A(h, g) = K_A(h^{-1} g, g)
-    FA = _operator_left_kernel(op, h_quad, gq)
-    mass = branch_mass(group, h_quad, FA)
-    if mass > branch_tol:
-        raise BranchLocusError(mass, branch_tol)
-    N_h = h_quad.n_nodes
-    vals_shift = np.zeros((N_h, gq.n_nodes), dtype=complex)
-    for start in range(0, N_h, h_chunk):
-        sl = slice(start, min(start + h_chunk, N_h))
-        if group == G.U1:
-            x_ang = -roots[sl][:, None] + gq.angles[None, :]
-            y_ang = roots[sl][:, None] + gq.angles[None, :]
-            Ex = pw.eval_basis(x_ang.ravel())
-            Ey = pw.eval_basis(y_ang.ravel())
-        else:
-            r = roots[sl]
-            x_q = G.quat_mul(G.quat_inv(r)[:, None, :], gq.quats[None, :, :])
-            y_q = G.quat_mul(r[:, None, :], gq.quats[None, :, :])
-            Ex = pw.eval_basis(x_q.reshape(-1, 4))
-            Ey = pw.eval_basis(y_q.reshape(-1, 4))
-        kv = np.einsum("pi,ij,pj->p", Ey, op.matrix, Ex.conj(),
-                       optimize=True)
-        vals_shift[sl] = kv.reshape(sl.stop - sl.start, gq.n_nodes)
-    out = {}
-    for lab in G.irrep_labels(group, pi_band):
-        Dh = h_quad.rep_grid(lab)
-        out[lab] = np.einsum("h,hg,hmn->gmn", h_quad.weights, vals_shift, Dh,
-                             optimize=True)
-    return MatrixSymbol(group, pi_band, g_pw, out)
-
-
-def _operator_left_kernel(op, h_quad, gq):
-    """F_A(h, g) = K_A(h^{-1} g, g) on the double grid."""
-    pw = op.pw
-    group = pw.group
-    if group == G.U1:
-        x_ang = (-h_quad.angles[:, None] + gq.angles[None, :])
-        Ex = pw.eval_basis(x_ang.ravel())
-    else:
-        x_q = G.quat_mul(G.quat_inv(h_quad.quats)[:, None, :],
-                         gq.quats[None, :, :])
-        Ex = pw.eval_basis(x_q.reshape(-1, 4))
-    pts = gq.angles if group == G.U1 else gq.quats
-    Eg = pw.eval_basis(pts)
-    Exr = Ex.conj().reshape(h_quad.n_nodes, gq.n_nodes, pw.dim)
-    tmp = np.einsum("ij,hgj->hgi", op.matrix, Exr, optimize=True)
-    return np.einsum("gi,hgi->hg", Eg, tmp, optimize=True)
+def weyl_symbol(op, pi_band, g_pw, h_quad, branch_tol=1e-12):
+    """sigma^W_A(pi, g) = int dh F_A(h, sqrt(h) g) pi(h), with F_A the left
+    kernel of the KN symbol of A over the whole operator band."""
+    kn = kn_symbol(op, op.pw.band, g_pw)
+    return MatrixSymbol(op.pw.group, pi_band, g_pw,
+                        _deform(kn, h_quad, 1, pi_band, branch_tol),
+                        projection_residual=kn.projection_residual)
 
 
 # ---------------------------------------------------------------------------

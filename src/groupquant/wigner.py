@@ -17,12 +17,6 @@ import numpy as np
 from ._kernels import wigner_d_grid
 
 
-def jz_matrix(twoj):
-    """dpi(tau_z) = -i * diag(m), m = j..-j."""
-    m = np.arange(twoj, -twoj - 1, -2) / 2.0
-    return np.diag(-1j * m)
-
-
 def angular_momentum(twoj):
     """Hermitian (Jx, Jy, Jz) in the m = j..-j basis."""
     j = twoj / 2.0
@@ -42,20 +36,6 @@ def angular_momentum(twoj):
 def su2_generator(twoj, k):
     """dpi(tau_k) = -i J_k for the basis tau_k = -i sigma_k/2."""
     return -1j * angular_momentum(twoj)[k]
-
-
-def wigner_d(twoj, beta):
-    """Small-d matrix d^j(beta); beta scalar or array -> (..., n, n)."""
-    arr = wigner_d_grid(twoj, np.atleast_1d(beta))
-    if np.isscalar(beta) or np.ndim(beta) == 0:
-        return arr[0]
-    return arr
-
-
-def wigner_D_euler(twoj, alpha, beta, gamma):
-    m = np.arange(twoj, -twoj - 1, -2) / 2.0
-    d = wigner_d(twoj, beta)
-    return np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
 
 
 def wigner_D_euler_grid(twoj, alpha, beta, gamma):

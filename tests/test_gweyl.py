@@ -227,17 +227,22 @@ def test_symbol_json_roundtrip(su2_spaces):
 # ---------------------------------------------------------------------------
 
 def gaussian_profile_symbol(gpw, pi_band, s, rng, kmax=3):
-    """Smooth-profile symbol whose right kernel avoids the branch locus."""
+    """Smooth-profile symbol whose right kernel avoids the branch locus:
+    e^{-s C_pi} sum_k a_k x_pi^k u_k(g) 1_pi with C_pi the Casimir and
+    x_pi = j on U(1), x_pi = C_pi on SU(2)."""
+    group = gpw.group
     us = [gpw.synthesis(rng.standard_normal(gpw.dim)
                         + 1j * rng.standard_normal(gpw.dim))
           for _ in range(kmax + 1)]
     a = rng.standard_normal(kmax + 1)
     vals = {}
-    for j in range(-pi_band, pi_band + 1):
-        prof = math.exp(-s * j * j) * sum(a[k] * (j ** k) * us[k]
-                                          for k in range(kmax + 1))
-        vals[j] = prof[:, None, None]
-    return S.MatrixSymbol(G.U1, pi_band, gpw, vals)
+    for lab in G.irrep_labels(group, pi_band):
+        lam = G.casimir(group, lab)
+        x = lab if group == G.U1 else lam
+        prof = math.exp(-s * lam) * sum(a[k] * (x ** k) * us[k]
+                                        for k in range(kmax + 1))
+        vals[lab] = prof[:, None, None] * np.eye(G.dim(group, lab))
+    return S.MatrixSymbol(group, pi_band, gpw, vals)
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +282,9 @@ def test_weyl_symbol_roundtrip(weyl_u1):
     back = S.weyl_symbol(op, 24, gpw, hq)
     scale = max(np.abs(sym.values[j]).max() for j in sym.values)
     assert back.max_abs_diff(sym) < 1e-9 * scale
+    # band-limited operator: nothing drops outside the g-band, also at the
+    # labels where the symbol is rounding noise
+    assert back.projection_residual < 1e-12
 
 
 def test_weyl_branch_rejection(weyl_u1):
@@ -289,6 +297,113 @@ def test_weyl_branch_rejection(weyl_u1):
     bad = S.MatrixSymbol(G.U1, 24, gpw, vals)
     with pytest.raises(S.BranchLocusError):
         S.weyl_deform(bad, hq)
+
+
+# Brute-force oracles for the Weyl routes: an h-quadrature of the left
+# kernel, and the operator's Schwartz kernel K_A(x, y) = sum e_i(y) A_ij
+# conj(e_j(x)) read at shifted grid points. Both avoid the KN identities
+# the library uses; they run over chunks of h nodes to bound memory.
+
+_H_CHUNK = 64
+
+
+def _h_chunks(h_quad):
+    for start in range(0, h_quad.n_nodes, _H_CHUNK):
+        yield slice(start, min(start + _H_CHUNK, h_quad.n_nodes))
+
+
+def _inverse(group, a):
+    return -a if group == G.U1 else G.quat_inv(a)
+
+
+def _times_grid(group, a, gq):
+    """The points a_k g for elements a_k and every node g of gq, k-major."""
+    if group == G.U1:
+        return (a[:, None] + gq.angles[None, :]).ravel()
+    return G.quat_mul(a[:, None, :], gq.quats[None, :, :]).reshape(-1, 4)
+
+
+def _schwartz_kernel(op, xs, ys):
+    """K_A(x_p, y_p) at point pairs."""
+    Ex = op.pw.eval_basis(xs)
+    Ey = op.pw.eval_basis(ys)
+    return np.einsum("pi,ij,pj->p", Ey, op.matrix, Ex.conj(), optimize=True)
+
+
+def _kernel_quantize_oracle(kern, pw, h_quad):
+    """rho_L(F) as (A Psi)(g) = int dh F(h, g) Psi(h^{-1} g) by quadrature."""
+    group, gq = kern.group, kern.g_pw.quad
+    F = sum(G.dim(group, lab) * np.einsum("hnm,gnm->hg",
+                                          h_quad.rep_grid(lab).conj(), Kv)
+            for lab, Kv in kern.K.items())
+    h_inv = _inverse(group, h_quad.angles if group == G.U1 else h_quad.quats)
+    out_vals = np.zeros((gq.n_nodes, pw.dim), dtype=complex)
+    for sl in _h_chunks(h_quad):
+        shift = pw.eval_basis(_times_grid(group, h_inv[sl], gq))
+        out_vals += np.einsum("h,hg,hgi->gi", h_quad.weights[sl], F[sl],
+                              shift.reshape(F[sl].shape + (pw.dim,)))
+    E = pw.eval_basis(gq.angles if group == G.U1 else gq.quats)
+    return (E.conj() * gq.weights[:, None]).T @ out_vals
+
+
+def _left_kernel_oracle(op, h_quad, gq):
+    """F_A(h, g) = K_A(h^{-1} g, g) on the double grid."""
+    group = op.pw.group
+    g_pts = gq.angles if group == G.U1 else gq.quats
+    h_inv = _inverse(group, h_quad.angles if group == G.U1 else h_quad.quats)
+    out = np.zeros((h_quad.n_nodes, gq.n_nodes), dtype=complex)
+    for sl in _h_chunks(h_quad):
+        n = sl.stop - sl.start
+        ys = np.concatenate([g_pts] * n)
+        out[sl] = _schwartz_kernel(op, _times_grid(group, h_inv[sl], gq),
+                                   ys).reshape(n, gq.n_nodes)
+    return out
+
+
+def _weyl_symbol_oracle(op, pi_band, g_pw, h_quad):
+    """sigma^W_A(pi, g) = int dh K_A(sqrt(h)^{-1} g, sqrt(h) g) pi(h)."""
+    group, gq = op.pw.group, g_pw.quad
+    roots = S.sqrt_elements(group, h_quad)
+    vals = np.zeros((h_quad.n_nodes, gq.n_nodes), dtype=complex)
+    for sl in _h_chunks(h_quad):
+        r = roots[sl]
+        vals[sl] = _schwartz_kernel(
+            op, _times_grid(group, _inverse(group, r), gq),
+            _times_grid(group, r, gq)).reshape(len(r), gq.n_nodes)
+    return {lab: np.einsum("h,hg,hmn->gmn", h_quad.weights, vals,
+                           h_quad.rep_grid(lab), optimize=True)
+            for lab in G.irrep_labels(group, pi_band)}
+
+
+def _max_rel(a, b):
+    """max |a - b| / max |a| over arrays or over the values of two dicts."""
+    if isinstance(a, dict):
+        return (max(np.abs(a[k] - b[k]).max() for k in a)
+                / max(np.abs(v).max() for v in a.values()))
+    return np.abs(a - b).max() / np.abs(a).max()
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_weyl_routes_match_oracles(group, request):
+    rng = np.random.default_rng(16)
+    if group == G.U1:
+        gpw, pw, hq = request.getfixturevalue("weyl_u1")
+        pi_band, s = 24, 0.07
+    else:
+        gpw = S.make_g_space(G.SU2, 2, quad_degree=6)
+        pw = PWSpace(G.SU2, 3, quad_degree=6)
+        hq = G.su2_quadrature(6)
+        pi_band, s = 3, 0.3
+    sym = gaussian_profile_symbol(gpw, pi_band, s, rng)
+    kern = S.weyl_deform(sym, hq)
+    op = S.kernel_quantize(kern, pw, hq)
+    assert _max_rel(op.matrix, _kernel_quantize_oracle(kern, pw, hq)) < 1e-12
+    # the branch check reads F_A off the KN symbol over the operator band
+    F_A = S.kernel_values(S.kn_symbol(op, pw.band, gpw), hq)
+    assert _max_rel(_left_kernel_oracle(op, hq, gpw.quad), F_A) < 1e-12
+    back = S.weyl_symbol(op, pi_band, gpw, hq)
+    oracle = _weyl_symbol_oracle(op, pi_band, gpw, hq)
+    assert _max_rel(oracle, back.values) < 1e-12
 
 
 def test_weyl_element_orthogonality_u1():

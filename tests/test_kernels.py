@@ -1,48 +1,10 @@
-"""Numba kernels against their numpy fallbacks (and external oracles)."""
-
-import json
-import os
-import subprocess
-import sys
+"""_kernels against independent oracles (scipy expm and direct sums)."""
 
 import numpy as np
 from scipy.linalg import expm
 
 from groupquant import _kernels as K
 from groupquant.wigner import su2_generator
-
-_PROBE = """
-import json
-import numpy as np
-from groupquant import _kernels as K
-beta = np.linspace(0.001, 3.14, 37)
-h = np.concatenate([[0.0, 1e-8], np.linspace(0.01, 6.0, 25)])
-p = np.linspace(-3, 9, 41)
-out = {
- "wig": K.wigner_d_grid(9, beta).tolist(),
- "itn": K.itn_denominator(p, 1.7, 30).tolist(),
- "norm": K.su2_norm_series(h, 0.6, 50).tolist(),
- "numba": K.USE_NUMBA,
-}
-print(json.dumps(out))
-"""
-
-
-def _run(no_numba):
-    env = dict(os.environ)
-    env["QG_NO_NUMBA"] = "1" if no_numba else "0"
-    res = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(res.stdout.strip().splitlines()[-1])
-
-
-def test_paths_agree():
-    a = _run(False)
-    b = _run(True)
-    assert b["numba"] is False
-    for key in ("wig", "itn", "norm"):
-        x, y = np.asarray(a[key]), np.asarray(b[key])
-        assert np.abs(x - y).max() < 1e-13 * max(1.0, np.abs(x).max())
 
 
 def test_wigner_kernel_oracle():

@@ -67,6 +67,23 @@ def test_kernel_spectrum(spec):
         assert abs(O.cg_kernel_eigenvalue(spec.twoj, l) - k[l]) < 1e-12
 
 
+def _kernel_eigenvalues_quadrature(twoj):
+    """k_l = (d/2) int_{-1}^{1} ((1+x)/2)^{2j} P_l(x) dx by exact
+    Gauss-Legendre; loses the tail sign for 2j >= 32, where the integrand
+    cancels below double precision."""
+    x, w = np.polynomial.legendre.leggauss(twoj + twoj // 2 + 12)
+    base = ((1.0 + x) / 2.0) ** twoj
+    return np.array([(twoj + 1) / 2.0 * np.sum(
+        w * base * np.polynomial.legendre.Legendre.basis(l)(x))
+        for l in range(twoj + 1)])
+
+
+@pytest.mark.parametrize("twoj", [2, 4, 8, 16, 24])
+def test_kernel_eigenvalues_quadrature_oracle(twoj):
+    assert np.abs(O.kernel_eigenvalues(twoj)
+                  - _kernel_eigenvalues_quadrature(twoj)).max() < 1e-13
+
+
 def test_spectrum_positivity_large_j():
     for twoj in (8, 16, 32):
         k = O.kernel_eigenvalues(twoj)
