@@ -215,14 +215,21 @@ class BohrSymbol:
                           (self.m, self.rho, self.delta), lat)
 
 
+def _summed(pairs):
+    """ToleranceDict of the values summed per key."""
+    out = ToleranceDict()
+    for x, v in pairs:
+        out.set(x, out.get(x, 0.0) + v)
+    return out
+
+
 def bohr_mean(f, g):
     """(f, g)_Bohr = lim (2T)^{-1} int conj(f) g: matching-frequency sum.
 
     f, g given as frequency dicts nu -> coefficient of e^{i nu x}.
     """
-    fk = {_key(nu): v for nu, v in f.items()}
-    gk = {_key(nu): v for nu, v in g.items()}
-    return sum(np.conj(v) * gk[nu] for nu, v in fk.items() if nu in gk)
+    gk = _summed(g.items())
+    return sum(np.conj(v) * gk.get(nu, 0.0) for nu, v in f.items())
 
 
 def apply_symbol(sigma, phi, eps=1.0):
@@ -374,12 +381,10 @@ def asymptotic_product(sig, tau, eps, N):
 
 def young_bound(h_entries):
     """(C1, C2) for a kernel given as {(lam, lam'): value}."""
-    row, col = {}, {}
-    for (lam, lamp), v in h_entries.items():
-        row[_key(lam)] = row.get(_key(lam), 0.0) + abs(v)
-        col[_key(lamp)] = col.get(_key(lamp), 0.0) + abs(v)
-    c1 = max(row.values(), default=0.0)
-    c2 = max(col.values(), default=0.0)
+    row = _summed((lam, abs(v)) for (lam, _), v in h_entries.items())
+    col = _summed((lamp, abs(v)) for (_, lamp), v in h_entries.items())
+    c1 = max((v for _, v in row.items()), default=0.0)
+    c2 = max((v for _, v in col.items()), default=0.0)
     return c1, c2
 
 
@@ -437,8 +442,7 @@ def sobolev_bound_check(sigma, s, t, p, states, eps=1.0,
                 continue
             wgt = ((1 + (lam2 - lamp) ** 2) ** (abs(s - t) / 2.0)
                    * (1 + lamp * lamp) ** (-t / 2.0))
-            entries[(_key(lam2), _key(lamp))] = \
-                entries.get((_key(lam2), _key(lamp)), 0.0) + wgt * v
+            entries[(lam2, lamp)] = entries.get((lam2, lamp), 0.0) + wgt * v
     c1, c2 = young_bound(entries)
     q = math.inf if p == 1 else p / (p - 1.0)
     inv_p, inv_q = 1.0 / p, (0.0 if q == math.inf else 1.0 / q)

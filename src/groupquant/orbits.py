@@ -10,8 +10,10 @@ harmonics with eigenvalues
 
     k_l = (d/2) int_{-1}^{1} ((1+x)/2)^{2j} P_l(x) dx,   k_0 = 1,
 
-and the Stratonovich-Weyl operator field is Delta(theta) = K^{-1/2} P_theta
-realized by the harmonic rescaling k_l^{-1/2}.
+and the Stratonovich-Weyl operator field is Delta(theta) = K^{-1/2} P_theta.
+K commutes with rotations, so the field is equivariant,
+Delta(theta) = D(g_theta) Delta_0 D(g_theta)^*, with Delta_0 diagonal in
+closed form (Varilly & Gracia-Bondia, Ann. Phys. 190 (1989) 107).
 """
 
 import csv
@@ -64,9 +66,10 @@ class OrbitSpec:
         self.nhat = np.stack([sb * np.cos(self.alpha),
                               sb * np.sin(self.alpha),
                               np.cos(self.beta)], axis=-1)
-        D = wigner_D_euler_grid(twoj, self.alpha, self.beta,
-                                np.zeros_like(self.alpha))
-        self.coherent = D[:, :, 0]             # v_theta = D e_{highest}
+        # D(g_theta) on the grid, (N, d, d)
+        self.D = wigner_D_euler_grid(twoj, self.alpha, self.beta,
+                                     np.zeros_like(self.alpha))
+        self.coherent = self.D[:, :, 0]        # v_theta = D e_{highest}
         self.k_l = kernel_eigenvalues(twoj)
         self._Y = {}
         self._delta = None
@@ -120,15 +123,18 @@ class OrbitSpec:
     # -- Stratonovich-Weyl operator field ------------------------------------
 
     def delta_field(self):
-        """Delta(theta_a) as an (N, d, d) array."""
+        """Delta(theta_a) = D Delta_0 D^* as an (N, d, d) array, with
+
+        Delta_0[m] = sum_l k_l^{-1/2} (2l+1)/d <j j; l 0|j j> <j m; l 0|j m>
+
+        for m = j..-j.
+        """
         if self._delta is None:
-            P = np.einsum("am,an->amn", self.coherent, self.coherent.conj())
-            # lower symbol of E_{mn} is conj(v_m) v_n = P[a, n, m]
-            L_field = np.swapaxes(P, 1, 2).reshape(self.n_nodes, -1)
-            W_field = self.rescale_harmonics(L_field, self.k_l ** -0.5)
-            # Delta(theta)_{nm} = W_{E_{mn}}(theta)
-            self._delta = np.swapaxes(
-                W_field.reshape(self.n_nodes, self.d, self.d), 1, 2)
+            j, ls = self.j, np.arange(self.d)
+            cg = np.array([[clebsch_gordan(j, l, j, j - i, 0.0, j - i)
+                            for i in ls] for l in ls])     # (l, m)
+            delta0 = (self.k_l ** -0.5 * (2 * ls + 1) / self.d * cg[:, 0]) @ cg
+            self._delta = (self.D * delta0) @ np.swapaxes(self.D.conj(), 1, 2)
         return self._delta
 
 
@@ -185,30 +191,10 @@ def berezin_sw_residual(spec, field):
 
 
 def sw_twisted_product(spec, WA, WB):
-    """(W_A * W_B)(theta) through the triple-kernel contraction
-    tr(Delta(theta) Delta(theta') Delta(theta'')) W_A(theta') W_B(theta''),
-    evaluated by contracting the primed integrals first."""
-    D = spec.delta_field()
-    MA = np.einsum("a,a,anm->nm", spec.weights, WA, D)
-    MB = np.einsum("a,a,anm->nm", spec.weights, WB, D)
-    return np.einsum("anm,mp,pn->a", D, MA, MB)
-
-
-def k_operator(spec, field):
-    """(K f)(theta) = int |<v_theta, v_theta'>|^2 f dmu (direct kernel)."""
-    cosg = np.clip(spec.nhat @ spec.nhat.T, -1.0, 1.0)
-    for i in range(spec.n_nodes):
-        cosg[i, i] = 1.0
-    kern = ((1.0 + cosg) / 2.0) ** spec.twoj
-    return kern @ (spec.weights * field)
-
-
-def cg_kernel_eigenvalue(twoj, l):
-    """k_l from the squared Clebsch-Gordan coefficient:
-    k_l = C(j, j; j, -j | l, 0)^2 * d / (2l + 1)."""
-    j = twoj / 2.0
-    c = clebsch_gordan(j, j, l, j, -j, 0.0)
-    return c * c * (twoj + 1) / (2 * l + 1)
+    """(W_A * W_B)(theta) = W of Q^SW(W_A) Q^SW(W_B): the triple-kernel
+    integral tr(Delta(theta) Delta(theta') Delta(theta'')) W_A(theta')
+    W_B(theta'') with the primed integrals done first."""
+    return sw_symbol(spec, sw_quantize(spec, WA) @ sw_quantize(spec, WB))
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +236,21 @@ def swf_parseval(psi_grid, transform, quad, specs):
 
 
 def group_convolution(psi_grid, phi_coeffs, pw, quad):
-    """(Psi * Phi)(g) = int Psi(h) Phi(h^{-1} g) dh on the grid of quad."""
+    """(Psi * Phi)(g) = int Psi(h) Phi(h^{-1} g) dh on the grid of quad.
+
+    Phi is band-limited with Peter-Weyl coefficients phi_coeffs, so
+    Phi(h^{-1} g) = sum sqrt(d) C_ab conj(D_ca(h)) D_cb(g) and the integral
+    is, per irrep, D(g) paired with sqrt(d) Psihat C, where
+    Psihat = int Psi(h) conj(D(h)) dh.
+    """
     out = np.zeros(quad.n_nodes, dtype=complex)
-    chunk = 128
-    for start in range(0, quad.n_nodes, chunk):
-        sl = slice(start, min(start + chunk, quad.n_nodes))
-        hq = quad.quats[sl]
-        pts = G.quat_mul(G.quat_inv(hq)[:, None, :], quad.quats[None, :, :])
-        E = pw.eval_basis(pts.reshape(-1, 4)) @ phi_coeffs
-        out += np.einsum("h,h,hg->g", quad.weights[sl], psi_grid[sl],
-                         E.reshape(sl.stop - sl.start, quad.n_nodes))
+    wpsi = quad.weights * psi_grid
+    for lab in pw.labels:
+        D = quad.rep_grid(lab)
+        d = D.shape[1]
+        psihat = np.tensordot(wpsi, D.conj(), axes=(0, 0))
+        B = math.sqrt(d) * psihat @ pw.block(lab, phi_coeffs)
+        out += D.reshape(quad.n_nodes, d * d) @ B.ravel()
     return out
 
 

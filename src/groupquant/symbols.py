@@ -162,13 +162,13 @@ class ConvolutionKernel:
 def kn_quantize(sym, pw):
     """Matrix of the Kohn-Nirenberg operator on the truncated PW space."""
     quad = pw.quad
-    w = quad.weights
+    EW = pw.E.T * quad.weights
     # Psihat_i(pi) = sum_k w_k E[k, i] D[pi][k]
     out_vals = np.zeros((pw.dim, quad.n_nodes), dtype=complex)
     for lab in sym.labels:
         d = G.dim(sym.group, lab)
         D = quad.rep_grid(lab)
-        psihat = np.einsum("k,ki,kmn->imn", w, pw.E, D)
+        psihat = (EW @ D.reshape(len(D), d * d)).reshape(-1, d, d)
         sig = sym.values_at_quad(lab, quad)
         out_vals += d * np.einsum("knm,knp,ipm->ik", D.conj(), sig, psihat,
                                   optimize=True)

@@ -325,3 +325,10 @@ def test_tolerance_dict_boundary_keys():
     d.set(0.2916666666665, 1.0)
     assert d.get(0.2916666666672) == 1.0  # within 1e-9
     assert d.get(0.2916700000000) is None
+
+
+def test_boundary_keys_mean_and_young():
+    # a and b sit within 1e-9 on either side of a rounding-bucket boundary
+    a, b = 0.12345675 + 3e-12, 0.12345675 - 3e-12
+    assert B.bohr_mean({a: 1.0}, {b: 1.0}) == 1.0
+    assert B.young_bound({(a, 0.0): 1.0, (b, 1.0): 1.0}) == (2.0, 1.0)

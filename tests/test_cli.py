@@ -69,6 +69,16 @@ def test_sw_props_deterministic(tmp_path):
                if k != "k_rate_slope")
 
 
+def test_sw_props_large_spin(tmp_path):
+    # 2j = 24: Delta by harmonic transform missed 1e-9 here (1.6e-6)
+    out = tmp_path / "a.json"
+    assert main(["--cmd", "sw-props", "--j", "12", "--seed", "0",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert all(v < 1e-9 for k, v in rep["results"].items()
+               if k != "k_rate_slope")
+
+
 def test_bohr_props(tmp_path):
     out = tmp_path / "b.json"
     assert main(["--cmd", "bohr-props", "--out", str(out)]) == 0
