@@ -222,6 +222,7 @@ class Quadrature:
     angles: np.ndarray = None     # U(1): node angles
     quats: np.ndarray = None      # SU(2): node quaternions (N,4)
     euler: tuple = None           # SU(2): (alpha, beta, gamma) arrays
+    shape: tuple = None           # SU(2): (n_alpha, n_beta, n_gamma) axes
     _rep_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -267,7 +268,8 @@ def su2_quadrature(degree):
 
     Gauss-Legendre in cos(beta), uniform alpha and gamma on [0, 4pi)
     (covering SU(2) twice; the weight normalization absorbs the factor 2).
-    Exact for all Peter-Weyl modes with 2j <= 2*(degree-1).
+    Exact for all Peter-Weyl modes with 2j <= 2*(degree-1). Nodes are in C
+    order over (alpha, beta, gamma), and `shape` records the three axes.
     """
     k = max(2 * (degree - 1), 1)
     n_ang = k + 1
@@ -288,7 +290,7 @@ def su2_quadrature(degree):
     weights = (WA * WB * WC).ravel()
     quats = euler_to_quat(alpha, betas, gamma)
     return Quadrature(SU2, degree, weights, quats=quats,
-                      euler=(alpha, betas, gamma))
+                      euler=(alpha, betas, gamma), shape=A.shape)
 
 
 def group_quadrature(group, exactness_degree):

@@ -73,13 +73,6 @@ class LocalSymbol:
     def n_dirs(self):
         return 1 if self.group == G.U1 else 3
 
-    def has_theta_dependence(self):
-        if self.poly:
-            return True
-        mass = np.abs(self.coeffs).max(axis=-1) if self.coeffs.size else []
-        pts = np.atleast_2d(self.points.reshape(len(self.points), -1))
-        return any(m > 0 and np.any(p != 0) for m, p in zip(mass, pts))
-
     def scaled(self, c):
         return LocalSymbol(self.group, self.step, self.points.copy(),
                            c * self.coeffs, self.g_pw,
@@ -130,18 +123,17 @@ def _merge_lattice(pts, coeffs):
     return np.array(out_p), np.array(out_c)
 
 
-def _coeff_product(g_pw_in_a, ca, g_pw_in_b, cb, g_pw_out):
-    """PW coefficients of the pointwise product, on g_pw_out's band."""
-    quad = g_pw_out.quad
-    pts = quad.angles if g_pw_out.group == G.U1 else quad.quats
-    va = g_pw_in_a.eval_basis(pts) @ ca
-    vb = g_pw_in_b.eval_basis(pts) @ cb
-    return g_pw_out.analysis(va * vb)
+def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
+    """PW coefficients, on g_pw_out's band, of the pointwise products of
+    each row of ca with each row of cb: shape (len(ca), len(cb), dim)."""
+    va = g_pw_a._basis_matrix(g_pw_out.quad) @ np.atleast_2d(ca).T
+    vb = g_pw_b._basis_matrix(g_pw_out.quad) @ np.atleast_2d(cb).T
+    prods = g_pw_out.analysis(va[:, :, None] * vb[:, None, :])
+    return np.moveaxis(prods, 0, -1)
 
 
 def symbol_product(a, b, g_pw_out):
     """Pointwise product sigma * tau within the finite class."""
-    a_dep, b_dep = a.has_theta_dependence(), b.has_theta_dependence()
     if a.poly and b.poly:
         raise SymbolClassError("product of two momentum-linear symbols is "
                                "quadratic in theta")
@@ -150,21 +142,15 @@ def symbol_product(a, b, g_pw_out):
                                "leaves the finite class")
     pa = np.atleast_2d(a.points.reshape(len(a.points), -1))
     pb = np.atleast_2d(b.points.reshape(len(b.points), -1))
-    pts, coeffs = [], []
-    for i, p in enumerate(pa):
-        for k, q in enumerate(pb):
-            pts.append(p + q)
-            coeffs.append(_coeff_product(a.g_pw, a.coeffs[i],
-                                         b.g_pw, b.coeffs[k], g_pw_out))
-    pts, coeffs = _merge_lattice(np.array(pts), np.array(coeffs))
+    pts = (pa[:, None, :] + pb[None, :, :]).reshape(-1, pa.shape[1])
+    coeffs = _coeff_products(a.g_pw, a.coeffs, b.g_pw, b.coeffs, g_pw_out)
+    pts, coeffs = _merge_lattice(pts, coeffs.reshape(len(pts), -1))
     poly = {}
     for src, other in ((a, b), (b, a)):
         for k, v in src.poly.items():
             # other is theta-independent here (single lattice point at 0)
-            tot = 0
-            for i in range(len(other.points)):
-                tot = tot + _coeff_product(src.g_pw, v, other.g_pw,
-                                           other.coeffs[i], g_pw_out)
+            tot = _coeff_products(src.g_pw, v, other.g_pw, other.coeffs,
+                                  g_pw_out)[0].sum(axis=0)
             poly[k] = poly.get(k, 0) + tot
     out_pts = pts[:, 0] if a.group == G.U1 else pts
     return LocalSymbol(a.group, a.step, out_pts, coeffs, g_pw_out,
@@ -250,8 +236,8 @@ def _lie_poisson_part(a, b, g_pw_out):
             for l in range(3):
                 if eps_t[k, l, m] == 0 or k not in a.poly or l not in b.poly:
                     continue
-                c = eps_t[k, l, m] * _coeff_product(
-                    a.g_pw, a.poly[k], b.g_pw, b.poly[l], g_pw_out)
+                c = eps_t[k, l, m] * _coeff_products(
+                    a.g_pw, a.poly[k], b.g_pw, b.poly[l], g_pw_out)[0, 0]
                 tot = c if tot is None else tot + c
         if tot is not None:
             poly[m] = -tot  # minus Lie-Poisson sign
@@ -266,40 +252,52 @@ def _lie_poisson_part(a, b, g_pw_out):
 # quantization
 # ---------------------------------------------------------------------------
 
-def _exp_element(group, Y):
-    if group == G.U1:
-        return G.GroupElement.u1(float(np.asarray(Y).reshape(-1)[0]))
-    return G.GroupElement.su2(G.quat_exp(np.asarray(Y, float)))
+def _exp_points(group, Y):
+    """exp(Y) for the rows of Y: angles (U(1)) or quaternions (SU(2))."""
+    return Y[:, 0] if group == G.U1 else G.quat_exp(Y)
 
 
 def local_quantize(s, eps, pw, variant=KN):
-    """Matrix of Q_eps(sigma) on the truncated Peter-Weyl space."""
+    """Matrix of Q_eps(sigma) on the truncated Peter-Weyl space.
+
+    Each lattice point adds j_p^2 M_p T_p: the multiplication operator of
+    m_p times the left translation by e^{eps Y_p}. The sum is assembled as
+    its adjoint, sum_p j_p^2 T_p^* M_{conj m_p} (as M_f^* = M_{conj f}), so
+    that the block-diagonal T_p^* acts on rows, one irrep block at a time;
+    the translation blocks of all lattice points come from one batched irrep
+    evaluation per label.
+    """
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     if variant not in (KN, WEYL):
         raise ValueError("variant must be KN or Weyl")
-    quad_pts = pw.quad.angles if s.group == G.U1 else pw.quad.quats
-    E_g = s.g_pw.eval_basis(quad_pts)
-    A = np.zeros((pw.dim, pw.dim), dtype=complex)
+    g_pw = s.g_pw
+    E_g = g_pw._basis_matrix(pw.quad)
     Y = np.atleast_2d(s.lattice().reshape(len(s.points), -1))
     jfac = haar_jacobian_sq(s.group, eps * Y)
-    for p in range(len(s.points)):
-        c = s.coeffs[p]
-        if variant == WEYL:
-            # coefficient at the geodesic midpoint: m_p(e^{-eps Y/2} g)
-            U = s.g_pw.left_translation(_exp_element(s.group, eps * Y[p] / 2.0))
-            c = U @ c
-        M = pw.multiplication_operator(E_g @ c)
-        T = pw.left_translation(_exp_element(s.group, eps * Y[p]))
-        A += jfac[p] * (M @ T)
+    coeffs = s.coeffs
+    if variant == WEYL:
+        # coefficient at the geodesic midpoint: m_p(e^{-eps Y/2} g), that is
+        # U_h m_p with blocks kron(conj D(h), 1), h = e^{eps Y/2}
+        mid = g_pw._reps(_exp_points(s.group, eps * Y / 2.0))
+        coeffs = np.array([g_pw._kron_times([D[p].conj() for D in mid], c)
+                           for p, c in enumerate(coeffs)])
+    shifts = pw._reps(_exp_points(s.group, eps * Y))
+    adj = np.zeros((pw.dim, pw.dim), dtype=complex)
+    for p, c in enumerate(coeffs):
+        # T_p = U_h has blocks kron(conj D(h), 1), so T_p^* has kron(D(h)^T, 1)
+        M = pw.multiplication_operator(np.conj(E_g @ c))
+        adj += jfac[p] * pw._kron_times([D[p].T for D in shifts], M)
     for k, q in s.poly.items():
-        Mq = pw.multiplication_operator(E_g @ q)
-        R = pw.right_derivative(k if s.group == G.SU2 else 0)
-        A += -1j * eps * (Mq @ R)
+        kk = k if s.group == G.SU2 else 0
+        # (-i eps M_q R_k)^*; R_k has blocks kron(dpi(tau_k)^T, 1)
+        M = pw.multiplication_operator(np.conj(E_g @ q))
+        adj += 1j * eps * pw._kron_times(
+            [X.conj() for X in pw._generators(kk)], M)
         if variant == WEYL:
-            Rg = s.g_pw.right_derivative(k if s.group == G.SU2 else 0)
-            A += -1j * eps * 0.5 * pw.multiplication_operator(E_g @ (Rg @ q))
-    return A
+            Rq = g_pw._kron_times([X.T for X in g_pw._generators(kk)], q)
+            adj += 0.5j * eps * pw.multiplication_operator(np.conj(E_g @ Rq))
+    return adj.conj().T
 
 
 def kernel_cutoff(phi, s, dphi0=None, fd_step=1e-6):

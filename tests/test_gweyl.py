@@ -443,6 +443,79 @@ def local_u1():
     return gpw, pw
 
 
+# Dense oracles for the local calculus: the quadrature sum EW diag(f) E
+# as one matrix product, and Q_eps(sigma) as a sum of dense M_p @ T_p with
+# T_p, R_k the public translation and right-derivative matrices.
+
+def _multiplication_dense(pw, f):
+    return pw._EW @ (f[:, None] * pw.E)
+
+
+def _exp_element(group, Y):
+    if group == G.U1:
+        return G.GroupElement.u1(float(Y[0]))
+    return G.GroupElement.su2(G.quat_exp(Y))
+
+
+def _local_quantize_dense(s, eps, pw, variant):
+    E_g = s.g_pw.eval_basis(pw.quad.angles if s.group == G.U1
+                            else pw.quad.quats)
+    A = np.zeros((pw.dim, pw.dim), dtype=complex)
+    Y = np.atleast_2d(s.lattice().reshape(len(s.points), -1))
+    jfac = L.haar_jacobian_sq(s.group, eps * Y)
+    for p in range(len(s.points)):
+        c = s.coeffs[p]
+        if variant == L.WEYL:
+            c = s.g_pw.left_translation(
+                _exp_element(s.group, eps * Y[p] / 2.0)) @ c
+        M = _multiplication_dense(pw, E_g @ c)
+        A += jfac[p] * (M @ pw.left_translation(
+            _exp_element(s.group, eps * Y[p])))
+    for k, q in s.poly.items():
+        kk = k if s.group == G.SU2 else 0
+        A += -1j * eps * (_multiplication_dense(pw, E_g @ q)
+                          @ pw.right_derivative(kk))
+        if variant == L.WEYL:
+            Rq = s.g_pw.right_derivative(kk) @ q
+            A += -1j * eps * 0.5 * _multiplication_dense(pw, E_g @ Rq)
+    return A
+
+
+@pytest.mark.parametrize("group,band,degree", [
+    *[(G.U1, b, None) for b in range(1, 9)],
+    *[(G.SU2, b, None) for b in range(1, 9)],
+    (G.U1, 22, 60), (G.SU2, 2, 6), (G.SU2, 5, 8), (G.SU2, 8, 10)])
+def test_multiplication_operator_oracle(group, band, degree):
+    pw = PWSpace(group, band, quad_degree=degree)
+    rng = np.random.default_rng(band)
+    f = (rng.standard_normal(pw.quad.n_nodes)
+         + 1j * rng.standard_normal(pw.quad.n_nodes))
+    oracle = _multiplication_dense(pw, f)
+    assert _max_rel(oracle, pw.multiplication_operator(f)) < 1e-13
+
+
+def test_local_quantize_oracle(local_u1):
+    gpw, pw = local_u1
+    rng = np.random.default_rng(5)
+    cs = rng.standard_normal((5, gpw.dim)) + 1j * rng.standard_normal(
+        (5, gpw.dim))
+    q = rng.standard_normal(gpw.dim) + 1j * rng.standard_normal(gpw.dim)
+    s_u1 = L.LocalSymbol(G.U1, 0.4, np.arange(-2, 3), cs, gpw, {0: q})
+    gpw2 = S.make_g_space(G.SU2, 2, quad_degree=5)
+    pw2 = PWSpace(G.SU2, 5, quad_degree=7)
+    pts = np.array([[1, 0, 0], [0, 1, -1], [0, 0, 0], [-1, 1, 1], [0, 0, 2]])
+    cs2 = rng.standard_normal((5, gpw2.dim)) + 1j * rng.standard_normal(
+        (5, gpw2.dim))
+    poly = {k: rng.standard_normal(gpw2.dim) for k in (0, 2)}
+    s_su2 = L.LocalSymbol(G.SU2, 0.5, pts, cs2, gpw2, poly)
+    for s, space in ((s_u1, pw), (s_su2, pw2)):
+        for variant in (L.KN, L.WEYL):
+            for eps in (0.5, 0.25):
+                oracle = _local_quantize_dense(s, eps, space, variant)
+                Q = L.local_quantize(s, eps, space, variant)
+                assert _max_rel(oracle, Q) < 1e-12
+
+
 def test_local_elementary(local_u1):
     gpw, pw = local_u1
     fc = RNG.standard_normal(gpw.dim) + 1j * RNG.standard_normal(gpw.dim)
@@ -598,6 +671,17 @@ def test_semiclassical_slopes_u1():
     assert abs(ds - 1.0) < 0.2
     assert all(mres[i + 1] < mres[i] for i in range(3))
     assert all(dres[i + 1] < dres[i] for i in range(3))
+
+
+def test_semiclassical_slopes_su2():
+    from groupquant.cli import moyal_fit_su2
+    rng = np.random.default_rng(0)
+    ms, ds, mres, dres = moyal_fit_su2(rng, [0.25, 0.125, 0.0625], n_pairs=1)
+    assert abs(ms - 2.0) < 0.2
+    assert abs(ds - 1.0) < 0.2
+    # seed-0 slopes of the dense per-lattice-point route
+    assert abs(ms - 1.9929650291082532) < 1e-9
+    assert abs(ds - 1.0068962661570169) < 1e-9
 
 
 def test_von_neumann_symmetrized_identity(local_u1):

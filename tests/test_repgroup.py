@@ -146,6 +146,12 @@ def test_u1_quadrature():
 def test_su2_quadrature():
     quad = G.su2_quadrature(4)
     assert abs(quad.weights.sum() - 1.0) < 1e-13
+    # C order over the product axes (alpha, beta, gamma)
+    alpha, beta, gamma = (x.reshape(quad.shape) for x in quad.euler)
+    assert np.prod(quad.shape) == quad.n_nodes
+    assert np.all(alpha == alpha[:, :1, :1])
+    assert np.all(beta == beta[:1, :, :1])
+    assert np.all(gamma == gamma[:1, :1, :])
     assert G.schur_orthogonality_residual(quad, 4) < 1e-12
 
 
