@@ -1,59 +1,47 @@
 """Hot numeric kernels, vectorized over their grid argument in numpy.
 
-wigner_d_grid sums the factored Wigner small-d formula in log-factorials;
+wigner_d_grid takes Wigner small-d from the spectrum of J_y, whose
+J_+ ladder `_raising` also gives `wigner.angular_momentum`;
 itn_denominator and su2_norm_series are the truncated series behind the
 heat-kernel coherent-state tables. tests/test_kernels.py checks each one
 against an independent oracle.
 """
 
-import math
+import functools
 
 import numpy as np
 
 
-def _logfact_table(nmax):
-    t = np.zeros(nmax + 1)
-    for n in range(2, nmax + 1):
-        t[n] = t[n - 1] + math.log(n)
-    return t
+def _raising(twoj):
+    """J_+ in the m = j..-j basis: J_+ |j m> = sqrt((j - m)(j + m + 1)) |j m+1>,
+    the entry at (k - 1, k) being sqrt(k (2j + 1 - k))."""
+    k = np.arange(1, twoj + 1)
+    return np.diag(np.sqrt(k * (twoj + 1.0 - k)), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _jy_eigh(twoj):
+    """(lambda, V) with J_y = V diag(lambda) V^*; lambda is exactly m = -j..j."""
+    jp = _raising(twoj)
+    _, V = np.linalg.eigh((jp - jp.T) / 2j)
+    lam = np.arange(-twoj, twoj + 1, 2) / 2.0
+    lam.flags.writeable = V.flags.writeable = False
+    return lam, V
 
 
 def wigner_d_grid(twoj, beta):
-    """Wigner small-d on a beta grid: stable factored sum with log-factorials.
+    """Wigner small-d on a beta grid, d(beta) = exp(-i beta J_y) =
+    V exp(-i beta Lambda) V^* from the spectrum of J_y (Feng, Wang, Yang &
+    Jin, Phys. Rev. E 92, 043307 (2015)), evaluated once per distinct beta.
 
     out[b, i, col] = d^j_{m_i m_col}(beta_b), m ordered j, j-1, ..., -j.
     """
-    beta = np.ascontiguousarray(np.atleast_1d(np.asarray(beta, dtype=float)))
-    logfact = _logfact_table(2 * twoj + 1)
-    n = twoj + 1
-    nb = beta.shape[0]
-    out = np.zeros((nb, n, n))
-    c = np.cos(beta / 2.0)
-    s = np.sin(beta / 2.0)
-    for i in range(n):
-        two_mp = twoj - 2 * i
-        for col in range(n):
-            two_m = twoj - 2 * col
-            jpm = (twoj + two_m) // 2
-            jmm = (twoj - two_m) // 2
-            jpmp = (twoj + two_mp) // 2
-            jmmp = (twoj - two_mp) // 2
-            lognorm = 0.5 * (logfact[jpm] + logfact[jmm]
-                             + logfact[jpmp] + logfact[jmmp])
-            diff = (two_mp - two_m) // 2
-            kmin = max(0, -diff)
-            kmax = min(jpm, jmmp)
-            acc = np.zeros(nb)
-            for kk in range(kmin, kmax + 1):
-                pcos = jpm + jmmp - 2 * kk
-                psin = diff + 2 * kk
-                logden = (logfact[jpm - kk] + logfact[kk]
-                          + logfact[jmmp - kk] + logfact[diff + kk])
-                sign = -1.0 if (diff + kk) % 2 else 1.0
-                acc += sign * math.exp(lognorm - logden) \
-                    * c ** pcos * s ** psin
-            out[:, i, col] = acc
-    return out
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    lam, V = _jy_eigh(twoj)
+    nodes, inverse = np.unique(beta, return_inverse=True)
+    phase = np.exp(-1j * np.multiply.outer(nodes, lam))
+    d = ((V * phase[:, None, :]) @ V.conj().T).real
+    return d[inverse.ravel()]
 
 
 def itn_denominator(p, t, mmax):

@@ -374,23 +374,6 @@ def fit_slope(eps_list, residuals):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def semiclassical_order_fit(a, b, eps_list, pw, in_band, g_pw_out,
-                            moyal_variant=WEYL, dirac_variant=KN):
-    """Least-squares slopes of log-residual vs log(eps).
-
-    Returns (moyal_slope, dirac_slope, moyal_residuals, dirac_residuals).
-    """
-    if len(eps_list) < 3:
-        raise ValueError("need at least 3 epsilon points for a slope fit")
-    moy, dir_ = [], []
-    for eps in eps_list:
-        m, d = product_residuals(a, b, eps, pw, in_band, g_pw_out,
-                                 moyal_variant, dirac_variant)
-        moy.append(m)
-        dir_.append(d)
-    return fit_slope(eps_list, moy), fit_slope(eps_list, dir_), moy, dir_
-
-
 def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out,
                        moyal_variant=WEYL, dirac_variant=KN):
     """Slope fit on RMS-aggregated residuals over several symbol pairs.

@@ -21,9 +21,9 @@ import json
 import math
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from . import groups as G
+from ._kernels import wigner_d_grid
 from .wigner import angular_momentum, wigner_D_euler_grid, clebsch_gordan
 
 
@@ -31,18 +31,15 @@ def kernel_eigenvalues(twoj, lmax=None):
     """k_l = (2j)! (2j+1)! / ((2j-l)! (2j+l+1)!) for 0 <= l <= lmax.
 
     Closed form of the Funk-Hecke integral (d/2) int ((1+x)/2)^{2j} P_l dx,
-    in log-factorials so the deep tail (k ~ 1e-20 at l = 2j = 32) keeps its
-    sign and monotonicity; the quadrature and Clebsch-Gordan evaluations
-    serve as independent oracles in the tests.
+    as the quotient of the exact integers (2j)!/(2j-l)! and
+    (2j+l+1)!/(2j+1)!, so each k_l is correctly rounded, down to the deep
+    tail (k ~ 1e-20 at l = 2j = 32); the quadrature and Clebsch-Gordan
+    evaluations serve as independent oracles in the tests.
     """
     if lmax is None:
         lmax = twoj
-    lg = math.lgamma
-    out = np.empty(lmax + 1)
-    for l in range(lmax + 1):
-        out[l] = math.exp(lg(twoj + 1) + lg(twoj + 2)
-                          - lg(twoj - l + 1) - lg(twoj + l + 2))
-    return out
+    return np.array([math.perm(twoj, l) / math.perm(twoj + l + 1, l)
+                     for l in range(lmax + 1)])
 
 
 class OrbitSpec:
@@ -56,6 +53,7 @@ class OrbitSpec:
         x, wx = np.polynomial.legendre.leggauss(n_beta)
         beta = np.arccos(x)
         alpha = 2 * math.pi * np.arange(n_alpha) / n_alpha
+        self.beta_nodes, self.alpha_nodes = beta, alpha
         B, A = np.meshgrid(beta, alpha, indexing="ij")
         W = np.repeat(wx[:, None], n_alpha, axis=1) / (2.0 * n_alpha)
         self.beta = B.ravel()
@@ -75,11 +73,15 @@ class OrbitSpec:
         self._delta = None
 
     def harmonics(self, l):
-        """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l."""
+        """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l:
+        Y_lm(beta, alpha) = sqrt((2l+1)/4pi) e^{i m alpha} d^l_{m0}(beta),
+        with d on the beta nodes only."""
         if l not in self._Y:
-            cols = [sph_harm_y(l, m, self.beta, self.alpha)
-                    for m in range(-l, l + 1)]
-            self._Y[l] = np.stack(cols, axis=-1)
+            m = np.arange(-l, l + 1)
+            d = wigner_d_grid(2 * l, self.beta_nodes)[:, ::-1, l]
+            phase = np.exp(1j * np.multiply.outer(self.alpha_nodes, m))
+            Y = math.sqrt((2 * l + 1) / (4 * math.pi)) * d[:, None] * phase
+            self._Y[l] = Y.reshape(self.n_nodes, 2 * l + 1)
         return self._Y[l]
 
     def orthonormality_residual(self):

@@ -75,10 +75,8 @@ class MatrixSymbol:
 
     def values_at_quad(self, lab, quad):
         """Re-evaluate sigma(lab, .) on another quadrature's nodes."""
-        coef = self.coefficients(lab)
-        pts = quad.angles if self.group == G.U1 else quad.quats
-        E = self.g_pw.eval_basis(pts)
-        return np.tensordot(E, coef, axes=(1, 0))
+        E = self.g_pw._basis_matrix(quad)
+        return np.tensordot(E, self.coefficients(lab), axes=(1, 0))
 
     def max_abs_diff(self, other):
         return max(np.abs(self.values[lab] - other.values[lab]).max()
@@ -188,8 +186,7 @@ def kn_symbol(op, pi_band, g_pw):
     """
     pw = op.pw
     quad = pw.quad
-    pts = quad.angles if pw.group == G.U1 else quad.quats
-    E_small = g_pw.eval_basis(pts)
+    E_small = g_pw._basis_matrix(quad)
     EW_small = (E_small.conj() * quad.weights[:, None]).T
     vals = {}
     resid = scale = 0.0

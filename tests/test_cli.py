@@ -69,10 +69,11 @@ def test_sw_props_deterministic(tmp_path):
                if k != "k_rate_slope")
 
 
-def test_sw_props_large_spin(tmp_path):
-    # 2j = 24: Delta by harmonic transform missed 1e-9 here (1.6e-6)
+@pytest.mark.parametrize("j", ["12", "16", "24"])
+def test_sw_props_large_spin(tmp_path, j):
+    # 2j = 24, 32, 48: spins where float Racah sums lose digits
     out = tmp_path / "a.json"
-    assert main(["--cmd", "sw-props", "--j", "12", "--seed", "0",
+    assert main(["--cmd", "sw-props", "--j", j, "--seed", "0",
                  "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert all(v < 1e-9 for k, v in rep["results"].items()

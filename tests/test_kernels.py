@@ -9,11 +9,12 @@ from groupquant.wigner import su2_generator
 
 def test_wigner_kernel_oracle():
     beta = np.array([0.0, 0.31, 1.2, np.pi])
-    for twoj in (1, 2, 5, 12):
+    for twoj in (1, 2, 5, 12, 32, 64, 128, 256):
         d = K.wigner_d_grid(twoj, beta)
         for i, b in enumerate(beta):
             ref = expm(b * su2_generator(twoj, 1)).real
             assert np.abs(d[i] - ref).max() < 1e-12
+            assert np.abs(d[i] @ d[i].T - np.eye(twoj + 1)).max() < 1e-12
 
 
 def test_itn_denominator_oracle():

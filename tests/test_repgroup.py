@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from sympy import Rational
+from sympy.physics.wigner import clebsch_gordan as exact_cg
 
 from groupquant import groups as G
 from groupquant.wigner import (angular_momentum, clebsch_gordan,
@@ -98,6 +100,21 @@ def test_clebsch_gordan_examples():
         clebsch_gordan(0.3, 0.5, 0.5, 0.1, 0.5, 0.5)
 
 
+def _cg_matrix(twoj1, twoj2, twoj3):
+    """CG block C[(i1, i2), i3] = <j1 m1 j2 m2 | j3 m3> mapping V_{j3} into
+    V_{j1} (x) V_{j2}, m = j..-j ordering, first tensor index slowest."""
+    n1, n2 = twoj1 + 1, twoj2 + 1
+    out = np.zeros((n1 * n2, twoj3 + 1))
+    for i1 in range(n1):
+        for i2 in range(n2):
+            two_m3 = twoj1 + twoj2 - 2 * (i1 + i2)
+            if abs(two_m3) <= twoj3:
+                out[i1 * n2 + i2, (twoj3 - two_m3) // 2] = clebsch_gordan(
+                    twoj1 / 2.0, twoj2 / 2.0, twoj3 / 2.0,
+                    twoj1 / 2.0 - i1, twoj2 / 2.0 - i2, two_m3 / 2.0)
+    return out
+
+
 def test_clebsch_gordan_tensor_oracle():
     # diagonalize the total spin on V_{j1} (x) V_{j2}; CG columns must give
     # eigenvectors of J^2 with the right eigenvalue and match inner products
@@ -111,11 +128,28 @@ def test_clebsch_gordan_tensor_oracle():
         J2tot = sum(Jk @ Jk for Jk in Jtot)
         for twoj3 in range(abs(twoj1 - twoj2), twoj1 + twoj2 + 1, 2):
             j3 = twoj3 / 2.0
-            from groupquant.wigner import cg_matrix
-            C = cg_matrix(twoj1, twoj2, twoj3)
+            C = _cg_matrix(twoj1, twoj2, twoj3)
             # columns lie in the j3(j3+1) eigenspace and are orthonormal
             assert np.abs(J2tot @ C - j3 * (j3 + 1) * C).max() < 1e-12
             assert np.abs(C.T @ C - np.eye(twoj3 + 1)).max() < 1e-12
+
+
+def test_clebsch_gordan_sympy_oracle():
+    # 100 seeded admissible cases with j <= 100 against sympy's exact values
+    rng = np.random.default_rng(20261018)
+    cases = 0
+    while cases < 100:
+        twoj1, twoj2 = (int(x) for x in rng.integers(0, 201, 2))
+        twoj3 = int(rng.integers(abs(twoj1 - twoj2),
+                                 min(twoj1 + twoj2, 200) + 1))
+        twom1 = twoj1 - 2 * int(rng.integers(0, twoj1 + 1))
+        twom2 = twoj2 - 2 * int(rng.integers(0, twoj2 + 1))
+        if (twoj1 + twoj2 + twoj3) % 2 or abs(twom1 + twom2) > twoj3:
+            continue
+        twos = (twoj1, twoj2, twoj3, twom1, twom2, twom1 + twom2)
+        ref = float(exact_cg(*(Rational(x, 2) for x in twos)))
+        assert abs(clebsch_gordan(*(x / 2.0 for x in twos)) - ref) < 1e-14
+        cases += 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

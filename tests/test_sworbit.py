@@ -29,6 +29,15 @@ def test_grid_normalization(spec):
     assert spec.orthonormality_residual() < 1e-10
 
 
+@pytest.mark.parametrize("twoj", [1, 4, 24])
+def test_harmonics_oracle(twoj):
+    s = O.OrbitSpec(twoj)
+    for l in range(twoj + 1):
+        ref = np.stack([sph_harm_y(l, m, s.beta, s.alpha)
+                        for m in range(-l, l + 1)], axis=-1)
+        assert np.abs(s.harmonics(l) - ref).max() < 1e-12
+
+
 def test_coherent_vectors(spec):
     v = spec.coherent
     assert np.abs(np.einsum("am,am->a", v.conj(), v) - 1).max() < 1e-13
