@@ -69,15 +69,23 @@ def test_sw_props_deterministic(tmp_path):
                if k != "k_rate_slope")
 
 
-@pytest.mark.parametrize("j", ["12", "16", "24"])
-def test_sw_props_large_spin(tmp_path, j):
-    # 2j = 24, 32, 48: spins where float Racah sums lose digits
+def _sw_props_errors(tmp_path, j):
     out = tmp_path / "a.json"
     assert main(["--cmd", "sw-props", "--j", j, "--seed", "0",
                  "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert all(v < 1e-9 for k, v in rep["results"].items()
-               if k != "k_rate_slope")
+    return {k: v for k, v in rep["results"].items() if k != "k_rate_slope"}
+
+
+def test_sw_props_large_spin(tmp_path):
+    # 2j = 24: Delta by harmonic transform missed 1e-9 here (1.6e-6)
+    assert all(v < 1e-9 for v in _sw_props_errors(tmp_path, "12").values())
+
+
+@pytest.mark.parametrize("j", ["16", "24"])
+def test_sw_props_larger_spin(tmp_path, j):
+    # 2j = 32, 48: spins where float Racah sums lose digits
+    assert all(v < 1e-9 for v in _sw_props_errors(tmp_path, j).values())
 
 
 def test_bohr_props(tmp_path):
