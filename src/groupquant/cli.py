@@ -256,7 +256,10 @@ def build_parser():
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--quad-degree", type=int, default=None)
+    p.add_argument("--quad-degree", type=int, default=None,
+                   help="table1: fixed number of 24-point Gauss-Legendre "
+                        "panels, with no adaptive refinement and no "
+                        "convergence check")
     p.add_argument("--j", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--n", type=int, default=None)

@@ -198,6 +198,7 @@ def character_c(group, label, arg):
     U(1): arg is the complex angle zeta, chi_j = e^{i j zeta}.
     SU(2): arg is the complex torus parameter mu with eigenvalues e^{+-mu};
     chi_n = sinh(n mu)/sinh(mu), with the removable limit at mu -> 0.
+    label may be an integer array: the characters are then elementwise.
     """
     if group == U1:
         return np.exp(1j * label * arg)

@@ -12,6 +12,7 @@ constant satisfies C_t^{-1} = t, and the SU(2) integral I(t, n) follows the
 t^3 n / 8 law.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,17 +85,15 @@ def heat_kernel(params, g):
     q = np.asarray(g.quat if isinstance(g, G.GroupElement) else g, float)
     w = np.clip(q[0], -1.0, 1.0)
     ang = 2.0 * math.acos(w)  # rotation angle in [0, 2pi]
-    total = 0.0
-    for n in range(1, params.truncation + 1):
-        lam = G.casimir(G.SU2, n)
-        if abs(math.sin(ang / 2.0)) < 1e-9:
-            chi = n * math.cos((n - 1) * ang / 2.0)  # limit at the center
-            if abs(ang) > 1.0:  # g near -1: chi_n(-1) = n (-1)^{n-1}
-                chi = n * (-1.0) ** (n - 1)
+    ns = np.arange(1, params.truncation + 1)
+    if abs(math.sin(ang / 2.0)) < 1e-9:
+        if abs(ang) > 1.0:  # g near -1: chi_n(-1) = n (-1)^{n-1}
+            chi = ns * (-1.0) ** (ns - 1)
         else:
-            chi = math.sin(n * ang / 2.0) / math.sin(ang / 2.0)
-        total += n * math.exp(-t * lam / 2.0) * chi
-    return total
+            chi = ns * np.cos((ns - 1) * ang / 2.0)  # limit at the center
+    else:
+        chi = np.sin(ns * ang / 2.0) / math.sin(ang / 2.0)
+    return float(np.sum(ns * np.exp(-t * G.casimir(G.SU2, ns) / 2.0) * chi))
 
 
 def _su2_complex_point(p):
@@ -138,11 +137,9 @@ def coherent_overlap(params, z, zp):
     mu = _torus_parameter(w)
     growth = abs(mu.real)
     nmax = heat_truncation(G.SU2, t, growth=growth)
-    total = 0.0 + 0.0j
-    for n in range(1, nmax + 1):
-        total += n * math.exp(-t * G.casimir(G.SU2, n)) \
-            * G.character_c(G.SU2, n, mu)
-    return total
+    ns = np.arange(1, nmax + 1)
+    return np.sum(ns * np.exp(-t * G.casimir(G.SU2, ns))
+                  * G.character_c(G.SU2, ns, mu))
 
 
 def su2_overlap_norm(t, h, nmax=None):
@@ -170,14 +167,24 @@ def _theta3_real_ratio_frame(x, t):
     return out
 
 
-def _panel_gl(f, a, b, n_panels, order=24):
-    x, w = np.polynomial.legendre.leggauss(order)
+@functools.cache
+def _gl24():
+    """The 24-point Gauss-Legendre rule, built on first use: importing
+    numpy.polynomial at module import would cost every importer of heat."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _panel_gl(f, a, b, n_panels):
+    """Composite 24-point Gauss-Legendre rule on n_panels equal panels of
+    [a, b]; f is called once, on all 24 n_panels nodes."""
+    x, w = _gl24()
     edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        total += half * np.sum(w * f(mid + half * x))
-    return total
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    vals = f((mid[:, None] + half[:, None] * x).ravel())
+    return half @ (vals.reshape(n_panels, -1) @ w)
 
 
 def resolution_constant_u1(t, tol=1e-8):
@@ -227,9 +234,12 @@ def resolution_integral_su2(t, n, tol=1e-9, return_imag_residual=False,
     """I(t, n) = int p^2 e^{-(p - tn/2)^2/t} / sum_m m e^{-(p - tm/2)^2/t} dp.
 
     Matches the tabulated t^3 n / 8 values. The real form of the integrand
-    is the fast path; the imaginary residual is measured from the complex
-    theta3' form on a sample of nodes. A fixed n_panels skips the adaptive
-    refinement (coarse-quadrature escape hatch for the CLI).
+    is the fast path: each refinement level evaluates the denominator by
+    one vectorised itn_denominator call per side of p = 0, over all of that
+    side's Gauss-Legendre nodes (blocked over nodes inside the kernel). The
+    imaginary residual is measured from the complex theta3' form on a
+    sample of nodes. A fixed n_panels skips the adaptive refinement and its
+    convergence check (coarse-quadrature escape hatch for the CLI).
     """
     if t <= 0 or n < 1:
         raise ValueError("require t > 0 and n >= 1")

@@ -44,11 +44,6 @@ class TwistedSpace:
         j, t, j0 = self.js, self.t, self.j0
         return np.exp(j * l - 1j * j * phi - t * j * j0 - t * j * j / 2.0)
 
-    def coherent_norm_sq(self, l):
-        """<xi|xi> = theta3(i (l - t j0)/pi | i t/pi)."""
-        return theta3(1j * (l - self.t * self.j0) / math.pi,
-                      1j * self.t / math.pi).real
-
     def annihilation(self):
         """X_t = e^{-t/2} U(1) e^{-tJ}: shifts |j+j0> up with weight."""
         X = np.zeros((self.dim, self.dim), dtype=complex)

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, formats, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -34,6 +35,50 @@ def test_table1_full_grid(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 26  # header + 25 cells
     assert all(float(r.split(",")[4]) < 2e-3 for r in rows[1:])
+
+
+# I(t, n) of the default table1 grid, one row per t in (1, 2, e, pi, 4) and
+# one column per n = 1..5, as the panel-by-panel quadrature computed them
+# before the nodes of a refinement level were evaluated in one pass
+TABLE1_ADAPTIVE = [
+    [0.12500000000000003, 0.25, 0.3749999999999999, 0.5, 0.625],
+    [1.0000000000000004, 2.0000000000000004, 3.0, 4.000000000000001,
+     4.999999999999999],
+    [2.510692115421454, 5.021384230813516, 7.532076346205093,
+     10.042768461600703, 12.55346057699768],
+    [3.875784586481858, 7.751569171020538, 11.627353755663947,
+     15.503138340544314, 19.378922925497417],
+    [8.000000454818398, 16.000000254629136, 24.00000015062656,
+     32.000000109289886, 40.00000008629604],
+]
+# the same grid with --quad-degree 4: four fixed panels, no refinement
+TABLE1_FOUR_PANELS = [
+    [0.12499999999999996, 0.2499999999999998, 0.3749999999999998,
+     0.49999999999999967, 0.6249999999999994],
+    [0.9999999999999979, 1.9999999999999991, 3.000000000000005,
+     3.999999999999982, 5.0000000000000036],
+    [2.510692115421449, 5.021384230813571, 7.532076346205354,
+     10.042768461600703, 12.553460576997685],
+    [3.8757845864818385, 7.751569171020163, 11.627353755660177,
+     15.503138340544323, 19.37892292549743],
+    [8.000000454819864, 16.000000254690598, 24.000000150975588,
+     32.000000109289964, 40.000000086296716],
+]
+
+
+@pytest.mark.parametrize("extra, pinned", [
+    ([], TABLE1_ADAPTIVE),
+    (["--quad-degree", "4"], TABLE1_FOUR_PANELS)])
+def test_table1_pinned_values(tmp_path, extra, pinned):
+    out = tmp_path / "t.csv"
+    assert main(["--cmd", "table1", "--out", str(out)] + extra) == 0
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    ts = [1.0, 2.0, math.e, math.pi, 4.0]
+    assert [(float(r[0]), int(r[1])) for r in rows] == [
+        (t, n) for t in ts for n in range(1, 6)]
+    refs = [v for row in pinned for v in row]
+    for r, ref in zip(rows, refs, strict=True):
+        assert abs(float(r[2]) - ref) <= 1e-12 * ref
 
 
 def test_table1_forced_failure(tmp_path, capsys):

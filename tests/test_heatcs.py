@@ -1,5 +1,6 @@
 """Heat kernels, coherent overlaps, resolution integrals."""
 
+import cmath
 import math
 
 import numpy as np
@@ -43,6 +44,39 @@ def test_heat_kernel_positive():
                 g = G.GroupElement.su2(
                     G.quat_normalize(RNG.standard_normal(4)))
             assert H.heat_kernel(params, g) > 0.0
+
+
+def test_su2_series_loop_oracle():
+    # the SU(2) heat kernel and overlap series, summed term by term in n
+    t = 0.6
+    params = H.HeatParams(G.SU2, t)
+    for q in ([1, 0, 0, 0], [-1, 0, 0, 0], [0.3, 0.5, -0.2, 0.78]):
+        q = G.quat_normalize(np.array(q, float))
+        ang = 2.0 * math.acos(q[0])
+        terms = []
+        for n in range(1, params.truncation + 1):
+            if q[0] == 1.0:
+                chi = n
+            elif q[0] == -1.0:
+                chi = n * (-1) ** (n - 1)
+            else:
+                chi = math.sin(n * ang / 2.0) / math.sin(ang / 2.0)
+            terms.append(n * math.exp(-t * (n * n - 1) / 8.0) * chi)
+        val = H.heat_kernel(params, G.GroupElement.su2(q))
+        assert abs(val - math.fsum(terms)) <= 1e-14 * sum(map(abs, terms))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        z, w = (H.PolarPoint.su2(G.quat_normalize(rng.standard_normal(4)),
+                                 0.7 * rng.standard_normal(3))
+                for _ in range(2))
+        mu = H._torus_parameter(np.linalg.inv(
+            H._su2_complex_point(z).conj().T @ H._su2_complex_point(w)))
+        nmax = H.heat_truncation(G.SU2, t, growth=abs(mu.real))
+        terms = [n * math.exp(-t * (n * n - 1) / 4.0)
+                 * cmath.sinh(n * mu) / cmath.sinh(mu)
+                 for n in range(1, nmax + 1)]
+        val = H.coherent_overlap(params, z, w)
+        assert abs(val - sum(terms)) <= 1e-14 * sum(map(abs, terms))
 
 
 def test_u1_overlap_theta_identity():
@@ -116,6 +150,43 @@ def test_resolution_constant_shift_invariance():
     val = math.sqrt(t / math.pi) * _panel_gl(
         f_shift, -width - t * j, width - t * j, 64)
     assert abs(val - H.resolution_constant_u1(t)) < 1e-9
+
+
+def _panel_gl_loop(f, a, b, n_panels):
+    """Oracle: the composite 24-point rule panel by panel, one integrand
+    call per panel."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(a, b, n_panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        total += half * np.sum(w * f(mid + half * x))
+    return total
+
+
+@pytest.mark.parametrize("n_panels", [1, 16, 128])
+def test_panel_gl_oracle(n_panels):
+    from groupquant.heat import _panel_gl, _theta3_real_ratio_frame
+    t = 0.8
+    width = 9.0 * math.sqrt(t)
+
+    def f_u1(l):
+        return np.exp(-l * l / t) / _theta3_real_ratio_frame(l / t, t)
+
+    cases = [(f_u1, -width, width)]
+    for t2, n in ((0.3, 1), (1.3, 2), (4.0, 5)):
+        center, w2 = t2 * n / 2.0, 13.0 * math.sqrt(t2)
+        mmax = int(math.ceil(2 * (center + w2) / t2
+                             + 26.0 / math.sqrt(t2))) + 8
+
+        def f_su2(p, t2=t2, center=center, mmax=mmax):
+            return (p * p * np.exp(-(p - center) ** 2 / t2)
+                    / itn_denominator(p, t2, mmax))
+
+        cases += [(f_su2, center - w2, 0.0), (f_su2, 0.0, center + w2)]
+    for f, a, b in cases:
+        ref = _panel_gl_loop(f, a, b, n_panels)
+        assert abs(_panel_gl(f, a, b, n_panels) - ref) <= 1e-14 * abs(ref)
 
 
 def test_itn_table_cells():

@@ -23,6 +23,14 @@ def test_itn_denominator_oracle():
     ref = np.array([sum(m * np.exp(-(pp - t * m / 2.0) ** 2 / t)
                         for m in range(-mmax, mmax + 1)) for pp in p])
     assert np.abs(K.itn_denominator(p, t, mmax) - ref).max() < 1e-14
+    # several node blocks, p of both signs, S odd in p
+    for t, mmax in ((0.3, 110), (1.0, 64)):
+        p = np.linspace(-14.0, 16.0, 3 * (K._BLOCK // mmax) + 17)
+        ref = sum(m * np.exp(-(p - t * m / 2.0) ** 2 / t)
+                  for m in range(-mmax, mmax + 1))
+        val = K.itn_denominator(p, t, mmax)
+        assert np.abs(val - ref).max() < 1e-14 * np.abs(ref).max()
+        assert np.array_equal(K.itn_denominator(-p, t, mmax), -val)
 
 
 def test_norm_series_oracle():
