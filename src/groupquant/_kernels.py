@@ -4,7 +4,8 @@ wigner_d_grid takes Wigner small-d from the spectrum of J_y, whose
 J_+ ladder `_raising` also gives `wigner.angular_momentum`;
 itn_denominator and su2_norm_series are the truncated series behind the
 heat-kernel coherent-state tables. tests/test_kernels.py checks each one
-against an independent oracle.
+against an independent oracle. `_gauss_legendre` is the one cached source
+of Gauss-Legendre rules for the quadratures of the package.
 """
 
 import functools
@@ -17,6 +18,17 @@ def _raising(twoj):
     the entry at (k - 1, k) being sqrt(k (2j + 1 - k))."""
     k = np.arange(1, twoj + 1)
     return np.diag(np.sqrt(k * (twoj + 1.0 - k)), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule (nodes, weights) on [-1, 1], built
+    once per n as read-only arrays. numpy.polynomial is imported on first
+    use: importing it with this module would cost every importer."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wigner import wigner_D_euler_grid, wigner_d_grid
+from ._kernels import _gauss_legendre
+from .wigner import wigner_D_euler_grid
 
 U1 = "U1"
 SU2 = "SU2"
@@ -279,7 +280,7 @@ def su2_quadrature(degree):
     if total > MAX_QUAD_NODES:
         raise QuadratureResourceError(
             "SU(2) grid of %d nodes exceeds cap; lower the degree" % total)
-    x, wx = np.polynomial.legendre.leggauss(n_beta)
+    x, wx = _gauss_legendre(n_beta)
     beta = np.arccos(x)
     ang = 4 * math.pi * np.arange(n_ang) / n_ang
     A, B, C = np.meshgrid(ang, beta, ang, indexing="ij")

@@ -12,14 +12,13 @@ constant satisfies C_t^{-1} = t, and the SU(2) integral I(t, n) follows the
 t^3 n / 8 law.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import groups as G
-from ._kernels import itn_denominator, su2_norm_series
+from ._kernels import _gauss_legendre, itn_denominator, su2_norm_series
 from .theta import theta3, theta3_dz
 from .wigner import wigner_D_euler_grid
 
@@ -167,19 +166,10 @@ def _theta3_real_ratio_frame(x, t):
     return out
 
 
-@functools.cache
-def _gl24():
-    """The 24-point Gauss-Legendre rule, built on first use: importing
-    numpy.polynomial at module import would cost every importer of heat."""
-    x, w = np.polynomial.legendre.leggauss(24)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _panel_gl(f, a, b, n_panels):
     """Composite 24-point Gauss-Legendre rule on n_panels equal panels of
     [a, b]; f is called once, on all 24 n_panels nodes."""
-    x, w = _gl24()
+    x, w = _gauss_legendre(24)
     edges = np.linspace(a, b, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -290,7 +280,7 @@ def sphere_grid(l_exact):
     exactly; returns (theta, phi, weights) with sum(weights) = 4 pi."""
     n_theta = l_exact // 2 + 1
     n_phi = l_exact + 1
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    x, wx = _gauss_legendre(n_theta)
     theta = np.arccos(x)
     phi = 2 * math.pi * np.arange(n_phi) / n_phi
     T, P = np.meshgrid(theta, phi, indexing="ij")
@@ -311,7 +301,7 @@ def schur_residual_su2(t, n, n_radial=80, l_margin=4):
     theta, phi, wsph = sphere_grid(2 * twoj + l_margin)
     D = wigner_D_euler_grid(twoj, phi, theta, np.zeros_like(phi))
     h_max = t * (2 * j + 1) / 2.0 + 12.0 * math.sqrt(t) + 2.0
-    x, wx = np.polynomial.legendre.leggauss(n_radial)
+    x, wx = _gauss_legendre(n_radial)
     h = (x + 1.0) * h_max / 2.0
     wh = wx * h_max / 2.0
     norm = su2_norm_series(h, t, int(math.ceil(2 * h_max / t

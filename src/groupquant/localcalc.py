@@ -417,11 +417,12 @@ def u1_midpoint_operator(fun, eps, pw):
     """Operator matrix from the midpoint kernel
     K(x, g) = eps^{-1} fun(eps^{-1} X_{g x^{-1}}, exp(-X/2) g)."""
     ang = pw.quad.angles
-    w = pw.quad.weights
     X = ang[:, None] - ang[None, :]           # angle of g x^{-1}: rows g
     X = (X + math.pi) % (2 * math.pi) - math.pi
     mid = ang[:, None] - X / 2.0
     Kv = fun(X / eps, mid) / eps
-    # (B Psi)(g) = int K(x, g) Psi(x) dx_Riemann = 2 pi sum_k w_k K(x_k, g) ...
-    rows = G.VOL_U1 * (Kv * w[None, :]) @ (pw.E)
-    return pw._EW @ rows
+    # (B e_j)(g) = int K(x, g) e_j(x) dx_Riemann = 2 pi sum_k w_k K(x_k, g)
+    # e_j(x_k), the conjugate of the analysis of conj(K(., g)); the matrix
+    # is the analysis of those images
+    images = G.VOL_U1 * pw.analysis(Kv.conj().T).conj().T
+    return pw.analysis(images)

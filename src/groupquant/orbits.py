@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import groups as G
-from ._kernels import wigner_d_grid
+from ._kernels import _gauss_legendre, wigner_d_grid
 from .wigner import angular_momentum, wigner_D_euler_grid, clebsch_gordan
 
 
@@ -50,7 +50,7 @@ class OrbitSpec:
         self.L = 2 * twoj + 2 if L is None else L
         n_beta = self.L // 2 + 2
         n_alpha = self.L + 2
-        x, wx = np.polynomial.legendre.leggauss(n_beta)
+        x, wx = _gauss_legendre(n_beta)
         beta = np.arccos(x)
         alpha = 2 * math.pi * np.arange(n_alpha) / n_alpha
         self.beta_nodes, self.alpha_nodes = beta, alpha
@@ -69,22 +69,32 @@ class OrbitSpec:
                                      np.zeros_like(self.alpha))
         self.coherent = self.D[:, :, 0]        # v_theta = D e_{highest}
         self.k_l = kernel_eigenvalues(twoj)
-        self._Y = {}
+        self._Y = None
         self._delta = None
 
     def harmonics(self, l):
-        """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l:
+        """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l: a column
+        slice of the harmonic matrix."""
+        return self._harmonic_matrix(l)[:, l * l:(l + 1) ** 2]
+
+    def _harmonic_matrix(self, lmax):
+        """(N, (L + 1)^2) matrix of all Y_lm with l <= L, for an L of at
+        least max(lmax, 2j), columns ordered by l and then m = -l..l:
         Y_lm(beta, alpha) = sqrt((2l+1)/4pi) e^{i m alpha} d^l_{m0}(beta),
-        with d on the beta nodes only."""
-        if l not in self._Y:
-            m = np.arange(-l, l + 1)
-            d = wigner_d_grid(2 * l, self.beta_nodes)[:, ::-1, l]
+        with d on the beta nodes only. Cached; a larger lmax rebuilds it."""
+        if self._Y is None or self._Y.shape[1] < (lmax + 1) ** 2:
+            ls = range(max(lmax, self.twoj) + 1)
+            d = np.concatenate(
+                [math.sqrt((2 * l + 1) / (4 * math.pi))
+                 * wigner_d_grid(2 * l, self.beta_nodes)[:, ::-1, l]
+                 for l in ls], axis=1)
+            m = np.concatenate([np.arange(-l, l + 1) for l in ls])
             phase = np.exp(1j * np.multiply.outer(self.alpha_nodes, m))
-            Y = math.sqrt((2 * l + 1) / (4 * math.pi)) * d[:, None] * phase
-            self._Y[l] = Y.reshape(self.n_nodes, 2 * l + 1)
-        return self._Y[l]
+            self._Y = (d[:, None] * phase).reshape(self.n_nodes, len(m))
+        return self._Y
 
     def orthonormality_residual(self):
+        self._harmonic_matrix(self.L)   # built once, up to the largest degree
         worst = 0.0
         for l in range(0, self.L + 1):
             Yl = self.harmonics(l)
@@ -99,20 +109,26 @@ class OrbitSpec:
     # -- harmonic analysis on the orbit (band l <= L/2 exact) ---------------
 
     def sh_analysis(self, field, lmax):
-        """Coefficients c_{lm} with field = sum c_{lm} Y_{lm}."""
-        out = []
-        for l in range(lmax + 1):
-            Yl = self.harmonics(l)
-            out.append(np.einsum("a,am,a...->m...", self.weights, Yl.conj(),
-                                 field) * (4 * math.pi / self.d))
-        return out
+        """Coefficients c_{lm} with field = sum c_{lm} Y_{lm}, as a list of
+        (2l+1, ...) arrays for l <= lmax: one matrix product with the
+        harmonic matrix."""
+        field = np.asarray(field)
+        Y = self._harmonic_matrix(lmax)[:, :(lmax + 1) ** 2]
+        wf = (self.weights * (4 * math.pi / self.d))[:, None] \
+            * field.reshape(self.n_nodes, -1)
+        c = np.conj(Y.T @ np.conj(wf))
+        return [c[l * l:(l + 1) ** 2].reshape((2 * l + 1,) + field.shape[1:])
+                for l in range(lmax + 1)]
 
     def sh_synthesis(self, coeffs):
-        shape = coeffs[0].shape[1:] if coeffs[0].ndim > 1 else ()
-        out = np.zeros((self.n_nodes,) + shape, dtype=complex)
-        for l, c in enumerate(coeffs):
-            out += np.einsum("am,m...->a...", self.harmonics(l), c)
-        return out
+        """Field sum_{lm} c_{lm} Y_{lm} from sh_analysis's list of (2l+1, ...)
+        coefficient arrays: one matrix product with the harmonic matrix."""
+        lmax = len(coeffs) - 1
+        tail = np.shape(coeffs[0])[1:]
+        c = np.concatenate([np.reshape(cl, (2 * l + 1, -1))
+                            for l, cl in enumerate(coeffs)])
+        Y = self._harmonic_matrix(lmax)[:, :(lmax + 1) ** 2]
+        return (Y @ c).reshape((self.n_nodes,) + tail)
 
     def rescale_harmonics(self, field, factors, lmax=None):
         """Apply sum_l factors[l] * (projection on degree l)."""

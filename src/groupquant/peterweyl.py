@@ -10,20 +10,46 @@ index of D_{ab}. The public methods return them as dense matrices;
 `_kron_times` applies kron(X, 1) blocks to the rows of a matrix one irrep
 at a time without forming them.
 
-A multiplication operator is the quadrature sum EW diag(f) E reordered.
-On U(1) it is the circulant of the DFT of f. On SU(2) the quadrature is a
-product grid (uniform alpha and gamma, Gauss-Legendre in cos beta), so the
-sum splits into a 2-D DFT over (alpha, gamma) and a short sum over the beta
-nodes: the separation of Kostelec & Rockmore, "FFTs on the Rotation Group",
-J. Fourier Anal. Appl. 14 (2008) 145.
+On SU(2) the quadrature is a product grid: uniform alpha and gamma on
+[0, 4pi), Gauss-Legendre in cos beta. The basis separates on it,
+
+    e_(n,a,b)(alpha, beta, gamma) = e^{-i m_a alpha} sqrt(n) d^n_ab(beta)
+                                    e^{-i m_b gamma},
+
+which is the separation of variables of Kostelec & Rockmore, "FFTs on the
+Rotation Group", J. Fourier Anal. Appl. 14 (2008) 145. The space keeps only
+its factors: the phase tables e^{-i m alpha} and e^{-i m gamma} over the
+2B - 1 twice-weights 2m, and one real d-table sqrt(n) d^n_ab(beta) of shape
+(n_beta, dim). `synthesis` takes the sum sum_i e_i(g_k) c_i first over the
+modes of each row twice-weight 2m_a, against the d-table times the gamma
+phases, and then over the row twice-weights, one matrix product with the
+alpha phase table; `analysis` takes the quadrature sum
+sum_k w_k conj(e_i(g_k)) f(g_k) in the reverse order. Both are the dense
+sums E @ c and _EW @ f reordered, so they agree with them for any grid
+values, band-limited or not, at O(B^5) operations per column against
+O(B^6), with temporaries of a few MB or of one beta node. On U(1) both are
+one FFT. The dense E and _EW are cached properties, built only when read:
+the test oracles read them, the library does not.
+
+A multiplication operator is the quadrature sum _EW diag(f) E reordered.
+On U(1) it is the circulant of the DFT of f. On SU(2) it is a 2-D DFT of f
+over (alpha, gamma) and a short sum over the beta nodes against the same
+d-table.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from . import groups as G
+from ._kernels import wigner_d_grid
 from .wigner import su2_generator, wigner_D_euler_grid
+
+# complex entries of the per-block temporaries of the SU(2) transforms
+# (4 MB): a transform of many columns, or at a large band, runs over blocks
+# of beta nodes instead of making temporaries of the size of its output
+_BLOCK = 1 << 18
 
 
 class PWSpace:
@@ -43,9 +69,50 @@ class PWSpace:
                 for b in range(d):
                     self.index.append((lab, a, b))
         self.dim = len(self.index)
-        self.E = self._basis_matrix(self.quad)
-        self._EW = (self.E.conj() * self.quad.weights[:, None]).T
-        self._grid_tables = None   # built by the first SU(2) multiplication
+        if group == G.SU2:
+            self._euler_tables()
+        self._shift = None   # built by the first SU(2) multiplication
+
+    def _euler_tables(self):
+        """The factors of the SU(2) basis on the Euler product grid.
+
+        Twice-weights 2m = B - 1 - u are indexed by u = 0..2B-2, so label n
+        occupies u = B - n, B - n + 2, ..., B + n - 2. `_pad` lists, per u,
+        the modes (n, a, b) whose row weight is u, padded with the index dim
+        to a common length; `_pad_v` is the column weight u of each entry.
+        """
+        B, shape = self.band, self.quad.shape
+        alpha, beta, gamma = (x.reshape(shape) for x in self.quad.euler)
+        W = self.quad.weights.reshape(shape)
+        m = np.arange(B - 1, -B, -1) / 2.0
+        self._phase_a = np.exp(-1j * np.multiply.outer(alpha[:, 0, 0], m))
+        self._phase_g = np.exp(-1j * np.multiply.outer(gamma[0, 0, :], m))
+        self._ana_a = (self._phase_a.conj() * W.sum(axis=(1, 2))[:, None]).T
+        self._ana_g = (self._phase_g.conj() * W.sum(axis=(0, 1))[:, None]).T
+        self._w_beta = W.sum(axis=(0, 2))
+        self._dtable = np.concatenate(
+            [math.sqrt(n) * wigner_d_grid(n - 1, beta[0, :, 0]).reshape(
+                shape[1], n * n) for n in self.labels], axis=1)
+        u = np.array([B - n + 2 * a for n, a, _ in self.index])
+        v = np.array([B - n + 2 * b for n, _, b in self.index])
+        counts = np.bincount(u, minlength=2 * B - 1)
+        order = np.argsort(u, kind="stable")
+        slot = np.arange(self.dim) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+        self._pad = np.full((2 * B - 1, counts.max()), self.dim)
+        self._pad[u[order], slot] = order
+        self._pad_v = np.append(v, 0)[self._pad]
+
+    @functools.cached_property
+    def E(self):
+        """Dense basis matrix on the quadrature nodes, (N, dim): built on
+        first use, for the dense oracles; the transforms never read it."""
+        return self._basis_matrix(self.quad)
+
+    @functools.cached_property
+    def _EW(self):
+        """Dense analysis matrix conj(E)^T diag(w), built on first use."""
+        return (self.E.conj() * self.quad.weights[:, None]).T
 
     def _basis_matrix(self, quad):
         """Basis matrix on any quadrature's nodes, from its cached rep_grid."""
@@ -68,11 +135,99 @@ class PWSpace:
     # -- transforms ---------------------------------------------------------
 
     def analysis(self, values):
-        """Grid values (N,...) -> coefficients; exact for band-limited data."""
-        return np.tensordot(self._EW, values, axes=(1, 0))
+        """Grid values (N, ...) -> coefficients (dim, ...): the quadrature
+        sum c_i = sum_k w_k conj(e_i(g_k)) values_k, exact for band-limited
+        data. U(1): one FFT. SU(2): the weighted alpha sum at every row
+        twice-weight u, one matrix product with the alpha analysis table;
+        then per u the sum over the (beta, gamma) nodes against
+        w_beta sqrt(n) d^n_ab(beta) e^{i m_b gamma} w_gamma for the modes of
+        row weight u, in the cheaper of two orders (`_many_columns`)."""
+        v = np.asarray(values)
+        tail = v.shape[1:]
+        v = v.reshape(len(v), -1)
+        if self.group == G.U1:
+            lab = np.array(self.labels)
+            out = np.fft.fft(v, axis=0)[lab % len(v)] / len(v)
+            return out.reshape((self.dim,) + tail)
+        n_alpha, _, n_gamma = self.quad.shape
+        n_cols = v.shape[1]
+        v = v.reshape(n_alpha, -1)
+        wd = self._padded_d() * self._w_beta[:, None]     # (u, beta, slot)
+        ag = self._ana_g[self._pad_v]                     # (u, slot, gamma)
+        acc = 0.0
+        for ks in self._beta_blocks(n_cols):
+            T = (self._ana_a @ v[:, ks.start * n_gamma * n_cols:
+                                 ks.stop * n_gamma * n_cols]).reshape(
+                len(ag), -1, n_gamma, n_cols)         # (u, beta, gamma, col)
+            if self._many_columns(n_cols):
+                N = wd[:, ks].transpose(0, 2, 1)[..., None] * ag[:, :, None]
+                acc = acc + N.reshape(N.shape[:2] + (-1,)) @ T.reshape(
+                    len(T), -1, n_cols)
+            else:
+                acc = acc + np.einsum("ukj,ukjc->ujc", wd[:, ks],
+                                      ag[:, None] @ T)
+        out = np.empty((self.dim + 1, n_cols), dtype=complex)
+        out[self._pad] = acc
+        return out[:-1].reshape((self.dim,) + tail)
 
     def synthesis(self, coeffs):
-        return np.tensordot(self.E, coeffs, axes=(1, 0))
+        """Coefficients (dim, ...) -> grid values (N, ...), the sum
+        sum_i e_i(g_k) coeffs_i: per row twice-weight u the sum against
+        sqrt(n) d^n_ab(beta) e^{-i m_b gamma} over the modes of row weight
+        u, in the cheaper of two orders (`_many_columns`), then the alpha
+        sum, one matrix product with the alpha phase table."""
+        c = np.asarray(coeffs)
+        tail = c.shape[1:]
+        c = c.reshape(self.dim, -1)
+        if self.group == G.U1:
+            n = self.quad.n_nodes
+            spec = np.zeros((n, c.shape[1]), dtype=complex)
+            np.add.at(spec, np.array(self.labels) % n, c)
+            return (np.fft.ifft(spec, axis=0) * n).reshape((n,) + tail)
+        n_alpha, _, n_gamma = self.quad.shape
+        n_cols = c.shape[1]
+        cpad = np.append(c, np.zeros((1, n_cols)), axis=0)[self._pad]
+        d = self._padded_d()                              # (u, beta, slot)
+        pg = self._phase_g[:, self._pad_v].transpose(1, 0, 2)[:, None]
+        out = np.empty((n_alpha, self.quad.n_nodes // n_alpha * n_cols),
+                       dtype=complex)
+        for ks in self._beta_blocks(n_cols):
+            if self._many_columns(n_cols):
+                M = d[:, ks, None, :] * pg            # (u, beta, gamma, slot)
+                X = M.reshape(len(M), -1, M.shape[-1]) @ cpad
+            else:
+                X = pg @ (d[:, ks, :, None] * cpad[:, None])
+            np.matmul(self._phase_a, X.reshape(len(X), -1),
+                      out=out[:, ks.start * n_gamma * n_cols:
+                              ks.stop * n_gamma * n_cols])
+        return out.reshape((self.quad.n_nodes,) + tail)
+
+    def _many_columns(self, n_cols):
+        """Whether a transform of n_cols columns forms the products of the
+        d-table and the gamma phases, (u, beta, gamma, slot), and contracts
+        them with the columns in one matrix product per u; otherwise it
+        multiplies the d-table into the columns, (u, beta, slot, column),
+        and applies the gamma phases by a matrix product per (u, beta). The
+        first costs n_gamma and the second n_cols multiplications per
+        (u, beta, slot) entry, next to the same matrix-product work."""
+        return n_cols > self.quad.shape[2]
+
+    def _padded_d(self):
+        """The d-table per row twice-weight, (2B-1, n_beta, slots), zero in
+        the padding slots."""
+        d = np.append(self._dtable, np.zeros((len(self._dtable), 1)), axis=1)
+        return d[:, self._pad].transpose(1, 0, 2)
+
+    def _beta_blocks(self, n_cols):
+        """Slices of beta nodes whose temporaries, (u, beta) times one of
+        (gamma, slot), (slot, column) or (gamma, column), hold about _BLOCK
+        entries; one node at least."""
+        P, slots = self._pad.shape
+        n_beta, n_gamma = self.quad.shape[1:]
+        step = max(1, _BLOCK // (P * max(n_gamma * slots, slots * n_cols,
+                                          n_gamma * n_cols)))
+        return [slice(k, min(k + step, n_beta))
+                for k in range(0, n_beta, step)]
 
     def eval_basis(self, quats_or_angles):
         """Basis matrix at arbitrary group elements, shape (M, dim)."""
@@ -161,28 +316,23 @@ class PWSpace:
         if self.group == G.U1:
             lab = np.array(self.labels)
             return np.fft.fft(f)[np.subtract.outer(lab, lab) % len(f)] / len(f)
-        shift, basis, weights = self._product_grid_tables()
+        shift = self._shift_table()
         n_alpha, n_beta, n_gamma = self.quad.shape
         F = np.fft.ifft2(f.reshape(self.quad.shape), axes=(0, 2))
         F = F.transpose(1, 0, 2).reshape(n_beta, n_alpha * n_gamma)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for Fb, e, w in zip(F, basis, weights):
+        for Fb, e, w in zip(F, self._dtable, self._w_beta):
             out += np.outer(w * e, e) * Fb[shift]
         return out
 
-    def _product_grid_tables(self):
-        """(shift, basis, weights) of the SU(2) product-grid sum: the flat
-        (alpha, gamma) frequency index of each matrix entry, sqrt(d) d(beta)
-        per beta node and mode, and the beta weights."""
-        if self._grid_tables is None:
-            n_alpha, n_beta, n_gamma = self.quad.shape
+    def _shift_table(self):
+        """Flat (alpha, gamma) frequency index of each entry of an SU(2)
+        multiplication operator, built on first use."""
+        if self._shift is None:
+            n_alpha, _, n_gamma = self.quad.shape
             two_ma = np.array([lab - 1 - 2 * a for lab, a, _ in self.index])
             two_mb = np.array([lab - 1 - 2 * b for lab, _, b in self.index])
-            shift = (np.subtract.outer(two_ma, two_ma) % n_alpha * n_gamma
-                     + np.subtract.outer(two_mb, two_mb) % n_gamma)
-            # alpha_0 = gamma_0 = 0, so E there is the real sqrt(d) d(beta)
-            basis = self.E.reshape(n_alpha, n_beta, n_gamma, self.dim)[0, :, 0]
-            weights = self.quad.weights.reshape(self.quad.shape).sum(axis=(0, 2))
-            self._grid_tables = (shift, np.ascontiguousarray(basis.real),
-                                 weights)
-        return self._grid_tables
+            self._shift = (
+                np.subtract.outer(two_ma, two_ma) % n_alpha * n_gamma
+                + np.subtract.outer(two_mb, two_mb) % n_gamma)
+        return self._shift

@@ -160,13 +160,13 @@ class ConvolutionKernel:
 def kn_quantize(sym, pw):
     """Matrix of the Kohn-Nirenberg operator on the truncated PW space."""
     quad = pw.quad
-    EW = pw.E.T * quad.weights
-    # Psihat_i(pi) = sum_k w_k E[k, i] D[pi][k]
     out_vals = np.zeros((pw.dim, quad.n_nodes), dtype=complex)
     for lab in sym.labels:
         d = G.dim(sym.group, lab)
         D = quad.rep_grid(lab)
-        psihat = (EW @ D.reshape(len(D), d * d)).reshape(-1, d, d)
+        # Psihat_i(pi) = sum_k w_k e_i(g_k) D[pi](g_k), the conjugate of
+        # the analysis of conj(D)
+        psihat = pw.analysis(D.conj()).conj()
         sig = sym.values_at_quad(lab, quad)
         out_vals += d * np.einsum("knm,knp,ipm->ik", D.conj(), sig, psihat,
                                   optimize=True)
@@ -204,7 +204,7 @@ def kn_symbol(op, pi_band, g_pw):
         proj = (E_small @ coef).reshape(quad.n_nodes, d, d)
         resid = max(resid, np.abs(proj - sig).max())
         scale = max(scale, np.abs(sig).max())
-        vals[lab] = (g_pw.E @ coef).reshape(g_pw.quad.n_nodes, d, d)
+        vals[lab] = g_pw.synthesis(coef.reshape(-1, d, d))
     return MatrixSymbol(pw.group, pi_band, g_pw, vals,
                         projection_residual=resid / max(scale, 1e-300))
 
@@ -326,7 +326,7 @@ def kernel_values(sym, h_quad, s=0):
             Dv = Ev[:, blk].reshape(N_h, d2, d2) / math.sqrt(d2)
             c = coef[:, blk].reshape(N_h, d2, d2)
             coef[:, blk] = np.einsum("hac,hab->hcb", Dv, c).reshape(N_h, -1)
-    return coef @ g_pw.E.T
+    return g_pw.synthesis(coef.T).T
 
 
 def _deform(sym, h_quad, s, pi_band, branch_tol):

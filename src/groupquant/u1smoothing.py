@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from ._kernels import _gauss_legendre
 from .theta import theta3
 
 
@@ -91,7 +92,7 @@ class TwistedSpace:
             n_phi = 4 * self.J + abs(m) + 8
         phis = 2 * math.pi * np.arange(n_phi) / n_phi
         half = 12.0 * math.sqrt(t) + abs(self.js).max() * t
-        x, w = np.polynomial.legendre.leggauss(n_l)
+        x, w = _gauss_legendre(n_l)
         ls = j0 * t + half * x
         wl = w * half * np.exp(-(ls - j0 * t) ** 2 / t) / math.sqrt(math.pi * t)
         cj = np.exp(np.outer(self.js, ls) - t * self.js[:, None] * j0

@@ -448,7 +448,8 @@ def local_u1():
 # T_p, R_k the public translation and right-derivative matrices.
 
 def _multiplication_dense(pw, f):
-    return pw._EW @ (f[:, None] * pw.E)
+    E = pw._basis_matrix(pw.quad)
+    return (E.conj() * pw.quad.weights[:, None]).T @ (f[:, None] * E)
 
 
 def _exp_element(group, Y):

@@ -44,3 +44,13 @@ def test_norm_series_oracle():
     ref0 = sum(n * n * np.exp(-t * (n * n - 1) / 4.0)
                for n in range(1, nmax + 1))
     assert abs(v0 - ref0) < 1e-12 * ref0
+
+
+def test_gauss_legendre_cached_rule():
+    from numpy.polynomial.legendre import leggauss
+    for n in (1, 14, 24, 80, 220):
+        x, w = K._gauss_legendre(n)
+        ref_x, ref_w = leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert K._gauss_legendre(n)[0] is x

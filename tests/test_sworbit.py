@@ -38,6 +38,41 @@ def test_harmonics_oracle(twoj):
         assert np.abs(s.harmonics(l) - ref).max() < 1e-12
 
 
+# Per-degree oracles for the harmonic transforms: one einsum per l against
+# the (N, 2l+1) harmonics of that degree.
+
+def _sh_analysis_loop(spec, field, lmax):
+    return [np.einsum("a,am,a...->m...", spec.weights,
+                      spec.harmonics(l).conj(), field) * (4 * math.pi / spec.d)
+            for l in range(lmax + 1)]
+
+
+def _sh_synthesis_loop(spec, coeffs):
+    return sum(np.einsum("am,m...->a...", spec.harmonics(l), c)
+               for l, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("twoj", [1, 4, 24])
+def test_sh_transforms_loop_oracle(twoj):
+    s = O.OrbitSpec(twoj)
+    rng = np.random.default_rng(twoj)
+    for tail in [(), (3,), (2, 2)]:
+        field = (rng.standard_normal((s.n_nodes,) + tail)
+                 + 1j * rng.standard_normal((s.n_nodes,) + tail))
+        for lmax in (0, twoj, s.L // 2):
+            got = s.sh_analysis(field, lmax)
+            ref = _sh_analysis_loop(s, field, lmax)
+            scale = max(np.abs(r).max() for r in ref)
+            assert len(got) == lmax + 1
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape
+                assert np.abs(g - r).max() < 1e-13 * scale
+            ref = _sh_synthesis_loop(s, got)
+            back = s.sh_synthesis(got)
+            assert back.shape == field.shape
+            assert np.abs(back - ref).max() < 1e-13 * np.abs(ref).max()
+
+
 def test_coherent_vectors(spec):
     v = spec.coherent
     assert np.abs(np.einsum("am,am->a", v.conj(), v) - 1).max() < 1e-13
