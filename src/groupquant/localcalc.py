@@ -16,6 +16,17 @@ multiplication and translation operators,
 with j the Haar Jacobian of exp (j = 1 for U(1), sin(|X|/2)/(|X|/2) for
 SU(2)); the Weyl variant evaluates the coefficients at the geodesic midpoint
 e^{-eps Y_p/2} g.
+
+As operators, with T_v the left translation and M_f the multiplication by
+f, two identities put the eps dependence into translations alone:
+
+    T_v M_f T_v^* = M_{f(v^{-1} .)}     (midpoint coefficients),
+    M_{R_k q} = [R_k, M_q]               (the Weyl linear term).
+
+Quantization is therefore split: the multiplication operators of a symbol's
+coefficients are built once, free of eps and of the variant, and each eps
+and variant only applies the block-diagonal T_v and R_k to them
+(`local_quantize`). The semiclassical fits reuse them across every eps.
 """
 
 import math
@@ -126,8 +137,8 @@ def _merge_lattice(pts, coeffs):
 def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
     """PW coefficients, on g_pw_out's band, of the pointwise products of
     each row of ca with each row of cb: shape (len(ca), len(cb), dim)."""
-    va = g_pw_a._basis_matrix(g_pw_out.quad) @ np.atleast_2d(ca).T
-    vb = g_pw_b._basis_matrix(g_pw_out.quad) @ np.atleast_2d(cb).T
+    va = _grid_values(g_pw_a, np.atleast_2d(ca), g_pw_out)
+    vb = _grid_values(g_pw_b, np.atleast_2d(cb), g_pw_out)
     prods = g_pw_out.analysis(va[:, :, None] * vb[:, None, :])
     return np.moveaxis(prods, 0, -1)
 
@@ -257,47 +268,95 @@ def _exp_points(group, Y):
     return Y[:, 0] if group == G.U1 else G.quat_exp(Y)
 
 
-def local_quantize(s, eps, pw, variant=KN):
-    """Matrix of Q_eps(sigma) on the truncated Peter-Weyl space.
+def _grid_values(g_pw, coeffs, pw):
+    """Values on pw's quadrature grid, (N, rows), of the functions whose g_pw
+    coefficients are the rows of coeffs: pw.synthesis of the coefficients
+    zero-padded into pw's basis (a label's basis functions sqrt(d) D_ab are
+    the same in both spaces)."""
+    if g_pw.band > pw.band:
+        raise ValueError("coefficient band %d exceeds the target band %d"
+                         % (g_pw.band, pw.band))
+    rows = [pw.offsets[lab] - g_pw.offsets[lab] + i
+            for i, (lab, _, _) in enumerate(g_pw.index)]
+    pad = np.zeros((pw.dim, len(coeffs)), dtype=complex)
+    pad[rows] = np.transpose(coeffs)
+    return pw.synthesis(pad)
 
-    Each lattice point adds j_p^2 M_p T_p: the multiplication operator of
-    m_p times the left translation by e^{eps Y_p}. The sum is assembled as
-    its adjoint, sum_p j_p^2 T_p^* M_{conj m_p} (as M_f^* = M_{conj f}), so
-    that the block-diagonal T_p^* acts on rows, one irrep block at a time;
-    the translation blocks of all lattice points come from one batched irrep
-    evaluation per label.
-    """
+
+def _operators(s, pw, in_band=None):
+    """The eps- and variant-free half of Q_eps(sigma): the multiplication
+    operators M_p of the lattice coefficients m_p, (P, dim, n), and M_q of
+    the momentum-linear coefficients q_k, {k: (dim, n)}, on the n columns
+    `cols` of pw's basis: those of `pw.band_mask(in_band)`, or all."""
+    vals = _grid_values(s.g_pw, np.vstack([s.coeffs, *s.poly.values()]), pw)
+    mults = [pw.multiplication_operator(v, in_band) for v in vals.T]
+    P = len(s.coeffs)
+    cols = (slice(None) if in_band is None
+            else np.flatnonzero(pw.band_mask(in_band)))
+    return np.array(mults[:P]), dict(zip(s.poly, mults[P:])), cols
+
+
+def _assemble(s, ops, eps, pw, variant):
+    """Q_eps(sigma)[:, cols] from ops = _operators(s, pw, ...) by
+    block-diagonal translations alone (see local_quantize)."""
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     if variant not in (KN, WEYL):
         raise ValueError("variant must be KN or Weyl")
-    g_pw = s.g_pw
-    E_g = g_pw._basis_matrix(pw.quad)
+    mults, lin, cols = ops
+    weyl = variant == WEYL
     Y = np.atleast_2d(s.lattice().reshape(len(s.points), -1))
     jfac = haar_jacobian_sq(s.group, eps * Y)
-    coeffs = s.coeffs
-    if variant == WEYL:
-        # coefficient at the geodesic midpoint: m_p(e^{-eps Y/2} g), that is
-        # U_h m_p with blocks kron(conj D(h), 1), h = e^{eps Y/2}
-        mid = g_pw._reps(_exp_points(s.group, eps * Y / 2.0))
-        coeffs = np.array([g_pw._kron_times([D[p].conj() for D in mid], c)
-                           for p, c in enumerate(coeffs)])
-    shifts = pw._reps(_exp_points(s.group, eps * Y))
-    adj = np.zeros((pw.dim, pw.dim), dtype=complex)
-    for p, c in enumerate(coeffs):
-        # T_p = U_h has blocks kron(conj D(h), 1), so T_p^* has kron(D(h)^T, 1)
-        M = pw.multiplication_operator(np.conj(E_g @ c))
-        adj += jfac[p] * pw._kron_times([D[p].T for D in shifts], M)
-    for k, q in s.poly.items():
-        kk = k if s.group == G.SU2 else 0
-        # (-i eps M_q R_k)^*; R_k has blocks kron(dpi(tau_k)^T, 1)
-        M = pw.multiplication_operator(np.conj(E_g @ q))
-        adj += 1j * eps * pw._kron_times(
-            [X.conj() for X in pw._generators(kk)], M)
-        if variant == WEYL:
-            Rq = g_pw._kron_times([X.T for X in g_pw._generators(kk)], q)
-            adj += 0.5j * eps * pw.multiplication_operator(np.conj(E_g @ Rq))
-    return adj.conj().T
+    # T_v = U_v has blocks kron(conj D(v), 1): v = e^{eps Y_p} for KN, and
+    # its square root e^{eps Y_p / 2}, on both sides, for Weyl
+    T = [D.conj() for D in pw._reps(
+        _exp_points(s.group, eps * Y / 2.0 if weyl else eps * Y))]
+    if s.group == G.U1:
+        # T_p = diag(t_p) and R = diag(i n): one einsum over the points
+        t = np.concatenate(T, axis=1)[:, :, 0]
+        r = 1j * np.array(pw.labels)
+        tw = jfac[:, None] * t[:, cols]
+        out = (np.einsum("pi,pij,pj->ij", t, mults, tw) if weyl
+               else np.einsum("pij,pj->ij", mults, tw))
+        for M in lin.values():
+            MR = M * r[cols]
+            out += ((-0.5j * eps) * (MR + r[:, None] * M) if weyl
+                    else (-1j * eps) * MR)
+        return out
+    if weyl:
+        mults = pw._kron_rows(T, mults)
+    out = pw._kron_cols(mults, [jfac[:, None, None] * D for D in T])
+    for k, M in lin.items():
+        # R_k has blocks kron(dpi(tau_k)^T, 1)
+        R = [X.T[None] for X in pw._generators(k)]
+        MR = pw._kron_cols(M[None], R)
+        out += ((-0.5j * eps) * (MR + pw._kron_rows(R, M[None])[0]) if weyl
+                else (-1j * eps) * MR)
+    return out
+
+
+def local_quantize(s, eps, pw, variant=KN):
+    """Matrix of Q_eps(sigma) on the truncated Peter-Weyl space.
+
+    Each lattice point adds j_p^2 M_p T_p: the multiplication operator
+    M_p = M_{m_p} times the left translation T_p = T_{h_p}, h_p = e^{eps Y_p}.
+    Each momentum-linear term adds -i eps M_q R_k. The Weyl variant takes
+    m_p at the geodesic midpoint, m_p(e^{-eps Y_p/2} g), and adds
+    -(i eps/2) M_{R_k q}. Two identities keep the unshifted M_p and M_q:
+
+        T_v M_f T_v^* = M_{f(v^{-1} .)}, and T_{sqrt h}^* T_h = T_{sqrt h}:
+            the Weyl point term is j_p^2 T_{sqrt h_p} M_p T_{sqrt h_p};
+        M_{R_k q} = [R_k, M_q]:
+            the Weyl linear term is -(i eps/2) (M_q R_k + R_k M_q).
+
+    So Q_eps is the composition of two parts. `_operators` builds M_p and
+    M_q, which depend on neither eps nor the variant; `_assemble` applies
+    the block-diagonal T and R to them, one irrep block at a time (on U(1)
+    both are diagonal phases: one einsum over the points).
+    `ensemble_order_fit` builds the first part once per symbol and runs the
+    second for every eps and both variants.
+    """
+    return _assemble(s, _operators(s, pw), eps, pw, variant)
 
 
 def kernel_cutoff(phi, s, dphi0=None, fd_step=1e-6):
@@ -343,53 +402,45 @@ def _op_norm(M):
     return np.linalg.svd(M, compute_uv=False)[0]
 
 
-def product_residuals(a, b, eps, pw, in_band, g_pw_out,
-                      moyal_variant=WEYL, dirac_variant=KN):
-    """(moyal, dirac) residual operator norms at one eps.
-
-    moyal: || Q(a) Q(b) - Q(ab - (i eps/2){a,b}) || with the Weyl variant;
-    dirac: || (i/eps)[Q(a), Q(b)] - Q({a,b}) || with the KN variant.
-    Restricted to input modes within in_band so band truncation is exact.
-    """
-    mask = pw.band_mask(in_band)
-    ab = symbol_product(a, b, g_pw_out)
-    br = poisson_bracket(a, b, g_pw_out)
-
-    Qa = local_quantize(a, eps, pw, moyal_variant)
-    Qb = local_quantize(b, eps, pw, moyal_variant)
-    approx = symbol_add(ab, br.scaled(-0.5j * eps))
-    Qapprox = local_quantize(approx, eps, pw, moyal_variant)
-    moyal = _op_norm((Qa @ Qb - Qapprox)[:, mask])
-
-    Qa = local_quantize(a, eps, pw, dirac_variant)
-    Qb = local_quantize(b, eps, pw, dirac_variant)
-    Qbr = local_quantize(br, eps, pw, dirac_variant)
-    dirac = _op_norm(((1j / eps) * (Qa @ Qb - Qb @ Qa) - Qbr)[:, mask])
-    return moyal, dirac
-
-
 def fit_slope(eps_list, residuals):
     x = np.log(np.asarray(eps_list, float))
     y = np.log(np.asarray(residuals, float))
     return float(np.polyfit(x, y, 1)[0])
 
 
-def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out,
-                       moyal_variant=WEYL, dirac_variant=KN):
-    """Slope fit on RMS-aggregated residuals over several symbol pairs.
+def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
+    """Slope fits of the (moyal, dirac) residual operator norms over eps,
+    RMS-aggregated over several symbol pairs (a, b):
 
+        moyal: || Q(a) Q(b) - Q(ab) + (i eps/2) Q({a,b}) ||, Weyl variant;
+        dirac: || (i/eps)[Q(a), Q(b)] - Q({a,b}) ||, KN variant;
+
+    on the input modes within in_band, so band truncation is exact.
     Aggregation keeps the leading-order coefficient away from accidental
     near-cancellations of a single random draw.
+
+    Per pair the multiplication operators of a, b, ab and {a,b} are built
+    once (those of ab and {a,b} on the in-band columns only) and assembled
+    for every eps and both variants (see local_quantize).
     """
-    moy = np.zeros(len(eps_list))
-    dir_ = np.zeros(len(eps_list))
+    cols = pw.band_mask(in_band)
+    sq = np.zeros((2, len(eps_list)))
     for a, b in pairs:
+        ab = symbol_product(a, b, g_pw_out)
+        br = poisson_bracket(a, b, g_pw_out)
+        ops = [(a, _operators(a, pw)), (b, _operators(b, pw)),
+               (ab, _operators(ab, pw, in_band)),
+               (br, _operators(br, pw, in_band))]
         for i, eps in enumerate(eps_list):
-            m, d = product_residuals(a, b, eps, pw, in_band, g_pw_out,
-                                     moyal_variant, dirac_variant)
-            moy[i] += m * m
-            dir_[i] += d * d
-    moy, dir_ = np.sqrt(moy), np.sqrt(dir_)
+            Qa, Qb, Qab, Qbr = (_assemble(s, o, eps, pw, WEYL)
+                                for s, o in ops)
+            moyal = Qa @ Qb[:, cols] - Qab + (0.5j * eps) * Qbr
+            Qa, Qb, Qbr = (_assemble(s, o, eps, pw, KN)
+                           for s, o in (ops[0], ops[1], ops[3]))
+            dirac = ((1j / eps) * (Qa @ Qb[:, cols] - Qb @ Qa[:, cols])
+                     - Qbr)
+            sq[:, i] += [_op_norm(moyal) ** 2, _op_norm(dirac) ** 2]
+    moy, dir_ = np.sqrt(sq)
     return (fit_slope(eps_list, moy), fit_slope(eps_list, dir_),
             list(moy), list(dir_))
 

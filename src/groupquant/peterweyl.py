@@ -7,8 +7,8 @@ products that arise, and the standard operators on that basis.
 Translations and right derivatives are block diagonal: one Kronecker block
 kron(X, 1) or kron(1, X) per irrep, X acting on the first or the second
 index of D_{ab}. The public methods return them as dense matrices;
-`_kron_times` applies kron(X, 1) blocks to the rows of a matrix one irrep
-at a time without forming them.
+`_kron_rows` and `_kron_cols` apply kron(X, 1) blocks to the rows or the
+columns of a stack of matrices one irrep at a time without forming them.
 
 On SU(2) the quadrature is a product grid: uniform alpha and gamma on
 [0, 4pi), Gauss-Legendre in cos beta. The basis separates on it,
@@ -274,15 +274,38 @@ class PWSpace:
                                              else np.kron(one, X))
         return out
 
-    def _kron_times(self, blocks, mat):
-        """_kron_blocks(blocks) @ mat for a vector or a matrix, one irrep
-        block of rows at a time: each block is one (d, d) @ (d, d * cols)."""
-        out = np.empty(np.shape(mat), dtype=complex)
+    def _kron_rows(self, blocks, mats):
+        """kron(X_p, 1) @ mats[p] for a stack: blocks per label (P, d, d),
+        mats (P, dim, n); one irrep block of rows at a time, each a batch of
+        (d, d) @ (d, d * n)."""
+        out = np.empty(mats.shape, dtype=complex)
         for lab, X in zip(self.labels, blocks):
-            d = len(X)
+            d = X.shape[-1]
             o = self.offsets[lab]
-            rows = mat[o:o + d * d]
-            out[o:o + d * d] = (X @ rows.reshape(d, -1)).reshape(rows.shape)
+            rows = mats[:, o:o + d * d]
+            out[:, o:o + d * d] = (X @ rows.reshape(len(X), d, -1)).reshape(
+                rows.shape)
+        return out
+
+    def _kron_cols(self, mats, blocks):
+        """sum_p mats[p] @ kron(X_p, 1) on the columns mats holds: mats
+        (P, rows, n), blocks per label (P, d, d). The n columns are the
+        first n basis indices, whole irrep blocks (on SU(2) a `band_mask`
+        is such a prefix). One irrep block of columns at a time, as one
+        matrix product over (p, x): out[r, (a, b)] = sum mats[p, r, (x, b)]
+        X_p[x, a]."""
+        P, rows, n = mats.shape
+        out = np.empty((rows, n), dtype=complex)
+        for lab, X in zip(self.labels, blocks):
+            d = X.shape[-1]
+            o = self.offsets[lab]
+            if o >= n:
+                break
+            cols = mats[:, :, o:o + d * d].reshape(P, rows, d, d)
+            prod = cols.transpose(1, 3, 0, 2).reshape(rows * d, P * d) @ (
+                X.reshape(P * d, d))                      # (r, b), a
+            out[:, o:o + d * d] = prod.reshape(rows, d, d).transpose(
+                0, 2, 1).reshape(rows, d * d)
         return out
 
     # -- standard operators as matrices on the coefficient basis ------------
@@ -304,25 +327,32 @@ class PWSpace:
         """R_X for X = tau_k (SU(2)) or X = 1 (U(1)): d/ds Psi(e^{sX} g)."""
         return self._kron_blocks([X.T for X in self._generators(k)])
 
-    def multiplication_operator(self, grid_values):
+    def multiplication_operator(self, grid_values, in_band=None):
         """Matrix of Psi -> f * Psi from samples of f on the quadrature grid.
 
         Equal to EW diag(f) E. U(1): M[j, j'] = fft(f)[j - j' mod n] / n.
         SU(2): with F the inverse DFT of f over alpha and gamma,
         M[(n,a,b), (n',a',b')] = sum_beta w_beta sqrt(n) d^n_ab(beta)
         sqrt(n') d^n'_a'b'(beta) F[2(m_a - m_a'), beta, 2(m_b - m_b')].
+
+        With `in_band` only the columns of `band_mask(in_band)` are built:
+        the result is M[:, band_mask(in_band)], of shape (dim, n_in_band),
+        at that share of the work.
         """
         f = np.asarray(grid_values, dtype=complex)
+        cols = (slice(None) if in_band is None
+                else np.flatnonzero(self.band_mask(in_band)))
         if self.group == G.U1:
             lab = np.array(self.labels)
-            return np.fft.fft(f)[np.subtract.outer(lab, lab) % len(f)] / len(f)
-        shift = self._shift_table()
+            return np.fft.fft(f)[np.subtract.outer(lab, lab[cols])
+                                 % len(f)] / len(f)
+        shift = self._shift_table()[:, cols]
         n_alpha, n_beta, n_gamma = self.quad.shape
         F = np.fft.ifft2(f.reshape(self.quad.shape), axes=(0, 2))
         F = F.transpose(1, 0, 2).reshape(n_beta, n_alpha * n_gamma)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = np.zeros(shift.shape, dtype=complex)
         for Fb, e, w in zip(F, self._dtable, self._w_beta):
-            out += np.outer(w * e, e) * Fb[shift]
+            out += np.outer(w * e, e[cols]) * Fb[shift]
         return out
 
     def _shift_table(self):

@@ -133,6 +133,21 @@ def test_sw_props_larger_spin(tmp_path, j):
     assert all(v < 1e-9 for v in _sw_props_errors(tmp_path, j).values())
 
 
+def test_moyal_fit_pinned(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["--cmd", "moyal-fit", "--eps-list", "0.25,0.125,0.0625",
+                 "--seed", "0", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] and rep["eps_list"] == [0.25, 0.125, 0.0625]
+    # seed-0 slopes of the per-eps route that quantized each symbol afresh
+    pinned = {"U1": (2.0435276294154554, 1.1526236337173381),
+              "SU2": (2.0127013051425156, 0.9996316393394042)}
+    for group, (moyal, dirac) in pinned.items():
+        res = rep["results"][group]
+        assert abs(res["moyal_slope"] - moyal) < 1e-9
+        assert abs(res["dirac_slope"] - dirac) < 1e-9
+
+
 def test_bohr_props(tmp_path):
     out = tmp_path / "b.json"
     assert main(["--cmd", "bohr-props", "--out", str(out)]) == 0

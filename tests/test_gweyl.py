@@ -493,6 +493,26 @@ def test_multiplication_operator_oracle(group, band, degree):
          + 1j * rng.standard_normal(pw.quad.n_nodes))
     oracle = _multiplication_dense(pw, f)
     assert _max_rel(oracle, pw.multiplication_operator(f)) < 1e-13
+    in_band = max(1, band // 2)
+    cols = pw.multiplication_operator(f, in_band)
+    assert cols.shape == (pw.dim, pw.band_mask(in_band).sum())
+    assert _max_rel(oracle[:, pw.band_mask(in_band)], cols) < 1e-13
+
+
+@pytest.mark.parametrize("group,g_band,band,degree", [
+    (G.U1, 3, 11, 30), (G.SU2, 2, 5, 8)])
+def test_grid_values_by_synthesis(group, g_band, band, degree):
+    # g_pw's modes sit at other offsets of pw's basis (on U(1) label 0 of
+    # band 3 is index 3, of band 11 index 11): zero padding must follow them
+    g_pw = PWSpace(group, g_band)
+    pw = PWSpace(group, band, quad_degree=degree)
+    rng = np.random.default_rng(g_band)
+    c = rng.standard_normal((4, g_pw.dim)) + 1j * rng.standard_normal(
+        (4, g_pw.dim))
+    oracle = g_pw._basis_matrix(pw.quad) @ c.T
+    assert _max_rel(oracle, L._grid_values(g_pw, c, pw)) < 1e-13
+    with pytest.raises(ValueError, match="exceeds the target band"):
+        L._grid_values(pw, np.zeros((1, pw.dim)), g_pw)
 
 
 def test_local_quantize_oracle(local_u1):
@@ -509,7 +529,15 @@ def test_local_quantize_oracle(local_u1):
         (5, gpw2.dim))
     poly = {k: rng.standard_normal(gpw2.dim) for k in (0, 2)}
     s_su2 = L.LocalSymbol(G.SU2, 0.5, pts, cs2, gpw2, poly)
-    for s, space in ((s_u1, pw), (s_su2, pw2)):
+    # z-axis points at moyal-fit's SU(2) band and degree
+    gpw3 = S.make_g_space(G.SU2, 2, quad_degree=6)
+    pw3 = PWSpace(G.SU2, 8, quad_degree=10)
+    zpts = np.array([[0, 0, -1], [0, 0, 0], [0, 0, 1]])
+    cs3 = rng.standard_normal((3, gpw3.dim)) + 1j * rng.standard_normal(
+        (3, gpw3.dim))
+    s_z = L.LocalSymbol(G.SU2, 0.5, zpts, cs3, gpw3,
+                        {2: rng.standard_normal(gpw3.dim)})
+    for s, space in ((s_u1, pw), (s_su2, pw2), (s_z, pw3)):
         for variant in (L.KN, L.WEYL):
             for eps in (0.5, 0.25):
                 oracle = _local_quantize_dense(s, eps, space, variant)
@@ -683,6 +711,52 @@ def test_semiclassical_slopes_su2():
     # seed-0 slopes of the dense per-lattice-point route
     assert abs(ms - 1.9929650291082532) < 1e-9
     assert abs(ds - 1.0068962661570169) < 1e-9
+
+
+def _product_residuals_loop(a, b, eps, pw, in_band, g_pw_out):
+    """(moyal, dirac) residual norms at one eps from six quantizations of
+    whole symbols: Weyl Q(a), Q(b), Q(ab - (i eps/2){a,b}); KN Q(a), Q(b),
+    Q({a,b})."""
+    mask = pw.band_mask(in_band)
+    ab = L.symbol_product(a, b, g_pw_out)
+    br = L.poisson_bracket(a, b, g_pw_out)
+    Qa = L.local_quantize(a, eps, pw, L.WEYL)
+    Qb = L.local_quantize(b, eps, pw, L.WEYL)
+    approx = L.symbol_add(ab, br.scaled(-0.5j * eps))
+    Qapprox = L.local_quantize(approx, eps, pw, L.WEYL)
+    moyal = L._op_norm((Qa @ Qb - Qapprox)[:, mask])
+    Qa = L.local_quantize(a, eps, pw, L.KN)
+    Qb = L.local_quantize(b, eps, pw, L.KN)
+    Qbr = L.local_quantize(br, eps, pw, L.KN)
+    dirac = L._op_norm(((1j / eps) * (Qa @ Qb - Qb @ Qa) - Qbr)[:, mask])
+    return moyal, dirac
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("fit", ["moyal_fit_u1", "moyal_fit_su2"])
+def test_ensemble_fit_matches_loop(monkeypatch, fit, seed):
+    # the fit shares each symbol's operators across eps and variants; the
+    # loop quantizes every symbol afresh at every eps
+    from groupquant import cli
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fit_pairs(*args)
+
+    fit_pairs = L.ensemble_order_fit
+    monkeypatch.setattr(L, "ensemble_order_fit", spy)
+    eps_list = [0.25, 0.125, 0.0625, 0.03125]
+    _, _, mres, dres = getattr(cli, fit)(np.random.default_rng(seed),
+                                         eps_list)
+    (pairs, _, pw, in_band, g_pw_out), = calls
+    for i, eps in enumerate(eps_list):
+        loop = np.array([_product_residuals_loop(a, b, eps, pw, in_band,
+                                                 g_pw_out)
+                         for a, b in pairs])
+        moyal, dirac = np.sqrt((loop ** 2).sum(axis=0))
+        assert abs(mres[i] - moyal) < 1e-9 * moyal
+        assert abs(dres[i] - dirac) < 1e-9 * dirac
 
 
 def test_von_neumann_symmetrized_identity(local_u1):
