@@ -19,6 +19,14 @@ Kohn-Nirenberg calculus and one shift:
 where deform(v) Fourier-transforms F(h, v_h g) in h. Square roots are taken
 through the exponential with rotation angle in (-pi, pi); kernels carrying
 mass at the branch locus (angle pi) are rejected.
+
+Two identities keep the KN paths cheap. Schur orthogonality limits
+kn_quantize to the columns within the symbol's pi-band. Left translation of
+coefficients, rho(h^{-1} g) = rho(h)^* rho(g), lets kn_compose translate a
+band-limited symbol without evaluating it at the points h^{-1} g; kn_compose
+stays the direct h-quadrature of the composition integral, independent of
+the operator-product route, until the benchmark stops calling it (ROADMAP
+item 4).
 """
 
 import json
@@ -158,22 +166,36 @@ class ConvolutionKernel:
 # ---------------------------------------------------------------------------
 
 def kn_quantize(sym, pw):
-    """Matrix of the Kohn-Nirenberg operator on the truncated PW space."""
+    """Matrix of the Kohn-Nirenberg operator on the truncated PW space.
+
+    Column i reads e_i only through Psihat_i(pi) = int e_i(g) pi(g) dg,
+    which by Schur orthogonality vanishes unless the label of e_i is dual
+    to pi (SU(2) labels are self-dual; the dual of the U(1) label j is -j).
+    So the columns outside pw.band_mask(sym.pi_band) are exactly zero, and
+    only the others are evaluated, analysed and checked: truncation_error
+    is the largest value they drop outside the operator band, relative to
+    their largest value.
+    """
     quad = pw.quad
-    out_vals = np.zeros((pw.dim, quad.n_nodes), dtype=complex)
+    cols = np.flatnonzero(pw.band_mask(sym.pi_band))
+    out_vals = np.zeros((len(cols), quad.n_nodes), dtype=complex)
     for lab in sym.labels:
         d = G.dim(sym.group, lab)
         D = quad.rep_grid(lab)
         # Psihat_i(pi) = sum_k w_k e_i(g_k) D[pi](g_k), the conjugate of
         # the analysis of conj(D)
-        psihat = pw.analysis(D.conj()).conj()
+        psihat = pw.analysis(D.conj()).conj()[cols]
         sig = sym.values_at_quad(lab, quad)
-        out_vals += d * np.einsum("knm,knp,ipm->ik", D.conj(), sig, psihat,
-                                  optimize=True)
-    coeffs = pw.analysis(out_vals.T)          # (dim, basis)
-    resid = np.abs(out_vals.T - pw.synthesis(coeffs)).max()
-    scale = max(np.abs(out_vals).max(), 1e-300)
-    return TruncatedOperator(pw, coeffs, truncation_error=resid / scale)
+        # tr(pi(g)^* sigma(pi, g) Psihat_i) = sum_pm Psihat_i[p, m] X[g, p, m]
+        X = np.swapaxes(sig, 1, 2) @ D.conj()
+        out_vals += d * (psihat.reshape(len(cols), d * d)
+                         @ X.reshape(quad.n_nodes, d * d).T)
+    coeffs = pw.analysis(out_vals.T)          # (dim, in-band columns)
+    resid = np.abs(out_vals.T - pw.synthesis(coeffs)).max(initial=0.0)
+    scale = max(np.abs(out_vals).max(initial=0.0), 1e-300)
+    matrix = np.zeros((pw.dim, pw.dim), dtype=complex)
+    matrix[:, cols] = coeffs
+    return TruncatedOperator(pw, matrix, truncation_error=resid / scale)
 
 
 def kn_symbol(op, pi_band, g_pw):
@@ -209,62 +231,58 @@ def kn_symbol(op, pi_band, g_pw):
                         projection_residual=resid / max(scale, 1e-300))
 
 
-def kn_compose(sa, sb, h_quad, h_chunk=64):
+def kn_compose(sa, sb, h_quad):
     """Direct composition integral
-    sigma_{AB}(pi, g) = int dh F_A(h, g) pi(h) sigma_B(pi, h^{-1} g).
+    sigma_{AB}(pi, g) = int dh F_A(h, g) pi(h) sigma_B(pi, h^{-1} g)
+    on sa's grid, for labels up to min(sa.pi_band, sb.pi_band).
 
-    Independent of the operator-product route; h_quad must be exact for the
-    combined h-band (A's pi-band + target pi + B's g-band).
+    An h-quadrature independent of the operator-product route, which the
+    tests and the benchmark check it against; it moves to the test oracles
+    once the benchmark stops calling it (ROADMAP item 4). Left translation
+    acts on sb's g-band coefficients: rho(h^{-1} g) = rho(h)^* rho(g), so
+    the block of irrep rho of sigma_B(pi, h^{-1} .) is conj(rho(h)) @ c_rho,
+    and pi(h) multiplies each coefficient from the left. The h-sum is one
+    matrix product per label, Q[g, i] = sum_h w_h F_A(h, g) pi(h) c_i(h),
+    and sigma_AB(pi, g) = sum_i e_i(g) Q[g, i] with sb's basis at sa's nodes.
+
+    h_quad must be exact for conj(pi'(h)) pi(h) conj(rho(h)), pi' up to
+    sa.pi_band, pi up to the result's band, rho up to sb.g_pw.band; else
+    ValueError. On U(1): 2 * degree >= the sum of the three bands; on SU(2),
+    whose bands count dimensions: 2 * degree >= that sum - 1.
     """
     if sa.group != sb.group:
         raise ValueError("group mismatch")
     group = sa.group
-    gq = sa.quad
-    pts_h = h_quad.angles if group == G.U1 else h_quad.quats
-    wh = h_quad.weights
+    pi_band = min(sa.pi_band, sb.pi_band)
+    top = sa.pi_band + pi_band + sb.g_pw.band
+    need = (top + 1) // 2 if group == G.U1 else top // 2
+    if h_quad.exactness_degree < need:
+        raise ValueError(
+            "h quadrature of degree %d is not exact for the composition "
+            "integrand; it needs degree %d" % (h_quad.exactness_degree, need))
+    g_pw, gq = sb.g_pw, sa.quad
     N_h, N_g = h_quad.n_nodes, gq.n_nodes
 
-    # F_A on the (h, g) double grid
-    FA = np.zeros((N_h, N_g), dtype=complex)
-    for lab in sa.labels:
-        d = G.dim(group, lab)
-        Dh = h_quad.rep_grid(lab)
-        FA += d * np.einsum("hnm,gnm->hg", Dh.conj(), sa.values[lab],
-                            optimize=True)
+    # F_A on the (h, g) double grid, weighted, as (g, h)
+    FA = sum(G.dim(group, lab) * h_quad.rep_grid(lab).conj().reshape(N_h, -1)
+             @ v.reshape(N_g, -1).T for lab, v in sa.values.items())
+    wFA = (FA * h_quad.weights[:, None]).T
+    E = g_pw._basis_matrix(gq)                # sb's g-basis at sa's nodes
 
     out = {}
-    pi_band = min(sa.pi_band, sb.pi_band)
     for lab in G.irrep_labels(group, pi_band):
         d = G.dim(group, lab)
-        Dh = h_quad.rep_grid(lab)
         CB = sb.coefficients(lab)             # (dim_g, d, d)
-        acc = np.zeros((N_g, d, d), dtype=complex)
-        for start in range(0, N_h, h_chunk):
-            sl = slice(start, min(start + h_chunk, N_h))
-            shift = _eval_left_shifted(sb.g_pw, CB, h_quad, sl, gq)
-            acc += np.einsum("h,hg,hmn,hgnp->gmp", wh[sl], FA[sl],
-                             Dh[sl], shift, optimize=True)
-        out[lab] = acc
+        T = np.empty((N_h, g_pw.dim, d, d), dtype=complex)
+        for lab2 in g_pw.labels:
+            d2 = G.dim(group, lab2)
+            blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
+            T[:, blk] = (h_quad.rep_grid(lab2).conj()
+                         @ CB[blk].reshape(d2, -1)).reshape(N_h, -1, d, d)
+        T = h_quad.rep_grid(lab)[:, None] @ T
+        Q = (wFA @ T.reshape(N_h, -1)).reshape(N_g, g_pw.dim, d, d)
+        out[lab] = np.einsum("gi,gimn->gmn", E, Q)
     return MatrixSymbol(group, pi_band, sa.g_pw, out)
-
-
-def _eval_left_shifted(g_pw, coef, h_quad, h_slice, gq):
-    """Values f(h^{-1} g) for PW coefficient data f, over (h in slice, g grid).
-
-    coef has shape (dim_g, d, d); returns (n_h, N_g, d, d).
-    """
-    group = g_pw.group
-    n_h = h_slice.stop - h_slice.start
-    out = np.zeros((n_h, gq.n_nodes) + coef.shape[1:], dtype=complex)
-    for lab2 in g_pw.labels:
-        d2 = G.dim(group, lab2)
-        o = g_pw.offsets[lab2]
-        c = coef[o:o + d2 * d2].reshape((d2, d2) + coef.shape[1:])
-        Dh2 = h_quad.rep_grid(lab2)[h_slice]
-        Dg2 = gq.rep_grid(lab2)
-        out += math.sqrt(d2) * np.einsum("hca,gcb,ab...->hg...",
-                                         Dh2.conj(), Dg2, c, optimize=True)
-    return out
 
 
 # ---------------------------------------------------------------------------

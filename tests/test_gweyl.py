@@ -136,6 +136,118 @@ def test_compose_elementary_su2(su2_spaces):
         assert np.abs(v - expect).max() < 1e-10
 
 
+# Loop oracles for the two KN hot paths: the composition integral with
+# sigma_B(pi, h^{-1} g) evaluated densely on the (h, g) double grid, over
+# chunks of h nodes, and the quantization with every column evaluated,
+# without the Schur support of Psihat.
+
+def _eval_left_shifted(g_pw, coef, h_quad, h_slice, gq):
+    """Values f(h^{-1} g) for PW coefficient data f, over (h in slice, g
+    grid); coef (dim_g, d, d), result (n_h, N_g, d, d)."""
+    group = g_pw.group
+    n_h = h_slice.stop - h_slice.start
+    out = np.zeros((n_h, gq.n_nodes) + coef.shape[1:], dtype=complex)
+    for lab2 in g_pw.labels:
+        d2 = G.dim(group, lab2)
+        o = g_pw.offsets[lab2]
+        c = coef[o:o + d2 * d2].reshape((d2, d2) + coef.shape[1:])
+        Dh2 = h_quad.rep_grid(lab2)[h_slice]
+        Dg2 = gq.rep_grid(lab2)
+        out += math.sqrt(d2) * np.einsum("hca,gcb,ab...->hg...",
+                                         Dh2.conj(), Dg2, c, optimize=True)
+    return out
+
+
+def _kn_compose_loop(sa, sb, h_quad):
+    group, gq = sa.group, sa.quad
+    wh = h_quad.weights
+    FA = np.zeros((h_quad.n_nodes, gq.n_nodes), dtype=complex)
+    for lab in sa.labels:
+        FA += G.dim(group, lab) * np.einsum(
+            "hnm,gnm->hg", h_quad.rep_grid(lab).conj(), sa.values[lab],
+            optimize=True)
+    out = {}
+    pi_band = min(sa.pi_band, sb.pi_band)
+    for lab in G.irrep_labels(group, pi_band):
+        d = G.dim(group, lab)
+        Dh = h_quad.rep_grid(lab)
+        CB = sb.coefficients(lab)
+        acc = np.zeros((gq.n_nodes, d, d), dtype=complex)
+        for sl in _h_chunks(h_quad):
+            shift = _eval_left_shifted(sb.g_pw, CB, h_quad, sl, gq)
+            acc += np.einsum("h,hg,hmn,hgnp->gmp", wh[sl], FA[sl],
+                             Dh[sl], shift, optimize=True)
+        out[lab] = acc
+    return out
+
+
+def _kn_quantize_all_columns(sym, pw):
+    """(matrix, truncation_error) with every column of the operator built."""
+    quad = pw.quad
+    out_vals = np.zeros((pw.dim, quad.n_nodes), dtype=complex)
+    for lab in sym.labels:
+        D = quad.rep_grid(lab)
+        psihat = pw.analysis(D.conj()).conj()
+        sig = sym.values_at_quad(lab, quad)
+        out_vals += G.dim(sym.group, lab) * np.einsum(
+            "knm,knp,ipm->ik", D.conj(), sig, psihat, optimize=True)
+    coeffs = pw.analysis(out_vals.T)
+    resid = np.abs(out_vals.T - pw.synthesis(coeffs)).max()
+    return coeffs, resid / max(np.abs(out_vals).max(), 1e-300)
+
+
+@pytest.mark.parametrize("group,pi_band,g_bands,g_degrees,h_degree", [
+    (G.U1, 6, (4, 4), (40, 40), 8),
+    (G.U1, 6, (4, 4), (40, 40), 16),
+    (G.SU2, 4, (2, 2), (5, 5), 5),
+    (G.SU2, 4, (2, 2), (5, 5), 6),
+    (G.U1, 6, (4, 7), (40, 30), 10),      # sa and sb on different g-spaces
+    (G.SU2, 4, (2, 3), (5, 6), 5)])
+def test_kn_compose_matches_loop(group, pi_band, g_bands, g_degrees,
+                                 h_degree):
+    rng = np.random.default_rng(h_degree)
+    ga, gb = (S.make_g_space(group, b, quad_degree=q)
+              for b, q in zip(g_bands, g_degrees))
+    sa = S.random_symbol(group, pi_band, ga, rng)
+    sb = S.random_symbol(group, pi_band, gb, rng)
+    h_quad = G.group_quadrature(group, h_degree)
+    comp = S.kn_compose(sa, sb, h_quad)
+    assert comp.g_pw is ga and comp.pi_band == pi_band
+    assert _max_rel(_kn_compose_loop(sa, sb, h_quad), comp.values) < 1e-12
+
+
+@pytest.mark.parametrize("group,pi_band,g_band,g_degree,need", [
+    (G.U1, 6, 4, 40, 8), (G.SU2, 4, 2, 5, 5)])
+def test_kn_compose_rejects_inexact_h_quad(group, pi_band, g_band, g_degree,
+                                           need):
+    # one degree below the rule the loop oracle is off by O(10) absolute;
+    # at the rule the result agrees with a finer h-grid to rounding
+    rng = np.random.default_rng(need)
+    gpw = S.make_g_space(group, g_band, quad_degree=g_degree)
+    sa = S.random_symbol(group, pi_band, gpw, rng)
+    sb = S.random_symbol(group, pi_band, gpw, rng)
+    ref = S.kn_compose(sa, sb, G.group_quadrature(group, need + 3)).values
+    low = G.group_quadrature(group, need - 1)
+    with pytest.raises(ValueError, match="needs degree %d" % need):
+        S.kn_compose(sa, sb, low)
+    assert _max_rel(ref, _kn_compose_loop(sa, sb, low)) > 1e-3
+    exact = G.group_quadrature(group, need)
+    assert _max_rel(ref, S.kn_compose(sa, sb, exact).values) < 1e-12
+
+
+@pytest.mark.parametrize("spaces,pi_band", [
+    ("u1_spaces", 6), ("weyl_u1", 24), ("su2_spaces", 4), ("su2_spaces", 8)])
+def test_kn_quantize_matches_all_columns(spaces, pi_band, request):
+    gpw, pw = request.getfixturevalue(spaces)[:2]
+    sym = S.random_symbol(gpw.group, pi_band, gpw,
+                          np.random.default_rng(pi_band))
+    op = S.kn_quantize(sym, pw)
+    matrix, trunc = _kn_quantize_all_columns(sym, pw)
+    assert _max_rel(matrix, op.matrix) < 1e-12
+    assert abs(op.truncation_error - trunc) < 1e-12
+    assert not op.matrix[:, ~pw.band_mask(pi_band)].any()
+
+
 def test_left_right_covariance_su2(su2_spaces):
     gpw, pw = su2_spaces
     sym = S.random_symbol(G.SU2, 4, gpw, RNG)
@@ -278,7 +390,9 @@ def test_weyl_symbol_roundtrip(weyl_u1):
     gpw, pw, hq = weyl_u1
     rng = np.random.default_rng(14)
     sym = gaussian_profile_symbol(gpw, 24, 0.07, rng)
-    op = S.kernel_quantize(S.weyl_deform(sym, hq), pw, hq)
+    op = S.weyl_quantize(sym, pw, hq)
+    assert _max_rel(S.kernel_quantize(S.weyl_deform(sym, hq), pw, hq).matrix,
+                    op.matrix) < 1e-12
     back = S.weyl_symbol(op, 24, gpw, hq)
     scale = max(np.abs(sym.values[j]).max() for j in sym.values)
     assert back.max_abs_diff(sym) < 1e-9 * scale
