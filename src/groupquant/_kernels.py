@@ -2,13 +2,14 @@
 
 wigner_d_grid takes Wigner small-d from the spectrum of J_y, whose
 J_+ ladder `_raising` also gives `wigner.angular_momentum`;
-itn_denominator and su2_norm_series are the truncated series behind the
-heat-kernel coherent-state tables. tests/test_kernels.py checks each one
-against an independent oracle. `_gauss_legendre` is the one cached source
-of Gauss-Legendre rules for the quadratures of the package.
+itn_denominator and su2_norm_series, the one SU(2) heat-kernel series, are
+the series behind the heat-kernel coherent-state tables. tests/test_kernels.py
+checks each one against an independent oracle. `_gauss_legendre` is the one
+cached source of Gauss-Legendre rules for the quadratures of the package.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -83,27 +84,55 @@ def itn_denominator(p, t, mmax):
     return out
 
 
-def su2_norm_series(h, t, nmax):
-    """sum_n n e^{-t (n^2 - 1)/4} sinh(n h)/sinh(h), stable for small and
-    large h."""
-    h = np.ascontiguousarray(np.atleast_1d(np.asarray(h, dtype=float)))
+def _su2_characters(mu, nmax):
+    """(phase_n, s_n), n = 1..nmax on a new first axis: chi_n(mu) =
+    sinh(n mu)/sinh(mu) = e^{(n-1)|Re mu|} phase_n s_n. mu is reduced by
+    i pi k (k nearest Im mu / pi), as chi_n(mu + i pi k) = (-1)^{k(n-1)}
+    chi_n(mu), and folded to Re delta = |Re mu| (chi_n is even): s_n =
+    (-1)^{k(n-1)} sum_{j<n} e^{-2 j delta} has terms of modulus <= 1, no
+    division and no limit at mu = 0 or i pi; phase_n = e^{i(n-1) Im delta}.
+    Each exponential is the product of those of j hi and j lo, delta = hi +
+    lo with hi on 26 bits (Veltkamp), both exact: the rounding of j delta,
+    which grows with j, does not enter. Real mu stays real."""
+    mu = np.asarray(mu)
+    j = np.arange(nmax, dtype=float).reshape((-1,) + (1,) * mu.ndim)
+    if np.iscomplexobj(mu):
+        k = np.rint(mu.imag / np.pi)
+        delta = mu - 1j * np.pi * k
+        delta = np.where(delta.real < 0, -delta, delta)
+        sign = 1.0 - 2.0 * (k * j % 2)
+    else:
+        delta, sign = np.abs(mu.astype(float)), 1.0
+    hi = 134217729.0 * delta
+    hi = hi - (hi - delta)
+    lo = delta - hi
+    s = sign * np.cumsum(np.exp(-2.0 * j * hi) * np.exp(-2.0 * j * lo), axis=0)
+    if np.iscomplexobj(mu):
+        return np.exp(1j * j * hi.imag) * np.exp(1j * j * lo.imag), s
+    return 1.0, s
+
+
+def su2_norm_series(mu, t):
+    """sum_{n >= 1} n e^{-t (n^2 - 1)/4} chi_n(mu), chi_n(mu) =
+    sinh(n mu)/sinh(mu), over an array of real or complex mu: the SU(2)
+    heat kernel rho_{2t} at the element with eigenvalues e^{+-mu}.
+
+    With the characters of `_su2_characters`, a = |Re mu|, c = 2a/t and
+    C = (a - t/2)^2/t >= 0, the weights are n e^{-t(n^2-1)/4 + (n-1)a} =
+    n e^{-t(n - c)^2/4} e^C: the first factor is at most n, and the value is
+    e^{log(sum) + C}, so nothing overflows before the value does (beyond the
+    double range it is inf, in its phase when complex). Length rule: the sum
+    runs to N = floor(max c + 2 sqrt(L/t)) + 2, L = 40; as |s_n| <= n, every
+    term past N obeys |term_n| <= n^2 e^{C - L - (n - N) sqrt(L t)}, with
+    e^{-40} = 4.2e-18.
+    """
+    mu = np.atleast_1d(np.asarray(mu))
     t = float(t)
-    ha = np.abs(h)
-    small = ha < 1e-6
-    out = np.zeros(h.shape[0])
-    ns = np.arange(1, int(nmax) + 1)
-    if small.any():
-        hs = ha[small]
-        w = ns * np.exp(-t * (ns * ns - 1) / 4.0)
-        out[small] = np.einsum(
-            "n,nk->k", w * ns,
-            1.0 + np.outer(ns * ns - 1, hs * hs) / 6.0)
-    big = ~small
-    if big.any():
-        hb = ha[big]
-        lw = (np.log(ns)[:, None] - (t * (ns * ns - 1) / 4.0)[:, None]
-              + np.outer(ns - 1, hb))
-        ratio = (1.0 - np.exp(-2.0 * np.outer(ns, hb))) \
-            / (1.0 - np.exp(-2.0 * hb))[None, :]
-        out[big] = np.einsum("nk->k", np.exp(lw) * ratio)
-    return out
+    a = np.abs(mu.real)
+    nmax = int(2.0 * a.max(initial=0.0) / t + 2.0 * math.sqrt(40.0 / t)) + 2
+    phase, s = _su2_characters(mu, nmax)
+    n = np.arange(1.0, nmax + 1).reshape((-1,) + (1,) * mu.ndim)
+    w = np.exp(np.log(n) - t * (n - 2.0 * a / t) ** 2 / 4.0)
+    total = np.sum(w * phase * s, axis=0)
+    with np.errstate(over="ignore"):
+        return np.exp(np.log(total) + (a - t / 2.0) ** 2 / t)

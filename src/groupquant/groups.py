@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _gauss_legendre
+from ._kernels import _gauss_legendre, _su2_characters
 from .wigner import wigner_D_euler_grid
 
 U1 = "U1"
@@ -198,17 +198,15 @@ def character_c(group, label, arg):
 
     U(1): arg is the complex angle zeta, chi_j = e^{i j zeta}.
     SU(2): arg is the complex torus parameter mu with eigenvalues e^{+-mu};
-    chi_n = sinh(n mu)/sinh(mu), with the removable limit at mu -> 0.
+    chi_n = sinh(n mu)/sinh(mu), in the reduced form of
+    `_kernels._su2_characters`, which holds at mu = 0 and at mu = i pi too.
     label may be an integer array: the characters are then elementwise.
     """
     if group == U1:
         return np.exp(1j * label * arg)
-    mu = complex(arg)
-    n = label
-    if abs(mu) < 1e-6:
-        return n * (1.0 + (n * n - 1) * mu * mu / 6.0
-                    + (n * n - 1) * (3 * n * n - 7) * mu ** 4 / 360.0)
-    return np.sinh(n * mu) / np.sinh(mu)
+    n, mu = np.asarray(label), np.complex128(arg)
+    phase, s = _su2_characters(mu, int(n.max()))
+    return np.exp((n - 1) * abs(mu.real)) * phase[n - 1] * s[n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ exp(|X| (Xhat . sigma)/2). Overlaps reduce to the analytically continued
 heat kernel rho_{2t}(z'^{-1} zbar), whose SU(2) characters are
 sinh(n mu)/sinh(mu) in the complex torus parameter mu.
 
+Each group has one heat-kernel series: theta3 on U(1), rho_t(phi) =
+theta3(phi/2pi | it/2pi), and `_kernels.su2_norm_series` on SU(2), whose
+docstring states its i pi reduction of mu, its length rule and tail bound.
+
 All group integrals use the probability Haar measure. The resolution-of-
 unity constants are stated in that convention: the U(1) phase-space
 constant satisfies C_t^{-1} = t, and the SU(2) integral I(t, n) follows the
@@ -22,8 +26,6 @@ from ._kernels import _gauss_legendre, itn_denominator, su2_norm_series
 from .theta import theta3, theta3_dz
 from .wigner import wigner_D_euler_grid
 
-_SERIES_TAIL = 1e-16
-
 
 class QuadratureConvergenceError(RuntimeError):
     def __init__(self, message, achieved):
@@ -35,27 +37,10 @@ class QuadratureConvergenceError(RuntimeError):
 class HeatParams:
     group: str
     t: float
-    truncation: int = 0
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("heat time must be positive")
-        if self.truncation == 0:
-            object.__setattr__(self, "truncation",
-                               heat_truncation(self.group, self.t))
-
-
-def heat_truncation(group, t, growth=0.0):
-    """Smallest band with d_L e^{-t lam_L/2 + growth*L} (L+1) < tail."""
-    lab = 1
-    while True:
-        lab += 1
-        d = G.dim(group, lab)
-        val = d * math.exp(-t * G.casimir(group, lab) / 2.0 + growth * lab)
-        if val * (lab + 1) < _SERIES_TAIL and growth * 1.0 < t * lab / 2.0:
-            return lab
-        if lab > 100000:
-            raise RuntimeError("heat series truncation did not close")
 
 
 @dataclass(frozen=True)
@@ -75,24 +60,15 @@ class PolarPoint:
 
 
 def heat_kernel(params, g):
-    """rho_t(g) = sum_pi d_pi e^{-t lam_pi / 2} chi_pi(g)."""
+    """rho_t(g) = sum_pi d_pi e^{-t lam_pi / 2} chi_pi(g); on SU(2) from the
+    half angle atan2(|v|, w) of q = (w, v), accurate next to 1 and -1."""
     t = params.t
     if params.group == G.U1:
         phi = g.angle if isinstance(g, G.GroupElement) else float(g)
-        js = np.arange(1, params.truncation + 1)
-        return 1.0 + 2.0 * np.sum(np.exp(-t * js ** 2 / 2.0) * np.cos(js * phi))
+        return theta3(phi / (2 * math.pi), 1j * t / (2 * math.pi)).real
     q = np.asarray(g.quat if isinstance(g, G.GroupElement) else g, float)
-    w = np.clip(q[0], -1.0, 1.0)
-    ang = 2.0 * math.acos(w)  # rotation angle in [0, 2pi]
-    ns = np.arange(1, params.truncation + 1)
-    if abs(math.sin(ang / 2.0)) < 1e-9:
-        if abs(ang) > 1.0:  # g near -1: chi_n(-1) = n (-1)^{n-1}
-            chi = ns * (-1.0) ** (ns - 1)
-        else:
-            chi = ns * np.cos((ns - 1) * ang / 2.0)  # limit at the center
-    else:
-        chi = np.sin(ns * ang / 2.0) / math.sin(ang / 2.0)
-    return float(np.sum(ns * np.exp(-t * G.casimir(G.SU2, ns) / 2.0) * chi))
+    half = math.atan2(float(np.linalg.norm(q[1:])), float(q[0]))
+    return float(su2_norm_series(1j * half, t / 2.0)[0].real)
 
 
 def _su2_complex_point(p):
@@ -108,13 +84,6 @@ def _su2_complex_point(p):
         nd = np.einsum("k,kab->ab", X / h, sig)
         H = math.cosh(h / 2.0) * np.eye(2) + math.sinh(h / 2.0) * nd
     return U @ H
-
-
-def _torus_parameter(w):
-    """mu with eigenvalues e^{+-mu} for w in SL(2, C)."""
-    ev = np.linalg.eigvals(w)
-    lam = ev[np.argmax(np.abs(ev))]
-    return np.log(lam)
 
 
 def coherent_overlap(params, z, zp):
@@ -133,19 +102,13 @@ def coherent_overlap(params, z, zp):
         return theta3(zz, 1j * t / math.pi)
     zmat = _su2_complex_point(z)
     w = np.linalg.inv(np.conj(zmat.T) @ _su2_complex_point(zp))
-    mu = _torus_parameter(w)
-    growth = abs(mu.real)
-    nmax = heat_truncation(G.SU2, t, growth=growth)
-    ns = np.arange(1, nmax + 1)
-    return np.sum(ns * np.exp(-t * G.casimir(G.SU2, ns))
-                  * G.character_c(G.SU2, ns, mu))
+    ev = np.linalg.eigvals(w)  # e^{+-mu}: w is in SL(2, C)
+    return su2_norm_series(np.log(ev[np.argmax(np.abs(ev))]), t)[0]
 
 
-def su2_overlap_norm(t, h, nmax=None):
+def su2_overlap_norm(t, h):
     """|Psi_{Phi(g, X)}|^2 for |X| = h: sum_n n e^{-t(n^2-1)/4} sinh(nh)/sinh(h)."""
-    if nmax is None:
-        nmax = int(math.ceil(2 * abs(h) / t + 28.0 / math.sqrt(t))) + 10
-    return float(su2_norm_series(np.array([abs(h)]), t, nmax)[0])
+    return float(su2_norm_series(float(h), t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +267,7 @@ def schur_residual_su2(t, n, n_radial=80, l_margin=4):
     x, wx = _gauss_legendre(n_radial)
     h = (x + 1.0) * h_max / 2.0
     wh = wx * h_max / 2.0
-    norm = su2_norm_series(h, t, int(math.ceil(2 * h_max / t
-                                               + 28 / math.sqrt(t))) + 10)
+    norm = su2_norm_series(h, t)
     m = np.arange(twoj, -twoj - 1, -2) / 2.0
     # radial x sphere assembly: D diag(e^{2 h m}) D^dagger
     rad = (h * h * wh / norm)[:, None] * np.exp(2.0 * np.outer(h, m))
@@ -331,9 +293,6 @@ def measure_equiv_ratio(t, X):
         raise ValueError("t must be positive")
     h = float(np.linalg.norm(np.asarray(X, float)))
     norm = su2_overlap_norm(t, h)
-    if h < 1e-12:
-        eta = 1.0 + h * h / 6.0
-    else:
-        eta = math.sinh(h) / h
+    eta = math.sinh(h) / h if h else 1.0
     dens = (math.pi * t) ** -1.5 * math.exp(-t / 4.0) * math.exp(-h * h / t)
     return (2 * math.pi * t) ** 3 * norm * dens * eta / G.VOL_SU2

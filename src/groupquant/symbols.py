@@ -319,12 +319,16 @@ def branch_mass(group, quad, F_hg, margin=0.2):
 
 def kernel_values(sym, h_quad, s=0):
     """F(h, sqrt(h)^s g) on the (h_quad, sym.quad) double grid, s in
-    {0, -1, +1}, with F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g)).
+    {0, -1, +1}, with F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g))."""
+    return next(_kernel_values(sym, h_quad, (s,)))
 
-    The shift acts on the g-band PW coefficients of F(h, .) through
-    e_(pi,a,b)(v g) = sqrt(d_pi) sum_c pi(v)_{ac} pi(g)_{cb}.
-    """
-    if s not in (-1, 0, 1):
+
+def _kernel_values(sym, h_quad, shifts):
+    """kernel_values for each s in shifts in turn, from one formation of the
+    g-band PW coefficients of F(h, .), on which the shift acts through
+    e_(pi,a,b)(v g) = sqrt(d_pi) sum_c pi(v)_{ac} pi(g)_{cb}. A generator,
+    so that one (h, g) grid of values is alive at a time."""
+    if not set(shifts) <= {-1, 0, 1}:
         raise ValueError("shift exponent must be -1, 0 or +1")
     group, g_pw = sym.group, sym.g_pw
     N_h = h_quad.n_nodes
@@ -333,27 +337,31 @@ def kernel_values(sym, h_quad, s=0):
         d = G.dim(group, lab)
         Dh = h_quad.rep_grid(lab).conj().reshape(N_h, d * d)
         coef += d * Dh @ sym.coefficients(lab).reshape(g_pw.dim, d * d).T
-    if s:
-        v = sqrt_elements(group, h_quad)
-        if s < 0:
-            v = -v if group == G.U1 else G.quat_inv(v)
-        Ev = g_pw.eval_basis(v)                 # sqrt(d) pi(v_h) blocks
-        for lab2 in g_pw.labels:
-            d2 = G.dim(group, lab2)
-            blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
-            Dv = Ev[:, blk].reshape(N_h, d2, d2) / math.sqrt(d2)
-            c = coef[:, blk].reshape(N_h, d2, d2)
-            coef[:, blk] = np.einsum("hac,hab->hcb", Dv, c).reshape(N_h, -1)
-    return g_pw.synthesis(coef.T).T
+    for s in shifts:
+        cs = coef.copy() if s else coef
+        if s:
+            v = sqrt_elements(group, h_quad)
+            if s < 0:
+                v = -v if group == G.U1 else G.quat_inv(v)
+            Ev = g_pw.eval_basis(v)                 # sqrt(d) pi(v_h) blocks
+            for lab2 in g_pw.labels:
+                d2 = G.dim(group, lab2)
+                blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
+                Dv = Ev[:, blk].reshape(N_h, d2, d2) / math.sqrt(d2)
+                c = cs[:, blk].reshape(N_h, d2, d2)
+                cs[:, blk] = np.einsum("hac,hab->hcb", Dv,
+                                       c).reshape(N_h, -1)
+        yield g_pw.synthesis(cs.T).T
 
 
 def _deform(sym, h_quad, s, pi_band, branch_tol):
     """int dh F(h, sqrt(h)^s g) pi(h) for pi up to pi_band, after rejecting
     kernels F(h, g) with more than branch_tol mass at the branch locus."""
-    mass = branch_mass(sym.group, h_quad, kernel_values(sym, h_quad))
+    values = _kernel_values(sym, h_quad, (0, s))
+    mass = branch_mass(sym.group, h_quad, next(values))
     if mass > branch_tol:
         raise BranchLocusError(mass, branch_tol)
-    FwT = (kernel_values(sym, h_quad, s) * h_quad.weights[:, None]).T
+    FwT = (next(values) * h_quad.weights[:, None]).T
     out = {}
     for lab in G.irrep_labels(sym.group, pi_band):
         Dh = h_quad.rep_grid(lab)

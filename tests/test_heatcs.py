@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,14 +48,15 @@ def test_heat_kernel_positive():
 
 
 def test_su2_series_loop_oracle():
-    # the SU(2) heat kernel and overlap series, summed term by term in n
+    # the SU(2) heat kernel and overlap series, summed term by term in n to
+    # a fixed n = 200, independent of the library's series length
     t = 0.6
     params = H.HeatParams(G.SU2, t)
     for q in ([1, 0, 0, 0], [-1, 0, 0, 0], [0.3, 0.5, -0.2, 0.78]):
         q = G.quat_normalize(np.array(q, float))
         ang = 2.0 * math.acos(q[0])
         terms = []
-        for n in range(1, params.truncation + 1):
+        for n in range(1, 201):
             if q[0] == 1.0:
                 chi = n
             elif q[0] == -1.0:
@@ -69,14 +71,82 @@ def test_su2_series_loop_oracle():
         z, w = (H.PolarPoint.su2(G.quat_normalize(rng.standard_normal(4)),
                                  0.7 * rng.standard_normal(3))
                 for _ in range(2))
-        mu = H._torus_parameter(np.linalg.inv(
-            H._su2_complex_point(z).conj().T @ H._su2_complex_point(w)))
-        nmax = H.heat_truncation(G.SU2, t, growth=abs(mu.real))
-        terms = [n * math.exp(-t * (n * n - 1) / 4.0)
-                 * cmath.sinh(n * mu) / cmath.sinh(mu)
-                 for n in range(1, nmax + 1)]
+        # mu from the trace: 2 cosh(mu) = tr W, W = (z^dag w)^{-1}
+        W = np.linalg.inv(H._su2_complex_point(z).conj().T
+                          @ H._su2_complex_point(w))
+        mu = cmath.acosh(np.trace(W) / 2.0)
+        # n sinh(n mu)/sinh(mu) e^{-t(n^2-1)/4}, one exponential per sign
+        terms = [n * (cmath.exp(n * mu - t * (n * n - 1) / 4.0)
+                      - cmath.exp(-n * mu - t * (n * n - 1) / 4.0))
+                 / (2.0 * cmath.sinh(mu)) for n in range(1, 201)]
+        ref = complex(math.fsum(x.real for x in terms),
+                      math.fsum(x.imag for x in terms))
         val = H.coherent_overlap(params, z, w)
-        assert abs(val - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+        assert abs(val - ref) <= 1e-14 * sum(map(abs, terms))
+
+
+def _antipode_series_mp(eps, s):
+    """(value, sum of |terms|) of sum_n n e^{-s(n^2-1)/4} chi_n(i(pi - eps))
+    at 40 digits, chi_n(i(pi - eps)) = (-1)^{n-1} sin(n eps)/sin(eps): the
+    value from theta_4 (sum_n (-1)^{n-1} n q^{n^2} sin(n eps) =
+    theta_4'(eps/2, q)/4, and theta_4''(0, q)/8 with n^2 at eps = 0), the
+    scale from mpmath.nsum."""
+    with mpmath.workdps(40):
+        eps, q = mpmath.mpf(eps), mpmath.exp(-mpmath.mpf(s) / 4)
+        if eps == 0:
+            val = mpmath.jtheta(4, 0, q, 2) / 8
+            chi = mpmath.mpf
+        else:
+            val = mpmath.jtheta(4, eps / 2, q, 1) / (4 * mpmath.sin(eps))
+            chi = lambda n: mpmath.sin(n * eps) / mpmath.sin(eps)  # noqa: E731
+        scale = mpmath.nsum(lambda n: abs(n * chi(n)) * q ** (n * n),
+                            [1, mpmath.inf])
+        return val / q, scale / q
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_su2_overlap_antipode(t):
+    # (Psi_z, Psi_z') at z' = -z and 1e-7 from it, X = 0: the continued
+    # heat kernel at -1, where sinh(mu) vanishes
+    params = H.HeatParams(G.SU2, t)
+    rng = np.random.default_rng(5)
+    for eps in (0.0, 1e-7):
+        q = G.quat_normalize(rng.standard_normal(4))
+        r = np.array([math.cos(eps), 0.0, 0.0, math.sin(eps)])
+        z = H.PolarPoint.su2(q, np.zeros(3))
+        zp = H.PolarPoint.su2(G.quat_mul(-q, r), np.zeros(3))
+        ref, scale = _antipode_series_mp(eps, t)
+        val = H.coherent_overlap(params, z, zp)
+        assert abs(val - float(ref)) <= 1e-14 * float(scale)
+
+
+@pytest.mark.parametrize("t", [0.6, 2.0])
+def test_su2_heat_kernel_near_antipode(t):
+    # rho_t(g) within 1e-7 of -1 is positive and matches theta_4
+    params = H.HeatParams(G.SU2, t)
+    for axis in ([0, 0, 1], [0.6, -0.8, 0], [1, 1, 1]):
+        v = 1e-7 * np.asarray(axis, float) / np.linalg.norm(axis)
+        q = np.array([-math.sqrt(1.0 - v @ v), *v])
+        with mpmath.workdps(40):
+            # pi - (half angle) of the float quaternion
+            eps = mpmath.pi - mpmath.atan2(
+                mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for x in v)),
+                mpmath.mpf(q[0]))
+        ref, scale = _antipode_series_mp(eps, t / 2.0)
+        val = H.heat_kernel(params, q)
+        assert val > 0.0
+        assert abs(val - float(ref)) <= 1e-14 * float(scale)
+
+
+def test_u1_heat_kernel_antipode():
+    # rho_t(pi) = theta_3(pi/2, e^{-t/2}) = sum_j (-1)^j e^{-t j^2/2}. Its
+    # Poisson-dual sum sqrt(2 pi/t) sum_k e^{-(pi - 2 pi k)^2/(2t)} / (2 pi)
+    # has positive terms only, so there sum |terms| is the value itself
+    t = 0.2
+    with mpmath.workdps(40):
+        ref = mpmath.jtheta(3, mpmath.pi / 2, mpmath.exp(-mpmath.mpf(t) / 2))
+    val = H.heat_kernel(H.HeatParams(G.U1, t), math.pi)
+    assert abs(val - float(ref)) <= 1e-14 * float(ref)
 
 
 def test_u1_overlap_theta_identity():

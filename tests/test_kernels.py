@@ -1,5 +1,8 @@
 """_kernels against independent oracles (scipy expm and direct sums)."""
 
+import math
+
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -33,17 +36,48 @@ def test_itn_denominator_oracle():
         assert np.array_equal(K.itn_denominator(-p, t, mmax), -val)
 
 
+def _norm_series_mp(mu, t):
+    """(value, sum of |terms|) of sum_n n e^{-t(n^2-1)/4} sinh(n mu)/sinh(mu)
+    at 40 digits; where sinh(mu) vanishes chi_n is its limit
+    n cosh(n mu)/cosh(mu)."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpc(mu)
+        s = mpmath.sinh(mu)
+
+        def chi(n):
+            if abs(s) > 1e-30:
+                return mpmath.sinh(n * mu) / s
+            return n * mpmath.cosh(n * mu) / mpmath.cosh(mu)
+
+        def term(n):
+            return n * mpmath.exp(-t * (n * n - 1) / 4) * chi(n)
+
+        return (mpmath.nsum(term, [1, mpmath.inf]),
+                mpmath.nsum(lambda n: abs(term(n)), [1, mpmath.inf]))
+
+
 def test_norm_series_oracle():
-    h, t, nmax = 1.3, 0.8, 40
-    ref = sum(n * np.exp(-t * (n * n - 1) / 4.0)
-              * np.sinh(n * h) / np.sinh(h) for n in range(1, nmax + 1))
-    val = K.su2_norm_series(np.array([h]), t, nmax)[0]
-    assert abs(val - ref) < 1e-12 * ref
-    # stable small-h limit: value n^2-weighted sum
-    v0 = K.su2_norm_series(np.array([0.0]), t, nmax)[0]
-    ref0 = sum(n * n * np.exp(-t * (n * n - 1) / 4.0)
-               for n in range(1, nmax + 1))
-    assert abs(v0 - ref0) < 1e-12 * ref0
+    # real h (0 is the limit chi_n = n), complex mu, the antipode i pi, and
+    # h = 20 at t = 1, where sinh(n h) alone overflows past n = 35
+    cases = [(1.3, 0.8), (0.0, 0.8), (0.7, 3.0), (20.0, 1.0),
+             (0.3 + 2.9j, 0.4), (-1.2 - 7.0j, 0.6), (2.1 + 0.4j, 0.32),
+             (1j * math.pi, 0.5), (1j * math.pi, 0.3)]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for mu, t in cases:
+            ref, scale = _norm_series_mp(mu, t)
+            val = K.su2_norm_series(np.array([mu]), t)[0]
+            assert abs(val - complex(ref)) <= 1e-14 * float(scale)
+            assert np.isrealobj(val) == isinstance(mu, float)
+        # an array of points gives the values of the points one by one
+        h = np.array([1.3, 0.0, 0.7, -1.3])
+        one = [K.su2_norm_series(np.array([x]), 0.8)[0] for x in h]
+        assert np.allclose(K.su2_norm_series(h, 0.8), one,
+                           rtol=1e-15, atol=0.0)
+        # h = 20 at t = 0.5: the sum is 2.6e341, beyond the double range;
+        # it comes back as inf with no intermediate overflow
+        ref, _ = _norm_series_mp(20.0, 0.5)
+        assert ref.real > 100 * mpmath.mpf(np.finfo(float).max)
+        assert K.su2_norm_series(np.array([20.0]), 0.5)[0] == np.inf
 
 
 def test_gauss_legendre_cached_rule():

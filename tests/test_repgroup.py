@@ -86,6 +86,14 @@ def test_character_analytic_continuation():
         assert abs(val - 2.0 * math.cosh(mu)) < 1e-12 * abs(val)
     # removable singularity: chi_n -> n
     assert abs(G.character_c(G.SU2, 5, 1e-9) - 5.0) < 1e-12
+    # the antipode mu = i pi, where sinh(mu) vanishes: chi_n = n (-1)^{n-1}
+    ns = np.arange(1, 17)
+    exact = ns * (-1.0) ** (ns - 1)
+    assert np.all(np.abs(G.character_c(G.SU2, ns, 1j * math.pi) - exact)
+                  <= 1e-14 * ns)
+    for n in ns:
+        assert abs(G.character_c(G.SU2, int(n), 1j * math.pi)
+                   - n * (-1) ** (n - 1)) <= 1e-14 * n
     # U(1): e^{i j zeta}
     zeta = 0.3 + 0.4j
     assert abs(G.character_c(G.U1, 3, zeta) - np.exp(3j * zeta)) < 1e-14
