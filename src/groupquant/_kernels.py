@@ -2,10 +2,12 @@
 
 wigner_d_grid takes Wigner small-d from the spectrum of J_y, whose
 J_+ ladder `_raising` also gives `wigner.angular_momentum`;
-itn_denominator and su2_norm_series, the one SU(2) heat-kernel series, are
-the series behind the heat-kernel coherent-state tables. tests/test_kernels.py
-checks each one against an independent oracle. `_gauss_legendre` is the one
-cached source of Gauss-Legendre rules for the quadratures of the package.
+su2_norm_series, the one SU(2) heat-kernel series, and itn_denominator, the
+m-sum of Table 1's integrand in its Poisson-dual form, are the series behind
+the heat-kernel coherent-state tables; each docstring states its length
+rule. tests/test_kernels.py checks each one against an independent oracle.
+`_gauss_legendre` is the one cached source of Gauss-Legendre rules for the
+quadratures of the package.
 """
 
 import functools
@@ -57,31 +59,28 @@ def wigner_d_grid(twoj, beta):
     return d[inverse.ravel()]
 
 
-# (nodes x m) entries per temporary of itn_denominator: 128 KB of float64,
-# so a refinement level adds no more than about 0.5 MB to the peak RSS
-_BLOCK = 1 << 14
+def itn_denominator(p, t):
+    """S(p) = sum_m m e^{-(p - t m/2)^2 / t} over all integers m, by its
+    Poisson dual (the Fourier transform of x e^{-(p - t x/2)^2/t}):
 
+    S(p) = sqrt(4 pi/t) (2/t) [p + 2 sum_{k >= 1} q^{k^2} (p cos(4 pi k p/t)
+    - 2 pi k sin(4 pi k p/t))], q = e^{-4 pi^2/t}.
 
-def itn_denominator(p, t, mmax):
-    """S(p) = sum_{m != 0, |m| <= mmax} m exp(-(p - t m/2)^2 / t).
-
-    The terms +-m are paired, S(p) = sum_{m=1}^{mmax} m (e^{-(p - tm/2)^2/t}
-    - e^{-(p + tm/2)^2/t}), and contracted over m by one matrix-vector
-    product: one vectorised call for all nodes of a quadrature level,
-    processed in blocks of nodes so that the (nodes x m) temporaries hold
-    at most _BLOCK entries.
+    Every term is odd in p and, as |sin y| <= |y|, at most |p| (1 + 2 x_k)
+    in modulus, x_k = 4 pi^2 k^2/t: near p = 0 the terms are of the order
+    of the value, where the m-sum cancels +-m terms of size e^{-t m^2/4}
+    down to it. Length rule: the sum runs to K = floor(sqrt(48 t)/(2 pi)) + 1
+    (2-4 terms for 1 <= t <= 8). Every omitted k has x_k > 48, so the
+    omitted part of the bracket is at most 2 sum_{k > K} (1 + 2 x_k)
+    e^{-x_k} |p| < 3e-21 sqrt(t) |p|, against its k = 0 term p.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
-    t, mmax = float(t), int(mmax)
-    m = np.arange(1, mmax + 1, dtype=float)
-    shift = 0.5 * t * m
-    out = np.empty(p.shape[0])
-    step = max(1, _BLOCK // max(mmax, 1))
-    for lo in range(0, p.shape[0], step):
-        pb = p[lo:lo + step, None]
-        out[lo:lo + step] = (np.exp(-(pb - shift) ** 2 / t)
-                             - np.exp(-(pb + shift) ** 2 / t)) @ m
-    return out
+    t = float(t)
+    k = np.arange(1.0, int(math.sqrt(48.0 * t) / (2.0 * math.pi)) + 2)
+    theta = np.multiply.outer(p, 4.0 * math.pi * k / t)
+    dual = ((p[:, None] * np.cos(theta) - 2.0 * math.pi * k * np.sin(theta))
+            @ np.exp(-4.0 * math.pi ** 2 * k * k / t))
+    return math.sqrt(4.0 * math.pi / t) * (2.0 / t) * (p + 2.0 * dual)
 
 
 def _su2_characters(mu, nmax):

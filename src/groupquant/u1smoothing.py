@@ -100,9 +100,9 @@ class TwistedSpace:
         ph = np.exp(-1j * np.outer(self.js, phis))
         fphi = np.exp(1j * m * phis) / n_phi
         fl = np.exp(1j * kappa * ls) * wl
-        # A = sum_{phi', l'} f |c><c|
-        Aphi = np.einsum("p,ap,bp->ab", fphi, ph, ph.conj())
-        return np.einsum("l,al,bl,ab->ab", fl, cj, cj, Aphi)
+        # A = sum_{phi', l'} f |c><c|: the phi' and l' sums factor
+        Aphi = (ph * fphi) @ ph.conj().T
+        return ((cj * fl) @ cj.T) * Aphi
 
     def heat_multiplier_residual(self, m, kappa, samples):
         """max | L_{Q^B(mode)} - e^{-t(m^2+kappa^2)/2} mode | over samples."""

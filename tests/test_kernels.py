@@ -20,20 +20,46 @@ def test_wigner_kernel_oracle():
             assert np.abs(d[i] @ d[i].T - np.eye(twoj + 1)).max() < 1e-12
 
 
+def _itn_denominator_sum(p, t):
+    """sum_m m e^{-(p - t m/2)^2/t} in floats over every m whose exponent
+    is above -40: |m| <= 2 max|p|/t + 2 sqrt(40/t) + 2."""
+    mmax = int(2.0 * np.abs(p).max() / t + 2.0 * math.sqrt(40.0 / t)) + 2
+    return sum(m * np.exp(-(p - t * m / 2.0) ** 2 / t)
+               for m in range(-mmax, mmax + 1))
+
+
 def test_itn_denominator_oracle():
     p = np.array([0.4, 1.7])
-    t, mmax = 1.3, 25
-    ref = np.array([sum(m * np.exp(-(pp - t * m / 2.0) ** 2 / t)
-                        for m in range(-mmax, mmax + 1)) for pp in p])
-    assert np.abs(K.itn_denominator(p, t, mmax) - ref).max() < 1e-14
-    # several node blocks, p of both signs, S odd in p
-    for t, mmax in ((0.3, 110), (1.0, 64)):
-        p = np.linspace(-14.0, 16.0, 3 * (K._BLOCK // mmax) + 17)
-        ref = sum(m * np.exp(-(p - t * m / 2.0) ** 2 / t)
-                  for m in range(-mmax, mmax + 1))
-        val = K.itn_denominator(p, t, mmax)
+    ref = _itn_denominator_sum(p, 1.3)
+    assert np.abs(K.itn_denominator(p, 1.3) - ref).max() < 1e-14
+    # p of both signs, S odd in p
+    for t in (0.3, 1.0):
+        p = np.linspace(-14.0, 16.0, 801)
+        ref = _itn_denominator_sum(p, t)
+        val = K.itn_denominator(p, t)
         assert np.abs(val - ref).max() < 1e-14 * np.abs(ref).max()
-        assert np.array_equal(K.itn_denominator(-p, t, mmax), -val)
+        assert np.array_equal(K.itn_denominator(-p, t), -val)
+
+
+def _itn_denominator_mp(p, t):
+    """sum_m m e^{-(p - t m/2)^2/t} at 40 digits over every m whose
+    exponent is above -60."""
+    mmax = int(2.0 * abs(p) / t + 2.0 * math.sqrt(60.0 / t)) + 2
+    with mpmath.workdps(40):
+        p, t = mpmath.mpf(p), mpmath.mpf(t)
+        return mpmath.fsum(m * mpmath.exp(-(p - t * m / 2) ** 2 / t)
+                           for m in range(-mmax, mmax + 1))
+
+
+def test_itn_denominator_mp_oracle():
+    # next to p = 0 the m-sum pairs +-m terms of size e^{-t m^2/4} into a
+    # value of order p: the dual form keeps every digit there
+    for t in (0.3, 1.0, 4.0, 8.0, 16.0):
+        p = np.array([1e-6, -1e-6, 1e-3, -1e-3, 0.37, -1.9, 2.3 * t,
+                      -3.1 * t, 4.7 * t, 5.0 * t, -5.0 * t])
+        ref = np.array([float(_itn_denominator_mp(x, t)) for x in p])
+        val = K.itn_denominator(p, t)
+        assert (np.abs(val - ref) / np.abs(ref)).max() < 1e-14
 
 
 def _norm_series_mp(mu, t):
