@@ -13,8 +13,11 @@ and the Weyl-type quantization
     (A_sigma Phi)(lam) = sum_{lam'} sigma_hat^1((lam - lam')/eps,
                                                (lam + lam')/2) Phi(lam')
 
-is an exact finite sum. Frequency and support keys are floats canonicalized
-to 1e-12; equivariant symbols carry their rational lattice explicitly.
+is an exact finite sum. Frequency and support keys are exact rationals
+(fractions.Fraction; a float key converts without rounding, and a float
+lookup finds the equal Fraction key), so sums of lattice points agree
+exactly whatever route forms them; coefficient callables receive floats.
+Equivariant symbols carry their rational lattice explicitly.
 """
 
 import math
@@ -23,71 +26,18 @@ from fractions import Fraction
 
 import numpy as np
 
-_KEY_TOL = 1e-9
 
-
-def _key(x):
-    """Coarse bucket for the two-sided tolerance lookup."""
-    v = round(float(x), 7)
-    return 0.0 if v == 0 else v
-
-
-class ToleranceDict:
-    """float -> value map with 1e-9 key identification.
-
-    Keys within _KEY_TOL of an existing key merge with it; lookups use a
-    coarse rounding bucket plus a neighborhood scan so boundary cases do
-    not alias (float keys from different arithmetic routes must coincide).
-    """
-
-    def __init__(self):
-        self._buckets = {}   # coarse key -> list of exact keys
-        self._vals = {}      # exact key -> value
-
-    def _find(self, x):
-        x = float(x)
-        b = _key(x)
-        for bb in (b, _key(x - 2e-8), _key(x + 2e-8)):
-            for k in self._buckets.get(bb, ()):
-                if abs(k - x) <= _KEY_TOL:
-                    return k
-        return None
-
-    def get(self, x, default=None):
-        k = self._find(x)
-        return self._vals[k] if k is not None else default
-
-    def set(self, x, val):
-        k = self._find(x)
-        if k is None:
-            k = float(x)
-            self._buckets.setdefault(_key(k), []).append(k)
-        self._vals[k] = val
-
-    def pop(self, x):
-        k = self._find(x)
-        if k is not None:
-            self._vals.pop(k)
-            self._buckets[_key(k)].remove(k)
-
-    def keys(self):
-        return self._vals.keys()
-
-    def items(self):
-        return self._vals.items()
-
-    def __contains__(self, x):
-        return self._find(x) is not None
-
-    def __len__(self):
-        return len(self._vals)
+def _accumulate(coeffs, nu, c):
+    """coeffs[nu] += c for coefficient callables lam -> C."""
+    prev = coeffs.get(nu)
+    coeffs[nu] = c if prev is None else (lambda lam: prev(lam) + c(lam))
 
 
 class FiniteSupportFn:
     """Finitely supported map lambda -> C in d(R)."""
 
     def __init__(self, pairs=()):
-        self.data = ToleranceDict()
+        self.data = {}
         for lam, val in (pairs.items() if hasattr(pairs, "items") else pairs):
             self[lam] = self[lam] + val
 
@@ -96,9 +46,9 @@ class FiniteSupportFn:
 
     def __setitem__(self, lam, val):
         if val == 0:
-            self.data.pop(lam)
+            self.data.pop(lam, None)
         else:
-            self.data.set(lam, complex(val))
+            self.data[Fraction(lam)] = complex(val)
 
     def support(self):
         return sorted(self.data.keys())
@@ -132,7 +82,7 @@ def sobolev_norm(phi, s, p):
     """|| phi ||_{(s, p)} = (sum (<lam>^s |phi(lam)|)^p)^{1/p}; p = inf -> sup."""
     if p != math.inf and p < 1:
         raise ValueError("p must be in [1, inf]")
-    terms = [(1.0 + lam * lam) ** (s / 2.0) * abs(v)
+    terms = [(1.0 + float(lam) ** 2) ** (s / 2.0) * abs(v)
              for lam, v in phi.items()]
     if not terms:
         return 0.0
@@ -141,16 +91,36 @@ def sobolev_norm(phi, s, p):
     return float(np.sum(np.asarray(terms) ** p) ** (1.0 / p))
 
 
+def _simplest_between(lo, hi):
+    """The Fraction of least denominator in [lo, hi] (continued fractions)."""
+    n = math.floor(lo)
+    if n == lo or n + 1 <= hi:
+        return Fraction(n if n == lo else n + 1)
+    return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n))
+
+
+def _rational(x):
+    """x as a Fraction; a float stands for the simplest rational that rounds
+    to it (2.0 / 3.0 -> 2/3), so that sums of points of lattices given by
+    floats land exactly on their combined lattice."""
+    if not isinstance(x, float):
+        return Fraction(x)
+    half = Fraction(math.ulp(x)) / 2
+    return _simplest_between(Fraction(x) - half, Fraction(x) + half)
+
+
 @dataclass(frozen=True)
 class RationalLattice:
-    """Z^{j0}_{lam0} = lam0 (Z + j0)."""
-    lam0: float
-    j0: float = 0.0
+    """Z^{j0}_{lam0} = lam0 (Z + j0), with lam0 and j0 stored as exact
+    Fractions (j0 reduced mod 1; a float reads as _rational says)."""
+    lam0: Fraction
+    j0: Fraction = Fraction(0)
 
     def __post_init__(self):
+        object.__setattr__(self, "lam0", _rational(self.lam0))
+        object.__setattr__(self, "j0", _rational(self.j0) % 1)
         if self.lam0 <= 0:
             raise ValueError("lattice spacing must be positive")
-        object.__setattr__(self, "j0", float(self.j0) % 1.0)
 
     def point(self, m):
         return self.lam0 * (m + self.j0)
@@ -165,12 +135,12 @@ class RationalLattice:
         With other.lam0 / lam0 = p / q in lowest terms the sum lands on
         spacing lam0 / q and offset (q j0 + p j0') mod 1.
         """
-        frac = Fraction(other.lam0 / self.lam0).limit_denominator(10 ** 9)
-        p, q = frac.numerator, frac.denominator
-        if abs(other.lam0 / self.lam0 - p / q) > 1e-9:
+        ratio = other.lam0 / self.lam0
+        frac = ratio.limit_denominator(10 ** 9)
+        if abs(ratio - frac) > 1e-9:
             raise ValueError("lattices are not relatively rational")
-        return RationalLattice(self.lam0 / q,
-                               (q * self.j0 + p * other.j0) % 1.0)
+        p, q = frac.numerator, frac.denominator
+        return RationalLattice(self.lam0 / q, q * self.j0 + p * other.j0)
 
 
 class BohrSymbol:
@@ -181,18 +151,14 @@ class BohrSymbol:
     """
 
     def __init__(self, coefficients, order=(0.0, 1.0, 0.0), lattice=None):
-        self.coeffs = ToleranceDict()
+        self.coeffs = {}
         for nu, c in coefficients.items():
-            prev = self.coeffs.get(nu)
-            if prev is not None:
-                c = (lambda p, t: (lambda lam: p(lam) + t(lam)))(prev, c)
-            self.coeffs.set(nu, c)
+            _accumulate(self.coeffs, Fraction(nu), c)
         self.m, self.rho, self.delta = order
         self.lattice = lattice
         if lattice is not None:
             for nu in self.coeffs.keys():
-                if not RationalLattice(lattice.lam0,
-                                       (-lattice.j0) % 1.0).contains(nu):
+                if not RationalLattice(lattice.lam0, -lattice.j0).contains(nu):
                     raise ValueError(
                         "frequency %r off the equivariant lattice" % (nu,))
 
@@ -209,18 +175,10 @@ class BohrSymbol:
         (the support lattice offset flips to (-j0) mod 1)."""
         lat = self.lattice
         if lat is not None:
-            lat = RationalLattice(lat.lam0, (-lat.j0) % 1.0)
+            lat = RationalLattice(lat.lam0, -lat.j0)
         return BohrSymbol({-nu: (lambda f: (lambda lam: np.conj(f(lam))))(c)
                            for nu, c in self.coeffs.items()},
                           (self.m, self.rho, self.delta), lat)
-
-
-def _summed(pairs):
-    """ToleranceDict of the values summed per key."""
-    out = ToleranceDict()
-    for x, v in pairs:
-        out.set(x, out.get(x, 0.0) + v)
-    return out
 
 
 def bohr_mean(f, g):
@@ -228,18 +186,21 @@ def bohr_mean(f, g):
 
     f, g given as frequency dicts nu -> coefficient of e^{i nu x}.
     """
-    gk = _summed(g.items())
-    return sum(np.conj(v) * gk.get(nu, 0.0) for nu, v in f.items())
+    return sum(np.conj(v) * g.get(nu, 0.0) for nu, v in f.items())
 
 
 def apply_symbol(sigma, phi, eps=1.0):
     """(A_sigma Phi)(lam) = sum_nu c_nu(lam' - eps nu / 2) Phi(lam') at
     lam = lam' - eps nu (the exact finite quantization sum)."""
+    eps = Fraction(eps)
+    shifts = [(eps * nu, float(eps * nu) / 2.0, c)
+              for nu, c in sigma.coeffs.items()]
     out = FiniteSupportFn()
     for lamp, val in phi.items():
-        for nu, c in sigma.coeffs.items():
-            lam = lamp - eps * nu
-            out[lam] = out[lam] + c((lam + lamp) / 2.0) * val
+        x = float(lamp)
+        for step, half, c in shifts:
+            lam = lamp - step
+            out[lam] = out[lam] + c(x - half) * val
     return out
 
 
@@ -253,18 +214,15 @@ def adjoint_pairing_residual(sigma, phi1, phi2, eps=1.0):
 def twisted_product(sigma, tau, eps=1.0):
     """rho with A_rho = A_sigma A_tau:
     c^rho_{mu+nu}(lam) += c^sigma_mu(lam - eps nu/2) c^tau_nu(lam + eps mu/2)."""
-    out = ToleranceDict()
+    eps = Fraction(eps)
+    out = {}
     for mu, cs in sigma.coeffs.items():
         for nu, ct in tau.coeffs.items():
-            tot = mu + nu
+            def term(lam, hs=float(eps * nu) / 2.0, ht=float(eps * mu) / 2.0,
+                     cs=cs, ct=ct):
+                return cs(lam - hs) * ct(lam + ht)
 
-            def term(lam, mu=mu, nu=nu, cs=cs, ct=ct):
-                return cs(lam - eps * nu / 2.0) * ct(lam + eps * mu / 2.0)
-
-            prev = out.get(tot)
-            if prev is not None:
-                term = (lambda p, t: (lambda lam: p(lam) + t(lam)))(prev, term)
-            out.set(tot, term)
+            _accumulate(out, mu + nu, term)
     lattice = None
     if sigma.lattice is not None and tau.lattice is not None:
         lattice = sigma.lattice.combined_with(tau.lattice)
@@ -367,11 +325,7 @@ def asymptotic_product(sig, tau, eps, N):
                         tot = tot + a * b
                 return tot
 
-            if idx in out_chat:
-                out_chat[idx] = (lambda p, t: (lambda lam: p(lam) + t(lam)))(
-                    out_chat[idx], term)
-            else:
-                out_chat[idx] = term
+            _accumulate(out_chat, idx, term)
     return EquivariantSymbol(out_lat, out_chat)
 
 
@@ -381,11 +335,11 @@ def asymptotic_product(sig, tau, eps, N):
 
 def young_bound(h_entries):
     """(C1, C2) for a kernel given as {(lam, lam'): value}."""
-    row = _summed((lam, abs(v)) for (lam, _), v in h_entries.items())
-    col = _summed((lamp, abs(v)) for (_, lamp), v in h_entries.items())
-    c1 = max((v for _, v in row.items()), default=0.0)
-    c2 = max((v for _, v in col.items()), default=0.0)
-    return c1, c2
+    row, col = {}, {}
+    for (lam, lamp), v in h_entries.items():
+        row[lam] = row.get(lam, 0.0) + abs(v)
+        col[lamp] = col.get(lamp, 0.0) + abs(v)
+    return max(row.values(), default=0.0), max(col.values(), default=0.0)
 
 
 def apply_kernel(h_entries, phi):
@@ -431,17 +385,18 @@ def sobolev_bound_check(sigma, s, t, p, states, eps=1.0,
         raise ValueError("sobolev_bound_check needs an equivariant symbol")
     # kernel h(lam'', lam') = <lam''-lam'>^{|s-t|} <lam'>^{-t}
     #                         sigma_hat^1(lam''-lam', (lam''+lam')/2)
+    eps = Fraction(eps)
     entries = {}
     pts = [lat.point(mm) for mm in range(-window, window + 1)]
     for lamp in pts:
         for nu in sigma.frequencies():
             lam2 = lamp - eps * nu
             v = sigma.partial_transform((lam2 - lamp) / eps,
-                                        (lam2 + lamp) / 2.0)
+                                        float(lam2 + lamp) / 2.0)
             if v == 0.0:
                 continue
-            wgt = ((1 + (lam2 - lamp) ** 2) ** (abs(s - t) / 2.0)
-                   * (1 + lamp * lamp) ** (-t / 2.0))
+            wgt = ((1 + float(lam2 - lamp) ** 2) ** (abs(s - t) / 2.0)
+                   * (1 + float(lamp) ** 2) ** (-t / 2.0))
             entries[(lam2, lamp)] = entries.get((lam2, lamp), 0.0) + wgt * v
     c1, c2 = young_bound(entries)
     q = math.inf if p == 1 else p / (p - 1.0)

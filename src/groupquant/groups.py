@@ -11,7 +11,6 @@ convention); the Riemannian volumes 2*pi and 16*pi^2 are exposed as
 constants for the places that need the unnormalized measure.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -239,19 +238,6 @@ class Quadrature:
             out = wigner_D_euler_grid(label - 1, *self.euler)
         self._rep_cache[label] = out
         return out
-
-    def export_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if self.group == U1:
-                w.writerow(["phi", "weight"])
-                for phi, wt in zip(self.angles, self.weights):
-                    w.writerow([repr(float(phi)), repr(float(wt))])
-            else:
-                w.writerow(["alpha", "beta", "gamma", "weight"])
-                for a, b, c, wt in zip(*self.euler, self.weights):
-                    w.writerow([repr(float(a)), repr(float(b)),
-                                repr(float(c)), repr(float(wt))])
 
 
 def u1_quadrature(degree):

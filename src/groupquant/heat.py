@@ -92,6 +92,8 @@ def coherent_overlap(params, z, zp):
     The bar in the heat-kernel identity is the antiholomorphic extension of
     the identity map of G, so z'^{-1} zbar = (z^dag z')^{-1} with the plain
     matrix adjoint; at z = z' this is e^{-2iX} and the norm series results.
+    On SU(2), z^dag z' is in SL(2, C), so it and its inverse share the
+    trace 2 cosh(mu); the series is even in mu and holds at mu = i pi.
     """
     t = params.t
     if params.group == G.U1:
@@ -100,10 +102,8 @@ def coherent_overlap(params, z, zp):
         # sum_j e^{-t j^2} e^{i j (phi' - phi)} e^{-j (l + l')}
         zz = ((phip - phi) + 1j * (l + lp)) / (2 * math.pi)
         return theta3(zz, 1j * t / math.pi)
-    zmat = _su2_complex_point(z)
-    w = np.linalg.inv(np.conj(zmat.T) @ _su2_complex_point(zp))
-    ev = np.linalg.eigvals(w)  # e^{+-mu}: w is in SL(2, C)
-    return su2_norm_series(np.log(ev[np.argmax(np.abs(ev))]), t)[0]
+    m = np.conj(_su2_complex_point(z).T) @ _su2_complex_point(zp)
+    return su2_norm_series(np.arccosh((m[0, 0] + m[1, 1]) / 2), t)[0]
 
 
 def su2_overlap_norm(t, h):

@@ -16,8 +16,6 @@ Delta(theta) = D(g_theta) Delta_0 D(g_theta)^*, with Delta_0 diagonal in
 closed form (Varilly & Gracia-Bondia, Ann. Phys. 190 (1989) 107).
 """
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -311,27 +309,3 @@ def k_rate_slope(twoj_list, field_l=2):
     xs = np.log([1.0 / (t / 2.0) for t in twoj_list])
     ys = np.log([k_flow_deviation(t, field_l) for t in twoj_list])
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-# ---------------------------------------------------------------------------
-# export helpers
-# ---------------------------------------------------------------------------
-
-def field_to_csv(spec, field, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["beta", "alpha", "re", "im"])
-        for b, a, v in zip(spec.beta, spec.alpha, field):
-            w.writerow([repr(float(b)), repr(float(a)),
-                        repr(float(np.real(v))), repr(float(np.imag(v)))])
-
-
-def coefficients_to_json(spec, field, lmax=None):
-    if lmax is None:
-        lmax = spec.twoj
-    coeffs = spec.sh_analysis(field, lmax)
-    payload = {"twoj": spec.twoj, "lmax": lmax, "coefficients": {}}
-    for l, c in enumerate(coeffs):
-        payload["coefficients"][str(l)] = [
-            [repr(float(x.real)), repr(float(x.imag))] for x in np.ravel(c)]
-    return json.dumps(payload)

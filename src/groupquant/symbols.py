@@ -26,10 +26,9 @@ coefficients, rho(h^{-1} g) = rho(h)^* rho(g), lets kn_compose translate a
 band-limited symbol without evaluating it at the points h^{-1} g; kn_compose
 stays the direct h-quadrature of the composition integral, independent of
 the operator-product route, until the benchmark stops calling it (ROADMAP
-item 4).
+item 6).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -238,7 +237,7 @@ def kn_compose(sa, sb, h_quad):
 
     An h-quadrature independent of the operator-product route, which the
     tests and the benchmark check it against; it moves to the test oracles
-    once the benchmark stops calling it (ROADMAP item 4). Left translation
+    once the benchmark stops calling it (ROADMAP item 6). Left translation
     acts on sb's g-band coefficients: rho(h^{-1} g) = rho(h)^* rho(g), so
     the block of irrep rho of sigma_B(pi, h^{-1} .) is conj(rho(h)) @ c_rho,
     and pi(h) multiplies each coefficient from the left. The h-sum is one
@@ -401,38 +400,3 @@ def weyl_symbol(op, pi_band, g_pw, h_quad, branch_tol=1e-12):
     return MatrixSymbol(op.pw.group, pi_band, g_pw,
                         _deform(kn, h_quad, 1, pi_band, branch_tol),
                         projection_residual=kn.projection_residual)
-
-
-# ---------------------------------------------------------------------------
-# serialization (bit-exact roundtrip via repr floats)
-# ---------------------------------------------------------------------------
-
-def symbol_to_json(sym):
-    payload = {
-        "group": sym.group,
-        "pi_band": sym.pi_band,
-        "g_band": sym.g_pw.band,
-        "grid_degree": sym.quad.exactness_degree,
-        "values": {},
-    }
-    for lab, v in sym.values.items():
-        inter = np.empty(v.shape + (2,))
-        inter[..., 0] = v.real
-        inter[..., 1] = v.imag
-        payload["values"][str(lab)] = {
-            "shape": list(v.shape),
-            "data": [repr(x) for x in inter.ravel().tolist()],
-        }
-    return json.dumps(payload)
-
-
-def symbol_from_json(text):
-    payload = json.loads(text)
-    g_pw = PWSpace(payload["group"], payload["g_band"],
-                   quad_degree=payload["grid_degree"])
-    vals = {}
-    for lab_s, rec in payload["values"].items():
-        flat = np.array([float(x) for x in rec["data"]])
-        inter = flat.reshape(tuple(rec["shape"]) + (2,))
-        vals[int(lab_s)] = inter[..., 0] + 1j * inter[..., 1]
-    return MatrixSymbol(payload["group"], payload["pi_band"], g_pw, vals)

@@ -1,6 +1,7 @@
 """Bohr-lattice pseudo-differential calculus."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_lattice_arithmetic():
     other = B.RationalLattice(2.0 / 3.0, 0.0)
     comb = lat.combined_with(other)
     assert abs(comb.lam0 - 1.0 / 3.0) < 1e-12
+    # exact: a float spacing or offset reads as the simplest rational that
+    # rounds to it, so either order gives the same lattice
+    a = B.RationalLattice(1.0, 0.25)
+    b = B.RationalLattice(2.0 / 3.0, 0.5)
+    assert b == B.RationalLattice(Fraction(2, 3), Fraction(1, 2))
+    assert a.combined_with(b) == B.RationalLattice(Fraction(1, 3),
+                                                   Fraction(3, 4))
+    assert b.combined_with(a) == a.combined_with(b)
+    assert float(B.RationalLattice(math.sqrt(2)).lam0) == math.sqrt(2)
     # 20 random rational pairs: spacing lam0/q, offset (q j0 + p j0') mod 1
     for _ in range(20):
         p = int(RNG.integers(1, 12))
@@ -144,6 +154,7 @@ def test_twisted_product_exact():
             phi = rand_state(B.RationalLattice(1.0 / 3.0))
             lhs = B.apply_symbol(rho, phi, eps)
             rhs = B.apply_symbol(sig, B.apply_symbol(tau, phi, eps), eps)
+            assert lhs.support() == rhs.support()  # exact Fraction keys
             assert lhs.norm_diff(rhs) < 1e-13
 
 
@@ -197,37 +208,41 @@ def test_discrete_taylor():
 
 
 def test_asymptotic_product_polynomial_exact():
-    lat_s = B.RationalLattice(1.0, 0.25)
-    lat_t = B.RationalLattice(0.5, 0.5)
-    sig = B.EquivariantSymbol(lat_s, {0: lambda lam: 1.0 + 0.3 * lam,
-                                      1: lambda lam: 0.5 * lam ** 2,
-                                      -1: lambda lam: 0.2 - lam})
-    tau = B.EquivariantSymbol(lat_t, {0: lambda lam: 2.0 - lam ** 2,
-                                      2: lambda lam: 0.4 + lam})
-    eps = 0.5
-    exact = B.twisted_product(sig.to_bohr_symbol(), tau.to_bohr_symbol(), eps)
-    phi = B.FiniteSupportFn([(0.5 * m, np.exp(1j * m)) for m in range(-3, 4)])
-    ref = B.apply_symbol(exact, phi, eps)
-    scale = B.sobolev_norm(ref, 0.0, math.inf)
-    out = B.apply_symbol(
-        B.asymptotic_product(sig, tau, eps, 3).to_bohr_symbol(), phi, eps)
-    assert out.norm_diff(ref) < 1e-12 * scale
-    # N = 0 term: pointwise product at the shifted offsets
-    out0 = B.apply_symbol(
-        B.asymptotic_product(sig, tau, eps, 0).to_bohr_symbol(), phi, eps)
-    base_s = eps / 2.0 * lat_t.lam0 * lat_t.j0
-    base_t = -eps / 2.0 * lat_s.lam0 * lat_s.j0
-    lead = {}
-    for ms, cs in sig.chat.items():
-        for mt, ct in tau.chat.items():
-            nu = -(lat_s.point(ms) + lat_t.point(mt))
-            fn = (lambda cs=cs, ct=ct: lambda lam: cs(lam + base_s)
-                  * ct(lam + base_t))()
-            prev = lead.get(nu)
-            lead[nu] = fn if prev is None else \
-                (lambda p, t: lambda lam: p(lam) + t(lam))(prev, fn)
-    out0b = B.apply_symbol(B.BohrSymbol(lead), phi, eps)
-    assert out0.norm_diff(out0b) < 1e-12 * scale
+    # spacing ratios 2 and 3/2 (the CLI's lattices)
+    for lam0_t in (0.5, 2.0 / 3.0):
+        lat_s = B.RationalLattice(1.0, 0.25)
+        lat_t = B.RationalLattice(lam0_t, 0.5)
+        sig = B.EquivariantSymbol(lat_s, {0: lambda lam: 1.0 + 0.3 * lam,
+                                          1: lambda lam: 0.5 * lam ** 2,
+                                          -1: lambda lam: 0.2 - lam})
+        tau = B.EquivariantSymbol(lat_t, {0: lambda lam: 2.0 - lam ** 2,
+                                          2: lambda lam: 0.4 + lam})
+        eps = 0.5
+        exact = B.twisted_product(sig.to_bohr_symbol(),
+                                  tau.to_bohr_symbol(), eps)
+        phi = B.FiniteSupportFn([(0.5 * m, np.exp(1j * m))
+                                 for m in range(-3, 4)])
+        ref = B.apply_symbol(exact, phi, eps)
+        scale = B.sobolev_norm(ref, 0.0, math.inf)
+        out = B.apply_symbol(
+            B.asymptotic_product(sig, tau, eps, 3).to_bohr_symbol(), phi, eps)
+        assert out.norm_diff(ref) < 1e-12 * scale
+        # N = 0 term: pointwise product at the shifted offsets
+        out0 = B.apply_symbol(
+            B.asymptotic_product(sig, tau, eps, 0).to_bohr_symbol(), phi, eps)
+        base_s = eps / 2.0 * lat_t.lam0 * lat_t.j0
+        base_t = -eps / 2.0 * lat_s.lam0 * lat_s.j0
+        lead = {}
+        for ms, cs in sig.chat.items():
+            for mt, ct in tau.chat.items():
+                nu = -(lat_s.point(ms) + lat_t.point(mt))
+                fn = (lambda cs=cs, ct=ct: lambda lam: cs(lam + base_s)
+                      * ct(lam + base_t))()
+                prev = lead.get(nu)
+                lead[nu] = fn if prev is None else \
+                    (lambda p, t: lambda lam: p(lam) + t(lam))(prev, fn)
+        out0b = B.apply_symbol(B.BohrSymbol(lead), phi, eps)
+        assert out0.norm_diff(out0b) < 1e-12 * scale
 
 
 def test_asymptotic_product_gaussian_improves():
@@ -320,15 +335,15 @@ def test_sobolev_monotone_property(entries):
     assert n22 <= n21 + 1e-12
 
 
-def test_tolerance_dict_boundary_keys():
-    d = B.ToleranceDict()
-    d.set(0.2916666666665, 1.0)
-    assert d.get(0.2916666666672) == 1.0  # within 1e-9
-    assert d.get(0.2916700000000) is None
-
-
 def test_boundary_keys_mean_and_young():
-    # a and b sit within 1e-9 on either side of a rounding-bucket boundary
+    # keys are exact rationals: sums of lattice points coincide exactly,
+    # also on a spacing at a 7-digit rounding boundary
+    lat = B.RationalLattice(0.12345675)
+    s = lat.point(3) + lat.point(-2)
+    assert s == lat.point(1)
+    assert B.bohr_mean({lat.point(1): 1.0}, {s: 1.0}) == 1.0
+    assert B.young_bound({(lat.point(1), 0.0): 1.0,
+                          (s, 1.0): 1.0}) == (2.0, 1.0)
+    # distinct floats are distinct frequencies, however close
     a, b = 0.12345675 + 3e-12, 0.12345675 - 3e-12
-    assert B.bohr_mean({a: 1.0}, {b: 1.0}) == 1.0
-    assert B.young_bound({(a, 0.0): 1.0, (b, 1.0): 1.0}) == (2.0, 1.0)
+    assert B.bohr_mean({a: 1.0}, {b: 1.0}) == 0.0

@@ -324,16 +324,6 @@ def test_hs_pairing(su2_spaces):
     assert abs(hs_op - hs_sym) < 1e-10 * abs(hs_op)
 
 
-def test_symbol_json_roundtrip(su2_spaces):
-    gpw, _ = su2_spaces
-    sym = S.random_symbol(G.SU2, 3, gpw, RNG)
-    text = S.symbol_to_json(sym)
-    back = S.symbol_from_json(text)
-    for lab in sym.values:
-        assert np.array_equal(sym.values[lab], back.values[lab])  # bit exact
-    assert S.symbol_to_json(back) == text
-
-
 # ---------------------------------------------------------------------------
 # Weyl deformation (global)
 # ---------------------------------------------------------------------------

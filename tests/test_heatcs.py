@@ -100,6 +100,39 @@ def test_su2_complex_point_expm_oracle():
         assert np.abs(val - ref).max() < 1e-14 * np.abs(ref).max()
 
 
+def _overlap_eigvals_oracle(params, z, zp):
+    """SU(2) (Psi_z, Psi_z') with mu from an eigenvalue of (z^dag z')^{-1},
+    independent of the library's trace route."""
+    w = np.linalg.inv(H._su2_complex_point(z).conj().T
+                      @ H._su2_complex_point(zp))
+    ev = np.linalg.eigvals(w)  # e^{+-mu}
+    return H.su2_norm_series(np.log(ev[np.argmax(np.abs(ev))]),
+                             params.t)[0]
+
+
+def test_su2_overlap_trace_vs_eigvals_oracle():
+    # draws as in the benchmark's overlaps, plus z' = z and z' = -z; the
+    # scale is the Cauchy-Schwarz bound |Psi_z| |Psi_z'|, since at z' = -z
+    # the series cancels to far below it on either route
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for k in range(600):
+        params = H.HeatParams(G.SU2, rng.uniform(0.3, 1.5))
+        z, w = (H.PolarPoint.su2(G.quat_normalize(rng.standard_normal(4)),
+                                 0.7 * rng.standard_normal(3))
+                for _ in range(2))
+        if k % 3 == 1:
+            w = z
+        elif k % 3 == 2:
+            w = H.PolarPoint.su2(-np.asarray(z.g.quat), z.X)
+        ref = _overlap_eigvals_oracle(params, z, w)
+        scale = math.sqrt(abs(_overlap_eigvals_oracle(params, z, z))
+                          * abs(_overlap_eigvals_oracle(params, w, w)))
+        val = H.coherent_overlap(params, z, w)
+        worst = max(worst, abs(val - ref) / scale)
+    assert worst < 1e-11
+
+
 def _antipode_series_mp(eps, s):
     """(value, sum of |terms|) of sum_n n e^{-s(n^2-1)/4} chi_n(i(pi - eps))
     at 40 digits, chi_n(i(pi - eps)) = (-1)^{n-1} sin(n eps)/sin(eps): the
@@ -213,6 +246,17 @@ def test_overlap_hermiticity_and_positivity():
         assert abs(o1 - np.conj(o2)) < 1e-11 * max(1.0, abs(o1))
         d = H.coherent_overlap(params, z, z)
         assert d.real > 0 and abs(d.imag) < 1e-11 * d.real
+    # the benchmark's draws: seed 1 holds a pair at which mu taken from an
+    # eigenvalue of (z^dag z')^{-1} breaks hermiticity by 7.2e-11
+    rng = np.random.default_rng(1)
+    for _ in range(3000):
+        params = H.HeatParams(G.SU2, rng.uniform(0.3, 1.5))
+        z, w = (H.PolarPoint.su2(G.quat_normalize(rng.standard_normal(4)),
+                                 0.7 * rng.standard_normal(3))
+                for _ in range(2))
+        o1 = H.coherent_overlap(params, z, w)
+        o2 = H.coherent_overlap(params, w, z)
+        assert abs(o1 - np.conj(o2)) < 1e-11 * max(1.0, abs(o1))
 
 
 def test_resolution_constant_u1():

@@ -204,17 +204,6 @@ def test_quadrature_resource_error():
         G.group_quadrature(G.U1, 0)
 
 
-def test_quadrature_csv_export(tmp_path):
-    quad = G.su2_quadrature(2)
-    path = tmp_path / "grid.csv"
-    quad.export_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "alpha,beta,gamma,weight"
-    assert len(rows) == quad.n_nodes + 1
-    w = sum(float(r.split(",")[3]) for r in rows[1:])
-    assert abs(w - 1.0) < 1e-12
-
-
 def test_verma_norm_sq():
     assert G.verma_norm_sq(2.0, 0) == 1.0
     assert G.verma_norm_sq(2.0, 3) == 0.0          # null vector at k = lam+1

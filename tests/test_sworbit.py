@@ -429,16 +429,3 @@ def test_berezin(spec):
 def test_k_rate_slope():
     slope = O.k_rate_slope([8, 16, 32, 64])  # j in {4, 8, 16, 32}
     assert abs(slope - 1.0) < 0.2
-
-
-def test_exports(tmp_path, spec):
-    f = spec.harmonics(1)[:, 0]
-    path = tmp_path / "field.csv"
-    O.field_to_csv(spec, f, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "beta,alpha,re,im"
-    assert len(rows) == spec.n_nodes + 1
-    text = O.coefficients_to_json(spec, f)
-    import json
-    payload = json.loads(text)
-    assert payload["twoj"] == spec.twoj
