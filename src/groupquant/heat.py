@@ -7,8 +7,10 @@ heat kernel rho_{2t}(z'^{-1} zbar), whose SU(2) characters are
 sinh(n mu)/sinh(mu) in the complex torus parameter mu.
 
 Each group has one heat-kernel series: theta3 on U(1), rho_t(phi) =
-theta3(phi/2pi | it/2pi), and `_kernels.su2_norm_series` on SU(2), whose
-docstring states its i pi reduction of mu, its length rule and tail bound.
+theta3(phi/2pi | it/2pi), which also gives the U(1) overlaps and, on arrays
+of quadrature nodes, the denominator of the resolution integrand; and
+`_kernels.su2_norm_series` on SU(2), whose docstring states its i pi
+reduction of mu, its length rule and tail bound.
 
 All group integrals use the probability Haar measure. The resolution-of-
 unity constants are stated in that convention: the U(1) phase-space
@@ -115,20 +117,6 @@ def su2_overlap_norm(t, h):
 # U(1) resolution constant
 # ---------------------------------------------------------------------------
 
-def _theta3_real_ratio_frame(x, t):
-    """theta3(x | i pi / t) for real x, vectorized."""
-    x = np.asarray(x, float)
-    out = np.ones_like(x)
-    n = 1
-    while True:
-        term = 2.0 * math.exp(-math.pi ** 2 * n * n / t)
-        if term < 1e-18:
-            break
-        out = out + term * np.cos(2 * math.pi * n * x)
-        n += 1
-    return out
-
-
 def _panel_gl(f, a, b, n_panels):
     """Composite 24-point Gauss-Legendre rule on n_panels equal panels of
     [a, b]; f is called once, on all 24 n_panels nodes."""
@@ -151,7 +139,7 @@ def resolution_constant_u1(t, tol=1e-8):
     width = 9.0 * math.sqrt(t)
 
     def f(l):
-        return np.exp(-l * l / t) / _theta3_real_ratio_frame(l / t, t)
+        return np.exp(-l * l / t) / theta3(l / t, 1j * math.pi / t).real
 
     prev = None
     for n_panels in (8, 16, 32, 64, 128):
@@ -169,16 +157,17 @@ def resolution_constant_u1(t, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 def itn_theta_integrand(p, t, n):
-    """Complex integrand of I(t, n) through the theta'-denominator.
+    """Complex integrand of I(t, n) through the theta'-denominator, at a
+    scalar or an array of p.
 
     Normalized so the integral reproduces the tabulated values t^3 n / 8:
     with the standard theta3 convention, e^{-p^2/t} theta3'(p/(2 pi i) |
     i t/(4 pi)) = 2 pi i sum_m m e^{-(p - t m/2)^2 / t}, so the prefactor
     is 2 pi i rather than the 2i of a convention that scales z by pi.
     """
-    num = 2j * math.pi * p * p * math.exp(-(p - t * n / 2.0) ** 2 / t)
+    num = 2j * math.pi * p * p * np.exp(-(p - t * n / 2.0) ** 2 / t)
     den = theta3_dz(p / (2j * math.pi), 1j * t / (4 * math.pi)) \
-        * math.exp(-p * p / t)
+        * np.exp(-p * p / t)
     return num / den
 
 
@@ -226,9 +215,9 @@ def resolution_integral_su2(t, n, tol=1e-9, return_imag_residual=False,
     if not return_imag_residual:
         return val
     sample = np.linspace(center - 2 * math.sqrt(t), center + 2 * math.sqrt(t), 7)
-    vals = [itn_theta_integrand(float(p), t, n) for p in sample
-            if abs(p) > 1e-6 * math.sqrt(t)]
-    resid = max(abs(v.imag) for v in vals) / max(abs(v.real) for v in vals)
+    vals = itn_theta_integrand(sample[np.abs(sample) > 1e-6 * math.sqrt(t)],
+                               t, n)
+    resid = np.abs(vals.imag).max() / np.abs(vals.real).max()
     return val, resid
 
 

@@ -86,6 +86,20 @@ def test_lattice_arithmetic():
         assert c.contains(s)
 
 
+def test_lattice_irrational_ratio_raises():
+    # spacings 1 and sqrt 2 read as 1 and a rational of denominator about
+    # 9e7: their ratio is no rational of small terms, so no combined lattice
+    one, root2 = B.RationalLattice(1.0), B.RationalLattice(math.sqrt(2))
+    for a, b in ((one, root2), (root2, one),
+                 (B.RationalLattice(math.pi, 0.5), B.RationalLattice(math.e))):
+        with pytest.raises(ValueError):
+            a.combined_with(b)
+    # an irrational spacing still combines with a rational multiple of it:
+    # ratio 2/3, so spacing sqrt(2)/3 and offset (3 * 0 + 2 * 1/2) mod 1
+    c = root2.combined_with(B.RationalLattice(2 * math.sqrt(2) / 3, 0.5))
+    assert c.lam0 == root2.lam0 / 3 and c.j0 == 0
+
+
 def test_apply_symbol_multiplier():
     # sigma(x, lam) = |lam|: multiplication operator
     sig = B.BohrSymbol({0.0: lambda lam: abs(lam)})

@@ -212,6 +212,14 @@ def test_u1_overlap_theta_identity():
     assert H.coherent_overlap(params, z0, z0).real > 0
 
 
+def test_u1_overlap_overflow_raises():
+    # (Psi_z, Psi_z) at t = 0.5, l = 30 is theta3(30i/pi | 0.5i/pi), of
+    # log 1800.9 by mpmath: past the double range, so OverflowError
+    z = H.PolarPoint.u1(0.0, 30.0)
+    with pytest.raises(OverflowError):
+        H.coherent_overlap(H.HeatParams(G.U1, 0.5), z, z)
+
+
 def test_su2_overlap_norm_series():
     t = 0.8
     params = H.HeatParams(G.SU2, t)
@@ -265,16 +273,43 @@ def test_resolution_constant_u1():
         assert abs(val - t) / t < 1e-4
 
 
+def _theta3_cosine(x, t):
+    """Oracle: theta3(x | i pi/t) for real x by its cosine series,
+    1 + 2 sum_{n>=1} e^{-pi^2 n^2/t} cos(2 pi n x), to terms below 1e-18."""
+    x = np.asarray(x, float)
+    out = np.ones_like(x)
+    n = 1
+    while 2.0 * math.exp(-math.pi ** 2 * n * n / t) >= 1e-18:
+        out = out + 2.0 * math.exp(-math.pi ** 2 * n * n / t) \
+            * np.cos(2 * math.pi * n * x)
+        n += 1
+    return out
+
+
+@pytest.mark.parametrize("t, tol", [(0.5, 1e-15), (1.0, 1e-15),
+                                    (2.0, 1e-15), (6.0, 1e-13)])
+def test_theta3_real_frame_against_cosine_series(t, tol):
+    # the denominator of the U(1) resolution integrand on an array of nodes;
+    # t = 6 evaluates in the -1/tau frame, whose Gaussian prefactor and
+    # quasi-period multiplier have logarithms up to about 80 in size and
+    # cancel to a value of order 1, which costs about 3e-14 relative
+    x = np.linspace(-9.0, 9.0, 601) / math.sqrt(t)
+    ref = _theta3_cosine(x, t)
+    val = theta3(x, 1j * math.pi / t)
+    assert val.shape == x.shape
+    assert np.max(np.abs(val.real - ref) / ref) < tol
+    assert np.max(np.abs(val.imag)) < 1e-14 * np.max(ref)
+
+
 def test_resolution_constant_shift_invariance():
     # the integrand reduction used l -> l + t j invariance (theta period);
     # check the unreduced integrand integrates to the same value for j = 1
     t, j = 0.8, 1
-    from groupquant.heat import _panel_gl, _theta3_real_ratio_frame
+    from groupquant.heat import _panel_gl
     width = 10 * math.sqrt(t)
 
     def f_shift(l):
-        return (np.exp(-(l + t * j) ** 2 / t)
-                / _theta3_real_ratio_frame(l / t, t))
+        return np.exp(-(l + t * j) ** 2 / t) / _theta3_cosine(l / t, t)
 
     val = math.sqrt(t / math.pi) * _panel_gl(
         f_shift, -width - t * j, width - t * j, 64)
@@ -295,12 +330,12 @@ def _panel_gl_loop(f, a, b, n_panels):
 
 @pytest.mark.parametrize("n_panels", [1, 16, 128])
 def test_panel_gl_oracle(n_panels):
-    from groupquant.heat import _panel_gl, _theta3_real_ratio_frame
+    from groupquant.heat import _panel_gl
     t = 0.8
     width = 9.0 * math.sqrt(t)
 
     def f_u1(l):
-        return np.exp(-l * l / t) / _theta3_real_ratio_frame(l / t, t)
+        return np.exp(-l * l / t) / _theta3_cosine(l / t, t)
 
     cases = [(f_u1, -width, width)]
     for t2, n in ((0.3, 1), (1.3, 2), (4.0, 5)):

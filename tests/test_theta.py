@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,3 +75,52 @@ def test_invalid_tau():
         theta3(0.0, -1j)
     with pytest.raises(ValueError):
         theta3_dz(0.0, 1.0)
+
+
+def _jtheta_mp(z, tau, derivative=0):
+    """Oracle: mpmath's theta_3 at 30 digits; its convention is
+    jtheta(3, pi z, e^{i pi tau}) = theta3(z | tau)."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+        return np.array([complex(mpmath.pi ** derivative * mpmath.jtheta(
+            3, mpmath.pi * mpmath.mpc(x.real, x.imag), q, derivative))
+            for x in np.ravel(z)]).reshape(np.shape(z))
+
+
+@pytest.mark.parametrize("tau_im", [0.25, 0.6, 0.8, 1.7])
+def test_array_against_mpmath(tau_im):
+    # Im tau on both sides of the 0.7 frame switch; |Im z| up to 4 Im tau,
+    # so the quasi-period reduction shifts by up to 4 periods
+    rng = np.random.default_rng(int(tau_im * 100))
+    tau = complex(rng.uniform(-0.5, 0.5), tau_im)
+    z = (rng.uniform(-1.5, 1.5, (3, 4))
+         + 1j * tau_im * rng.uniform(-4.0, 4.0, (3, 4)))
+    for f, der in ((theta3, 0), (theta3_dz, 1)):
+        val, ref = f(z, tau), _jtheta_mp(z, tau, der)
+        assert val.shape == z.shape
+        assert np.max(np.abs(val - ref) / np.abs(ref)) < 5e-14
+
+
+def test_scalar_in_scalar_out():
+    for z in (0.3, 0.3 + 0.1j, np.float64(0.3), np.array(0.3 + 0.1j)):
+        for f in (theta3, theta3_dz):
+            val = f(z, 0.4j)
+            assert np.ndim(val) == 0 and isinstance(val, complex)
+    assert theta3(np.array(0.3 + 0.1j), 0.4j) == theta3(0.3 + 0.1j, 0.4j)
+    assert theta3([0.3 + 0.1j], 0.4j)[0] == theta3(0.3 + 0.1j, 0.4j)
+
+
+def test_overflow_raises():
+    # mpmath: log|theta3(0.5 + 3i | 0.3 + 0.01i)| = 2828.6, beyond the
+    # double range (709.8); no inf or nan comes back, also not from an
+    # array in which that element is the only one out of range
+    with pytest.raises(OverflowError):
+        theta3(0.5 + 3j, 0.3 + 0.01j)
+    with pytest.raises(OverflowError):
+        theta3_dz(0.5 + 3j, 0.3 + 0.01j)
+    z = np.array([0.1, 0.2 + 0.01j, 0.5 + 3j, -0.3])
+    assert np.all(np.isfinite(theta3(z[[0, 1, 3]], 0.3 + 0.01j)))
+    with pytest.raises(OverflowError):
+        theta3(z, 0.3 + 0.01j)
+    with pytest.raises(OverflowError):
+        theta3_dz(z, 0.3 + 0.01j)
