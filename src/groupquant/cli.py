@@ -247,6 +247,15 @@ COMMANDS = {
 }
 
 
+def _spin(text):
+    """--j: a spin, a non-negative multiple of 1/2."""
+    j = float(text)
+    if not (math.isfinite(j) and j >= 0 and 2 * j == round(2 * j)):
+        raise argparse.ArgumentTypeError(
+            "spin j must be a non-negative multiple of 1/2, got %s" % text)
+    return j
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="groupquant",
@@ -260,7 +269,8 @@ def build_parser():
                    help="table1: fixed number of 24-point Gauss-Legendre "
                         "panels, with no adaptive refinement and no "
                         "convergence check")
-    p.add_argument("--j", type=float, default=None)
+    p.add_argument("--j", type=_spin, default=None,
+                   help="sw-props: spin j, a non-negative multiple of 1/2")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--eps-list", default=None,

@@ -14,6 +14,19 @@ and the Stratonovich-Weyl operator field is Delta(theta) = K^{-1/2} P_theta.
 K commutes with rotations, so the field is equivariant,
 Delta(theta) = D(g_theta) Delta_0 D(g_theta)^*, with Delta_0 diagonal in
 closed form (Varilly & Gracia-Bondia, Ann. Phys. 190 (1989) 107).
+
+With gamma = 0, D_{km}(alpha, beta, 0) = e^{-i m_k alpha} d_{km}(beta), so
+the field factors over the product grid of n_beta Gauss-Legendre and
+n_alpha uniform nodes (N = n_beta n_alpha):
+
+    Delta(alpha, beta)_{kl} = e^{-i (m_k - m_l) alpha} Delta~(beta)_{kl},
+    Delta~(beta) = d(beta) Delta_0 d(beta)^T,
+
+real and symmetric. The calculus holds two tables, never the (N, d, d)
+field: Delta~ on the beta nodes, (n_beta, d^2) real, and the phases
+P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c}, (n_alpha, d^2). Each symbol map
+is then one matrix product between them (27 x 625 and 52 x 625 entries at
+2j = 24, where the field has 1404 x 625).
 """
 
 import math
@@ -42,6 +55,9 @@ def kernel_eigenvalues(twoj, lmax=None):
 
 class OrbitSpec:
     def __init__(self, twoj, L=None):
+        if not isinstance(twoj, (int, np.integer)) or twoj < 0:
+            raise ValueError("twoj = 2j must be a non-negative integer, got %r"
+                             % (twoj,))
         self.twoj = twoj
         self.d = twoj + 1
         self.j = twoj / 2.0
@@ -62,13 +78,16 @@ class OrbitSpec:
         self.nhat = np.stack([sb * np.cos(self.alpha),
                               sb * np.sin(self.alpha),
                               np.cos(self.beta)], axis=-1)
-        # D(g_theta) on the grid, (N, d, d)
-        self.D = wigner_D_euler_grid(twoj, self.alpha, self.beta,
-                                     np.zeros_like(self.alpha))
-        self.coherent = self.D[:, :, 0]        # v_theta = D e_{highest}
+        # d(beta) on the beta nodes, (n_beta, d, d); v_theta = D e_{highest},
+        # v_theta[m] = e^{-i m alpha} d_{mj}(beta)
+        self._d_beta = wigner_d_grid(twoj, beta)
+        m = np.arange(twoj, -twoj - 1, -2) / 2.0
+        self.coherent = (self._d_beta[:, None, :, 0]
+                         * np.exp(-1j * np.multiply.outer(alpha, m))
+                         ).reshape(self.n_nodes, self.d)
         self.k_l = kernel_eigenvalues(twoj)
         self._Y = None
-        self._delta = None
+        self._sw = None
 
     def harmonics(self, l):
         """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l: a column
@@ -92,17 +111,15 @@ class OrbitSpec:
         return self._Y
 
     def orthonormality_residual(self):
-        self._harmonic_matrix(self.L)   # built once, up to the largest degree
-        worst = 0.0
-        for l in range(0, self.L + 1):
-            Yl = self.harmonics(l)
-            for lp in range(l, min(self.L - l, self.L) + 1):
-                Yp = self.harmonics(lp)
-                g = np.einsum("a,am,an->mn", self.weights, Yl.conj(), Yp)
-                expect = (self.d / (4 * math.pi)) * np.eye(2 * l + 1) \
-                    if l == lp else 0.0
-                worst = max(worst, np.abs(g - expect).max())
-        return worst
+        """max |int conj(Y_lm) Y_l'm' dmu - d/(4pi) delta| over the pairs
+        with l + l' <= L, whose products the grid integrates exactly: one
+        Gram matrix Y^H diag(w) Y of the harmonics with l <= L."""
+        Y = self._harmonic_matrix(self.L)[:, :(self.L + 1) ** 2]
+        gram = (Y.conj().T * self.weights) @ Y
+        ls = np.arange(self.L + 1)
+        deg = np.repeat(ls, 2 * ls + 1)
+        err = gram - self.d / (4 * math.pi) * np.eye(len(deg))
+        return float(np.abs(err[np.add.outer(deg, deg) <= self.L]).max())
 
     # -- harmonic analysis on the orbit (band l <= L/2 exact) ---------------
 
@@ -138,20 +155,27 @@ class OrbitSpec:
 
     # -- Stratonovich-Weyl operator field ------------------------------------
 
-    def delta_field(self):
-        """Delta(theta_a) = D Delta_0 D^* as an (N, d, d) array, with
+    def _sw_tables(self):
+        """(Delta~, P) of the factored field, built once: Delta~[b] =
+        d(beta_b) Delta_0 d(beta_b)^T raveled to (n_beta, d^2), real, with
 
         Delta_0[m] = sum_l k_l^{-1/2} (2l+1)/d <j j; l 0|j j> <j m; l 0|j m>
 
-        for m = j..-j.
-        """
-        if self._delta is None:
+        for m = j..-j, and P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c} =
+        e^{i (k - l) alpha_c}, (n_alpha, d^2). The field at node (b, c) is
+        Delta~[b] * P[c], elementwise."""
+        if self._sw is None:
             j, ls = self.j, np.arange(self.d)
             cg = np.array([[clebsch_gordan(j, l, j, j - i, 0.0, j - i)
                             for i in ls] for l in ls])     # (l, m)
             delta0 = (self.k_l ** -0.5 * (2 * ls + 1) / self.d * cg[:, 0]) @ cg
-            self._delta = (self.D * delta0) @ np.swapaxes(self.D.conj(), 1, 2)
-        return self._delta
+            db = self._d_beta
+            table = (db * delta0) @ np.swapaxes(db, 1, 2)
+            phase = np.exp(1j * np.multiply.outer(
+                self.alpha_nodes, np.subtract.outer(ls, ls)))
+            self._sw = (table.reshape(len(db), -1),
+                        phase.reshape(len(self.alpha_nodes), -1))
+        return self._sw
 
 
 def coherent_vector(spec, alpha, beta):
@@ -168,7 +192,8 @@ def momentum_map(twoj, v):
 
 def lower_symbol(spec, A):
     """L_A(theta) = <v_theta, A v_theta>."""
-    return np.einsum("am,mn,an->a", spec.coherent.conj(), A, spec.coherent)
+    v = spec.coherent
+    return ((v.conj() @ A) * v).sum(1)
 
 
 def upper_symbol_from_lower(spec, L_field):
@@ -177,20 +202,27 @@ def upper_symbol_from_lower(spec, L_field):
 
 
 def sw_symbol(spec, A):
-    """W_A(theta) = tr(Delta(theta) A)."""
-    return np.einsum("anm,mn->a", spec.delta_field(), A)
+    """W_A(theta) = tr(Delta(theta) A) = sum_{kl} P[c, kl] Delta~[b, kl]
+    A_{lk} at node (b, c): the (n_beta, d^2) table times A^T, then one
+    matrix product with the (n_alpha, d^2) phase table, raveled in the
+    grid's (beta, alpha) order."""
+    table, phase = spec._sw_tables()
+    return ((table * A.T.ravel()) @ phase.T).ravel()
 
 
 def sw_quantize(spec, W_field):
-    """A = int W(theta) Delta(theta) dmu."""
-    return np.einsum("a,a,anm->nm", spec.weights, W_field,
-                     spec.delta_field())
+    """A = int W(theta) Delta(theta) dmu: the weighted field as an
+    (n_beta, n_alpha) matrix times the (n_alpha, d^2) phase table, then
+    summed over beta against the (n_beta, d^2) table."""
+    table, phase = spec._sw_tables()
+    wW = (spec.weights * W_field).reshape(len(table), -1)
+    return (table * (wW @ phase)).sum(0).reshape(spec.d, spec.d)
 
 
 def berezin_quantize(spec, field):
     """Q^B(f) = int f(theta) P_theta dmu."""
-    return np.einsum("a,a,am,an->mn", spec.weights, field,
-                     spec.coherent, spec.coherent.conj())
+    v = spec.coherent
+    return ((spec.weights * field)[:, None] * v).T @ v.conj()
 
 
 def berezin_sw_residual(spec, field):
@@ -209,7 +241,9 @@ def berezin_sw_residual(spec, field):
 def sw_twisted_product(spec, WA, WB):
     """(W_A * W_B)(theta) = W of Q^SW(W_A) Q^SW(W_B): the triple-kernel
     integral tr(Delta(theta) Delta(theta') Delta(theta'')) W_A(theta')
-    W_B(theta'') with the primed integrals done first."""
+    W_B(theta'') with the primed integrals done first, so two quantizations
+    and one symbol, each one matrix product with the factored field's
+    (n_beta, d^2) and (n_alpha, d^2) tables."""
     return sw_symbol(spec, sw_quantize(spec, WA) @ sw_quantize(spec, WB))
 
 
@@ -218,9 +252,15 @@ def sw_twisted_product(spec, WA, WB):
 # ---------------------------------------------------------------------------
 
 def e_kernel(spec, quad):
-    """E(g; pi, theta) = tr(Delta(theta) pi(g)) on (group grid, orbit grid)."""
-    D = quad.rep_grid(spec.twoj + 1)
-    return np.einsum("anm,kmn->ka", spec.delta_field(), D)
+    """E(g; pi, theta) = tr(Delta(theta) pi(g)) on (group grid, orbit grid).
+
+    One matrix product per beta row b: the group nodes' pi(g)^T, raveled to
+    (n_g, d^2), times the row Delta~[b] of the (n_beta, d^2) table, against
+    the (n_alpha, d^2) phase table gives the n_alpha columns of that row."""
+    table, phase = spec._sw_tables()
+    Dt = np.swapaxes(quad.rep_grid(spec.twoj + 1), 1, 2).reshape(
+        quad.n_nodes, -1)
+    return np.concatenate([(Dt * row) @ phase.T for row in table], axis=1)
 
 
 def swf_transform(psi_grid, quad, specs):
@@ -234,12 +274,17 @@ def swf_transform(psi_grid, quad, specs):
 
 
 def swf_inverse(transform, quad, specs):
-    """Psi(g) = sum_pi d_pi int conj(E(g; pi, theta)) F(pi, theta) dmu."""
+    """Psi(g) = sum_pi d_pi int conj(E(g; pi, theta)) F(pi, theta) dmu.
+
+    Delta(theta) is Hermitian, so conj(E(g; pi, theta)) = tr(Delta(theta)
+    pi(g)^*) and the orbit integral is d_pi tr(Q^SW(F) pi(g)^*): one
+    quantization per orbit and one matrix product with the group nodes'
+    conj(pi(g)), raveled to (n_g, d^2)."""
     out = np.zeros(quad.n_nodes, dtype=complex)
     for spec in specs:
-        E = e_kernel(spec, quad)
-        out += spec.d * np.einsum("ka,a,a->k", E.conj(), spec.weights,
-                                  transform[spec.twoj])
+        D = quad.rep_grid(spec.twoj + 1)
+        A = sw_quantize(spec, transform[spec.twoj])
+        out += spec.d * (D.conj().reshape(quad.n_nodes, -1) @ A.ravel())
     return out
 
 

@@ -133,6 +133,15 @@ def test_sw_props_larger_spin(tmp_path, j):
     assert all(v < 1e-9 for v in _sw_props_errors(tmp_path, j).values())
 
 
+@pytest.mark.parametrize("j", ["0.3", "-1", "-0.5", "nan", "inf"])
+def test_sw_props_rejects_invalid_spin(j, capsys):
+    # 0.3 used to run as j = 0.5 and -1 to fail inside matmul
+    with pytest.raises(SystemExit) as exc:
+        main(["--cmd", "sw-props", "--j", j])
+    assert exc.value.code == 2
+    assert "multiple of 1/2" in capsys.readouterr().err
+
+
 def test_moyal_fit_pinned(tmp_path):
     out = tmp_path / "m.json"
     assert main(["--cmd", "moyal-fit", "--eps-list", "0.25,0.125,0.0625",

@@ -24,9 +24,36 @@ def rand_mat(d):
     return RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
 
 
+def _orthonormality_residual_loop(spec):
+    """The Gram residual degree pair by degree pair, l <= l', l + l' <= L."""
+    worst = 0.0
+    for l in range(spec.L + 1):
+        Yl = spec.harmonics(l)
+        for lp in range(l, spec.L - l + 1):
+            g = np.einsum("a,am,an->mn", spec.weights, Yl.conj(),
+                          spec.harmonics(lp))
+            expect = (spec.d / (4 * math.pi)) * np.eye(2 * l + 1) \
+                if l == lp else 0.0
+            worst = max(worst, np.abs(g - expect).max())
+    return worst
+
+
 def test_grid_normalization(spec):
     assert abs(spec.weights.sum() - spec.d) < 1e-12
-    assert spec.orthonormality_residual() < 1e-10
+    res = spec.orthonormality_residual()
+    assert res < 1e-10
+    assert abs(res - _orthonormality_residual_loop(spec)) < 1e-15
+
+
+@pytest.mark.parametrize("twoj", [2.5, -1, 1.0, "2"])
+def test_orbit_spec_rejects_invalid_spin(twoj):
+    with pytest.raises(ValueError):
+        O.OrbitSpec(twoj)
+
+
+def test_orbit_spec_accepts_numpy_int():
+    s = O.OrbitSpec(np.int64(3))
+    assert s.d == 4 and s.coherent.shape == (s.n_nodes, 4)
 
 
 @pytest.mark.parametrize("twoj", [1, 4, 24])
@@ -155,8 +182,85 @@ def test_spectrum_positivity_large_j():
     assert np.all(np.diff(vals) > 0) and vals[-1] > 0.8  # k_l -> 1 trend
 
 
+# The dense field: D(g_theta) Delta_0 D(g_theta)^* on every node, (N, d, d),
+# the oracle for the factored tables of orbits.py.
+
+def _delta0(twoj):
+    """Delta_0[m] = sum_l k_l^{-1/2} (2l+1)/d <j j; l 0|j j> <j m; l 0|j m>
+    for m = j..-j."""
+    j, d = twoj / 2.0, twoj + 1
+    ls = np.arange(d)
+    cg = np.array([[clebsch_gordan(j, l, j, j - i, 0.0, j - i)
+                    for i in ls] for l in ls])     # (l, m)
+    return (O.kernel_eigenvalues(twoj) ** -0.5 * (2 * ls + 1) / d
+            * cg[:, 0]) @ cg
+
+
+def _delta_field(spec):
+    D = wigner_D_euler_grid(spec.twoj, spec.alpha, spec.beta,
+                            np.zeros(spec.n_nodes))
+    return (D * _delta0(spec.twoj)) @ np.swapaxes(D.conj(), 1, 2)
+
+
+def _rel(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+ORACLE_2J = [0, 1, 4, 17, 24]
+
+
+@pytest.mark.parametrize("twoj", ORACLE_2J)
+def test_sw_maps_dense_oracle(twoj):
+    s = O.OrbitSpec(twoj)
+    rng = np.random.default_rng(200 + twoj)
+    flat = _delta_field(s).reshape(s.n_nodes, -1)   # [a, (n, m)]
+    A = rng.standard_normal((s.d, s.d)) + 1j * rng.standard_normal((s.d,
+                                                                     s.d))
+    assert _rel(O.sw_symbol(s, A), flat @ A.T.ravel()) < 1e-13
+    W = (rng.standard_normal(s.n_nodes)
+         + 1j * rng.standard_normal(s.n_nodes))
+    assert _rel(O.sw_quantize(s, W),
+                ((s.weights * W) @ flat).reshape(s.d, s.d)) < 1e-13
+
+
+@pytest.mark.parametrize("twoj", ORACLE_2J)
+def test_swf_dense_oracle(twoj):
+    s = O.OrbitSpec(twoj)
+    quad = G.su2_quadrature(3)
+    rng = np.random.default_rng(300 + twoj)
+    flat = _delta_field(s).reshape(s.n_nodes, -1)
+    Dt = np.swapaxes(quad.rep_grid(s.d), 1, 2).reshape(quad.n_nodes, -1)
+    E = Dt @ flat.T                                 # tr(Delta(theta) pi(g))
+    assert _rel(O.e_kernel(s, quad), E) < 1e-13
+    psi = (rng.standard_normal(quad.n_nodes)
+           + 1j * rng.standard_normal(quad.n_nodes))
+    F = O.swf_transform(psi, quad, [s])[twoj]
+    assert _rel(F, (quad.weights * psi) @ E) < 1e-13
+    assert _rel(O.swf_inverse({twoj: F}, quad, [s]),
+                s.d * E.conj() @ (s.weights * F)) < 1e-13
+
+
+@pytest.mark.parametrize("twoj", ORACLE_2J)
+def test_coherent_dense_oracle(twoj):
+    s = O.OrbitSpec(twoj)
+    D = wigner_D_euler_grid(twoj, s.alpha, s.beta, np.zeros(s.n_nodes))
+    assert np.abs(s.coherent - D[:, :, 0]).max() < 1e-15
+
+
+# 2j = 0 is left out: there d = 1, and every per-node array, the weights
+# included, holds N d^2 entries
+@pytest.mark.parametrize("twoj", ORACLE_2J[1:])
+def test_no_dense_field_held(twoj):
+    s = O.OrbitSpec(twoj)
+    O.sw_quantize(s, O.sw_symbol(s, np.eye(s.d)))
+    held = [a for v in vars(s).values()
+            for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray)]
+    assert max(a.size for a in held) < s.n_nodes * s.d ** 2
+
+
 def test_delta_field(spec):
-    D = spec.delta_field()
+    D = _delta_field(spec)
     assert np.abs(D - np.conj(np.swapaxes(D, 1, 2))).max() < 1e-12
     assert np.abs(np.einsum("ann->a", D) - 1.0).max() < 1e-12
     assert np.abs(np.einsum("a,anm->nm", spec.weights, D)
@@ -178,12 +282,12 @@ def _delta_field_harmonic(spec):
 @pytest.mark.parametrize("twoj", [1, 2, 3, 8])
 def test_delta_field_harmonic_oracle(twoj):
     s = O.OrbitSpec(twoj)
-    assert np.abs(s.delta_field() - _delta_field_harmonic(s)).max() < 1e-12
+    assert np.abs(_delta_field(s) - _delta_field_harmonic(s)).max() < 1e-12
 
 
 def test_pauli_form():
     s2 = O.OrbitSpec(1)
-    D2 = s2.delta_field()
+    D2 = _delta_field(s2)
     sig = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                     [[1, 0], [0, -1]]], dtype=complex)
     expect = 0.5 * (np.eye(2)
@@ -282,7 +386,8 @@ def test_e_kernel_properties(swf_setup):
     # 1. conj E(g) = E(g^{-1})
     Dinv = wigner_D_euler_grid(spec.twoj,
                                *G.quat_to_euler(G.quat_inv(quad.quats)))
-    Einv = np.einsum("anm,kmn->ka", spec.delta_field(), Dinv)
+    D = _delta_field(spec)
+    Einv = np.einsum("anm,kmn->ka", D, Dinv)
     assert np.abs(E.conj() - Einv).max() < 1e-12
     # 2. covariance under conjugation
     h = G.quat_normalize(np.array([0.6, 0.2, -0.3, 0.71]))
@@ -291,16 +396,14 @@ def test_e_kernel_properties(swf_setup):
     Dg = wigner_D_euler_grid(spec.twoj, *G.quat_to_euler(g1[None]))[0]
     Dconj = wigner_D_euler_grid(spec.twoj, *G.quat_to_euler(
         G.quat_mul(G.quat_mul(h, g1), G.quat_inv(h))[None]))[0]
-    lhs = np.einsum("anm,mn->a", spec.delta_field(), Dconj)
-    rhs = np.einsum("anm,mn->a", spec.delta_field(),
-                    Dh @ Dg @ Dh.conj().T)
+    lhs = np.einsum("anm,mn->a", D, Dconj)
+    rhs = np.einsum("anm,mn->a", D, Dh @ Dg @ Dh.conj().T)
     assert np.abs(lhs - rhs).max() < 1e-12
     # 3. int E dmu = chi
     chi = np.einsum("kmm->k", quad.rep_grid(spec.twoj + 1))
     assert np.abs(E @ spec.weights - chi).max() < 1e-12
     # 4. int_G E(g,th) conj(E(g,th')) dg = d^{-1} tr(Delta(th) Delta(th'))
     lhs4 = np.einsum("k,ka,kb->ab", quad.weights, E, E.conj())
-    D = spec.delta_field()
     rhs4 = np.einsum("anm,bmn->ab", D, D) / spec.d
     assert np.abs(lhs4 - rhs4).max() < 1e-12
     # 6. E(g) star E(h) = E(gh)
@@ -336,7 +439,7 @@ def test_pauli_term_symbol(swf_setup):
     Wp = O.sw_symbol(spec, A)
     dt = 1e-6
     acc = np.zeros(spec.n_nodes, complex)
-    D = spec.delta_field()
+    D = _delta_field(spec)
     for i in range(3):
         Xp = np.zeros(3)
         Xp[i] = dt
