@@ -136,9 +136,10 @@ class RationalLattice:
     def point(self, m):
         return self.lam0 * (m + self.j0)
 
-    def contains(self, lam, tol=1e-9):
+    def contains(self, lam):
+        """Whether lam is within 1e-9 (in units of lam0) of the lattice."""
         r = lam / self.lam0 - self.j0
-        return abs(r - round(r)) < tol
+        return abs(r - round(r)) < 1e-9
 
     def combined_with(self, other):
         """Lattice containing the sum set, for a rational spacing ratio.
@@ -375,23 +376,25 @@ def apply_kernel_norm_check(h_entries, phi, p):
     return lhs, bound
 
 
-def sobolev_bound_check(sigma, s, t, p, states, eps=1.0,
-                        window=40, r_grid=None):
+def sobolev_bound_check(sigma, s, t, p, states, eps=1.0):
     """Boundedness h^s_p -> h^{s-t}_p for an equivariant symbol.
 
     Checks the feasibility condition (exists r >= 0 with delta r <= t - m
     and (1 - delta) r > |m| - 1 + |t| + |s - t|), builds the dominating
-    kernel constants C1, C2 over a lattice window, and verifies the
-    empirical ratio ||A Phi||_{(s-t,p)} / ||Phi||_{(s,p)} never exceeds
+    kernel constants C1, C2 over the lattice window |j| <= 40, and verifies
+    the empirical ratio ||A Phi||_{(s-t,p)} / ||Phi||_{(s,p)} never exceeds
     2^{|s-t|} C1^{1/p} C2^{1/q} on the supplied states.
+
+    With 0 <= delta <= 1 the first condition bounds r from above, by
+    (t - m) / delta (no bound when delta = 0 and t >= m), and (1 - delta) r
+    does not decrease with r, so r exists iff the bound satisfies the second.
     """
     m, delta = sigma.m, sigma.delta
-    if r_grid is None:
-        r_grid = np.linspace(0.0, 60.0, 601)
-    feasible = [r for r in r_grid
-                if delta * r <= t - m + 1e-12
-                and (1 - delta) * r > abs(m) - 1 + abs(t) + abs(s - t)]
-    if not feasible:
+    if not 0 <= delta <= 1:
+        raise ValueError("delta must lie in [0, 1], got %r" % (delta,))
+    slack = t - m + 1e-12
+    if not (slack >= 0 and (delta == 0 or (1 - delta) * slack / delta
+                            > abs(m) - 1 + abs(t) + abs(s - t))):
         raise ValueError(
             "no r >= 0 satisfies delta r <= t - m and "
             "(1 - delta) r > |m| - 1 + |t| + |s - t|")
@@ -402,7 +405,7 @@ def sobolev_bound_check(sigma, s, t, p, states, eps=1.0,
     #                         sigma_hat^1(lam''-lam', (lam''+lam')/2)
     eps = Fraction(eps)
     entries = {}
-    pts = [lat.point(mm) for mm in range(-window, window + 1)]
+    pts = [lat.point(mm) for mm in range(-40, 41)]
     for lamp in pts:
         for nu in sigma.frequencies():
             lam2 = lamp - eps * nu

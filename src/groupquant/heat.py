@@ -128,11 +128,12 @@ def _panel_gl(f, a, b, n_panels):
     return half @ (vals.reshape(n_panels, -1) @ w)
 
 
-def resolution_constant_u1(t, tol=1e-8):
+def resolution_constant_u1(t):
     """C_t^{-1} = sqrt(t/pi) int e^{-l^2/t} / theta3(l/t | i pi/t) dl.
 
-    Numerically C_t^{-1} = t. Adaptive panel refinement; raises
-    QuadratureConvergenceError with the achieved tolerance on failure.
+    Numerically C_t^{-1} = t. Adaptive panel refinement until two levels
+    agree to 1e-8 (relative above 1); raises QuadratureConvergenceError
+    with the achieved difference on failure.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -144,7 +145,7 @@ def resolution_constant_u1(t, tol=1e-8):
     prev = None
     for n_panels in (8, 16, 32, 64, 128):
         val = math.sqrt(t / math.pi) * _panel_gl(f, -width, width, n_panels)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= 1e-8 * max(1.0, abs(val)):
             return val
         prev = val
     raise QuadratureConvergenceError(
@@ -171,8 +172,7 @@ def itn_theta_integrand(p, t, n):
     return num / den
 
 
-def resolution_integral_su2(t, n, tol=1e-9, return_imag_residual=False,
-                            n_panels=None):
+def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
     """I(t, n) = int p^2 e^{-(p - tn/2)^2/t} / sum_m m e^{-(p - tm/2)^2/t} dp.
 
     The k = 0 term of the denominator's Poisson dual (itn_denominator)
@@ -181,8 +181,9 @@ def resolution_integral_su2(t, n, tol=1e-9, return_imag_residual=False,
     evaluates the denominator by one vectorised itn_denominator call per
     side of p = 0, over all of that side's Gauss-Legendre nodes. The
     imaginary residual is measured from the complex theta3' form on a
-    sample of nodes. A fixed n_panels skips the adaptive refinement and its
-    convergence check (coarse-quadrature escape hatch for the CLI).
+    sample of nodes. The adaptive refinement stops when two levels agree to
+    1e-9 (relative above 1). A fixed n_panels skips it and its convergence
+    check (coarse-quadrature escape hatch for the CLI).
     """
     if t <= 0 or n < 1:
         raise ValueError("require t > 0 and n >= 1")
@@ -205,7 +206,7 @@ def resolution_integral_su2(t, n, tol=1e-9, return_imag_residual=False,
                    _panel_gl(f, 0.0, hi, npan - k + 1))
         else:
             val = _panel_gl(f, lo, hi, npan)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= 1e-9 * max(1.0, abs(val)):
             break
         prev = val
     else:
@@ -238,20 +239,21 @@ def sphere_grid(l_exact):
     return T.ravel(), P.ravel(), W.ravel()
 
 
-def schur_residual_su2(t, n, n_radial=80, l_margin=4):
+def schur_residual_su2(t, n):
     """Numerically integrated resolution operator on the irrep n and its
     deviation from a multiple of the identity.
 
     A = int_g dX rho_{2t}(e^{-2iX})^{-1} pi_n(e^{2iX}) evaluated in spherical
-    coordinates (Weyl integration on the Lie algebra); returns (A, residual)
+    coordinates (Weyl integration on the Lie algebra: a sphere grid exact to
+    degree 2j + 4, 80 Gauss-Legendre radial nodes); returns (A, residual)
     with residual = ||A - (tr A / n) 1||_F / |tr A|.
     """
     twoj = n - 1
     j = twoj / 2.0
-    theta, phi, wsph = sphere_grid(2 * twoj + l_margin)
+    theta, phi, wsph = sphere_grid(2 * twoj + 4)
     D = wigner_D_euler_grid(twoj, phi, theta, np.zeros_like(phi))
     h_max = t * (2 * j + 1) / 2.0 + 12.0 * math.sqrt(t) + 2.0
-    x, wx = _gauss_legendre(n_radial)
+    x, wx = _gauss_legendre(80)
     h = (x + 1.0) * h_max / 2.0
     wh = wx * h_max / 2.0
     norm = su2_norm_series(h, t)

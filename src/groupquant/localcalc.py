@@ -4,12 +4,14 @@ Local symbols are finite trigonometric polynomials in the momentum,
 
     sigma(theta, g) = sum_p m_p(g) e^{-i theta(Y_p)}  +  sum_k theta_k q_k(g),
 
-with Y_p on a uniform lattice inside the injectivity set U = exp^{-1}(G \ {-1})
-and band-limited coefficient functions. Equivalently the momentum-side
-inverse Fourier data sigma_check^1 is a finite sum of point masses (plus a
-first-order distribution at 0 for the linear part), which makes every
-operation of the calculus exact: quantization is a finite sum of
-multiplication and translation operators,
+with Y_p = step * p on a uniform lattice inside the injectivity set
+U = exp^{-1}(G \ {-1}) (|Y| < pi on U(1), |Y| < 2 pi on SU(2)) and
+band-limited coefficient functions. Both groups store the integer points p
+as one (P, n_dirs) array, n_dirs = dim g = 1 or 3. Equivalently the
+momentum-side inverse Fourier data sigma_check^1 is a finite sum of point
+masses (plus a first-order distribution at 0 for the linear part), which
+makes every operation of the calculus exact: quantization is a finite sum
+of multiplication and translation operators,
 
     (Q_eps sigma Psi)(g) = sum_p j(eps Y_p)^2 m_p(g) Psi(e^{-eps Y_p} g) + ...
 
@@ -41,6 +43,7 @@ KN = "KN"
 WEYL = "Weyl"
 
 _EPS_KEY = 1e-9
+_FD_STEP = 1e-6   # central-difference step of kernel_cutoff's d_k phi(0)
 
 
 class SymbolClassError(ValueError):
@@ -48,32 +51,36 @@ class SymbolClassError(ValueError):
 
 
 def haar_jacobian_sq(group, Y):
-    """j(X)^2 at X = Y, the density of Haar against Lebesgue via exp."""
-    if group == G.U1:
-        return np.ones(np.shape(Y)[:-1] if np.ndim(Y) > 1 else np.shape(Y))
-    h = np.linalg.norm(np.atleast_2d(Y), axis=-1)
+    """j(X)^2 at the rows X of Y, (P, n_dirs): the density of Haar measure
+    against Lebesgue measure through exp (1 on U(1))."""
+    h = np.linalg.norm(Y, axis=-1)
     out = np.ones_like(h)
-    nz = h > 1e-12
-    out[nz] = (np.sin(h[nz] / 2.0) / (h[nz] / 2.0)) ** 2
+    if group == G.SU2:
+        nz = h > 1e-12
+        out[nz] = (np.sin(h[nz] / 2.0) / (h[nz] / 2.0)) ** 2
     return out
 
 
 @dataclass
 class LocalSymbol:
+    """Lattice points, (P, n_dirs) ints with n_dirs = 1 on U(1) and 3 on
+    SU(2) (a 1-D array is read as one column), and the PW coefficients of
+    m_p and of the momentum-linear q_k. The lattice must lie in the
+    injectivity set: |Y_p| < pi on U(1) and |Y_p| < 2 pi on SU(2), else
+    SymbolClassError."""
     group: str
     step: float
-    points: np.ndarray            # (P,) ints for U(1), (P, dim) ints for SU(2)
+    points: np.ndarray            # (P, n_dirs) ints
     coeffs: np.ndarray            # (P, dim_g) PW coefficients of m_p
     g_pw: PWSpace
     poly: dict = field(default_factory=dict)  # k -> (dim_g,) coeffs of theta_k
 
     def __post_init__(self):
-        self.points = np.atleast_1d(np.asarray(self.points))
-        if self.group == G.SU2 and self.points.ndim == 1:
-            self.points = self.points.reshape(-1, 3)
+        self.points = np.asarray(self.points).reshape(-1, self.n_dirs)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         lim = math.pi if self.group == G.U1 else 2 * math.pi
-        if self.points.size and np.max(np.abs(self.lattice())) >= lim:
+        if (self.points.size
+                and np.linalg.norm(self.lattice(), axis=1).max() >= lim):
             raise SymbolClassError(
                 "momentum-side support leaves the injectivity set")
 
@@ -97,6 +104,13 @@ class LocalSymbol:
                             for k, v in self.poly.items()})
 
 
+def _at_zero(s, g_pw, coef, poly=None):
+    """The symbol m_0 + sum_k theta_k q_k with the one lattice point 0, on
+    s's group and lattice step: g_pw coefficients coef of m_0, poly of q_k."""
+    return LocalSymbol(s.group, s.step, np.zeros((1, s.n_dirs), int),
+                       np.asarray(coef)[None, :], g_pw, poly or {})
+
+
 def _conj_coeff(g_pw, coef):
     return g_pw.analysis(np.conj(g_pw.synthesis(coef)))
 
@@ -108,30 +122,23 @@ def _prune_poly(poly):
 def symbol_add(a, b):
     if abs(a.step - b.step) > _EPS_KEY * max(a.step, b.step):
         raise SymbolClassError("incompatible lattice steps")
-    pts = np.concatenate([np.atleast_2d(a.points.reshape(len(a.points), -1)),
-                          np.atleast_2d(b.points.reshape(len(b.points), -1))])
-    coeffs = np.concatenate([a.coeffs, b.coeffs])
-    pts, coeffs = _merge_lattice(pts, coeffs)
+    pts, coeffs = _merge_lattice(np.concatenate([a.points, b.points]),
+                                 np.concatenate([a.coeffs, b.coeffs]))
     poly = dict(a.poly)
     for k, v in b.poly.items():
         poly[k] = poly.get(k, 0) + v
-    out_pts = pts[:, 0] if a.group == G.U1 else pts
-    return LocalSymbol(a.group, a.step, out_pts, coeffs, a.g_pw,
+    return LocalSymbol(a.group, a.step, pts, coeffs, a.g_pw,
                        _prune_poly(poly))
 
 
 def _merge_lattice(pts, coeffs):
-    seen = {}
-    out_p, out_c = [], []
+    """One row per distinct lattice point, in order of first appearance,
+    with the coefficients of its repeats summed."""
+    merged = {}
     for p, c in zip(pts, coeffs):
-        key = tuple(int(x) for x in p)
-        if key in seen:
-            out_c[seen[key]] = out_c[seen[key]] + c
-        else:
-            seen[key] = len(out_p)
-            out_p.append(p)
-            out_c.append(c.copy())
-    return np.array(out_p), np.array(out_c)
+        key = tuple(p)
+        merged[key] = merged[key] + c if key in merged else c.copy()
+    return np.array(list(merged), dtype=int), np.array(list(merged.values()))
 
 
 def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
@@ -151,9 +158,7 @@ def symbol_product(a, b, g_pw_out):
     if (a.poly and _has_lattice_dep(b)) or (b.poly and _has_lattice_dep(a)):
         raise SymbolClassError("momentum-linear times oscillatory factor "
                                "leaves the finite class")
-    pa = np.atleast_2d(a.points.reshape(len(a.points), -1))
-    pb = np.atleast_2d(b.points.reshape(len(b.points), -1))
-    pts = (pa[:, None, :] + pb[None, :, :]).reshape(-1, pa.shape[1])
+    pts = (a.points[:, None] + b.points[None, :]).reshape(-1, a.n_dirs)
     coeffs = _coeff_products(a.g_pw, a.coeffs, b.g_pw, b.coeffs, g_pw_out)
     pts, coeffs = _merge_lattice(pts, coeffs.reshape(len(pts), -1))
     poly = {}
@@ -163,29 +168,22 @@ def symbol_product(a, b, g_pw_out):
             tot = _coeff_products(src.g_pw, v, other.g_pw, other.coeffs,
                                   g_pw_out)[0].sum(axis=0)
             poly[k] = poly.get(k, 0) + tot
-    out_pts = pts[:, 0] if a.group == G.U1 else pts
-    return LocalSymbol(a.group, a.step, out_pts, coeffs, g_pw_out,
+    return LocalSymbol(a.group, a.step, pts, coeffs, g_pw_out,
                        _prune_poly(poly))
 
 
 def _has_lattice_dep(s):
-    pts = np.atleast_2d(s.points.reshape(len(s.points), -1))
-    mass = np.abs(s.coeffs).max(axis=-1) if s.coeffs.size else np.zeros(0)
-    return any(m > 0 and np.any(p != 0) for m, p in zip(mass, pts))
+    """Whether a nonzero coefficient sits at a lattice point other than 0."""
+    return bool(np.any(np.any(s.points != 0, axis=1)
+                       & np.any(s.coeffs != 0, axis=1)))
 
 
 def theta_derivative(s, k):
     """d/d theta_k: multiplies trig data by -i Y_k, turns theta_k q into q."""
-    Y = s.lattice()
-    Yk = Y if s.group == G.U1 else Y[:, k]
-    coeffs = (-1j * Yk)[:, None] * s.coeffs
+    coeffs = (-1j * s.lattice()[:, k])[:, None] * s.coeffs
     out = LocalSymbol(s.group, s.step, s.points.copy(), coeffs, s.g_pw, {})
     if k in s.poly:
-        zero = np.zeros((1,) + (3,) if s.group == G.SU2 else (1,), dtype=int)
-        extra = LocalSymbol(s.group, s.step,
-                            zero if s.group == G.SU2 else np.zeros(1, int),
-                            s.poly[k][None, :], s.g_pw, {})
-        out = symbol_add(out, extra)
+        out = symbol_add(out, _at_zero(s, s.g_pw, s.poly[k]))
     return out
 
 
@@ -218,13 +216,15 @@ def poisson_bracket(a, b, g_pw_out):
 
 
 def _lie_poisson_part(a, b, g_pw_out):
-    """{f, f'}_-(theta) = -theta([d_theta f, d_theta f']); None when zero."""
+    """{f, f'}_-(theta) = -theta([d_theta f, d_theta f']); None when zero.
+
+    For momentum-linear f = theta_k q_k, f' = theta_l q'_l the bracket
+    [tau_k, tau_l] = eps_klm tau_m gives -eps_klm q_k q'_l theta_m."""
     if a.group == G.U1:
         return None
-    a_latt, b_latt = _has_lattice_dep(a), _has_lattice_dep(b)
-    if a_latt or b_latt:
+    if _has_lattice_dep(a) or _has_lattice_dep(b):
         # vanishes when all momentum directions are parallel
-        dirs = np.concatenate([np.atleast_2d(a.points), np.atleast_2d(b.points)])
+        dirs = np.concatenate([a.points, b.points])
         dirs = dirs[np.any(dirs != 0, axis=1)]
         if len(dirs) and np.linalg.matrix_rank(dirs) > 1:
             raise SymbolClassError("Lie-Poisson part of oscillatory symbols "
@@ -234,29 +234,15 @@ def _lie_poisson_part(a, b, g_pw_out):
             raise SymbolClassError("mixed oscillatory / momentum-linear "
                                    "Lie-Poisson part is unsupported")
         return None
-    if not (a.poly and b.poly):
-        return None
-    eps_t = np.zeros((3, 3, 3))
-    for i, jj, kk in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps_t[i, jj, kk] = 1.0
-        eps_t[i, kk, jj] = -1.0
     poly = {}
-    for m in range(3):
-        tot = None
-        for k in range(3):
-            for l in range(3):
-                if eps_t[k, l, m] == 0 or k not in a.poly or l not in b.poly:
-                    continue
-                c = eps_t[k, l, m] * _coeff_products(
-                    a.g_pw, a.poly[k], b.g_pw, b.poly[l], g_pw_out)[0, 0]
-                tot = c if tot is None else tot + c
-        if tot is not None:
-            poly[m] = -tot  # minus Lie-Poisson sign
+    for k, l, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for sign, i, j in ((1.0, k, l), (-1.0, l, k)):
+            if i in a.poly and j in b.poly:
+                poly[m] = poly.get(m, 0) - sign * _coeff_products(
+                    a.g_pw, a.poly[i], b.g_pw, b.poly[j], g_pw_out)[0, 0]
     if not poly:
         return None
-    zero = np.zeros((1, 3), int)
-    return LocalSymbol(a.group, a.step, zero,
-                       np.zeros((1, g_pw_out.dim), complex), g_pw_out, poly)
+    return _at_zero(a, g_pw_out, np.zeros(g_pw_out.dim, complex), poly)
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +256,8 @@ def _exp_points(group, Y):
 
 def _grid_values(g_pw, coeffs, pw):
     """Values on pw's quadrature grid, (N, rows), of the functions whose g_pw
-    coefficients are the rows of coeffs: pw.synthesis of the coefficients
-    zero-padded into pw's basis (a label's basis functions sqrt(d) D_ab are
-    the same in both spaces)."""
-    if g_pw.band > pw.band:
-        raise ValueError("coefficient band %d exceeds the target band %d"
-                         % (g_pw.band, pw.band))
-    rows = [pw.offsets[lab] - g_pw.offsets[lab] + i
-            for i, (lab, _, _) in enumerate(g_pw.index)]
-    pad = np.zeros((pw.dim, len(coeffs)), dtype=complex)
-    pad[rows] = np.transpose(coeffs)
-    return pw.synthesis(pad)
+    coefficients are the rows of coeffs."""
+    return pw.synthesis(pw.pad(g_pw, np.transpose(coeffs)))
 
 
 def _operators(s, pw, in_band=None):
@@ -305,7 +282,7 @@ def _assemble(s, ops, eps, pw, variant):
         raise ValueError("variant must be KN or Weyl")
     mults, lin, cols = ops
     weyl = variant == WEYL
-    Y = np.atleast_2d(s.lattice().reshape(len(s.points), -1))
+    Y = s.lattice()
     jfac = haar_jacobian_sq(s.group, eps * Y)
     # T_v = U_v has blocks kron(conj D(v), 1): v = e^{eps Y_p} for KN, and
     # its square root e^{eps Y_p / 2}, on both sides, for Weyl
@@ -359,38 +336,28 @@ def local_quantize(s, eps, pw, variant=KN):
     return _assemble(s, _operators(s, pw), eps, pw, variant)
 
 
-def kernel_cutoff(phi, s, dphi0=None, fd_step=1e-6):
+def kernel_cutoff(phi, s, dphi0=None):
     """H(phi) sigma: multiply the momentum-side data by phi pointwise.
 
     phi is a callable on the Lie algebra (scalar argument for U(1), 3-vector
     for SU(2)). The momentum-linear part picks up phi(0) theta_k q_k plus
     i (d_k phi)(0) q_k at frequency zero; derivatives of phi at 0 are taken
-    from dphi0 if given, else by central differences.
+    from dphi0 if given, else by central differences of step _FD_STEP.
     """
-    Y = np.atleast_2d(s.lattice().reshape(len(s.points), -1))
-    vals = np.array([phi(y if s.group == G.SU2 else float(y[0])) for y in Y])
-    coeffs = vals[:, None] * s.coeffs
-    out = LocalSymbol(s.group, s.step, s.points.copy(), coeffs, s.g_pw, {})
-    if s.poly:
-        zero_arg = np.zeros(3) if s.group == G.SU2 else 0.0
-        phi0 = phi(zero_arg)
-        poly = {k: phi0 * v for k, v in s.poly.items()}
-        out = LocalSymbol(s.group, s.step, out.points, out.coeffs, s.g_pw, poly)
-        for k, q in s.poly.items():
-            if dphi0 is not None:
-                dk = dphi0[k]
-            else:
-                e = np.zeros(3) if s.group == G.SU2 else None
-                if s.group == G.SU2:
-                    e[k] = fd_step
-                    dk = (phi(e) - phi(-e)) / (2 * fd_step)
-                else:
-                    dk = (phi(fd_step) - phi(-fd_step)) / (2 * fd_step)
-            zero = (np.zeros((1, 3), int) if s.group == G.SU2
-                    else np.zeros(1, int))
-            extra = LocalSymbol(s.group, s.step, zero,
-                                (1j * dk) * q[None, :], s.g_pw, {})
-            out = symbol_add(out, extra)
+    def at(y):
+        return phi(float(y[0]) if s.group == G.U1 else y)
+
+    coeffs = np.array([at(y) for y in s.lattice()])[:, None] * s.coeffs
+    phi0 = at(np.zeros(s.n_dirs)) if s.poly else 0.0
+    out = LocalSymbol(s.group, s.step, s.points.copy(), coeffs, s.g_pw,
+                      {k: phi0 * v for k, v in s.poly.items()})
+    for k, q in s.poly.items():
+        if dphi0 is not None:
+            dk = dphi0[k]
+        else:
+            e = _FD_STEP * np.eye(s.n_dirs)[k]
+            dk = (at(e) - at(-e)) / (2 * _FD_STEP)
+        out = symbol_add(out, _at_zero(s, s.g_pw, (1j * dk) * q))
     return out
 
 

@@ -54,14 +54,14 @@ def kernel_eigenvalues(twoj, lmax=None):
 
 
 class OrbitSpec:
-    def __init__(self, twoj, L=None):
+    def __init__(self, twoj):
         if not isinstance(twoj, (int, np.integer)) or twoj < 0:
             raise ValueError("twoj = 2j must be a non-negative integer, got %r"
                              % (twoj,))
         self.twoj = twoj
         self.d = twoj + 1
         self.j = twoj / 2.0
-        self.L = 2 * twoj + 2 if L is None else L
+        self.L = 2 * twoj + 2
         n_beta = self.L // 2 + 2
         n_alpha = self.L + 2
         x, wx = _gauss_legendre(n_beta)
@@ -145,11 +145,9 @@ class OrbitSpec:
         Y = self._harmonic_matrix(lmax)[:, :(lmax + 1) ** 2]
         return (Y @ c).reshape((self.n_nodes,) + tail)
 
-    def rescale_harmonics(self, field, factors, lmax=None):
-        """Apply sum_l factors[l] * (projection on degree l)."""
-        if lmax is None:
-            lmax = self.twoj
-        coeffs = self.sh_analysis(field, lmax)
+    def rescale_harmonics(self, field, factors):
+        """Apply sum_l factors[l] * (projection on degree l), l <= 2j."""
+        coeffs = self.sh_analysis(field, self.twoj)
         return self.sh_synthesis([factors[l] * c
                                   for l, c in enumerate(coeffs)])
 

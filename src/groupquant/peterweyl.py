@@ -247,6 +247,26 @@ class PWSpace:
         o = self.offsets[lab]
         return mat[o:o + d * d].reshape(d, d)
 
+    def sub_rows(self, sub):
+        """The row of this basis that holds each basis index of `sub`, a
+        space of the same group whose band is not larger (ValueError
+        otherwise): a label's basis functions sqrt(d) D_ab are the same in
+        both spaces, at other offsets."""
+        if sub.band > self.band:
+            raise ValueError("coefficient band %d exceeds the target band %d"
+                             % (sub.band, self.band))
+        return np.array([self.offsets[lab] - sub.offsets[lab] + i
+                         for i, (lab, _, _) in enumerate(sub.index)])
+
+    def pad(self, sub, coeffs):
+        """Coefficients (sub.dim, ...) on `sub`'s basis zero-padded into this
+        basis, (dim, ...): `synthesis` of the result evaluates them on this
+        space's grid."""
+        c = np.asarray(coeffs)
+        out = np.zeros((self.dim,) + c.shape[1:], dtype=complex)
+        out[self.sub_rows(sub)] = c
+        return out
+
     # -- block-diagonal operators -------------------------------------------
 
     def _element(self, h):

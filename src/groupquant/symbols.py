@@ -37,6 +37,11 @@ import numpy as np
 from . import groups as G
 from .peterweyl import PWSpace
 
+# Weyl kernels with more relative mass than _BRANCH_TOL within _BRANCH_MARGIN
+# of the square-root branch locus are rejected
+_BRANCH_TOL = 1e-12
+_BRANCH_MARGIN = 0.2
+
 
 class BranchLocusError(ValueError):
     def __init__(self, mass, tol):
@@ -128,17 +133,14 @@ def momentum_symbol(group, pi_band, g_pw, eps, direction=0):
     return MatrixSymbol(group, pi_band, g_pw, vals)
 
 
-def random_symbol(group, pi_band, g_pw, rng, hermitian=False, scale=1.0):
-    """Band-limited random symbol (g-band = g_pw.band)."""
+def random_symbol(group, pi_band, g_pw, rng):
+    """Band-limited random symbol (g-band = g_pw.band) with standard complex
+    Gaussian coefficients."""
     vals = {}
     for lab in G.irrep_labels(group, pi_band):
-        d = G.dim(group, lab)
-        coef = scale * (rng.standard_normal((g_pw.dim, d, d))
-                        + 1j * rng.standard_normal((g_pw.dim, d, d)))
-        v = g_pw.synthesis(coef)
-        if hermitian:
-            v = (v + np.conj(np.swapaxes(v, 1, 2))) / 2.0
-        vals[lab] = v
+        shape = (g_pw.dim,) + (G.dim(group, lab),) * 2
+        vals[lab] = g_pw.synthesis(rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape))
     return MatrixSymbol(group, pi_band, g_pw, vals)
 
 
@@ -184,7 +186,7 @@ def kn_quantize(sym, pw):
         # Psihat_i(pi) = sum_k w_k e_i(g_k) D[pi](g_k), the conjugate of
         # the analysis of conj(D)
         psihat = pw.analysis(D.conj()).conj()[cols]
-        sig = sym.values_at_quad(lab, quad)
+        sig = pw.synthesis(pw.pad(sym.g_pw, sym.coefficients(lab)))
         # tr(pi(g)^* sigma(pi, g) Psihat_i) = sum_pm Psihat_i[p, m] X[g, p, m]
         X = np.swapaxes(sig, 1, 2) @ D.conj()
         out_vals += d * (psihat.reshape(len(cols), d * d)
@@ -207,8 +209,7 @@ def kn_symbol(op, pi_band, g_pw):
     """
     pw = op.pw
     quad = pw.quad
-    E_small = g_pw._basis_matrix(quad)
-    EW_small = (E_small.conj() * quad.weights[:, None]).T
+    rows = pw.sub_rows(g_pw)
     vals = {}
     resid = scale = 0.0
     for lab in G.irrep_labels(pw.group, pi_band):
@@ -221,11 +222,11 @@ def kn_symbol(op, pi_band, g_pw):
         C = pw.analysis(F)                    # (dim_pw, d*d)
         W = pw.synthesis(op.matrix @ C)       # (N, d*d)
         sig = np.einsum("kmn,knp->kmp", D, W.reshape(quad.n_nodes, d, d))
-        coef = EW_small @ sig.reshape(quad.n_nodes, d * d)
-        proj = (E_small @ coef).reshape(quad.n_nodes, d, d)
+        coef = pw.analysis(sig)[rows]
+        proj = pw.synthesis(pw.pad(g_pw, coef))
         resid = max(resid, np.abs(proj - sig).max())
         scale = max(scale, np.abs(sig).max())
-        vals[lab] = g_pw.synthesis(coef.reshape(-1, d, d))
+        vals[lab] = g_pw.synthesis(coef)
     return MatrixSymbol(pw.group, pi_band, g_pw, vals,
                         projection_residual=resid / max(scale, 1e-300))
 
@@ -298,18 +299,19 @@ def sqrt_elements(group, quad):
     return G.quat_exp(X / 2.0)
 
 
-def branch_mass(group, quad, F_hg, margin=0.2):
-    """Relative kernel mass within `margin` of the branch locus (angle pi)."""
+def branch_mass(group, quad, F_hg):
+    """Relative kernel mass within _BRANCH_MARGIN of the branch locus
+    (angle pi)."""
     w = quad.weights
     m_h = np.einsum("hg,hg->h", np.abs(F_hg) ** 2,
                     np.broadcast_to(1.0, F_hg.shape))
     if group == G.U1:
         ang = np.abs(np.where(quad.angles > math.pi,
                               quad.angles - 2 * math.pi, quad.angles))
-        near = ang > math.pi - margin
+        near = ang > math.pi - _BRANCH_MARGIN
     else:
         ang = np.linalg.norm(G.quat_log(quad.quats), axis=1)
-        near = ang > 2 * math.pi - 2 * margin
+        near = ang > 2 * math.pi - 2 * _BRANCH_MARGIN
     total = float(np.sum(w * m_h))
     if total == 0.0:
         return 0.0
@@ -353,13 +355,13 @@ def _kernel_values(sym, h_quad, shifts):
         yield g_pw.synthesis(cs.T).T
 
 
-def _deform(sym, h_quad, s, pi_band, branch_tol):
+def _deform(sym, h_quad, s, pi_band):
     """int dh F(h, sqrt(h)^s g) pi(h) for pi up to pi_band, after rejecting
-    kernels F(h, g) with more than branch_tol mass at the branch locus."""
+    kernels F(h, g) with more than _BRANCH_TOL mass at the branch locus."""
     values = _kernel_values(sym, h_quad, (0, s))
     mass = branch_mass(sym.group, h_quad, next(values))
-    if mass > branch_tol:
-        raise BranchLocusError(mass, branch_tol)
+    if mass > _BRANCH_TOL:
+        raise BranchLocusError(mass, _BRANCH_TOL)
     FwT = (next(values) * h_quad.weights[:, None]).T
     out = {}
     for lab in G.irrep_labels(sym.group, pi_band):
@@ -369,13 +371,13 @@ def _deform(sym, h_quad, s, pi_band, branch_tol):
     return out
 
 
-def weyl_deform(sym, h_quad, branch_tol=1e-12):
+def weyl_deform(sym, h_quad):
     """Weyl kernel F^W(h, g) = F^R(h, sqrt(h)^{-1} g) in double Fourier form.
 
-    Rejects symbols whose right kernel carries more than branch_tol relative
-    mass near the square-root branch locus.
+    Rejects symbols whose right kernel carries more than _BRANCH_TOL
+    relative mass near the square-root branch locus.
     """
-    K = _deform(sym, h_quad, -1, sym.pi_band, branch_tol)
+    K = _deform(sym, h_quad, -1, sym.pi_band)
     return ConvolutionKernel(sym.group, sym.pi_band, sym.g_pw, K)
 
 
@@ -389,14 +391,14 @@ def kernel_quantize(kernel, pw, h_quad):
                                     kernel.g_pw, kernel.K), pw)
 
 
-def weyl_quantize(sym, pw, h_quad, branch_tol=1e-12):
-    return kernel_quantize(weyl_deform(sym, h_quad, branch_tol), pw, h_quad)
+def weyl_quantize(sym, pw, h_quad):
+    return kernel_quantize(weyl_deform(sym, h_quad), pw, h_quad)
 
 
-def weyl_symbol(op, pi_band, g_pw, h_quad, branch_tol=1e-12):
+def weyl_symbol(op, pi_band, g_pw, h_quad):
     """sigma^W_A(pi, g) = int dh F_A(h, sqrt(h) g) pi(h), with F_A the left
     kernel of the KN symbol of A over the whole operator band."""
     kn = kn_symbol(op, op.pw.band, g_pw)
     return MatrixSymbol(op.pw.group, pi_band, g_pw,
-                        _deform(kn, h_quad, 1, pi_band, branch_tol),
+                        _deform(kn, h_quad, 1, pi_band),
                         projection_residual=kn.projection_residual)

@@ -27,15 +27,13 @@ from .theta import theta3
 
 
 class TwistedSpace:
-    def __init__(self, t, j0=0.0, J=None):
+    def __init__(self, t, j0=0.0):
         if t <= 0:
             raise ValueError("t must be positive")
         self.t = t
         self.j0 = j0 % 1.0
-        if J is None:
-            J = int(math.ceil(math.sqrt(80.0 / t))) + 8
-        self.J = J
-        self.js = np.arange(-J, J + 1)
+        self.J = int(math.ceil(math.sqrt(80.0 / t))) + 8
+        self.js = np.arange(-self.J, self.J + 1)
 
     @property
     def dim(self):
@@ -80,19 +78,19 @@ class TwistedSpace:
             A[i1, i2] = np.exp(expo)
         return A
 
-    def berezin_mode_quadrature(self, m, kappa, n_phi=None, n_l=220):
+    def berezin_mode_quadrature(self, m, kappa):
         """Q^B of the same mode by explicit (phi', l') quadrature.
 
         Independent route for the closed form: uniform angle grid times
         Gauss-Legendre on a 24-sigma momentum window with the twisted
-        Gaussian weight e^{-(l' - j0 t)^2/t} / sqrt(pi t).
+        Gaussian weight e^{-(l' - j0 t)^2/t} / sqrt(pi t): 4J + |m| + 8
+        angles and 220 momentum nodes.
         """
         t, j0 = self.t, self.j0
-        if n_phi is None:
-            n_phi = 4 * self.J + abs(m) + 8
+        n_phi = 4 * self.J + abs(m) + 8
         phis = 2 * math.pi * np.arange(n_phi) / n_phi
         half = 12.0 * math.sqrt(t) + abs(self.js).max() * t
-        x, w = _gauss_legendre(n_l)
+        x, w = _gauss_legendre(220)
         ls = j0 * t + half * x
         wl = w * half * np.exp(-(ls - j0 * t) ** 2 / t) / math.sqrt(math.pi * t)
         cj = np.exp(np.outer(self.js, ls) - t * self.js[:, None] * j0

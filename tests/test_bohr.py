@@ -361,3 +361,24 @@ def test_boundary_keys_mean_and_young():
     # distinct floats are distinct frequencies, however close
     a, b = 0.12345675 + 3e-12, 0.12345675 - 3e-12
     assert B.bohr_mean({a: 1.0}, {b: 1.0}) == 0.0
+
+
+def test_sobolev_feasibility_in_closed_form():
+    # s = 70, t = 0, order (0, 1, 0): r = 70 satisfies delta r <= t - m and
+    # (1 - delta) r > |m| - 1 + |t| + |s - t| = 69, beyond any fixed r grid
+    lat = B.RationalLattice(1.0, 0.0)
+    one = B.EquivariantSymbol(lat, {0: lambda lam: 1.0}).to_bohr_symbol()
+    one.m, one.rho, one.delta = 0.0, 1.0, 0.0
+    states = [B.FiniteSupportFn([(lat.point(k), 1.0 + 0.5j * k)
+                                 for k in (-3, 0, 2)])]
+    rep = B.sobolev_bound_check(one, 70.0, 0.0, 2, states)
+    assert rep["r_feasible"] and rep["passed"]
+    # 0 < delta < 1: r <= (t - m) / delta = 2 gives (1 - delta) r = 1, which
+    # must exceed |m| - 1 + |t| + |s - t| = |s - 1|
+    one.m, one.delta = 0.0, 0.5
+    assert B.sobolev_bound_check(one, 1.5, 1.0, 2, states)["passed"]
+    with pytest.raises(ValueError, match="no r >= 0"):
+        B.sobolev_bound_check(one, 2.5, 1.0, 2, states)
+    one.delta = 1.5
+    with pytest.raises(ValueError, match="delta must lie in"):
+        B.sobolev_bound_check(one, 0.0, 0.0, 2, states)

@@ -884,3 +884,192 @@ def test_von_neumann_symmetrized_identity(local_u1):
                                  compute_uv=False)[0])
     slope = L.fit_slope([0.25, 0.125, 0.0625], res)
     assert slope > 1.7
+
+
+# ---------------------------------------------------------------------------
+# lattice-point layout: (P, n_dirs) points on both groups
+# ---------------------------------------------------------------------------
+
+# Test-side oracles: the per-group routes the layout replaced, with U(1)
+# points of shape (P,) and SU(2) points of shape (P, 3).
+
+def _merge_lattice_per_group(group, pts, coeffs):
+    seen = {}
+    out_p, out_c = [], []
+    for p, c in zip(pts, coeffs):
+        key = tuple(int(x) for x in p)
+        if key in seen:
+            out_c[seen[key]] = out_c[seen[key]] + c
+        else:
+            seen[key] = len(out_p)
+            out_p.append(p)
+            out_c.append(c.copy())
+    out_p = np.array(out_p)
+    return (out_p[:, 0] if group == G.U1 else out_p), np.array(out_c)
+
+
+def _lie_poisson_eps_tensor(a, b, g_pw_out):
+    eps_t = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps_t[i, j, k] = 1.0
+        eps_t[i, k, j] = -1.0
+    poly = {}
+    for m in range(3):
+        tot = None
+        for k in range(3):
+            for l in range(3):
+                if eps_t[k, l, m] == 0 or k not in a.poly or l not in b.poly:
+                    continue
+                c = eps_t[k, l, m] * L._coeff_products(
+                    a.g_pw, a.poly[k], b.g_pw, b.poly[l], g_pw_out)[0, 0]
+                tot = c if tot is None else tot + c
+        if tot is not None:
+            poly[m] = -tot
+    return poly
+
+
+def _haar_jacobian_sq_per_group(group, Y):
+    if group == G.U1:
+        return np.ones(np.shape(Y)[:-1] if np.ndim(Y) > 1 else np.shape(Y))
+    h = np.linalg.norm(np.atleast_2d(Y), axis=-1)
+    out = np.ones_like(h)
+    nz = h > 1e-12
+    out[nz] = (np.sin(h[nz] / 2.0) / (h[nz] / 2.0)) ** 2
+    return out
+
+
+def _crand(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_local(group, g_pw, rng):
+    """Random symbol of six points drawn from the box |p_i| <= 2, so that
+    points repeat; U(1) points given as a 1-D array."""
+    n = 1 if group == G.U1 else 3
+    pts = rng.integers(-2, 3, size=(6, n))
+    return L.LocalSymbol(group, 0.3, pts[:, 0] if n == 1 else pts,
+                         _crand(rng, 6, g_pw.dim), g_pw)
+
+
+@pytest.fixture(scope="module")
+def layout_spaces():
+    return {G.U1: (S.make_g_space(G.U1, 2, quad_degree=20),
+                   S.make_g_space(G.U1, 4, quad_degree=20)),
+            G.SU2: (S.make_g_space(G.SU2, 1, quad_degree=4),
+                    S.make_g_space(G.SU2, 2, quad_degree=5))}
+
+
+def test_u1_points_either_shape(layout_spaces):
+    gpw, _ = layout_spaces[G.U1]
+    pw = PWSpace(G.U1, 10, quad_degree=30)
+    rng = np.random.default_rng(151)
+    cs = _crand(rng, 5, gpw.dim)
+    flat = L.LocalSymbol(G.U1, 0.4, np.arange(-2, 3), cs, gpw)
+    column = L.LocalSymbol(G.U1, 0.4, np.arange(-2, 3)[:, None], cs, gpw)
+    assert flat.points.shape == column.points.shape == (5, 1)
+    assert np.array_equal(flat.points, column.points)
+    assert np.array_equal(flat.coeffs, column.coeffs)
+    for variant in (L.KN, L.WEYL):
+        assert np.array_equal(L.local_quantize(flat, 0.5, pw, variant),
+                              L.local_quantize(column, 0.5, pw, variant))
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_operations_keep_layout(group, layout_spaces):
+    gpw, gout = layout_spaces[group]
+    rng = np.random.default_rng(152)
+    n = 1 if group == G.U1 else 3
+    a, b = (_random_local(group, gpw, rng) for _ in range(2))
+    # the bracket needs parallel momentum support on SU(2): the z axis
+    za, zb = a, b
+    if group == G.SU2:
+        zpts = np.array([[0, 0, -1], [0, 0, 0], [0, 0, 1], [0, 0, 1]])
+        za, zb = (L.LocalSymbol(G.SU2, 0.3, zpts, _crand(rng, 4, gpw.dim),
+                                gpw) for _ in range(2))
+    for out in (L.symbol_add(a, b), L.symbol_product(a, b, gout),
+                L.poisson_bracket(za, zb, gout)):
+        assert out.points.ndim == 2 and out.points.shape[1] == n
+        assert len(np.unique(out.points, axis=0)) == len(out.points)
+        assert len(out.coeffs) == len(out.points)
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_merge_matches_per_group_oracle(group, layout_spaces):
+    gpw, gout = layout_spaces[group]
+    rng = np.random.default_rng(153)
+    n = 1 if group == G.U1 else 3
+    for _ in range(5):
+        a, b = (_random_local(group, gpw, rng) for _ in range(2))
+        pts, coeffs = _merge_lattice_per_group(
+            group, np.concatenate([a.points, b.points]),
+            np.concatenate([a.coeffs, b.coeffs]))
+        out = L.symbol_add(a, b)
+        assert np.array_equal(out.points, pts.reshape(-1, n))
+        assert _max_rel(coeffs, out.coeffs) < 1e-14
+        prod = (a.points[:, None] + b.points[None, :]).reshape(-1, n)
+        cp = L._coeff_products(a.g_pw, a.coeffs, b.g_pw, b.coeffs, gout)
+        pts, coeffs = _merge_lattice_per_group(group, prod,
+                                               cp.reshape(len(prod), -1))
+        out = L.symbol_product(a, b, gout)
+        assert np.array_equal(out.points, pts.reshape(-1, n))
+        assert _max_rel(coeffs, out.coeffs) < 1e-14
+
+
+def test_lie_poisson_matches_eps_tensor(layout_spaces):
+    gpw, gout = layout_spaces[G.SU2]
+    rng = np.random.default_rng(154)
+    zero = np.zeros((1, 3), int)
+    zvals = np.zeros((1, gpw.dim), complex)
+    for ka, kb in (((0,), (1,)), ((0, 1, 2), (0, 1, 2)), ((2,), (0, 1)),
+                   ((1, 2), (1,))):
+        a = L.LocalSymbol(G.SU2, 0.5, zero, zvals, gpw,
+                          {k: _crand(rng, gpw.dim) for k in ka})
+        b = L.LocalSymbol(G.SU2, 0.5, zero, zvals, gpw,
+                          {k: _crand(rng, gpw.dim) for k in kb})
+        oracle = _lie_poisson_eps_tensor(a, b, gout)
+        out = L._lie_poisson_part(a, b, gout)
+        assert out.g_pw is gout
+        assert np.array_equal(out.points, zero)
+        assert not np.any(out.coeffs)
+        assert set(out.poly) == set(oracle)
+        for m, v in oracle.items():
+            assert _max_rel(v, out.poly[m]) < 1e-14
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_haar_jacobian_matches_per_group_oracle(group):
+    rng = np.random.default_rng(155)
+    n = 1 if group == G.U1 else 3
+    Y = rng.uniform(-3.0, 3.0, size=(40, n))
+    Y[:3] *= np.array([0.0, 1e-14, 1e-13])[:, None]
+    got = L.haar_jacobian_sq(group, Y)
+    assert got.shape == (40,)
+    assert np.abs(got - _haar_jacobian_sq_per_group(group, Y)).max() < 1e-14
+
+
+def test_haar_jacobian_below_cutoff():
+    # below |X| = 1e-12 j^2 is its limit 1; above it sin(h/2)/(h/2) squared,
+    # which agrees with 1 - h^2/12 there to rounding
+    tiny = np.array([[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [3e-13, -4e-13, 0.0],
+                     [0.0, 0.0, 2e-12], [1e-7, 0.0, 0.0]])
+    got = L.haar_jacobian_sq(G.SU2, tiny)
+    assert np.array_equal(got[:3], np.ones(3))
+    assert np.all(np.isfinite(got))
+    h = np.linalg.norm(tiny, axis=1)
+    assert np.abs(got - (1.0 - h ** 2 / 12.0)).max() < 1e-15
+    assert np.array_equal(L.haar_jacobian_sq(G.U1, tiny[:, :1]), np.ones(5))
+
+
+def test_su2_injectivity_uses_the_norm():
+    # U = exp^{-1}(SU(2) \ {-1}) is the ball |Y| < 2 pi: |(5, 5, 0)| = 7.07
+    # leaves it although every component is below 2 pi
+    gpw = S.make_g_space(G.SU2, 1, quad_degree=4)
+    gout = S.make_g_space(G.SU2, 2, quad_degree=5)
+    ones = np.ones((1, gpw.dim), complex)
+    with pytest.raises(L.SymbolClassError):
+        L.LocalSymbol(G.SU2, 1.0, [[5, 5, 0]], ones, gpw)
+    a = L.LocalSymbol(G.SU2, 1.0, [[5, 0, 0]], ones, gpw)
+    b = L.LocalSymbol(G.SU2, 1.0, [[0, 5, 0]], ones, gpw)
+    with pytest.raises(L.SymbolClassError):
+        L.symbol_product(a, b, gout)
+    L.LocalSymbol(G.SU2, 1.0, [[4, 4, 0]], ones, gpw)   # |Y| = 5.66 inside
