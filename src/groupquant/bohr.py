@@ -21,7 +21,7 @@ Equivariant symbols carry their rational lattice explicitly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,26 +46,11 @@ class FiniteSupportFn:
     def __getitem__(self, lam):
         return self.data.get(lam, 0.0 + 0.0j)
 
-    def __setitem__(self, lam, val):
-        if val == 0:
-            self.data.pop(lam, None)
-        else:
-            self.data[Fraction(lam)] = complex(val)
-
     def support(self):
         return sorted(self.data.keys())
 
     def items(self):
         return self.data.items()
-
-    def __add__(self, other):
-        return FiniteSupportFn(list(self.items()) + list(other.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, c):
-        return FiniteSupportFn({lam: c * v for lam, v in self.items()})
 
     def inner(self, other):
         """l^2 pairing (self, other) = sum conj(self) other."""

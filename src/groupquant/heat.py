@@ -131,20 +131,32 @@ def _panel_gl(f, a, b, n_panels):
 def resolution_constant_u1(t):
     """C_t^{-1} = sqrt(t/pi) int e^{-l^2/t} / theta3(l/t | i pi/t) dl.
 
-    Numerically C_t^{-1} = t. Adaptive panel refinement until two levels
-    agree to 1e-8 (relative above 1); raises QuadratureConvergenceError
-    with the achieved difference on failure.
+    Numerically C_t^{-1} = t. The integrand is sqrt(pi/t) times the k = 0
+    piece of the Gaussian partition of unity e^{-l^2/t} / sum_k
+    e^{-(l - k t)^2/t}: near sqrt(pi/t) out to |l| ~ t/2, where it falls to
+    0 within O(1) in l. The window |l| <= t/2 + 9 sqrt(t) covers that fall,
+    and the panel counts grow with it so that the finest level's panels are
+    at most 4 long. Adaptive panel refinement until two levels agree to
+    1e-8 (relative above 1); raises QuadratureConvergenceError with the
+    achieved difference on failure, and with an infinite one where theta3
+    underflows to 0 (e^{-t/4} at |l| = t/2, for t above about 2980).
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    width = 9.0 * math.sqrt(t)
+    width = t / 2.0 + 9.0 * math.sqrt(t)
+    scale = max(1, math.ceil(width / 256.0))
 
     def f(l):
-        return np.exp(-l * l / t) / theta3(l / t, 1j * math.pi / t).real
+        den = theta3(l / t, 1j * math.pi / t).real
+        if not den.all():
+            raise QuadratureConvergenceError(
+                "resolution integrand is 0/0 in double precision", math.inf)
+        return np.exp(-l * l / t) / den
 
     prev = None
     for n_panels in (8, 16, 32, 64, 128):
-        val = math.sqrt(t / math.pi) * _panel_gl(f, -width, width, n_panels)
+        val = math.sqrt(t / math.pi) * _panel_gl(f, -width, width,
+                                                 scale * n_panels)
         if prev is not None and abs(val - prev) <= 1e-8 * max(1.0, abs(val)):
             return val
         prev = val

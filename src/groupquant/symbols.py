@@ -339,19 +339,13 @@ def _kernel_values(sym, h_quad, shifts):
         Dh = h_quad.rep_grid(lab).conj().reshape(N_h, d * d)
         coef += d * Dh @ sym.coefficients(lab).reshape(g_pw.dim, d * d).T
     for s in shifts:
-        cs = coef.copy() if s else coef
+        cs = coef
         if s:
             v = sqrt_elements(group, h_quad)
             if s < 0:
                 v = -v if group == G.U1 else G.quat_inv(v)
-            Ev = g_pw.eval_basis(v)                 # sqrt(d) pi(v_h) blocks
-            for lab2 in g_pw.labels:
-                d2 = G.dim(group, lab2)
-                blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
-                Dv = Ev[:, blk].reshape(N_h, d2, d2) / math.sqrt(d2)
-                c = cs[:, blk].reshape(N_h, d2, d2)
-                cs[:, blk] = np.einsum("hac,hab->hcb", Dv,
-                                       c).reshape(N_h, -1)
+            DvT = [np.swapaxes(D, 1, 2) for D in g_pw._reps(v)]
+            cs = g_pw._kron_rows(DvT, coef[:, :, None])[:, :, 0]
         yield g_pw.synthesis(cs.T).T
 
 

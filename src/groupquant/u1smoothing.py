@@ -14,8 +14,10 @@ the closed-form matrix
     (Q^B)_{j1, j1 - m} = exp(-t (j1^2 + j2^2)/2 + t (j1 + j2 + i kappa)^2/4
                              + i j0 t kappa),   j2 = j1 - m.
 
-Its lower symbol is the heat-evolved mode e^{-t(m^2 + kappa^2)/2} f, and on
-Laurent modes xi^a xibar^b the Wick multiplier e^{2 t a b} appears instead.
+Its lower symbol is the heat-evolved mode e^{-t(m^2 + kappa^2)/2} f. The
+Laurent mode xi^a xibar^b = e^{i (a - b) phi} e^{-(a + b) l} is the mode at
+imaginary kappa = i (a + b), where the exponent above is term for term that
+of the Laurent monomial; its lower symbol carries e^{2 t a b} instead.
 """
 
 import math
@@ -39,17 +41,21 @@ class TwistedSpace:
     def dim(self):
         return 2 * self.J + 1
 
+    def _band(self, m, logs):
+        """Matrix with exp(logs) at (j1, j1 - m), logs given at every row
+        label j1; rows whose column j1 - m is out of range stay zero."""
+        logs = logs[max(m, 0):self.dim + min(m, 0)]
+        return np.diag(np.exp(logs + 0j), -m)[:self.dim, :self.dim]
+
     def coherent_coeffs(self, phi, l):
+        """c_j(phi, l), shape (..., dim) for arrays phi, l of one shape."""
         j, t, j0 = self.js, self.t, self.j0
+        phi, l = np.asarray(phi)[..., None], np.asarray(l)[..., None]
         return np.exp(j * l - 1j * j * phi - t * j * j0 - t * j * j / 2.0)
 
     def annihilation(self):
         """X_t = e^{-t/2} U(1) e^{-tJ}: shifts |j+j0> up with weight."""
-        X = np.zeros((self.dim, self.dim), dtype=complex)
-        for idx, j in enumerate(self.js[:-1]):
-            X[idx + 1, idx] = math.exp(-self.t / 2.0
-                                       - self.t * (j + self.j0))
-        return X
+        return self._band(1, -self.t / 2.0 - self.t * (self.js - 1 + self.j0))
 
     def annihilation_residual(self, phi, l):
         c = self.coherent_coeffs(phi, l)
@@ -58,25 +64,19 @@ class TwistedSpace:
         return np.abs(resid).max() / np.abs(c).max()
 
     def lower_symbol(self, A, phi, l):
+        """<c, A c> / <c, c> at (phi, l), elementwise over arrays."""
         c = self.coherent_coeffs(phi, l)
-        return np.vdot(c, A @ c) / np.vdot(c, c)
+        return ((c.conj() * (c @ A.T)).sum(-1)
+                / (c.conj() * c).real.sum(-1))[()]
 
     # -- Berezin quantization -------------------------------------------------
 
     def berezin_mode(self, m, kappa):
-        """Closed-form Q^B of f(phi', l') = e^{i m phi'} e^{i kappa l'}."""
-        t, j0 = self.t, self.j0
-        A = np.zeros((self.dim, self.dim), dtype=complex)
-        for i1, j1 in enumerate(self.js):
-            j2 = j1 - m
-            if abs(j2) > self.J:
-                continue
-            i2 = i1 - m
-            expo = (-t * (j1 * j1 + j2 * j2) / 2.0
-                    + t * (j1 + j2 + 1j * kappa) ** 2 / 4.0
-                    + 1j * j0 * t * kappa)
-            A[i1, i2] = np.exp(expo)
-        return A
+        """Closed-form Q^B of f(phi', l') = e^{i m phi'} e^{i kappa l'}; at
+        kappa = i (a + b), m = a - b it is Q^B(xi^a xibar^b)."""
+        t, j0, j1 = self.t, self.j0, self.js
+        return self._band(m, -t * (j1 * j1 + (j1 - m) ** 2) / 2.0 + t * (
+            2 * j1 - m + 1j * kappa) ** 2 / 4.0 + 1j * j0 * t * kappa)
 
     def berezin_mode_quadrature(self, m, kappa):
         """Q^B of the same mode by explicit (phi', l') quadrature.
@@ -104,31 +104,13 @@ class TwistedSpace:
 
     def heat_multiplier_residual(self, m, kappa, samples):
         """max | L_{Q^B(mode)} - e^{-t(m^2+kappa^2)/2} mode | over samples."""
-        A = self.berezin_mode(m, kappa)
-        mult = math.exp(-self.t * (m * m + kappa * kappa) / 2.0)
-        worst = 0.0
-        for phi, l in samples:
-            lhs = self.lower_symbol(A, phi, l)
-            rhs = mult * np.exp(1j * m * phi + 1j * kappa * l)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
+        phi, l = np.asarray(samples, float).reshape(-1, 2).T
+        lhs = self.lower_symbol(self.berezin_mode(m, kappa), phi, l)
+        rhs = (math.exp(-self.t * (m * m + kappa * kappa) / 2.0)
+               * np.exp(1j * m * phi + 1j * kappa * l))
+        return np.abs(lhs - rhs).max(initial=0.0)
 
     # -- Wick / anti-Wick relation -------------------------------------------
-
-    def berezin_laurent(self, a, b):
-        """Closed-form Q^B of xi^a xibar^b (x-frequency m = a - b)."""
-        t, j0 = self.t, self.j0
-        m = a - b
-        A = np.zeros((self.dim, self.dim), dtype=complex)
-        for i1, j1 in enumerate(self.js):
-            j2 = j1 - m
-            if abs(j2) > self.J:
-                continue
-            s = j1 + j2 - (a + b)
-            expo = (-t * (j1 * j1 + j2 * j2) / 2.0 + t * s * s / 4.0
-                    - t * j0 * (a + b))
-            A[i1, i1 - m] = np.exp(expo)
-        return A
 
     def wick_residuals(self, a, b, samples):
         """(anti-Wick identification, Wick multiplier) residuals.
@@ -136,38 +118,32 @@ class TwistedSpace:
         Checks Q^B(xi^a xibar^b) == X^a (X*)^b and the lower-symbol
         relation L = e^{2 t a b} xi^a xibar^b.
         """
-        A = self.berezin_laurent(a, b)
+        A = self.berezin_mode(a - b, 1j * (a + b))
         X = self.annihilation()
         B = np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(
             X.conj().T, b)
         # interior block (power chains truncate at the edges), entrywise
         # relative: the entries span many orders of magnitude
-        pad = a + b
-        sl = slice(pad, self.dim - pad)
+        sl = slice(a + b, self.dim - a - b)
         num = np.abs(A - B)[sl, sl]
         den = np.abs(A)[sl, sl] + np.abs(B)[sl, sl] + 1e-300
         r1 = (num / den).max()
-        r2 = 0.0
-        for phi, l in samples:
-            xi = np.exp(-l + 1j * phi)
-            lhs = self.lower_symbol(A, phi, l)
-            rhs = math.exp(2 * self.t * a * b) * xi ** a * np.conj(xi) ** b
-            r2 = max(r2, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-        return r1, r2
+        phi, l = np.asarray(samples, float).reshape(-1, 2).T
+        xi = np.exp(-l + 1j * phi)
+        lhs = self.lower_symbol(A, phi, l)
+        rhs = math.exp(2 * self.t * a * b) * xi ** a * np.conj(xi) ** b
+        return r1, (np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max(
+            initial=0.0)
 
     # -- Kohn-Nirenberg smoothing ---------------------------------------------
 
     def kn_operator(self, modes):
         """A_{sigma,t} for sigma_t(phi, k) = sum s e^{i m phi}
         e^{i kappa t (k + j0)}: matrix <j+m| A |j> = sum s e^{i kappa t (j+j0)}."""
-        A = np.zeros((self.dim, self.dim), dtype=complex)
-        for (m, kappa, s) in modes:
-            for i1, j in enumerate(self.js):
-                i2 = i1 + m
-                if 0 <= i2 < self.dim:
-                    A[i2, i1] += s * np.exp(1j * kappa * self.t
-                                            * (j + self.j0))
-        return A
+        t, j0 = self.t, self.j0
+        return sum((s * self._band(m, 1j * kappa * t * (self.js - m + j0))
+                    for (m, kappa, s) in modes),
+                   np.zeros((self.dim, self.dim), dtype=complex))
 
     def kn_lower_symbol_formula(self, modes, phi, l):
         """Gaussian-sum formula for L^t_{A_{sigma,t}} at (phi, l):
@@ -176,17 +152,18 @@ class TwistedSpace:
           e^{-((l - t(k+j0))^2 + (phi-phi')^2)/(2t)}
           e^{i (phi - phi')(l - t(k+j0))/t},
 
-        with the phi'-integral done in closed form per mode.
+        with the phi'-integral done in closed form per mode, elementwise
+        over arrays phi, l.
         """
         t, j0 = self.t, self.j0
+        phi, l = np.asarray(phi, float), np.asarray(l, float)
         th = theta3((l / t - j0), 1j * math.pi / t).real
-        total = 0.0 + 0.0j
-        kwin = int(math.ceil((abs(l) + 14 * math.sqrt(t)) / t)) + 2
-        for (m, kappa, s) in modes:
-            for k in range(-kwin, kwin + 1):
-                mom = l - t * (k + j0)
-                gphi = math.sqrt(2 * math.pi * t) * np.exp(
-                    1j * m * phi - t * (m - mom / t) ** 2 / 2.0)
-                total += (s * np.exp(1j * kappa * t * (k + j0))
-                          * math.exp(-mom * mom / (2 * t)) * gphi)
-        return math.sqrt(2.0) / (2 * math.pi * th) * total
+        kwin = int(math.ceil((np.abs(l).max() + 14 * math.sqrt(t)) / t)) + 2
+        tk = t * (np.arange(-kwin, kwin + 1) + j0)
+        mom = l[..., None] - tk
+        # the phi' integral is sqrt(2 pi t) e^{i m phi - t (m - mom/t)^2/2}
+        total = sum(s * np.exp(
+            1j * kappa * tk - mom * mom / (2 * t)
+            + 1j * m * phi[..., None] - t * (m - mom / t) ** 2 / 2.0).sum(-1)
+            for (m, kappa, s) in modes)
+        return (math.sqrt(t / math.pi) / th * total)[()]

@@ -886,6 +886,28 @@ def test_von_neumann_symmetrized_identity(local_u1):
     assert slope > 1.7
 
 
+@pytest.mark.parametrize("group, g_band, degree", [(G.U1, 3, 30),
+                                                   (G.SU2, 2, 5)])
+def test_conjugated_linear_part(group, g_band, degree):
+    # the momentum-linear part theta_k q_k conjugates to theta_k conj(q_k),
+    # pointwise on the g grid; the lattice points flip sign
+    rng = np.random.default_rng(5)
+    gpw = S.make_g_space(group, g_band, quad_degree=degree)
+    n_dirs = 1 if group == G.U1 else 3
+    pts = rng.integers(-2, 3, size=(3, n_dirs))
+    cs = rng.standard_normal((3, gpw.dim)) + 1j * rng.standard_normal(
+        (3, gpw.dim))
+    poly = {k: rng.standard_normal(gpw.dim) + 1j * rng.standard_normal(
+        gpw.dim) for k in range(n_dirs)}
+    s = L.LocalSymbol(group, 0.3, pts, cs, gpw, poly)
+    c = s.conjugated()
+    assert np.array_equal(c.points, -s.points)
+    assert set(c.poly) == set(s.poly)
+    for k, v in s.poly.items():
+        assert np.abs(gpw.synthesis(c.poly[k])
+                      - np.conj(gpw.synthesis(v))).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # lattice-point layout: (P, n_dirs) points on both groups
 # ---------------------------------------------------------------------------

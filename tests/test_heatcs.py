@@ -273,6 +273,19 @@ def test_resolution_constant_u1():
         assert abs(val - t) / t < 1e-4
 
 
+@pytest.mark.parametrize("t", [300.0, 1000.0])
+def test_resolution_constant_u1_large_t(t):
+    # the integrand stays near sqrt(pi/t) out to |l| ~ t/2, beyond the
+    # 9 sqrt(t) Gaussian window that small t needs
+    assert abs(H.resolution_constant_u1(t) - t) / t < 1e-8
+
+
+def test_resolution_constant_u1_underflow_raises():
+    # at t = 1e4, theta3 underflows to 0 where the integrand crosses over
+    with pytest.raises(H.QuadratureConvergenceError):
+        H.resolution_constant_u1(1e4)
+
+
 def _theta3_cosine(x, t):
     """Oracle: theta3(x | i pi/t) for real x by its cosine series,
     1 + 2 sum_{n>=1} e^{-pi^2 n^2/t} cos(2 pi n x), to terms below 1e-18."""
