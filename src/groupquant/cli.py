@@ -90,46 +90,37 @@ def cmd_resolution_u1(args):
     return 0 if ok else 1
 
 
-def moyal_fit_u1(rng, eps_list, n_pairs=3):
-    """Ensemble slope fit for real random oscillatory symbols on U(1)."""
-    from . import groups as G
+def _moyal_fit(rng, eps_list, n_pairs, group, step, pts, bands, in_band):
+    """Ensemble slope fit for real random symbols at the lattice points pts;
+    bands are the (band, quad_degree) of the g-space, the product space and
+    the operator space."""
     from . import localcalc as L
-    from . import symbols as S
     from .peterweyl import PWSpace
-    gpw = S.make_g_space(G.U1, 1, quad_degree=30)
-    gout = S.make_g_space(G.U1, 4, quad_degree=30)
-    pw = PWSpace(G.U1, 22, quad_degree=60)
-    pts = np.arange(-2, 3)
+    gpw, gout, pw = (PWSpace(group, b, quad_degree=q) for b, q in bands)
 
-    def rand_u1():
-        c = rng.standard_normal((5, gpw.dim)) + 1j * rng.standard_normal(
-            (5, gpw.dim))
-        s = L.LocalSymbol(G.U1, 0.2, pts, c, gpw)
+    def rand():
+        shape = (len(pts), gpw.dim)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = L.LocalSymbol(group, step, pts, c, gpw)
         return L.symbol_add(s.scaled(0.5), s.conjugated().scaled(0.5))
 
-    pairs = [(rand_u1(), rand_u1()) for _ in range(n_pairs)]
-    return L.ensemble_order_fit(pairs, eps_list, pw, 16, gout)
+    pairs = [(rand(), rand()) for _ in range(n_pairs)]
+    return L.ensemble_order_fit(pairs, eps_list, pw, in_band, gout)
+
+
+def moyal_fit_u1(rng, eps_list, n_pairs=3):
+    """Ensemble slope fit for real random oscillatory symbols on U(1)."""
+    from .groups import U1
+    return _moyal_fit(rng, eps_list, n_pairs, U1, 0.2, np.arange(-2, 3),
+                      ((1, 30), (4, 30), (22, 60)), 16)
 
 
 def moyal_fit_su2(rng, eps_list, n_pairs=2):
     """Ensemble slope fit for z-axis oscillatory symbols on SU(2)."""
-    from . import groups as G
-    from . import localcalc as L
-    from . import symbols as S
-    from .peterweyl import PWSpace
-    gpw2 = S.make_g_space(G.SU2, 2, quad_degree=6)
-    gout2 = S.make_g_space(G.SU2, 5, quad_degree=8)
-    pw2 = PWSpace(G.SU2, 8, quad_degree=10)
+    from .groups import SU2
     zpts = np.array([[0, 0, -1], [0, 0, 0], [0, 0, 1]])
-
-    def rand_su2():
-        c = rng.standard_normal((3, gpw2.dim)) + 1j * rng.standard_normal(
-            (3, gpw2.dim))
-        s = L.LocalSymbol(G.SU2, 0.5, zpts, c, gpw2)
-        return L.symbol_add(s.scaled(0.5), s.conjugated().scaled(0.5))
-
-    pairs = [(rand_su2(), rand_su2()) for _ in range(n_pairs)]
-    return L.ensemble_order_fit(pairs, eps_list, pw2, 4, gout2)
+    return _moyal_fit(rng, eps_list, n_pairs, SU2, 0.5, zpts,
+                      ((2, 6), (5, 8), (8, 10)), 4)
 
 
 def cmd_moyal_fit(args):
@@ -139,19 +130,13 @@ def cmd_moyal_fit(args):
     rng = np.random.default_rng(args.seed)
     report = {"command": "moyal-fit", "seed": args.seed,
               "eps_list": eps_list, "tolerance": tol, "results": {}}
-
-    ms, ds, mres, dres = moyal_fit_u1(rng, eps_list)
-    report["results"]["U1"] = {
-        "moyal_slope": ms, "dirac_slope": ds,
-        "moyal_residuals": mres, "dirac_residuals": dres,
-        "passed": bool(abs(ms - 2) < tol and abs(ds - 1) < tol)}
-
-    ms2, ds2, mres2, dres2 = moyal_fit_su2(rng, eps_list)
-    report["results"]["SU2"] = {
-        "moyal_slope": ms2, "dirac_slope": ds2,
-        "moyal_residuals": mres2, "dirac_residuals": dres2,
-        "passed": bool(abs(ms2 - 2) < tol and abs(ds2 - 1) < tol)}
-    ok = report["results"]["U1"]["passed"] and report["results"]["SU2"]["passed"]
+    for group, fit in (("U1", moyal_fit_u1), ("SU2", moyal_fit_su2)):
+        ms, ds, mres, dres = fit(rng, eps_list)
+        report["results"][group] = {
+            "moyal_slope": ms, "dirac_slope": ds,
+            "moyal_residuals": mres, "dirac_residuals": dres,
+            "passed": bool(abs(ms - 2) < tol and abs(ds - 1) < tol)}
+    ok = all(r["passed"] for r in report["results"].values())
     report["passed"] = bool(ok)
     _emit(_dump(report), args.out)
     return 0 if ok else 1

@@ -97,10 +97,12 @@ class LocalSymbol:
                            {k: c * v for k, v in self.poly.items()})
 
     def conjugated(self):
-        """Complex conjugate symbol: Y -> -Y with conjugate coefficients."""
+        """Complex conjugate symbol: Y -> -Y with conjugate coefficients
+        (the q_k by g_pw's conjugation map, as functions)."""
+        g = self.g_pw
         return LocalSymbol(self.group, self.step, -self.points,
-                           np.conj(self.coeffs), self.g_pw,
-                           {k: _conj_coeff(self.g_pw, v)
+                           np.conj(self.coeffs), g,
+                           {k: g._dual_sign * np.conj(v[g._dual_index])
                             for k, v in self.poly.items()})
 
 
@@ -111,17 +113,18 @@ def _at_zero(s, g_pw, coef, poly=None):
                        np.asarray(coef)[None, :], g_pw, poly or {})
 
 
-def _conj_coeff(g_pw, coef):
-    return g_pw.analysis(np.conj(g_pw.synthesis(coef)))
-
-
 def _prune_poly(poly):
     return {k: v for k, v in poly.items() if np.abs(v).max() > 0.0}
 
 
-def symbol_add(a, b):
+def _check_steps(a, b):
+    """Sums and products of lattice points need one lattice step."""
     if abs(a.step - b.step) > _EPS_KEY * max(a.step, b.step):
         raise SymbolClassError("incompatible lattice steps")
+
+
+def symbol_add(a, b):
+    _check_steps(a, b)
     pts, coeffs = _merge_lattice(np.concatenate([a.points, b.points]),
                                  np.concatenate([a.coeffs, b.coeffs]))
     poly = dict(a.poly)
@@ -152,6 +155,7 @@ def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
 
 def symbol_product(a, b, g_pw_out):
     """Pointwise product sigma * tau within the finite class."""
+    _check_steps(a, b)
     if a.poly and b.poly:
         raise SymbolClassError("product of two momentum-linear symbols is "
                                "quadratic in theta")
@@ -440,7 +444,8 @@ def u1_midpoint_operator(fun, eps, pw):
     mid = ang[:, None] - X / 2.0
     Kv = fun(X / eps, mid) / eps
     # (B e_j)(g) = int K(x, g) e_j(x) dx_Riemann = 2 pi sum_k w_k K(x_k, g)
-    # e_j(x_k), the conjugate of the analysis of conj(K(., g)); the matrix
-    # is the analysis of those images
-    images = G.VOL_U1 * pw.analysis(Kv.conj().T).conj().T
+    # e_j(x_k), and e_j = s_j conj(e_jbar): 2 pi s_j times the analysis of
+    # K(., g) at jbar; the matrix is the analysis of those images
+    images = G.VOL_U1 * (pw._dual_sign[:, None]
+                         * pw.analysis(Kv.T)[pw._dual_index]).T
     return pw.analysis(images)

@@ -31,6 +31,13 @@ O(B^6), with temporaries of a few MB or of one beta node. On U(1) both are
 one FFT. The dense E and _EW are cached properties, built only when read:
 the test oracles read them, the library does not.
 
+Complex conjugation permutes the basis up to sign. By conj(D^n_ab) =
+(-1)^{a-b} D^n_{n-1-a, n-1-b} on SU(2) and conj(e^{ij phi}) = e^{-ij phi}
+on U(1), conj(e_i) = s_i e_ibar: ibar is the reversed flat index within the
+block of the dual label (n on SU(2), -j on U(1)) and s_i = (-1)^{a+b} (1 on
+U(1)). `_dual_index` and `_dual_sign` hold the map. It holds at every node,
+so for any grid values v with analysis c, that of conj v is s conj(c[ibar]).
+
 A multiplication operator is the quadrature sum _EW diag(f) E reordered.
 On U(1) it is the circulant of the DFT of f. On SU(2) it is a 2-D DFT of f
 over (alpha, gamma) and a short sum over the beta nodes against the same
@@ -69,6 +76,13 @@ class PWSpace:
                 for b in range(d):
                     self.index.append((lab, a, b))
         self.dim = len(self.index)
+        # the conjugation map conj(e_i) = s_i e_ibar (module docstring)
+        sizes = [G.dim(group, n) ** 2 for n in self.labels]
+        ends = [self.offsets[n] + self.offsets[-n if group == G.U1 else n]
+                + k - 1 for n, k in zip(self.labels, sizes)]
+        self._dual_index = (np.repeat(np.array(ends, dtype=int), sizes)
+                            - np.arange(self.dim))
+        self._dual_sign = (-1.0) ** np.array([a + b for _, a, b in self.index])
         if group == G.SU2:
             self._euler_tables()
         self._shift = None   # built by the first SU(2) multiplication
@@ -236,10 +250,9 @@ class PWSpace:
         return np.concatenate(cols, axis=1)
 
     def band_mask(self, band):
-        """Boolean mask of basis indices with irrep label within `band`."""
-        if self.group == G.U1:
-            return np.array([abs(lab) <= band for lab, _, _ in self.index])
-        return np.array([lab <= band for lab, _, _ in self.index])
+        """Boolean mask of basis indices with irrep label within `band`
+        (|j| <= band on U(1))."""
+        return np.array([abs(lab) <= band for lab, _, _ in self.index])
 
     def block(self, lab, mat):
         """Coefficient slice of one irrep as a (d, d) matrix view."""

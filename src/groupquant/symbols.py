@@ -20,8 +20,10 @@ where deform(v) Fourier-transforms F(h, v_h g) in h. Square roots are taken
 through the exponential with rotation angle in (-pi, pi); kernels carrying
 mass at the branch locus (angle pi) are rejected.
 
-Two identities keep the KN paths cheap. Schur orthogonality limits
-kn_quantize to the columns within the symbol's pi-band. Left translation of
+Three identities keep the KN paths cheap. Schur orthogonality limits
+kn_quantize to the columns within the symbol's pi-band. By Schur's
+conjugation identity conj(e_i) = s_i e_ibar (peterweyl), kn_quantize and
+kn_symbol read Psihat_i(pi) and pi^* off an index map. Left translation of
 coefficients, rho(h^{-1} g) = rho(h)^* rho(g), lets kn_compose translate a
 band-limited symbol without evaluating it at the points h^{-1} g; kn_compose
 stays the direct h-quadrature of the composition integral, independent of
@@ -73,13 +75,11 @@ class MatrixSymbol:
     def quad(self):
         return self.g_pw.quad
 
-    def copy_map(self, fn):
-        return MatrixSymbol(self.group, self.pi_band, self.g_pw,
-                            {lab: fn(lab, v) for lab, v in self.values.items()})
-
     def adjoint(self):
         """sigma^*(pi, g) = sigma(pi, g)^dagger pointwise."""
-        return self.copy_map(lambda lab, v: np.conj(np.swapaxes(v, 1, 2)))
+        return MatrixSymbol(self.group, self.pi_band, self.g_pw,
+                            {lab: np.conj(np.swapaxes(v, 1, 2))
+                             for lab, v in self.values.items()})
 
     def coefficients(self, lab):
         """g-band-limited PW coefficients of sigma(lab, .)_{mn}: (dim_g, d, d)."""
@@ -100,13 +100,7 @@ def make_g_space(group, g_band, quad_degree=None):
 
 
 def identity_symbol(group, pi_band, g_pw):
-    vals = {}
-    n = g_pw.quad.n_nodes
-    for lab in G.irrep_labels(group, pi_band):
-        d = G.dim(group, lab)
-        vals[lab] = np.broadcast_to(np.eye(d, dtype=complex),
-                                    (n, d, d)).copy()
-    return MatrixSymbol(group, pi_band, g_pw, vals)
+    return function_symbol(group, pi_band, g_pw, np.ones(g_pw.quad.n_nodes))
 
 
 def function_symbol(group, pi_band, g_pw, f_grid):
@@ -171,26 +165,28 @@ def kn_quantize(sym, pw):
 
     Column i reads e_i only through Psihat_i(pi) = int e_i(g) pi(g) dg,
     which by Schur orthogonality vanishes unless the label of e_i is dual
-    to pi (SU(2) labels are self-dual; the dual of the U(1) label j is -j).
-    So the columns outside pw.band_mask(sym.pi_band) are exactly zero, and
-    only the others are evaluated, analysed and checked: truncation_error
-    is the largest value they drop outside the operator band, relative to
-    their largest value.
+    to pi (SU(2) labels are self-dual; the dual of the U(1) label j is -j):
+    labels without a dual in pw add nothing, the columns outside
+    pw.band_mask(sym.pi_band) are exactly zero, and only the others are
+    evaluated, analysed and checked: truncation_error is the largest value
+    they drop outside the operator band, relative to their largest value.
     """
     quad = pw.quad
     cols = np.flatnonzero(pw.band_mask(sym.pi_band))
     out_vals = np.zeros((len(cols), quad.n_nodes), dtype=complex)
     for lab in sym.labels:
+        if lab not in pw.offsets:
+            continue          # its dual label is outside pw: no columns
         d = G.dim(sym.group, lab)
         D = quad.rep_grid(lab)
-        # Psihat_i(pi) = sum_k w_k e_i(g_k) D[pi](g_k), the conjugate of
-        # the analysis of conj(D)
-        psihat = pw.analysis(D.conj()).conj()[cols]
         sig = pw.synthesis(pw.pad(sym.g_pw, sym.coefficients(lab)))
         # tr(pi(g)^* sigma(pi, g) Psihat_i) = sum_pm Psihat_i[p, m] X[g, p, m]
-        X = np.swapaxes(sig, 1, 2) @ D.conj()
-        out_vals += d * (psihat.reshape(len(cols), d * d)
-                         @ X.reshape(quad.n_nodes, d * d).T)
+        # with Psihat_i = s_i int conj(e_ibar) pi: s_i / sqrt(d) at (p, m) =
+        # the place of ibar in pi's block, zero elsewhere
+        X = (np.swapaxes(sig, 1, 2) @ D.conj()).reshape(quad.n_nodes, d * d)
+        j = pw.offsets[lab] + np.arange(d * d)
+        out_vals[np.searchsorted(cols, pw._dual_index[j])] += (
+            math.sqrt(d) * pw._dual_sign[j, None] * X.T)
     coeffs = pw.analysis(out_vals.T)          # (dim, in-band columns)
     resid = np.abs(out_vals.T - pw.synthesis(coeffs)).max(initial=0.0)
     scale = max(np.abs(out_vals).max(initial=0.0), 1e-300)
@@ -217,10 +213,11 @@ def kn_symbol(op, pi_band, g_pw):
             raise ValueError("operator band too small for label %r" % lab)
         d = G.dim(pw.group, lab)
         D = quad.rep_grid(lab)
-        # columns of pi^*: (pi^*)_{mn}(g) = conj(D_{nm}(g))
-        F = np.conj(np.swapaxes(D, 1, 2)).reshape(quad.n_nodes, d * d)
-        C = pw.analysis(F)                    # (dim_pw, d*d)
-        W = pw.synthesis(op.matrix @ C)       # (N, d*d)
+        # A applied to the entries (pi^*)_{mn} = conj(D_nm) = s_j e_jbar /
+        # sqrt(d), j = (pi, n, m): the signed dual columns of A
+        j = pw.offsets[lab] + np.arange(d * d).reshape(d, d).T.ravel()
+        W = pw.synthesis(op.matrix[:, pw._dual_index[j]]
+                         * (pw._dual_sign[j] / math.sqrt(d)))   # (N, d*d)
         sig = np.einsum("kmn,knp->kmp", D, W.reshape(quad.n_nodes, d, d))
         coef = pw.analysis(sig)[rows]
         proj = pw.synthesis(pw.pad(g_pw, coef))

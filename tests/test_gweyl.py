@@ -235,8 +235,15 @@ def test_kn_compose_rejects_inexact_h_quad(group, pi_band, g_band, g_degree,
     assert _max_rel(ref, S.kn_compose(sa, sb, exact).values) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def su2_band3():
+    return S.make_g_space(G.SU2, 2, quad_degree=5), PWSpace(G.SU2, 3)
+
+
+# the last two put pi-labels above pw.band: they have no dual columns
 @pytest.mark.parametrize("spaces,pi_band", [
-    ("u1_spaces", 6), ("weyl_u1", 24), ("su2_spaces", 4), ("su2_spaces", 8)])
+    ("u1_spaces", 6), ("weyl_u1", 24), ("su2_spaces", 4), ("su2_spaces", 8),
+    ("su2_band3", 5), ("u1_spaces", 18)])
 def test_kn_quantize_matches_all_columns(spaces, pi_band, request):
     gpw, pw = request.getfixturevalue(spaces)[:2]
     sym = S.random_symbol(gpw.group, pi_band, gpw,
@@ -246,6 +253,41 @@ def test_kn_quantize_matches_all_columns(spaces, pi_band, request):
     assert _max_rel(matrix, op.matrix) < 1e-12
     assert abs(op.truncation_error - trunc) < 1e-12
     assert not op.matrix[:, ~pw.band_mask(pi_band)].any()
+
+
+def _kn_symbol_by_analysis(op, pi_band, g_pw):
+    """(values, projection_residual) of kn_symbol with A applied to the
+    analysed columns of pi^*, conj(D_nm) on the grid."""
+    pw, quad = op.pw, op.pw.quad
+    vals, resid, scale = {}, 0.0, 0.0
+    for lab in G.irrep_labels(pw.group, pi_band):
+        d = G.dim(pw.group, lab)
+        D = quad.rep_grid(lab)
+        F = np.conj(np.swapaxes(D, 1, 2)).reshape(quad.n_nodes, d * d)
+        W = pw.synthesis(op.matrix @ pw.analysis(F))
+        sig = np.einsum("kmn,knp->kmp", D, W.reshape(quad.n_nodes, d, d))
+        coef = pw.analysis(sig)[pw.sub_rows(g_pw)]
+        proj = pw.synthesis(pw.pad(g_pw, coef))
+        resid = max(resid, np.abs(proj - sig).max())
+        scale = max(scale, np.abs(sig).max())
+        vals[lab] = g_pw.synthesis(coef)
+    return vals, resid / scale
+
+
+@pytest.mark.parametrize("spaces,pi_band", [
+    ("u1_spaces", 6), ("u1_spaces", 16), ("su2_spaces", 4),
+    ("su2_spaces", 8)])
+def test_kn_symbol_matches_analysis_route(spaces, pi_band, request):
+    # a random dense operator lies outside the band-limited calculus: the
+    # projection drops most of its symbol, and both routes drop the same
+    gpw, pw = request.getfixturevalue(spaces)
+    rng = np.random.default_rng(pi_band)
+    op = S.TruncatedOperator(pw, _crand(rng, pw.dim, pw.dim))
+    sym = S.kn_symbol(op, pi_band, gpw)
+    vals, resid = _kn_symbol_by_analysis(op, pi_band, gpw)
+    assert sym.projection_residual > 0.1
+    assert _max_rel(vals, sym.values) < 1e-12
+    assert abs(sym.projection_residual - resid) < 1e-12
 
 
 def test_left_right_covariance_su2(su2_spaces):
@@ -329,9 +371,12 @@ def test_hs_pairing(su2_spaces):
 # ---------------------------------------------------------------------------
 
 def gaussian_profile_symbol(gpw, pi_band, s, rng, kmax=3):
-    """Smooth-profile symbol whose right kernel avoids the branch locus:
-    e^{-s C_pi} sum_k a_k x_pi^k u_k(g) 1_pi with C_pi the Casimir and
-    x_pi = j on U(1), x_pi = C_pi on SU(2)."""
+    """Smooth-profile symbol e^{-s C_pi} sum_k a_k x_pi^k u_k(g) 1_pi with
+    C_pi the Casimir and x_pi = j on U(1), x_pi = C_pi on SU(2). The profile
+    does not keep the right kernel off the branch locus: on SU(2) (seed 16,
+    g-band 2, pi-band 3, s = 0.3) branch_mass reads 0 on the h-grids of
+    degree 6 and 8, which have no node within its margin, but 1.3e-2 at
+    degree 10 and 5.3e-3 at degree 14."""
     group = gpw.group
     us = [gpw.synthesis(rng.standard_normal(gpw.dim)
                         + 1j * rng.standard_normal(gpw.dim))
@@ -1095,3 +1140,15 @@ def test_su2_injectivity_uses_the_norm():
     with pytest.raises(L.SymbolClassError):
         L.symbol_product(a, b, gout)
     L.LocalSymbol(G.SU2, 1.0, [[4, 4, 0]], ones, gpw)   # |Y| = 5.66 inside
+
+
+@pytest.mark.parametrize("op", [L.symbol_product, L.poisson_bracket])
+def test_mixed_lattice_steps_raise(op, layout_spaces):
+    # steps 0.2 and 0.3 at the points 1 and 1: the product's momentum is
+    # 0.5, which no point of either lattice holds
+    gpw, gout = layout_spaces[G.U1]
+    ones = np.ones((1, gpw.dim), complex)
+    a = L.LocalSymbol(G.U1, 0.2, [1], ones, gpw)
+    b = L.LocalSymbol(G.U1, 0.3, [1], ones, gpw)
+    with pytest.raises(L.SymbolClassError, match="incompatible lattice"):
+        op(a, b, gout)

@@ -89,3 +89,18 @@ def test_pw_band24_roundtrip():
     pw = PWSpace(G.SU2, 24)
     assert pw.dim == 4900
     assert _roundtrip(pw, np.random.default_rng(24)) < 1e-12
+
+
+@pytest.mark.parametrize("group,band,degree", SPACES)
+def test_conjugation_map(group, band, degree):
+    # conj(e_i) = s_i e_ibar at every node, so the analysis of conjugated
+    # grid values is read off the map even where (G.U1, 5, 2) and
+    # (G.SU2, 4, 3) alias
+    pw = PWSpace(group, band, quad_degree=degree)
+    bar, s = pw._dual_index, pw._dual_sign
+    assert np.array_equal(bar[bar], np.arange(pw.dim))
+    assert np.array_equal(s[bar], s)
+    assert _rel(s * pw.E[:, bar], pw.E.conj()) < 1e-14
+    v = _crandn(np.random.default_rng(band), pw.quad.n_nodes, 3)
+    assert _rel(s[:, None] * pw.analysis(v)[bar].conj(),
+                pw.analysis(v.conj())) < 1e-14
