@@ -15,6 +15,9 @@ import math
 
 import numpy as np
 
+# largest t for which itn_denominator is checked against 40-digit m-sums
+ITN_T_MAX = 16.0
+
 
 def _raising(twoj):
     """J_+ in the m = j..-j basis: J_+ |j m> = sqrt((j - m)(j + m + 1)) |j m+1>,
@@ -73,6 +76,10 @@ def itn_denominator(p, t):
     (2-4 terms for 1 <= t <= 8). Every omitted k has x_k > 48, so the
     omitted part of the bracket is at most 2 sum_{k > K} (1 + 2 x_k)
     e^{-x_k} |p| < 3e-21 sqrt(t) |p|, against its k = 0 term p.
+
+    Range: within 1e-14 relative of 40-digit m-sums for t <= ITN_T_MAX = 16.
+    Above it the bracket cancels more and more digits: 1.7e-14 at t = 32,
+    1.6e-11 at 64, 7.0e-5 at 128 on the same points.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
     t = float(t)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups as G
-from ._kernels import _gauss_legendre, itn_denominator, su2_norm_series
+from ._kernels import (ITN_T_MAX, _gauss_legendre, itn_denominator,
+                       su2_norm_series)
 from .theta import theta3, theta3_dz
 from .wigner import wigner_D_euler_grid
 
@@ -153,16 +154,15 @@ def resolution_constant_u1(t):
                 "resolution integrand is 0/0 in double precision", math.inf)
         return np.exp(-l * l / t) / den
 
-    prev = None
+    prev = math.inf
     for n_panels in (8, 16, 32, 64, 128):
         val = math.sqrt(t / math.pi) * _panel_gl(f, -width, width,
                                                  scale * n_panels)
-        if prev is not None and abs(val - prev) <= 1e-8 * max(1.0, abs(val)):
+        diff, prev = abs(val - prev), val
+        if diff <= 1e-8 * max(1.0, abs(val)):
             return val
-        prev = val
     raise QuadratureConvergenceError(
-        "resolution constant quadrature did not converge",
-        abs(val - prev))
+        "resolution constant quadrature did not converge", diff)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,15 @@ def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
     imaginary residual is measured from the complex theta3' form on a
     sample of nodes. The adaptive refinement stops when two levels agree to
     1e-9 (relative above 1). A fixed n_panels skips it and its convergence
-    check (coarse-quadrature escape hatch for the CLI).
+    check (coarse-quadrature escape hatch for the CLI). t must be at most
+    ITN_T_MAX = 16, the range over which itn_denominator is checked; above
+    it ValueError.
     """
     if t <= 0 or n < 1:
         raise ValueError("require t > 0 and n >= 1")
+    if t > ITN_T_MAX:
+        raise ValueError("I(t, n) needs t <= %g, where its denominator is "
+                         "accurate; got t = %r" % (ITN_T_MAX, t))
     center = t * n / 2.0
     width = 13.0 * math.sqrt(t)
     lo, hi = center - width, center + width
@@ -207,8 +212,7 @@ def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
         return p * p * np.exp(-(p - center) ** 2 / t) / itn_denominator(p, t)
 
     # keep p = 0 a panel edge: the integrand has a removable point there
-    prev = None
-    val = None
+    prev = math.inf
     adaptive = n_panels is None
     schedule = (16, 32, 64, 128) if adaptive else (n_panels,)
     for npan in schedule:
@@ -218,13 +222,13 @@ def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
                    _panel_gl(f, 0.0, hi, npan - k + 1))
         else:
             val = _panel_gl(f, lo, hi, npan)
-        if prev is not None and abs(val - prev) <= 1e-9 * max(1.0, abs(val)):
+        diff, prev = abs(val - prev), val
+        if diff <= 1e-9 * max(1.0, abs(val)):
             break
-        prev = val
     else:
         if adaptive:
             raise QuadratureConvergenceError(
-                "I(t,n) quadrature did not converge", abs(val - prev))
+                "I(t,n) quadrature did not converge", diff)
     if not return_imag_residual:
         return val
     sample = np.linspace(center - 2 * math.sqrt(t), center + 2 * math.sqrt(t), 7)

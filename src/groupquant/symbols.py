@@ -29,6 +29,13 @@ band-limited symbol without evaluating it at the points h^{-1} g; kn_compose
 stays the direct h-quadrature of the composition integral, independent of
 the operator-product route, until the benchmark stops calling it (ROADMAP
 item 6).
+
+deform reuses the last two on the g-band coefficients of F(h, .) at the h
+nodes, which v shifts block by block: e_(pi,a,b)(v g) = sqrt(d) sum_c
+pi(v)_ac pi(g)_cb. With j = (pi, m, n), conj(pi(h)_mn) = s_j e_jbar(h) /
+sqrt(d) makes both h sums transforms of a PWSpace hp on the h-grid: F(h, .)
+is hp's synthesis of sqrt(d) sigma's coefficients, signed and moved to jbar;
+int dh F(h, .) pi(h)_mn is s_j / sqrt(d) times hp's analysis at jbar.
 """
 
 import math
@@ -296,69 +303,62 @@ def sqrt_elements(group, quad):
     return G.quat_exp(X / 2.0)
 
 
-def branch_mass(group, quad, F_hg):
-    """Relative kernel mass within _BRANCH_MARGIN of the branch locus
-    (angle pi)."""
-    w = quad.weights
-    m_h = np.einsum("hg,hg->h", np.abs(F_hg) ** 2,
-                    np.broadcast_to(1.0, F_hg.shape))
-    if group == G.U1:
-        ang = np.abs(np.where(quad.angles > math.pi,
-                              quad.angles - 2 * math.pi, quad.angles))
-        near = ang > math.pi - _BRANCH_MARGIN
-    else:
-        ang = np.linalg.norm(G.quat_log(quad.quats), axis=1)
-        near = ang > 2 * math.pi - 2 * _BRANCH_MARGIN
-    total = float(np.sum(w * m_h))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(w[near] * m_h[near])) / total
+def branch_mass(group, quad, coef):
+    """Relative Haar mass of a kernel within _BRANCH_MARGIN of the branch
+    locus, angle pi: cos of the U(1) angle, or the SU(2) real part
+    cos(|X|/2), below -cos(_BRANCH_MARGIN). coef holds F(h, .)'s g-band
+    coefficients at quad's nodes: int |F(h, g)|^2 dg = |coef[h]|^2."""
+    m_h = quad.weights * np.einsum("hi,hi->h", coef, coef.conj()).real
+    cos = np.cos(quad.angles) if group == G.U1 else quad.quats[:, 0]
+    near = m_h[cos < -math.cos(_BRANCH_MARGIN)]
+    return float(np.sum(near)) / max(float(np.sum(m_h)), 1e-300)
 
 
-def kernel_values(sym, h_quad, s=0):
-    """F(h, sqrt(h)^s g) on the (h_quad, sym.quad) double grid, s in
-    {0, -1, +1}, with F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g))."""
-    return next(_kernel_values(sym, h_quad, (s,)))
-
-
-def _kernel_values(sym, h_quad, shifts):
-    """kernel_values for each s in shifts in turn, from one formation of the
-    g-band PW coefficients of F(h, .), on which the shift acts through
-    e_(pi,a,b)(v g) = sqrt(d_pi) sum_c pi(v)_{ac} pi(g)_{cb}. A generator,
-    so that one (h, g) grid of values is alive at a time."""
-    if not set(shifts) <= {-1, 0, 1}:
-        raise ValueError("shift exponent must be -1, 0 or +1")
-    group, g_pw = sym.group, sym.g_pw
-    N_h = h_quad.n_nodes
-    coef = np.zeros((N_h, g_pw.dim), dtype=complex)  # F(h, .) coefficients
+def _kernel_coefficients(sym, h_quad, band):
+    """(hp, the g-band coefficients of F(h, .) at the h nodes, (N_h, dim_g)),
+    hp the PWSpace of `band` on h_quad; ValueError unless h_quad has the
+    nodes and weights of group_quadrature at its degree."""
+    hp = PWSpace(sym.group, band, quad_degree=h_quad.exactness_degree)
+    nodes = "angles" if sym.group == G.U1 else "quats"
+    if not (np.array_equal(hp.quad.weights, h_quad.weights) and
+            np.array_equal(getattr(hp.quad, nodes), getattr(h_quad, nodes))):
+        raise ValueError("the h quadrature must be group_quadrature(%r, %d)"
+                         % (sym.group, h_quad.exactness_degree))
+    C = np.zeros((hp.dim, sym.g_pw.dim), dtype=complex)
     for lab in sym.labels:
-        d = G.dim(group, lab)
-        Dh = h_quad.rep_grid(lab).conj().reshape(N_h, d * d)
-        coef += d * Dh @ sym.coefficients(lab).reshape(g_pw.dim, d * d).T
-    for s in shifts:
-        cs = coef
-        if s:
-            v = sqrt_elements(group, h_quad)
-            if s < 0:
-                v = -v if group == G.U1 else G.quat_inv(v)
-            DvT = [np.swapaxes(D, 1, 2) for D in g_pw._reps(v)]
-            cs = g_pw._kron_rows(DvT, coef[:, :, None])[:, :, 0]
-        yield g_pw.synthesis(cs.T).T
+        d = G.dim(sym.group, lab)
+        C[hp.offsets[lab]:hp.offsets[lab] + d * d] = math.sqrt(d) * (
+            sym.coefficients(lab).reshape(-1, d * d).T)
+    return hp, hp.synthesis(hp._dual_sign[:, None] * C[hp._dual_index])
+
+
+def kernel_values(sym, h_quad):
+    """F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g)) on the (h_quad,
+    sym.quad) double grid; h_quad as for _kernel_coefficients."""
+    _, coef = _kernel_coefficients(sym, h_quad, sym.pi_band)
+    return sym.g_pw.synthesis(coef.T).T
 
 
 def _deform(sym, h_quad, s, pi_band):
-    """int dh F(h, sqrt(h)^s g) pi(h) for pi up to pi_band, after rejecting
-    kernels F(h, g) with more than _BRANCH_TOL mass at the branch locus."""
-    values = _kernel_values(sym, h_quad, (0, s))
-    mass = branch_mass(sym.group, h_quad, next(values))
+    """int dh F(h, sqrt(h)^s g) pi(h) for pi up to pi_band, s = +-1, after
+    rejecting kernels F(h, g) with more than _BRANCH_TOL mass at the branch
+    locus; the identities of the module docstring."""
+    group, g_pw = sym.group, sym.g_pw
+    hp, coef = _kernel_coefficients(sym, h_quad, max(sym.pi_band, pi_band))
+    mass = branch_mass(group, h_quad, coef)
     if mass > _BRANCH_TOL:
         raise BranchLocusError(mass, _BRANCH_TOL)
-    FwT = (next(values) * h_quad.weights[:, None]).T
+    v = sqrt_elements(group, h_quad)
+    if s < 0:
+        v = -v if group == G.U1 else G.quat_inv(v)
+    DvT = [np.swapaxes(D, 1, 2) for D in g_pw._reps(v)]
+    A = hp.analysis(g_pw._kron_rows(DvT, coef[:, :, None])[:, :, 0])
+    j = np.flatnonzero(hp.band_mask(pi_band))     # one run of whole blocks
+    vals = g_pw.synthesis((hp._dual_sign[j, None] * A[hp._dual_index[j]]).T)
     out = {}
-    for lab in G.irrep_labels(sym.group, pi_band):
-        Dh = h_quad.rep_grid(lab)
-        out[lab] = (FwT @ Dh.reshape(h_quad.n_nodes, -1)).reshape(
-            (FwT.shape[0],) + Dh.shape[1:])
+    for lab in G.irrep_labels(group, pi_band):
+        d, o = G.dim(group, lab), hp.offsets[lab] - j[0]
+        out[lab] = vals[:, o:o + d * d].reshape(-1, d, d) / math.sqrt(d)
     return out
 
 

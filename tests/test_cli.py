@@ -90,6 +90,14 @@ def test_table1_forced_failure(tmp_path, capsys):
     assert "FAIL" in err and "rel_err" in err
 
 
+def test_table1_rejects_large_t(tmp_path):
+    # above the denominator's checked range: no CSV, not a row of inf
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        main(["--cmd", "table1", "--t", "1000", "--n", "5", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_resolution_u1(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["--cmd", "resolution-u1", "--out", str(out)])

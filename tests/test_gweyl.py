@@ -1,5 +1,6 @@
 """Global KN/Weyl matrix-symbol calculus and the local epsilon-scaled one."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -553,6 +554,96 @@ def test_weyl_routes_match_oracles(group, request):
     back = S.weyl_symbol(op, pi_band, gpw, hq)
     oracle = _weyl_symbol_oracle(op, pi_band, gpw, hq)
     assert _max_rel(oracle, back.values) < 1e-12
+
+
+# The rep_grid route of the Weyl deformation: F(h, g) and its h-integral
+# from the irrep matrices on the whole h-grid, one (N_h, N_g) grid of values
+# per shift, against which the PWSpace route on the h-grid is checked.
+
+def _kernel_values_rep_grid(sym, h_quad, s=0):
+    """F(h, sqrt(h)^s g) on the (h_quad, sym.quad) double grid."""
+    group, g_pw = sym.group, sym.g_pw
+    coef = sum(G.dim(group, lab) * h_quad.rep_grid(lab).conj().reshape(
+        h_quad.n_nodes, -1) @ sym.coefficients(lab).reshape(g_pw.dim, -1).T
+        for lab in sym.labels)
+    if s:
+        v = S.sqrt_elements(group, h_quad)
+        if s < 0:
+            v = _inverse(group, v)
+        DvT = [np.swapaxes(D, 1, 2) for D in g_pw._reps(v)]
+        coef = g_pw._kron_rows(DvT, coef[:, :, None])[:, :, 0]
+    return g_pw.synthesis(coef.T).T
+
+
+def _deform_rep_grid(sym, h_quad, s, pi_band):
+    """int dh F(h, sqrt(h)^s g) pi(h) as sum_h w_h F(h, g) pi(h)."""
+    FwT = (_kernel_values_rep_grid(sym, h_quad, s)
+           * h_quad.weights[:, None]).T
+    return {lab: np.einsum("gh,hmn->gmn", FwT, h_quad.rep_grid(lab))
+            for lab in G.irrep_labels(sym.group, pi_band)}
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_weyl_deformation_matches_rep_grid_route(group, request):
+    rng = np.random.default_rng(17)
+    if group == G.U1:
+        gpw, pw, hq = request.getfixturevalue("weyl_u1")
+        pi_band, s, out_band = 24, 0.07, 20
+    else:
+        gpw = S.make_g_space(G.SU2, 2, quad_degree=6)
+        pw = PWSpace(G.SU2, 5, quad_degree=8)
+        hq = G.su2_quadrature(6)
+        pi_band, s, out_band = 3, 0.3, 2
+    sym = gaussian_profile_symbol(gpw, pi_band, s, rng)
+    kern = S.weyl_deform(sym, hq)
+    assert _max_rel(_deform_rep_grid(sym, hq, -1, pi_band), kern.K) < 1e-13
+    assert _max_rel(_kernel_values_rep_grid(sym, hq),
+                    S.kernel_values(sym, hq)) < 1e-13
+    # weyl_symbol deforms the KN symbol over the whole operator band, above
+    # the output band, and above the symbol's band on SU(2)
+    op = S.kernel_quantize(kern, pw, hq)
+    kn = S.kn_symbol(op, pw.band, gpw)
+    for band in (out_band, pi_band):
+        back = S.weyl_symbol(op, band, gpw, hq)
+        assert _max_rel(_deform_rep_grid(kn, hq, 1, band),
+                        back.values) < 1e-13
+
+
+def test_branch_mass_is_haar_weighted():
+    # g-band 3 on a degree-5 grid, whose Gauss-Legendre weights differ: the
+    # branch mass weighs |F(h, g)|^2 by Haar measure in g as well as in h
+    rng = np.random.default_rng(18)
+    gpw = S.make_g_space(G.SU2, 3)
+    hq = G.su2_quadrature(10)
+    sym = S.random_symbol(G.SU2, 2, gpw, rng)
+    F = _kernel_values_rep_grid(sym, hq)
+    m_h = hq.weights * (np.abs(F) ** 2 @ gpw.quad.weights)
+    angle = np.linalg.norm(G.quat_log(hq.quats), axis=1)
+    oracle = m_h[angle > 2 * math.pi - 2 * S._BRANCH_MARGIN].sum() / m_h.sum()
+    with pytest.raises(S.BranchLocusError) as err:
+        S.weyl_deform(sym, hq)
+    assert abs(err.value.mass - oracle) < 1e-12 * oracle
+
+
+def test_weyl_rejects_other_h_grids():
+    # the h sums run as transforms on group_quadrature's grid: any other
+    # nodes, or the same nodes under another degree, raise
+    u1 = G.u1_quadrature(20)
+    su2 = G.su2_quadrature(6)
+    rot = G.quat_exp(np.array([0.3, -0.2, 0.5]))
+    others = [
+        dataclasses.replace(u1, angles=u1.angles + 0.1, _rep_cache={}),
+        dataclasses.replace(u1, exactness_degree=19, _rep_cache={}),
+        dataclasses.replace(su2, quats=G.quat_mul(rot, su2.quats),
+                            _rep_cache={}),
+    ]
+    for hq in others:
+        gpw = S.make_g_space(hq.group, 1)
+        sym = S.random_symbol(hq.group, 2, gpw, np.random.default_rng(19))
+        with pytest.raises(ValueError, match="group_quadrature"):
+            S.weyl_deform(sym, hq)
+        with pytest.raises(ValueError, match="group_quadrature"):
+            S.kernel_values(sym, hq)
 
 
 def test_weyl_element_orthogonality_u1():

@@ -9,7 +9,7 @@ import pytest
 
 from groupquant import groups as G
 from groupquant import heat as H
-from groupquant._kernels import itn_denominator
+from groupquant._kernels import ITN_T_MAX, itn_denominator
 from groupquant.theta import theta3
 
 RNG = np.random.default_rng(11)
@@ -400,6 +400,37 @@ def test_itn_linearity_cubic_closed_laws():
 def test_itn_convergence_error():
     with pytest.raises(ValueError):
         H.resolution_integral_su2(-1.0, 1)
+
+
+@pytest.mark.parametrize("t, n", [(1000.0, 5), (150.0, 1)])
+def test_itn_rejects_t_above_denominator_range(t, n):
+    # itn_denominator is checked up to ITN_T_MAX; (1000, 5) used to return
+    # inf and (150, 1) not to converge
+    with pytest.raises(ValueError, match="t <="):
+        H.resolution_integral_su2(t, n)
+    assert math.isfinite(H.resolution_integral_su2(ITN_T_MAX, n))
+
+
+@pytest.mark.parametrize("name, func, args", [
+    ("theta3", H.resolution_constant_u1, (1.0,)),
+    ("itn_denominator", H.resolution_integral_su2, (2.0, 1)),
+])
+def test_convergence_error_reports_last_difference(monkeypatch, name, func,
+                                                   args):
+    # noise of 1e-6 relative in the integrand's denominator keeps every two
+    # refinement levels apart: the error reports their last difference
+    value = func(*args)
+    exact = getattr(H, name)
+    rng = np.random.default_rng(5)
+
+    def noisy(*a):
+        v = exact(*a)
+        return v * (1.0 + 1e-6 * rng.standard_normal(np.shape(v)))
+
+    monkeypatch.setattr(H, name, noisy)
+    with pytest.raises(H.QuadratureConvergenceError) as err:
+        func(*args)
+    assert err.value.achieved > 1e-9 * abs(value)
 
 
 def test_schur_residual():

@@ -54,7 +54,8 @@ def _itn_denominator_mp(p, t):
 def test_itn_denominator_mp_oracle():
     # next to p = 0 the m-sum pairs +-m terms of size e^{-t m^2/4} into a
     # value of order p: the dual form keeps every digit there
-    for t in (0.3, 1.0, 4.0, 8.0, 16.0):
+    # up to ITN_T_MAX, the range resolution_integral_su2 accepts
+    for t in (0.3, 1.0, 4.0, 8.0, K.ITN_T_MAX):
         p = np.array([1e-6, -1e-6, 1e-3, -1e-3, 0.37, -1.9, 2.3 * t,
                       -3.1 * t, 4.7 * t, 5.0 * t, -5.0 * t])
         ref = np.array([float(_itn_denominator_mp(x, t)) for x in p])
