@@ -35,7 +35,8 @@ nodes, which v shifts block by block: e_(pi,a,b)(v g) = sqrt(d) sum_c
 pi(v)_ac pi(g)_cb. With j = (pi, m, n), conj(pi(h)_mn) = s_j e_jbar(h) /
 sqrt(d) makes both h sums transforms of a PWSpace hp on the h-grid: F(h, .)
 is hp's synthesis of sqrt(d) sigma's coefficients, signed and moved to jbar;
-int dh F(h, .) pi(h)_mn is s_j / sqrt(d) times hp's analysis at jbar.
+int dh F(h, .) pi(h)_mn is s_j / sqrt(d) times hp's analysis at jbar. The
+h-grid must therefore be a group_quadrature; others raise ValueError.
 """
 
 import math
@@ -334,15 +335,14 @@ def _kernel_coefficients(sym, h_quad, band):
 
 def kernel_values(sym, h_quad):
     """F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g)) on the (h_quad,
-    sym.quad) double grid; h_quad as for _kernel_coefficients."""
+    sym.quad) double grid; h_quad must be a group_quadrature."""
     _, coef = _kernel_coefficients(sym, h_quad, sym.pi_band)
     return sym.g_pw.synthesis(coef.T).T
 
 
 def _deform(sym, h_quad, s, pi_band):
-    """int dh F(h, sqrt(h)^s g) pi(h) for pi up to pi_band, s = +-1, after
-    rejecting kernels F(h, g) with more than _BRANCH_TOL mass at the branch
-    locus; the identities of the module docstring."""
+    """int dh F(h, sqrt(h)^s g) pi(h) for pi up to pi_band, s = +-1; kernels
+    with more than _BRANCH_TOL mass at the branch locus are rejected."""
     group, g_pw = sym.group, sym.g_pw
     hp, coef = _kernel_coefficients(sym, h_quad, max(sym.pi_band, pi_band))
     mass = branch_mass(group, h_quad, coef)

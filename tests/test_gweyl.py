@@ -600,7 +600,7 @@ def test_weyl_deformation_matches_rep_grid_route(group, request):
     assert _max_rel(_kernel_values_rep_grid(sym, hq),
                     S.kernel_values(sym, hq)) < 1e-13
     # weyl_symbol deforms the KN symbol over the whole operator band, above
-    # the output band, and above the symbol's band on SU(2)
+    # both output bands
     op = S.kernel_quantize(kern, pw, hq)
     kn = S.kn_symbol(op, pw.band, gpw)
     for band in (out_band, pi_band):
