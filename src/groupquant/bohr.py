@@ -46,9 +46,6 @@ class FiniteSupportFn:
     def __getitem__(self, lam):
         return self.data.get(lam, 0.0 + 0.0j)
 
-    def support(self):
-        return sorted(self.data.keys())
-
     def items(self):
         return self.data.items()
 
@@ -280,12 +277,12 @@ class EquivariantSymbol:
     lattice: RationalLattice
     chat: dict      # int m -> callable lam -> C
 
-    def to_bohr_symbol(self, order=(0.0, 1.0, 0.0)):
+    def to_bohr_symbol(self):
         coeffs = {}
         for m, c in self.chat.items():
             nu = -self.lattice.point(m)
             coeffs[nu] = c
-        return BohrSymbol(coeffs, order, self.lattice)
+        return BohrSymbol(coeffs, lattice=self.lattice)
 
 
 def asymptotic_product(sig, tau, eps, N):
@@ -335,7 +332,8 @@ def asymptotic_product(sig, tau, eps, N):
 # ---------------------------------------------------------------------------
 
 def young_bound(h_entries):
-    """(C1, C2) for a kernel given as {(lam, lam'): value}."""
+    """(C1, C2), the largest row sum and the largest column sum of |h|, for
+    a kernel given as {(lam, lam'): value}."""
     row, col = {}, {}
     for (lam, lamp), v in h_entries.items():
         row[lam] = row.get(lam, 0.0) + abs(v)
@@ -350,15 +348,22 @@ def apply_kernel(h_entries, phi):
     return FiniteSupportFn(sums)
 
 
+def _schur_constant(h_entries, p):
+    """C1^{1/q} C2^{1/p}, 1/p + 1/q = 1, with (C1, C2) = young_bound: the
+    Schur-test bound of the kernel's operator norm on l^p. The row sums C1
+    bound it at p = inf, the column sums C2 at p = 1."""
+    if not 1 <= p <= math.inf:
+        raise ValueError("p must be in [1, inf], got %r" % (p,))
+    c1, c2 = young_bound(h_entries)
+    inv_p = 1.0 / p
+    return c1 ** (1.0 - inv_p) * c2 ** inv_p
+
+
 def apply_kernel_norm_check(h_entries, phi, p):
     """Empirical Young inequality: returns (lhs, bound)."""
-    c1, c2 = young_bound(h_entries)
-    q = math.inf if p == 1 else (p / (p - 1.0) if p != math.inf else 1.0)
+    const = _schur_constant(h_entries, p)
     lhs = sobolev_norm(apply_kernel(h_entries, phi), 0.0, p)
-    inv_p = 0.0 if p == math.inf else 1.0 / p
-    inv_q = 0.0 if q == math.inf else 1.0 / q
-    bound = c1 ** inv_p * c2 ** inv_q * sobolev_norm(phi, 0.0, p)
-    return lhs, bound
+    return lhs, const * sobolev_norm(phi, 0.0, p)
 
 
 def sobolev_bound_check(sigma, s, t, p, states, eps=1.0):
@@ -368,7 +373,7 @@ def sobolev_bound_check(sigma, s, t, p, states, eps=1.0):
     and (1 - delta) r > |m| - 1 + |t| + |s - t|), builds the dominating
     kernel constants C1, C2 over the lattice window |j| <= 40, and verifies
     the empirical ratio ||A Phi||_{(s-t,p)} / ||Phi||_{(s,p)} never exceeds
-    2^{|s-t|} C1^{1/p} C2^{1/q} on the supplied states.
+    2^{|s-t|} C1^{1/q} C2^{1/p} on the supplied states; p in [1, inf].
 
     With 0 <= delta <= 1 the first condition bounds r from above, by
     (t - m) / delta (no bound when delta = 0 and t >= m), and (1 - delta) r
@@ -401,10 +406,7 @@ def sobolev_bound_check(sigma, s, t, p, states, eps=1.0):
             wgt = ((1 + float(lam2 - lamp) ** 2) ** (abs(s - t) / 2.0)
                    * (1 + float(lamp) ** 2) ** (-t / 2.0))
             entries[(lam2, lamp)] = entries.get((lam2, lamp), 0.0) + wgt * v
-    c1, c2 = young_bound(entries)
-    q = math.inf if p == 1 else p / (p - 1.0)
-    inv_p, inv_q = 1.0 / p, (0.0 if q == math.inf else 1.0 / q)
-    const = 2.0 ** abs(s - t) * c1 ** inv_p * c2 ** inv_q
+    const = _schur_constant(entries, p) * 2.0 ** abs(s - t)
     worst = 0.0
     for phi in states:
         num = sobolev_norm(apply_symbol(sigma, phi, eps), s - t, p)

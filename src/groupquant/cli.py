@@ -9,7 +9,8 @@ Commands (via --cmd):
 
 Every JSON report records the seed and the tolerance each number was
 tested against; floats are emitted with 17 significant digits so runs are
-byte-identical given (config, seed).
+byte-identical given (config, seed). table1 writes nothing and exits 2, with
+a one-line message, for t or n outside the range it is checked on.
 """
 
 import argparse
@@ -55,7 +56,11 @@ def cmd_table1(args):
     first_fail = None
     for t in ts:
         for n in ns:
-            val = resolution_integral_su2(t, n, n_panels=panels)
+            try:
+                val = resolution_integral_su2(t, n, n_panels=panels)
+            except ValueError as exc:   # t or n outside the checked range
+                sys.stderr.write("groupquant: %s\n" % exc)
+                return 2
             expected = t ** 3 * n / 8.0
             rel = abs(val - expected) / expected
             rows.append((repr(float(t)), n, repr(float(val)),

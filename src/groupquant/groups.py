@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _gauss_legendre, _su2_characters
+from ._kernels import _gauss_legendre
 from .wigner import wigner_D_euler_grid
 
 U1 = "U1"
@@ -186,28 +186,6 @@ def rep_matrix(group, label, g):
     return wigner_D_euler_grid(label - 1, alpha, beta, gamma)[0]
 
 
-def character(group, label, g):
-    if group == U1:
-        return rep_matrix(group, label, g)[0, 0]
-    return np.trace(rep_matrix(group, label, g))
-
-
-def character_c(group, label, arg):
-    """Analytically continued character.
-
-    U(1): arg is the complex angle zeta, chi_j = e^{i j zeta}.
-    SU(2): arg is the complex torus parameter mu with eigenvalues e^{+-mu};
-    chi_n = sinh(n mu)/sinh(mu), in the reduced form of
-    `_kernels._su2_characters`, which holds at mu = 0 and at mu = i pi too.
-    label may be an integer array: the characters are then elementwise.
-    """
-    if group == U1:
-        return np.exp(1j * label * arg)
-    n, mu = np.asarray(label), np.complex128(arg)
-    phase, s = _su2_characters(mu, int(n.max()))
-    return np.exp((n - 1) * abs(mu.real)) * phase[n - 1] * s[n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Haar quadratures
 # ---------------------------------------------------------------------------
@@ -286,22 +264,3 @@ def group_quadrature(group, exactness_degree):
         return u1_quadrature(exactness_degree)
     return su2_quadrature(exactness_degree)
 
-
-def schur_orthogonality_residual(quad, max_label):
-    """Worst deviation from Schur orthogonality over irreps <= max_label."""
-    labels = irrep_labels(quad.group, max_label)
-    worst = 0.0
-    for la in labels:
-        da = dim(quad.group, la)
-        Da = quad.rep_grid(la)
-        for lb in labels:
-            Db = quad.rep_grid(lb)
-            gram = np.einsum("k,kmn,kpq->mnpq", quad.weights, Da, Db.conj())
-            if la == lb:
-                d = da
-                expect = np.einsum("mp,nq->mnpq",
-                                   np.eye(d), np.eye(d)) / d
-                worst = max(worst, np.abs(gram - expect).max())
-            else:
-                worst = max(worst, np.abs(gram).max())
-    return worst

@@ -340,13 +340,13 @@ def local_quantize(s, eps, pw, variant=KN):
     return _assemble(s, _operators(s, pw), eps, pw, variant)
 
 
-def kernel_cutoff(phi, s, dphi0=None):
+def kernel_cutoff(phi, s):
     """H(phi) sigma: multiply the momentum-side data by phi pointwise.
 
     phi is a callable on the Lie algebra (scalar argument for U(1), 3-vector
     for SU(2)). The momentum-linear part picks up phi(0) theta_k q_k plus
-    i (d_k phi)(0) q_k at frequency zero; derivatives of phi at 0 are taken
-    from dphi0 if given, else by central differences of step _FD_STEP.
+    i (d_k phi)(0) q_k at frequency zero, with d_k phi(0) by central
+    differences of step _FD_STEP.
     """
     def at(y):
         return phi(float(y[0]) if s.group == G.U1 else y)
@@ -356,11 +356,8 @@ def kernel_cutoff(phi, s, dphi0=None):
     out = LocalSymbol(s.group, s.step, s.points.copy(), coeffs, s.g_pw,
                       {k: phi0 * v for k, v in s.poly.items()})
     for k, q in s.poly.items():
-        if dphi0 is not None:
-            dk = dphi0[k]
-        else:
-            e = _FD_STEP * np.eye(s.n_dirs)[k]
-            dk = (at(e) - at(-e)) / (2 * _FD_STEP)
+        e = _FD_STEP * np.eye(s.n_dirs)[k]
+        dk = (at(e) - at(-e)) / (2 * _FD_STEP)
         out = symbol_add(out, _at_zero(s, s.g_pw, (1j * dk) * q))
     return out
 

@@ -1,12 +1,13 @@
 """Stratonovich-Weyl calculus on SU(2) coadjoint orbits.
 
 The spin-j orbit is the sphere of radius j (weight units); its Liouville
-measure is normalized to total mass d = 2j+1. Coherent vectors come from
-the ZYZ section g_theta = R_z(alpha) R_y(beta) (gamma = 0), so that the
-momentum map J_i(v) = <v, J_i v> satisfies J(v_theta) = j * nhat(theta)
-exactly. The overlap kernel K(theta, theta') = |<v_theta, v_theta'>|^2 =
-cos^{4j}(gamma/2) is rotation invariant and acts diagonally on spherical
-harmonics with eigenvalues
+measure is normalized to total mass d = 2j+1. The coherent vector at
+theta = (alpha, beta) is column 0 of D(alpha, beta, 0), on the ZYZ section
+g_theta = R_z(alpha) R_y(beta) (gamma = 0); `OrbitSpec.coherent` holds it
+at every node. The momentum map J_i(v) = <v, J_i v> satisfies
+J(v_theta) = j * nhat(theta) exactly. The overlap kernel
+K(theta, theta') = |<v_theta, v_theta'>|^2 = cos^{4j}(gamma/2) is rotation
+invariant and acts diagonally on spherical harmonics with eigenvalues
 
     k_l = (d/2) int_{-1}^{1} ((1+x)/2)^{2j} P_l(x) dx,   k_0 = 1,
 
@@ -27,15 +28,19 @@ field: Delta~ on the beta nodes, (n_beta, d^2) real, and the phases
 P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c}, (n_alpha, d^2). Each symbol map
 is then one matrix product between them (27 x 625 and 52 x 625 entries at
 2j = 24, where the field has 1404 x 625).
+
+The Stratonovich-Weyl-Fourier transform of Psi on SU(2) is, per orbit, the
+symbol W of its Fourier coefficient int Psi(g) pi(g) dg on a Haar grid
+(`swf_transform`); its kernel E(g; pi, theta) = tr(Delta(theta) pi(g)) is
+never formed.
 """
 
 import math
 
 import numpy as np
 
-from . import groups as G
 from ._kernels import _gauss_legendre, wigner_d_grid
-from .wigner import angular_momentum, wigner_D_euler_grid, clebsch_gordan
+from .wigner import angular_momentum, clebsch_gordan
 
 
 def kernel_eigenvalues(twoj, lmax=None):
@@ -110,17 +115,6 @@ class OrbitSpec:
             self._Y = (d[:, None] * phase).reshape(self.n_nodes, len(m))
         return self._Y
 
-    def orthonormality_residual(self):
-        """max |int conj(Y_lm) Y_l'm' dmu - d/(4pi) delta| over the pairs
-        with l + l' <= L, whose products the grid integrates exactly: one
-        Gram matrix Y^H diag(w) Y of the harmonics with l <= L."""
-        Y = self._harmonic_matrix(self.L)[:, :(self.L + 1) ** 2]
-        gram = (Y.conj().T * self.weights) @ Y
-        ls = np.arange(self.L + 1)
-        deg = np.repeat(ls, 2 * ls + 1)
-        err = gram - self.d / (4 * math.pi) * np.eye(len(deg))
-        return float(np.abs(err[np.add.outer(deg, deg) <= self.L]).max())
-
     # -- harmonic analysis on the orbit (band l <= L/2 exact) ---------------
 
     def sh_analysis(self, field, lmax):
@@ -174,12 +168,6 @@ class OrbitSpec:
             self._sw = (table.reshape(len(db), -1),
                         phase.reshape(len(self.alpha_nodes), -1))
         return self._sw
-
-
-def coherent_vector(spec, alpha, beta):
-    D = wigner_D_euler_grid(spec.twoj, np.atleast_1d(alpha),
-                            np.atleast_1d(beta), np.zeros(1))
-    return D[0, :, 0]
 
 
 def momentum_map(twoj, v):
@@ -248,18 +236,6 @@ def sw_twisted_product(spec, WA, WB):
 # ---------------------------------------------------------------------------
 # Stratonovich-Weyl-Fourier transform
 # ---------------------------------------------------------------------------
-
-def e_kernel(spec, quad):
-    """E(g; pi, theta) = tr(Delta(theta) pi(g)) on (group grid, orbit grid).
-
-    One matrix product per beta row b: the group nodes' pi(g)^T, raveled to
-    (n_g, d^2), times the row Delta~[b] of the (n_beta, d^2) table, against
-    the (n_alpha, d^2) phase table gives the n_alpha columns of that row."""
-    table, phase = spec._sw_tables()
-    Dt = np.swapaxes(quad.rep_grid(spec.twoj + 1), 1, 2).reshape(
-        quad.n_nodes, -1)
-    return np.concatenate([(Dt * row) @ phase.T for row in table], axis=1)
-
 
 def swf_transform(psi_grid, quad, specs):
     """F_SW[Psi](pi, theta) = W of Psihat(pi) for each orbit in specs."""
@@ -332,16 +308,8 @@ def momentum_scaled_label(twoj, k):
 
 
 # ---------------------------------------------------------------------------
-# Cartan powers and semiclassical rates
+# semiclassical rates
 # ---------------------------------------------------------------------------
-
-def cartan_power_residual(twoj, k, quat):
-    """| <v_{k lam}, pi_{k lam}(g) v_{k lam}> - <v_lam, pi_lam(g) v_lam>^k |."""
-    a, b, c = G.quat_to_euler(np.atleast_2d(quat))
-    lhs = wigner_D_euler_grid(k * twoj, a, b, c)[0, 0, 0]
-    rhs = wigner_D_euler_grid(twoj, a, b, c)[0, 0, 0] ** k
-    return abs(lhs - rhs)
-
 
 def k_flow_deviation(twoj, field_l):
     """|k_l - 1| for the degree-l eigenfield: ||K_j f - f||_inf / ||f||_inf."""

@@ -4,11 +4,12 @@ A PWSpace carries the orthonormal basis e_{(pi,a,b)} = sqrt(d_pi) D^pi_{ab}
 for labels up to a band, a Haar quadrature exact enough to analyze the
 products that arise, and the standard operators on that basis.
 
-Translations and right derivatives are block diagonal: one Kronecker block
-kron(X, 1) or kron(1, X) per irrep, X acting on the first or the second
-index of D_{ab}. The public methods return them as dense matrices;
-`_kron_rows` and `_kron_cols` apply kron(X, 1) blocks to the rows or the
-columns of a stack of matrices one irrep at a time without forming them.
+Left translations and right derivatives are block diagonal: one Kronecker
+block kron(X, 1) per irrep, X acting on the first index of D_{ab}.
+`right_derivative` returns its blocks as one dense matrix; `_kron_rows` and
+`_kron_cols` apply kron(X, 1) blocks to the rows or the columns of a stack
+of matrices one irrep at a time without forming them, which is how the
+local calculus translates.
 
 On SU(2) the quadrature is a product grid: uniform alpha and gamma on
 [0, 4pi), Gauss-Legendre in cos beta. The basis separates on it,
@@ -282,30 +283,11 @@ class PWSpace:
 
     # -- block-diagonal operators -------------------------------------------
 
-    def _element(self, h):
-        if isinstance(h, G.GroupElement):
-            return h
-        if self.group == G.SU2:
-            return G.GroupElement.su2(h)
-        return G.GroupElement.u1(h)
-
     def _generators(self, k):
         """dpi(X) per label, X = tau_k (SU(2)) or X = 1 (U(1))."""
         if self.group == G.U1:
             return [np.array([[1j * lab]]) for lab in self.labels]
         return [su2_generator(lab - 1, k) for lab in self.labels]
-
-    def _kron_blocks(self, blocks, first=True):
-        """Dense block-diagonal matrix with kron(X, 1) per label, or
-        kron(1, X) when not `first`."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for lab, X in zip(self.labels, blocks):
-            d = len(X)
-            o = self.offsets[lab]
-            one = np.eye(d)
-            out[o:o + d * d, o:o + d * d] = (np.kron(X, one) if first
-                                             else np.kron(one, X))
-        return out
 
     def _kron_rows(self, blocks, mats):
         """kron(X_p, 1) @ mats[p] for a stack: blocks per label (P, d, d),
@@ -343,22 +325,15 @@ class PWSpace:
 
     # -- standard operators as matrices on the coefficient basis ------------
 
-    def left_translation(self, h):
-        """(U_h Psi)(g) = Psi(h^{-1} g): c'_{cb} = sum_a D_{ac}(h^{-1}) c_{ab}."""
-        h = self._element(h)
-        return self._kron_blocks(
-            [G.rep_matrix(self.group, lab, h).conj() for lab in self.labels])
-
-    def right_translation(self, h):
-        """(U^R_h Psi)(g) = Psi(g h): c'_{ac} = sum_b c_{ab} D_{cb}(h)."""
-        h = self._element(h)
-        return self._kron_blocks(
-            [G.rep_matrix(self.group, lab, h) for lab in self.labels],
-            first=False)
-
     def right_derivative(self, k=0):
-        """R_X for X = tau_k (SU(2)) or X = 1 (U(1)): d/ds Psi(e^{sX} g)."""
-        return self._kron_blocks([X.T for X in self._generators(k)])
+        """R_X for X = tau_k (SU(2)) or X = 1 (U(1)): d/ds Psi(e^{sX} g), the
+        dense block-diagonal matrix with kron(dpi(X)^T, 1) per label."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for lab, X in zip(self.labels, self._generators(k)):
+            d = len(X)
+            o = self.offsets[lab]
+            out[o:o + d * d, o:o + d * d] = np.kron(X.T, np.eye(d))
+        return out
 
     def multiplication_operator(self, grid_values, in_band=None):
         """Matrix of Psi -> f * Psi from samples of f on the quadrature grid.

@@ -57,12 +57,6 @@ class TwistedSpace:
         """X_t = e^{-t/2} U(1) e^{-tJ}: shifts |j+j0> up with weight."""
         return self._band(1, -self.t / 2.0 - self.t * (self.js - 1 + self.j0))
 
-    def annihilation_residual(self, phi, l):
-        c = self.coherent_coeffs(phi, l)
-        xi = np.exp(-l + 1j * phi)
-        resid = self.annihilation() @ c - xi * c
-        return np.abs(resid).max() / np.abs(c).max()
-
     def lower_symbol(self, A, phi, l):
         """<c, A c> / <c, c> at (phi, l), elementwise over arrays."""
         c = self.coherent_coeffs(phi, l)

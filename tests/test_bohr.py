@@ -115,7 +115,7 @@ def test_apply_symbol_shift():
     sig = B.BohrSymbol({lam0: lambda lam: 1.0})
     phi = B.FiniteSupportFn([(1.0, 1.0), (2.0, 3.0)])
     out = B.apply_symbol(sig, phi, eps=1.0)
-    assert sorted(out.support()) == pytest.approx([1.0 - lam0, 2.0 - lam0])
+    assert sorted(out.data) == pytest.approx([1.0 - lam0, 2.0 - lam0])
     assert abs(out[1.0 - lam0] - 1.0) < 1e-14
     assert abs(out[2.0 - lam0] - 3.0) < 1e-14
 
@@ -128,7 +128,7 @@ def test_apply_symbol_lattice_mapping():
     phi = B.FiniteSupportFn([(2.0 / 3.0 * m, 1.0) for m in (-1, 0, 2)])
     out = B.apply_symbol(sym, phi, eps=1.0)
     target = B.RationalLattice(1.0 / 3.0, 0.0)
-    for lam in out.support():
+    for lam in sorted(out.data):
         assert target.contains(lam)
 
 
@@ -168,7 +168,7 @@ def test_twisted_product_exact():
             phi = rand_state(B.RationalLattice(1.0 / 3.0))
             lhs = B.apply_symbol(rho, phi, eps)
             rhs = B.apply_symbol(sig, B.apply_symbol(tau, phi, eps), eps)
-            assert lhs.support() == rhs.support()  # exact Fraction keys
+            assert sorted(lhs.data) == sorted(rhs.data)  # exact Fraction keys
             assert lhs.norm_diff(rhs) < 1e-13
 
 
@@ -382,3 +382,36 @@ def test_sobolev_feasibility_in_closed_form():
     one.delta = 1.5
     with pytest.raises(ValueError, match="delta must lie in"):
         B.sobolev_bound_check(one, 0.0, 0.0, 2, states)
+
+
+def test_schur_constant_exponents():
+    # the row sums C1 bound p = inf and the column sums C2 bound p = 1: each
+    # kernel meets its bound there, where the swapped exponents fall short
+    h = {(0.0, 0.0): 1.0, (1.0, 0.0): 1.0}            # C1 = 1, C2 = 2
+    ht = {(b, a): v for (a, b), v in h.items()}        # C1 = 2, C2 = 1
+    delta0 = B.FiniteSupportFn([(0.0, 1.0)])
+    both = B.FiniteSupportFn([(0.0, 1.0), (1.0, 1.0)])
+    for kern, phi, p in ((h, delta0, 1), (ht, both, math.inf)):
+        assert B.apply_kernel_norm_check(kern, phi, p) == (2.0, 2.0)
+    for kern in (h, ht):
+        for phi in (delta0, both):
+            for p in (1, 1.5, 2, 3, math.inf):
+                lhs, bound = B.apply_kernel_norm_check(kern, phi, p)
+                assert lhs <= bound + 1e-12
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="p must be in"):
+            B.apply_kernel_norm_check(h, delta0, p)
+
+
+def test_sobolev_bound_check_p_range():
+    lat = B.RationalLattice(1.0, 0.0)
+    sig = B.EquivariantSymbol(lat, {
+        0: lambda lam: np.exp(-0.2 * lam ** 2),
+        1: lambda lam: 0.5 * np.exp(-0.1 * lam ** 2),
+        -2: lambda lam: 0.25 * np.exp(-0.3 * lam ** 2)}).to_bohr_symbol()
+    states = [rand_state(lat) for _ in range(20)]
+    for p in (1, 2, math.inf):
+        rep = B.sobolev_bound_check(sig, 1.0, 0.0, p, states)
+        assert math.isfinite(rep["theoretical_constant"]) and rep["passed"]
+    with pytest.raises(ValueError, match="p must be in"):
+        B.sobolev_bound_check(sig, 1.0, 0.0, 0.5, [])

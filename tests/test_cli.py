@@ -90,12 +90,21 @@ def test_table1_forced_failure(tmp_path, capsys):
     assert "FAIL" in err and "rel_err" in err
 
 
-def test_table1_rejects_large_t(tmp_path):
+def test_table1_rejects_large_t(tmp_path, capsys):
     # above the denominator's checked range: no CSV, not a row of inf
     out = tmp_path / "t.csv"
-    with pytest.raises(ValueError):
-        main(["--cmd", "table1", "--t", "1000", "--n", "5", "--out", str(out)])
+    rc = main(["--cmd", "table1", "--t", "1000", "--n", "5", "--out", str(out)])
+    assert rc == 2
     assert not out.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_table1_rejection_is_one_line():
+    proc = run_cli(["--cmd", "table1", "--t", "1000", "--n", "5"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr and "t <= 16" in proc.stderr
 
 
 def test_resolution_u1(tmp_path):

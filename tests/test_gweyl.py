@@ -296,10 +296,17 @@ def test_left_right_covariance_su2(su2_spaces):
     sym = S.random_symbol(G.SU2, 4, gpw, RNG)
     op = S.kn_quantize(sym, pw)
     h = G.GroupElement.su2(G.quat_normalize([0.3, -0.2, 0.5, 0.9]))
-    Uh = pw.left_translation(h)
+    # U_h as the local calculus applies it: kron(conj D(h), 1) blocks by
+    # _kron_rows, which is (U_h Psi)(g) = Psi(h^{-1} g) at every node
+    hq_inv = G.quat_inv(np.array(h.quat))
+    blocks = [D.conj() for D in pw._reps(np.array(h.quat)[None])]
+    Uh = pw._kron_rows(blocks, np.eye(pw.dim)[None])[0]
+    c = _crand(np.random.default_rng(294), pw.dim)
+    psi_sh = pw.eval_basis(G.quat_mul(hq_inv[None, :], pw.quad.quats)) @ c
+    assert (np.abs(pw.eval_basis(pw.quad.quats) @ (Uh @ c) - psi_sh).max()
+            < 1e-12 * np.abs(psi_sh).max())
     sig_c = S.kn_symbol(S.TruncatedOperator(
         pw, Uh @ op.matrix @ Uh.conj().T), 4, gpw)
-    hq_inv = G.quat_inv(np.array(h.quat))
     E_sh = gpw.eval_basis(G.quat_mul(hq_inv[None, :], gpw.quad.quats))
     worst = 0.0
     for lab in sig_c.values:
@@ -307,16 +314,6 @@ def test_left_right_covariance_su2(su2_spaces):
         shifted = np.tensordot(E_sh, sym.coefficients(lab), axes=(1, 0))
         expect = np.einsum("mn,knp,pq->kmq", Dh, shifted, Dh.conj().T)
         worst = max(worst, np.abs(sig_c.values[lab] - expect).max())
-    assert worst < 1e-10
-    URh = pw.right_translation(h)
-    sig_r = S.kn_symbol(S.TruncatedOperator(
-        pw, URh @ op.matrix @ URh.conj().T), 4, gpw)
-    E_sh2 = gpw.eval_basis(G.quat_mul(gpw.quad.quats,
-                                      np.array(h.quat)[None, :]))
-    worst = 0.0
-    for lab in sig_r.values:
-        expect = np.tensordot(E_sh2, sym.coefficients(lab), axes=(1, 0))
-        worst = max(worst, np.abs(sig_r.values[lab] - expect).max())
     assert worst < 1e-10
 
 
@@ -685,7 +682,7 @@ def local_u1():
 
 # Dense oracles for the local calculus: the quadrature sum EW diag(f) E
 # as one matrix product, and Q_eps(sigma) as a sum of dense M_p @ T_p with
-# T_p, R_k the public translation and right-derivative matrices.
+# T_p built from G.rep_matrix and R_k the public right-derivative matrix.
 
 def _multiplication_dense(pw, f):
     E = pw._basis_matrix(pw.quad)
@@ -698,6 +695,17 @@ def _exp_element(group, Y):
     return G.GroupElement.su2(G.quat_exp(Y))
 
 
+def _left_translation_dense(pw, h):
+    """(U_h Psi)(g) = Psi(h^{-1} g): c'_{cb} = sum_a conj(D_ac(h)) c_ab, a
+    dense kron(conj D(h), 1) block per label."""
+    out = np.zeros((pw.dim, pw.dim), dtype=complex)
+    for lab in pw.labels:
+        D = G.rep_matrix(pw.group, lab, h).conj()
+        o, n = pw.offsets[lab], len(D) ** 2
+        out[o:o + n, o:o + n] = np.kron(D, np.eye(len(D)))
+    return out
+
+
 def _local_quantize_dense(s, eps, pw, variant):
     E_g = s.g_pw.eval_basis(pw.quad.angles if s.group == G.U1
                             else pw.quad.quats)
@@ -707,11 +715,11 @@ def _local_quantize_dense(s, eps, pw, variant):
     for p in range(len(s.points)):
         c = s.coeffs[p]
         if variant == L.WEYL:
-            c = s.g_pw.left_translation(
-                _exp_element(s.group, eps * Y[p] / 2.0)) @ c
+            c = _left_translation_dense(
+                s.g_pw, _exp_element(s.group, eps * Y[p] / 2.0)) @ c
         M = _multiplication_dense(pw, E_g @ c)
-        A += jfac[p] * (M @ pw.left_translation(
-            _exp_element(s.group, eps * Y[p])))
+        A += jfac[p] * (M @ _left_translation_dense(
+            pw, _exp_element(s.group, eps * Y[p])))
     for k, q in s.poly.items():
         kk = k if s.group == G.SU2 else 0
         A += -1j * eps * (_multiplication_dense(pw, E_g @ q)
@@ -882,16 +890,17 @@ def test_kernel_cutoff(local_u1):
     out = L.kernel_cutoff(lambda y: 1.0, s)
     assert np.abs(out.coeffs - s.coeffs).max() == 0.0
     assert np.abs(out.poly[0] - s.poly[0]).max() == 0.0
-    # phi = 1 + c Y: H(phi) sigma = sigma + c i d_theta sigma
+    # phi = c Y: H(phi) sigma = c i d_theta sigma; with phi = 1 above, this
+    # is H(1 + c Y) by linearity. Central differences of c Y are exact up to
+    # the rounding of c Y itself
     c = 0.37
-    out2 = L.kernel_cutoff(lambda y: 1.0 + c * y, s, dphi0={0: c})
-    expect = L.symbol_add(s, L.theta_derivative(s, 0).scaled(1j * c))
+    out2 = L.kernel_cutoff(lambda y: c * y, s)
+    expect = L.theta_derivative(s, 0).scaled(1j * c)
     Qo = L.local_quantize(out2, 0.25, pw, L.KN)
     Qe = L.local_quantize(expect, 0.25, pw, L.KN)
     assert np.abs(Qo - Qe).max() < 1e-12
     # phi(0) = 0 and flat at 0 suppresses the frequency-zero mass
-    out3 = L.kernel_cutoff(lambda y: 0.0 if abs(y) < 1e-12 else 1.0, s,
-                           dphi0={0: 0.0})
+    out3 = L.kernel_cutoff(lambda y: 0.0 if abs(y) < 1e-12 else 1.0, s)
     i0 = [i for i, p in enumerate(out3.points) if p == 0][0]
     assert np.abs(out3.coeffs[i0]).max() == 0.0
     if 0 in out3.poly:

@@ -107,6 +107,40 @@ def test_norm_series_oracle():
         assert K.su2_norm_series(np.array([20.0]), 0.5)[0] == np.inf
 
 
+def _su2_characters_mp(mu, nmax):
+    """[(chi_n(mu), sum of |terms|)] for n = 1..nmax, chi_n = sum_{j<n}
+    e^{(n-1-2j) mu}, at 30 digits."""
+    with mpmath.workdps(30):
+        mu = mpmath.mpc(mu)
+        e = {k: mpmath.exp(k * mu) for k in range(1 - nmax, nmax)}
+        terms = [[e[n - 1 - 2 * j] for j in range(n)]
+                 for n in range(1, nmax + 1)]
+        return [(mpmath.fsum(t), mpmath.fsum(abs(x) for x in t))
+                for t in terms]
+
+
+def test_su2_characters_mp_oracle():
+    # real, imaginary and complex mu with |Re mu| <= 15, |Im mu| <= 10, and
+    # the removable singularities of sinh(n mu)/sinh(mu) at 0 and i pi k
+    rng = np.random.default_rng(1504)
+    re, im = rng.uniform(-15, 15, 20), rng.uniform(-10, 10, 20)
+    cases = [0.0, 1e-9, 0.4, 1.8, 5.0, 1j * math.pi, 1e-9 + 1j * math.pi,
+             -1e-9 + 2j * math.pi, *re, *(1j * im),
+             *(re + 1j * rng.uniform(-10, 10, 20))]
+    nmax = 40
+    for mu in cases:
+        phase, s = K._su2_characters(mu, nmax)
+        assert np.isrealobj(s) == isinstance(mu, float)
+        n = np.arange(1, nmax + 1)
+        chi = np.exp((n - 1) * abs(mu.real)) * phase * s
+        for got, (ref, scale) in zip(chi, _su2_characters_mp(mu, nmax)):
+            assert abs(got - complex(ref)) <= 1e-13 * float(scale)
+    # the antipode, where sinh(mu) vanishes: chi_n = n (-1)^{n-1}
+    phase, s = K._su2_characters(1j * math.pi, nmax)
+    n = np.arange(1, nmax + 1)
+    assert np.all(np.abs(phase * s - n * (-1.0) ** (n - 1)) <= 1e-14 * n)
+
+
 def test_gauss_legendre_cached_rule():
     from numpy.polynomial.legendre import leggauss
     for n in (1, 14, 24, 80, 220):

@@ -60,8 +60,12 @@ def test_constant_symbol(space):
 
 
 def test_annihilation_eigenrelation(space):
+    # X_t c(phi, l) = xi c(phi, l), xi = e^{-l + i phi}
+    X = space.annihilation()
     for phi, l in SAMPLES:
-        assert space.annihilation_residual(phi, l) < 1e-10
+        c = space.coherent_coeffs(phi, l)
+        resid = X @ c - np.exp(-l + 1j * phi) * c
+        assert np.abs(resid).max() / np.abs(c).max() < 1e-10
 
 
 def test_wick_relation(space):
