@@ -2,7 +2,7 @@
 
 Subpackages:
   groups      irreps, group elements, Haar quadratures (U(1), SU(2))
-  wigner      Wigner D-matrices, Clebsch-Gordan coefficients
+  wigner      Wigner D-matrices, angular momentum operators
   theta       Jacobi theta_3 and its z-derivative
   heat        heat kernels, coherent-state overlaps, resolution integrals
   peterweyl   truncated Peter-Weyl spaces and operator plumbing

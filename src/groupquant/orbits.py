@@ -14,7 +14,16 @@ invariant and acts diagonally on spherical harmonics with eigenvalues
 and the Stratonovich-Weyl operator field is Delta(theta) = K^{-1/2} P_theta.
 K commutes with rotations, so the field is equivariant,
 Delta(theta) = D(g_theta) Delta_0 D(g_theta)^*, with Delta_0 diagonal in
-closed form (Varilly & Gracia-Bondia, Ann. Phys. 190 (1989) 107).
+closed form (Varilly & Gracia-Bondia, Ann. Phys. 190 (1989) 107):
+
+    Delta_0[m] = sum_{l <= 2j} (2l+1)/d <j m; l 0|j m>,
+
+Clebsch-Gordan coefficients in the Condon-Shortley phase. The k_l^{-1/2}
+of K^{-1/2} cancels against <j j; l 0|j j>, whose square is k_l. Up to the
+factor sqrt(d/(2l+1)), l -> <j m; l 0|j m> is the Gram polynomial of
+degree l on the d points m = j..-j, so Delta_0 comes from the eigenvectors
+of that family's d x d Jacobi matrix (Golub & Welsch, Math. Comp. 23
+(1969) 221; `OrbitSpec._sw_tables`), with no Clebsch-Gordan coefficient.
 
 With gamma = 0, D_{km}(alpha, beta, 0) = e^{-i m_k alpha} d_{km}(beta), so
 the field factors over the product grid of n_beta Gauss-Legendre and
@@ -40,7 +49,7 @@ import math
 import numpy as np
 
 from ._kernels import _gauss_legendre, wigner_d_grid
-from .wigner import angular_momentum, clebsch_gordan
+from .wigner import angular_momentum
 
 
 def kernel_eigenvalues(twoj, lmax=None):
@@ -151,16 +160,29 @@ class OrbitSpec:
         """(Delta~, P) of the factored field, built once: Delta~[b] =
         d(beta_b) Delta_0 d(beta_b)^T raveled to (n_beta, d^2), real, with
 
-        Delta_0[m] = sum_l k_l^{-1/2} (2l+1)/d <j j; l 0|j j> <j m; l 0|j m>
+        Delta_0[m] = sum_l (2l+1)/d <j m; l 0|j m>
+                   = sum_l sqrt((2l+1)/d) c_l(m)
 
         for m = j..-j, and P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c} =
         e^{i (k - l) alpha_c}, (n_alpha, d^2). The field at node (b, c) is
-        Delta~[b] * P[c], elementwise."""
+        Delta~[b] * P[c], elementwise.
+
+        The c_l are the polynomials of degree l orthonormal on the d points
+        m (Gram's discrete Chebyshev polynomials), with c_l(j) > 0, and
+        <j m; l 0|j m> = sqrt(d/(2l+1)) c_l(m). They are the eigenvectors
+        of the Jacobi matrix with zero diagonal and off-diagonal
+        b_l = l sqrt((d^2 - l^2)/(4 (4l^2 - 1))), l = 1..d-1, whose
+        eigenvalues are the m (Golub & Welsch, Math. Comp. 23 (1969) 221).
+        An eigenvector with positive c_0 entry solves the three-term
+        recurrence with positive b_l, so its c_l have positive leading
+        coefficients, hence c_l(j) > 0; the c_l(j) themselves reach 1e-38
+        at 2j = 128, too small to take signs from."""
         if self._sw is None:
-            j, ls = self.j, np.arange(self.d)
-            cg = np.array([[clebsch_gordan(j, l, j, j - i, 0.0, j - i)
-                            for i in ls] for l in ls])     # (l, m)
-            delta0 = (self.k_l ** -0.5 * (2 * ls + 1) / self.d * cg[:, 0]) @ cg
+            ls = np.arange(self.d)
+            l = ls[1:]
+            b = l * np.sqrt((self.d ** 2 - l ** 2) / (4.0 * (4 * l ** 2 - 1)))
+            c = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))[1][:, ::-1]
+            delta0 = np.sqrt((2 * ls + 1) / self.d) @ (c * np.sign(c[0]))
             db = self._d_beta
             table = (db * delta0) @ np.swapaxes(db, 1, 2)
             phase = np.exp(1j * np.multiply.outer(
@@ -212,15 +234,18 @@ def berezin_quantize(spec, field):
 
 
 def berezin_sw_residual(spec, field):
-    """|| Q^SW(f) - Q^B(S^{1/2} f) || where S is the lower-to-upper map.
+    """|| Q^B(f) - Q^SW(S^{-1/2} f) || where S is the lower-to-upper map.
 
     With the overlap kernel normalized so its harmonic eigenvalues are the
     k_l <= 1 (upper-to-lower smoothing), the lower-to-upper rescaling is
     k_l^{-1}, and the Berezin comparison reads Q^SW = Q^B(k^{-1/2}-rescale).
+    S^{1/2} is invertible on degrees l <= 2j, so this is Q^B = Q^SW(
+    k^{1/2}-rescale): its factors are at most 1, where the k_l^{-1/2}
+    (about 2^{2j} at l = 2j) would amplify the rounding of the harmonic
+    analysis.
     """
-    lhs = sw_quantize(spec, field)
-    rhs = berezin_quantize(spec, spec.rescale_harmonics(field,
-                                                        spec.k_l ** -0.5))
+    lhs = berezin_quantize(spec, field)
+    rhs = sw_quantize(spec, spec.rescale_harmonics(field, spec.k_l ** 0.5))
     return float(np.abs(lhs - rhs).max())
 
 

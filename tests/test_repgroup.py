@@ -1,4 +1,4 @@
-"""Representation kernel: irreps, characters, CG, quadratures, Verma norms."""
+"""Representation kernel: irreps, characters, quadratures, Verma norms."""
 
 import math
 
@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from sympy import Rational
-from sympy.physics.wigner import clebsch_gordan as exact_cg
 
 from groupquant import groups as G
-from groupquant.wigner import (angular_momentum, clebsch_gordan,
-                               su2_generator, wigner_D_euler_grid)
+from groupquant.wigner import su2_generator, wigner_D_euler_grid
 
 RNG = np.random.default_rng(20240907)
 
@@ -76,85 +73,6 @@ def test_character_class_function():
         c1 = np.trace(G.rep_matrix(G.SU2, n, G.GroupElement.su2(g)))
         c2 = np.trace(G.rep_matrix(G.SU2, n, G.GroupElement.su2(conj)))
         assert abs(c1 - c2) < 1e-12
-
-
-def test_clebsch_gordan_examples():
-    assert abs(clebsch_gordan(0.5, 0.5, 0, 0.5, -0.5, 0)
-               - 1 / math.sqrt(2)) < 1e-14
-    assert abs(clebsch_gordan(1, 1, 2, 1, 1, 2) - 1.0) < 1e-14
-    assert clebsch_gordan(1, 1, 2, 1, 0, 0) == 0.0  # m3 != m1 + m2
-    with pytest.raises(ValueError):
-        clebsch_gordan(0.3, 0.5, 0.5, 0.1, 0.5, 0.5)
-
-
-def _cg_matrix(twoj1, twoj2, twoj3):
-    """CG block C[(i1, i2), i3] = <j1 m1 j2 m2 | j3 m3> mapping V_{j3} into
-    V_{j1} (x) V_{j2}, m = j..-j ordering, first tensor index slowest."""
-    n1, n2 = twoj1 + 1, twoj2 + 1
-    out = np.zeros((n1 * n2, twoj3 + 1))
-    for i1 in range(n1):
-        for i2 in range(n2):
-            two_m3 = twoj1 + twoj2 - 2 * (i1 + i2)
-            if abs(two_m3) <= twoj3:
-                out[i1 * n2 + i2, (twoj3 - two_m3) // 2] = clebsch_gordan(
-                    twoj1 / 2.0, twoj2 / 2.0, twoj3 / 2.0,
-                    twoj1 / 2.0 - i1, twoj2 / 2.0 - i2, two_m3 / 2.0)
-    return out
-
-
-def test_clebsch_gordan_tensor_oracle():
-    # diagonalize the total spin on V_{j1} (x) V_{j2}; CG columns must give
-    # eigenvectors of J^2 with the right eigenvalue and match inner products
-    for twoj1, twoj2 in ((1, 1), (2, 1), (2, 2)):
-        j1, j2 = twoj1 / 2.0, twoj2 / 2.0
-        J1 = angular_momentum(twoj1)
-        J2 = angular_momentum(twoj2)
-        d1, d2 = twoj1 + 1, twoj2 + 1
-        Jtot = [np.kron(J1[k], np.eye(d2)) + np.kron(np.eye(d1), J2[k])
-                for k in range(3)]
-        J2tot = sum(Jk @ Jk for Jk in Jtot)
-        for twoj3 in range(abs(twoj1 - twoj2), twoj1 + twoj2 + 1, 2):
-            j3 = twoj3 / 2.0
-            C = _cg_matrix(twoj1, twoj2, twoj3)
-            # columns lie in the j3(j3+1) eigenspace and are orthonormal
-            assert np.abs(J2tot @ C - j3 * (j3 + 1) * C).max() < 1e-12
-            assert np.abs(C.T @ C - np.eye(twoj3 + 1)).max() < 1e-12
-
-
-def test_clebsch_gordan_sympy_oracle():
-    # 100 seeded admissible cases with j <= 100 against sympy's exact values
-    rng = np.random.default_rng(20261018)
-    cases = 0
-    while cases < 100:
-        twoj1, twoj2 = (int(x) for x in rng.integers(0, 201, 2))
-        twoj3 = int(rng.integers(abs(twoj1 - twoj2),
-                                 min(twoj1 + twoj2, 200) + 1))
-        twom1 = twoj1 - 2 * int(rng.integers(0, twoj1 + 1))
-        twom2 = twoj2 - 2 * int(rng.integers(0, twoj2 + 1))
-        if (twoj1 + twoj2 + twoj3) % 2 or abs(twom1 + twom2) > twoj3:
-            continue
-        twos = (twoj1, twoj2, twoj3, twom1, twom2, twom1 + twom2)
-        ref = float(exact_cg(*(Rational(x, 2) for x in twos)))
-        assert abs(clebsch_gordan(*(x / 2.0 for x in twos)) - ref) < 1e-14
-        cases += 1
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4),
-       st.integers(-4, 4))
-def test_cg_completeness(twoj1, twoj2, twom1, twom2):
-    if abs(twom1) > twoj1 or abs(twom2) > twoj2:
-        return
-    if (twoj1 + twom1) % 2 or (twoj2 + twom2) % 2:
-        return
-    j1, j2 = twoj1 / 2.0, twoj2 / 2.0
-    m1, m2 = twom1 / 2.0, twom2 / 2.0
-    total = 0.0
-    for twoj3 in range(abs(twoj1 - twoj2), twoj1 + twoj2 + 1, 2):
-        if abs(twom1 + twom2) > twoj3:
-            continue
-        total += clebsch_gordan(j1, j2, twoj3 / 2.0, m1, m2, m1 + m2) ** 2
-    assert abs(total - 1.0) < 1e-12
 
 
 def _schur_orthogonality_residual(quad, max_label):

@@ -1,16 +1,19 @@
 """Stratonovich-Weyl calculus on SU(2) coadjoint orbits."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
+from sympy import Rational
+from sympy.physics.wigner import clebsch_gordan as exact_cg
 
 from groupquant import groups as G
 from groupquant import orbits as O
 from groupquant.peterweyl import PWSpace
-from groupquant.wigner import (clebsch_gordan, su2_generator,
-                               wigner_D_euler_grid)
+from groupquant.wigner import su2_generator, wigner_D_euler_grid
 
 RNG = np.random.default_rng(31)
 
@@ -130,10 +133,18 @@ def _k_operator(spec, field):
 
 def _cg_kernel_eigenvalue(twoj, l):
     """k_l from the squared Clebsch-Gordan coefficient:
-    k_l = C(j, j; j, -j | l, 0)^2 * d / (2l + 1)."""
-    j = twoj / 2.0
-    c = clebsch_gordan(j, j, l, j, -j, 0.0)
-    return c * c * (twoj + 1) / (2 * l + 1)
+    k_l = C(j, j; j, -j | l, 0)^2 * d / (2l + 1), sympy's exact value."""
+    j = Rational(twoj, 2)
+    return float(exact_cg(j, j, l, j, -j, 0) ** 2 * (twoj + 1) / (2 * l + 1))
+
+
+@functools.cache
+def _cg_diagonal(twoj):
+    """<j m; l 0|j m> as an (l, m) array, l = 0..2j and m = j..-j, from
+    sympy's exact values."""
+    j = Rational(twoj, 2)
+    return np.array([[float(exact_cg(j, l, j, j - i, 0, j - i))
+                      for i in range(twoj + 1)] for l in range(twoj + 1)])
 
 
 def test_kernel_spectrum(spec):
@@ -148,9 +159,11 @@ def test_kernel_spectrum(spec):
         num = (np.conj(Y) * spec.weights) @ KY
         den = (np.conj(Y) * spec.weights) @ Y
         assert abs(num / den - k[l]) < 1e-12
-    # Clebsch-Gordan closed form
+    # Clebsch-Gordan closed forms; the second, k_l = <j j; l 0|j j>^2,
+    # cancels the k_l^{-1/2} of K^{-1/2} in Delta_0
     for l in range(spec.twoj + 1):
         assert abs(_cg_kernel_eigenvalue(spec.twoj, l) - k[l]) < 1e-12
+    assert np.abs(_cg_diagonal(spec.twoj)[:, 0] ** 2 - k).max() < 1e-15
 
 
 def _kernel_eigenvalues_quadrature(twoj):
@@ -185,13 +198,40 @@ def test_spectrum_positivity_large_j():
 
 def _delta0(twoj):
     """Delta_0[m] = sum_l k_l^{-1/2} (2l+1)/d <j j; l 0|j j> <j m; l 0|j m>
-    for m = j..-j."""
-    j, d = twoj / 2.0, twoj + 1
+    for m = j..-j, with sympy's exact Clebsch-Gordan coefficients."""
+    d = twoj + 1
     ls = np.arange(d)
-    cg = np.array([[clebsch_gordan(j, l, j, j - i, 0.0, j - i)
-                    for i in ls] for l in ls])     # (l, m)
+    cg = _cg_diagonal(twoj)
     return (O.kernel_eigenvalues(twoj) ** -0.5 * (2 * ls + 1) / d
             * cg[:, 0]) @ cg
+
+
+def _delta0_recurrence(twoj):
+    """Delta_0[m] = sum_l sqrt((2l+1)/d) c_l(m), with the Gram polynomials
+    c_l from their three-term recurrence in 80-digit arithmetic, which
+    absorbs the digits the forward recurrence loses (c_l(j) reaches 1e-38
+    at 2j = 128)."""
+    d = twoj + 1
+    with mpmath.workdps(80):
+        m = [mpmath.mpf(twoj - 2 * i) / 2 for i in range(d)]
+        b = [mpmath.mpf(0)] + [l * mpmath.sqrt(mpmath.mpf(d * d - l * l)
+                                               / (4 * (4 * l * l - 1)))
+                               for l in range(1, d)]
+        prev, cur = [0] * d, [1 / mpmath.sqrt(d)] * d
+        total = [mpmath.mpf(1) / d] * d
+        for l in range(1, d):
+            prev, cur = cur, [(mi * c - b[l - 1] * p) / b[l]
+                              for mi, c, p in zip(m, cur, prev)]
+            total = [t + mpmath.sqrt(mpmath.mpf(2 * l + 1) / d) * c
+                     for t, c in zip(total, cur)]
+        return np.array([float(t) for t in total])
+
+
+def _table_delta0(spec):
+    """Delta_0 read back from the first row of the Delta~ table."""
+    db = spec._d_beta[0]
+    table = spec._sw_tables()[0][0].reshape(spec.d, spec.d)
+    return np.diag(db.T @ table @ db)
 
 
 def _delta_field(spec):
@@ -215,9 +255,20 @@ def _e_kernel_dense(spec, quad):
 ORACLE_2J = [0, 1, 4, 17, 24]
 
 
+def test_sw_tables_large_spin():
+    # 2j = 128: the Racah sums overflowed a float here; the sign of each
+    # c_l must come from its c_0 entry, not from the tiny c_l(j)
+    s = O.OrbitSpec(128)
+    assert np.abs(_table_delta0(s) - _delta0_recurrence(128)).max() < 1e-12
+    assert np.abs(O.sw_symbol(s, np.eye(s.d)) - 1).max() < 1e-12
+    A = rand_mat(s.d)
+    assert np.abs(O.sw_quantize(s, O.sw_symbol(s, A)) - A).max() < 1e-10
+
+
 @pytest.mark.parametrize("twoj", ORACLE_2J)
 def test_sw_maps_dense_oracle(twoj):
     s = O.OrbitSpec(twoj)
+    assert np.abs(_table_delta0(s) - _delta0(twoj)).max() < 1e-13
     rng = np.random.default_rng(200 + twoj)
     flat = _delta_field(s).reshape(s.n_nodes, -1)   # [a, (n, m)]
     A = rng.standard_normal((s.d, s.d)) + 1j * rng.standard_normal((s.d,
