@@ -13,63 +13,28 @@ and the Weyl-type quantization
     (A_sigma Phi)(lam) = sum_{lam'} sigma_hat^1((lam - lam')/eps,
                                                (lam + lam')/2) Phi(lam')
 
-is an exact finite sum. Frequency and support keys are exact rationals
-(fractions.Fraction; a float key converts without rounding, and a float
-lookup finds the equal Fraction key), so sums of lattice points agree
-exactly whatever route forms them; coefficient callables receive floats.
-Equivariant symbols carry their rational lattice explicitly.
+is an exact finite sum.
+
+Points are integer indices on a RationalLattice lam0 (Z + j0). A state is a
+lattice, an index array and a value array; a symbol is a frequency lattice,
+frequency indices and one coefficient callable per index. An operation
+forms its points as integer numerators over one denominator and indexes
+them on the coarsest lattice that holds them, so every route to a point
+gives the same index. Indices are Python ints in object arrays, exact at
+any size (the points 1/n, n <= 1000, need the spacing 1/lcm(1..1000)).
+Coefficient callables receive float arrays of lam; a scalar result
+broadcasts. Fraction remains at the boundary only: in lam0 and j0, in
+reading caller-given keys and eps once (a float reads as the simplest
+rational that rounds to it, 0.7 -> 7/10), and in the read-side views
+phi[lam], FiniteSupportFn.data and BohrSymbol.coeffs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-def _accumulate(coeffs, nu, c):
-    """coeffs[nu] += c for coefficient callables lam -> C."""
-    prev = coeffs.get(nu)
-    coeffs[nu] = c if prev is None else (lambda lam: prev(lam) + c(lam))
-
-
-class FiniteSupportFn:
-    """Finitely supported map lambda -> C in d(R)."""
-
-    def __init__(self, pairs=()):
-        sums = {}
-        for lam, val in (pairs.items() if hasattr(pairs, "items") else pairs):
-            sums[lam] = sums.get(lam, 0j) + val
-        self.data = {lam if isinstance(lam, Fraction) else Fraction(lam):
-                     complex(v) for lam, v in sums.items() if v != 0}
-
-    def __getitem__(self, lam):
-        return self.data.get(lam, 0.0 + 0.0j)
-
-    def items(self):
-        return self.data.items()
-
-    def inner(self, other):
-        """l^2 pairing (self, other) = sum conj(self) other."""
-        return sum(np.conj(v) * other[lam] for lam, v in self.items())
-
-    def norm_diff(self, other):
-        keys = list(self.data.keys()) + [k for k in other.data.keys()
-                                         if k not in self.data]
-        return max((abs(self[k] - other[k]) for k in keys), default=0.0)
-
-
-def sobolev_norm(phi, s, p):
-    """|| phi ||_{(s, p)} = (sum (<lam>^s |phi(lam)|)^p)^{1/p}; p = inf -> sup."""
-    if p != math.inf and p < 1:
-        raise ValueError("p must be in [1, inf]")
-    terms = [(1.0 + float(lam) ** 2) ** (s / 2.0) * abs(v)
-             for lam, v in phi.items()]
-    if not terms:
-        return 0.0
-    if p == math.inf:
-        return max(terms)
-    return float(np.sum(np.asarray(terms) ** p) ** (1.0 / p))
 
 
 def _simplest_between(lo, hi):
@@ -84,8 +49,13 @@ def _rational(x):
     """x as a Fraction; a float stands for the simplest rational that rounds
     to it (2.0 / 3.0 -> 2/3), so that sums of points of lattices given by
     floats land exactly on their combined lattice."""
-    if not isinstance(x, float):
-        return Fraction(x)
+    if isinstance(x, float):
+        return _simplest_float(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+@functools.lru_cache(maxsize=1024)
+def _simplest_float(x):
     half = Fraction(math.ulp(x)) / 2
     return _simplest_between(Fraction(x) - half, Fraction(x) + half)
 
@@ -104,8 +74,12 @@ _MAX_RATIO_TERM = 2 ** 12
 
 @dataclass(frozen=True)
 class RationalLattice:
-    """Z^{j0}_{lam0} = lam0 (Z + j0), with lam0 and j0 stored as exact
-    Fractions (j0 reduced mod 1; a float reads as _rational says)."""
+    """Z^{j0}_{lam0} = lam0 (Z + j0). The calculus names its points by their
+    integer index m; point(m) = lam0 (m + j0) gives the exact Fraction.
+
+    lam0 and j0 are exact Fractions (j0 reduced mod 1), the only ones the
+    calculus keeps; a float reads as the simplest rational that rounds to
+    it (_rational)."""
     lam0: Fraction
     j0: Fraction = Fraction(0)
 
@@ -114,15 +88,26 @@ class RationalLattice:
         object.__setattr__(self, "j0", _rational(self.j0) % 1)
         if self.lam0 <= 0:
             raise ValueError("lattice spacing must be positive")
+        object.__setattr__(self, "_ratio", self.lam0.as_integer_ratio()
+                           + self.j0.as_integer_ratio())
 
     def point(self, m):
         return self.lam0 * (m + self.j0)
 
     def contains(self, lam):
         """Whether lam is within 1e-9 (in units of lam0) of the lattice."""
-        r = lam / self.lam0 - self.j0
-        return abs(r - round(r)) < 1e-9
+        return self._index(lam) is not None
 
+    def _index(self, lam):
+        """The m with point(m) within 1e-9 lam0 of lam, or None."""
+        p, q = (lam if isinstance(lam, (float, Fraction)) else Fraction(lam)
+                ).as_integer_ratio()
+        a, b, jn, jd = self._ratio
+        num, den = p * b * jd - jn * q * a, q * a * jd   # lam = point(num/den)
+        m = (2 * num + den) // (2 * den)
+        return m if abs(num - m * den) * 10 ** 9 < den else None
+
+    @functools.lru_cache(maxsize=256)
     def combined_with(self, other):
         """Lattice containing the sum set, for a rational spacing ratio.
 
@@ -141,65 +126,202 @@ class RationalLattice:
         return RationalLattice(self.lam0 / q, q * self.j0 + p * other.j0)
 
 
+def _points(*specs):
+    """For (lattice, idx, scale) specs, the numerators of the points
+    scale * lattice.point(idx) over one denominator, and that denominator."""
+    parts = []
+    for lat, idx, scale in specs:
+        (a, b, jn, jd), (sn, sd) = lat._ratio, scale.as_integer_ratio()
+        parts.append((sn * a * (idx * jd + jn), sd * b * jd))
+    den = math.lcm(*(d for _, d in parts))
+    return [n * (den // d) for n, d in parts], den
+
+
+def _lattice_of(num, den):
+    """The coarsest lattice holding the points num / den (spacing 1 for one
+    point), and their indices on it."""
+    n0 = num[0] if len(num) else 0
+    g = math.gcd(*(num - n0).tolist()) or den
+    return _lattice(g, den, n0 % g), num // g
+
+
+@functools.lru_cache(maxsize=256)
+def _lattice(g, den, r):
+    """RationalLattice(g / den, r / g), one object per lattice."""
+    return RationalLattice(Fraction(g, den), Fraction(r, g))
+
+
+def _read(keys):
+    """_lattice_of for caller-given points, read as _rational says."""
+    keys = [_rational(k) for k in keys]
+    den = math.lcm(*(k.denominator for k in keys))
+    return _lattice_of(np.array([k.numerator * (den // k.denominator)
+                                 for k in keys], dtype=object), den)
+
+
+def _summed(keys, values):
+    """The distinct keys in order of first appearance with the summed values
+    of each, zero sums dropped; one scatter-add. First appearance is the
+    order the earlier dict-keyed states kept, so sums over a state (as in
+    sobolev_norm) add in the same order."""
+    vals, seen = np.asarray(values, complex), keys.tolist()
+    slot = dict(zip(dict.fromkeys(seen), range(len(seen))))
+    if len(slot) < len(seen):
+        pos = np.fromiter(map(slot.__getitem__, seen), np.intp, len(seen))
+        sums = np.empty(len(slot), complex)
+        sums.real = np.bincount(pos, vals.real, len(slot))
+        sums.imag = np.bincount(pos, vals.imag, len(slot))
+        keys, vals = np.array(list(slot), dtype=object), sums
+    return keys[vals != 0], vals[vals != 0]
+
+
+class FiniteSupportFn:
+    """Finitely supported map lambda -> C in d(R): vals[i] at the point
+    with integer index idx[i] on lattice, each index once, in order of
+    first appearance, zero values dropped.
+
+    Built from (lam, value) pairs or a dict, it reads each key once (a
+    float as the simplest rational that rounds to it), adds the values of
+    equal keys and takes the coarsest lattice holding the keys. The
+    read-side views give exact Fraction points: phi[lam] finds lam within
+    1e-9 lam0, and data is {point: value}.
+    """
+
+    def __init__(self, pairs=()):
+        pairs = list(pairs.items() if hasattr(pairs, "items") else pairs)
+        self.lattice, idx = _read(lam for lam, _ in pairs)
+        self.idx, self.vals = _summed(idx, [v for _, v in pairs])
+
+    @classmethod
+    def on_lattice(cls, lattice, indices, values):
+        """sum_k values[k] at lattice.point(indices[k])."""
+        phi = cls.__new__(cls)
+        phi.lattice = lattice
+        phi.idx, phi.vals = _summed(np.asarray(indices).astype(object), values)
+        return phi
+
+    # phi[lam] is a lookup, not a sequence: without this, iter(phi) and
+    # `lam in phi` would call phi[0], phi[1], ... forever
+    __iter__ = None
+
+    def __getitem__(self, lam):
+        hit = np.flatnonzero(self.idx == self.lattice._index(lam))
+        return complex(self.vals[hit[0]]) if len(hit) else 0j
+
+    @property
+    def data(self):
+        """{exact point: value}."""
+        return {self.lattice.point(m): v
+                for m, v in zip(self.idx.tolist(), self.vals.tolist())}
+
+    def _keys(self, other):
+        return _points((self.lattice, self.idx, 1),
+                       (other.lattice, other.idx, 1))[0]
+
+    def inner(self, other):
+        """l^2 pairing (self, other) = sum conj(self) other."""
+        mine, theirs = (k.tolist() for k in self._keys(other))
+        theirs = dict(zip(theirs, other.vals.tolist()))
+        return sum(v.conjugate() * theirs.get(k, 0j)
+                   for k, v in zip(mine, self.vals.tolist()))
+
+    def norm_diff(self, other):
+        """max |self - other| over both supports."""
+        _, d = _summed(np.concatenate(self._keys(other)),
+                       np.concatenate([self.vals, -other.vals]))
+        return float(np.hypot(d.real, d.imag).max(initial=0.0))
+
+
+def sobolev_norm(phi, s, p):
+    """|| phi ||_{(s, p)} = (sum (<lam>^s |phi(lam)|)^p)^{1/p}; p = inf -> sup."""
+    if p != math.inf and p < 1:
+        raise ValueError("p must be in [1, inf]")
+    (lam,), den = _points((phi.lattice, phi.idx, 1))
+    # hypot is Python's abs(complex) to the bit; np.abs can differ in it
+    terms = ((1.0 + (lam / den).astype(float) ** 2) ** (s / 2.0)
+             * np.hypot(phi.vals.real, phi.vals.imag))
+    if not len(terms):
+        return 0.0
+    if p == math.inf:
+        return float(terms.max())
+    return float(np.sum(terms ** p) ** (1.0 / p))
+
+
+def _sum_of(terms):
+    """lam -> the sum of the callables terms at lam, left to right."""
+    if len(terms) == 1:
+        return terms[0]
+    return lambda lam: sum((t(lam) for t in terms[1:]), terms[0](lam))
+
+
 class BohrSymbol:
     """sigma(x, lam) = sum_nu c_nu(lam) e^{i nu x} with callable coefficients.
 
-    Order data (m, rho, delta) is carried for the boundedness checks; an
-    equivariant symbol also records its frequency lattice.
+    funcs[i] is c_nu at the frequency nu with integer index idx[i] on the
+    lattice freq; it takes a float array of lam, and a scalar result
+    broadcasts. From a dict {nu: c} each key is read once (a float as the
+    simplest rational that rounds to it), and the coefficients of equal
+    keys add; coeffs reads it back as {exact Fraction nu: c_nu}. Order data
+    (m, rho, delta) is carried for the boundedness checks; an equivariant
+    symbol also records its lattice, which holds -nu for every frequency.
     """
 
-    def __init__(self, coefficients, order=(0.0, 1.0, 0.0), lattice=None):
-        self.coeffs = {}
-        for nu, c in coefficients.items():
-            _accumulate(self.coeffs, Fraction(nu), c)
+    def __init__(self, coefficients, order=(0.0, 1.0, 0.0)):
+        self._set(*_read(coefficients), [[c] for c in coefficients.values()],
+                  order, None)
+
+    @classmethod
+    def _on(cls, freq, idx, terms, order=(0.0, 1.0, 0.0), lattice=None):
+        sigma = cls.__new__(cls)
+        sigma._set(freq, idx, terms, order, lattice)
+        return sigma
+
+    def _set(self, freq, idx, terms, order, lattice):
+        """The coefficient at freq index idx[i] sums the callables terms[i]
+        and those of the equal indices."""
+        slot = {}
+        for m, ts in zip(idx.tolist(), terms):
+            slot.setdefault(m, []).extend(ts)
+        self.freq, self.lattice = freq, lattice
+        self.idx = np.array(list(slot), dtype=object)
+        self.funcs = [_sum_of(ts) for ts in slot.values()]
         self.m, self.rho, self.delta = order
-        self.lattice = lattice
-        if lattice is not None:
-            for nu in self.coeffs.keys():
-                if not RationalLattice(lattice.lam0, -lattice.j0).contains(nu):
-                    raise ValueError(
-                        "frequency %r off the equivariant lattice" % (nu,))
 
-    def frequencies(self):
-        return sorted(self.coeffs.keys())
-
-    def partial_transform(self, lamp, lam):
-        """sigma_hat^1(lam', lam) = c_{-lam'}(lam)."""
-        c = self.coeffs.get(-lamp)
-        return c(lam) if c is not None else 0.0
+    @property
+    def coeffs(self):
+        return dict(zip((self.freq.point(m) for m in self.idx.tolist()),
+                        self.funcs))
 
     def conjugate(self):
         """Symbol of the formal adjoint: conj coefficients, negated freqs
         (the support lattice offset flips to (-j0) mod 1)."""
+        (nu,), den = _points((self.freq, self.idx, -1))
         lat = self.lattice
         if lat is not None:
             lat = RationalLattice(lat.lam0, -lat.j0)
-        return BohrSymbol({-nu: (lambda f: (lambda lam: np.conj(f(lam))))(c)
-                           for nu, c in self.coeffs.items()},
-                          (self.m, self.rho, self.delta), lat)
+        return BohrSymbol._on(*_lattice_of(nu, den),
+                              [[lambda lam, c=c: np.conj(c(lam))]
+                               for c in self.funcs],
+                              (self.m, self.rho, self.delta), lat)
 
-
-def bohr_mean(f, g):
-    """(f, g)_Bohr = lim (2T)^{-1} int conj(f) g: matching-frequency sum.
-
-    f, g given as frequency dicts nu -> coefficient of e^{i nu x}.
-    """
-    return sum(np.conj(v) * g.get(nu, 0.0) for nu, v in f.items())
+    def _values(self, lam, half):
+        """(c_nu(lam_k - half_nu))_{k, nu}."""
+        out = np.empty((len(lam), len(half)), complex)
+        for j, (c, h) in enumerate(zip(self.funcs, half)):
+            out[:, j] = c(lam - h)
+        return out
 
 
 def apply_symbol(sigma, phi, eps=1.0):
     """(A_sigma Phi)(lam) = sum_nu c_nu(lam' - eps nu / 2) Phi(lam') at
     lam = lam' - eps nu (the exact finite quantization sum)."""
-    eps = Fraction(eps)
-    shifts = [(eps * nu, float(eps * nu) / 2.0, c)
-              for nu, c in sigma.coeffs.items()]
-    sums = {}
-    for lamp, val in phi.items():
-        x = float(lamp)
-        for step, half, c in shifts:
-            lam = lamp - step
-            sums[lam] = sums.get(lam, 0j) + c(x - half) * val
-    return FiniteSupportFn(sums)
+    (lamp, shift), den = _points((phi.lattice, phi.idx, 1),
+                                 (sigma.freq, sigma.idx, _rational(eps)))
+    vals = sigma._values((lamp / den).astype(float),
+                         (shift / den).astype(float) / 2.0)
+    lat, idx = _lattice_of((lamp[:, None] - shift[None, :]).ravel(), den)
+    return FiniteSupportFn.on_lattice(lat, idx,
+                                      (vals * phi.vals[:, None]).ravel())
 
 
 def adjoint_pairing_residual(sigma, phi1, phi2, eps=1.0):
@@ -212,21 +334,19 @@ def adjoint_pairing_residual(sigma, phi1, phi2, eps=1.0):
 def twisted_product(sigma, tau, eps=1.0):
     """rho with A_rho = A_sigma A_tau:
     c^rho_{mu+nu}(lam) += c^sigma_mu(lam - eps nu/2) c^tau_nu(lam + eps mu/2)."""
-    eps = Fraction(eps)
-    out = {}
-    for mu, cs in sigma.coeffs.items():
-        for nu, ct in tau.coeffs.items():
-            def term(lam, hs=float(eps * nu) / 2.0, ht=float(eps * mu) / 2.0,
-                     cs=cs, ct=ct):
-                return cs(lam - hs) * ct(lam + ht)
-
-            _accumulate(out, mu + nu, term)
-    lattice = None
-    if sigma.lattice is not None and tau.lattice is not None:
-        lattice = sigma.lattice.combined_with(tau.lattice)
-    return BohrSymbol(out, (sigma.m + tau.m,
-                            min(sigma.rho, tau.rho),
-                            max(sigma.delta, tau.delta)), lattice)
+    (mu, nu), den = _points((sigma.freq, sigma.idx, 1), (tau.freq, tau.idx, 1))
+    eps = _rational(eps)
+    half_mu, half_nu = ((x * eps.numerator / (2 * den * eps.denominator))
+                        .astype(float).tolist() for x in (mu, nu))
+    terms = [[lambda lam, cs=cs, ct=ct, hs=hs, ht=ht:
+              cs(lam - hs) * ct(lam + ht)]
+             for cs, ht in zip(sigma.funcs, half_mu)
+             for ct, hs in zip(tau.funcs, half_nu)]
+    lattice = (None if sigma.lattice is None or tau.lattice is None
+               else sigma.lattice.combined_with(tau.lattice))
+    return BohrSymbol._on(*_lattice_of((mu[:, None] + nu).ravel(), den),
+                          terms, (sigma.m + tau.m, min(sigma.rho, tau.rho),
+                                  max(sigma.delta, tau.delta)), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +398,11 @@ class EquivariantSymbol:
     chat: dict      # int m -> callable lam -> C
 
     def to_bohr_symbol(self):
-        coeffs = {}
-        for m, c in self.chat.items():
-            nu = -self.lattice.point(m)
-            coeffs[nu] = c
-        return BohrSymbol(coeffs, lattice=self.lattice)
+        (nu,), den = _points((self.lattice, np.array(
+            [int(m) for m in self.chat], dtype=object), -1))
+        return BohrSymbol._on(*_lattice_of(nu, den),
+                              [[c] for c in self.chat.values()],
+                              lattice=self.lattice)
 
 
 def asymptotic_product(sig, tau, eps, N):
@@ -301,7 +421,7 @@ def asymptotic_product(sig, tau, eps, N):
     hs, ht = eps / 2.0 * lat_s.lam0, eps / 2.0 * lat_t.lam0
     base_s = eps / 2.0 * lat_t.lam0 * lat_t.j0
     base_t = -eps / 2.0 * lat_s.lam0 * lat_s.j0
-    out_chat = {}
+    terms = {}
     out_lat = lat_s.combined_with(lat_t)
     ratio_s = round(lat_s.lam0 / out_lat.lam0)
     ratio_t = round(lat_t.lam0 / out_lat.lam0)
@@ -323,8 +443,9 @@ def asymptotic_product(sig, tau, eps, N):
                         tot = tot + a * b
                 return tot
 
-            _accumulate(out_chat, idx, term)
-    return EquivariantSymbol(out_lat, out_chat)
+            terms.setdefault(idx, []).append(term)
+    return EquivariantSymbol(out_lat, {i: _sum_of(ts)
+                                       for i, ts in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +514,17 @@ def sobolev_bound_check(sigma, s, t, p, states, eps=1.0):
         raise ValueError("sobolev_bound_check needs an equivariant symbol")
     # kernel h(lam'', lam') = <lam''-lam'>^{|s-t|} <lam'>^{-t}
     #                         sigma_hat^1(lam''-lam', (lam''+lam')/2)
-    eps = Fraction(eps)
-    entries = {}
-    pts = [lat.point(mm) for mm in range(-40, 41)]
-    for lamp in pts:
-        for nu in sigma.frequencies():
-            lam2 = lamp - eps * nu
-            v = sigma.partial_transform((lam2 - lamp) / eps,
-                                        float(lam2 + lamp) / 2.0)
-            if v == 0.0:
-                continue
-            wgt = ((1 + float(lam2 - lamp) ** 2) ** (abs(s - t) / 2.0)
-                   * (1 + float(lamp) ** 2) ** (-t / 2.0))
-            entries[(lam2, lamp)] = entries.get((lam2, lamp), 0.0) + wgt * v
-    const = _schur_constant(entries, p) * 2.0 ** abs(s - t)
+    # at lam' = lat.point(j), |j| <= 40, and lam'' = lam' - eps nu
+    j = np.arange(-40, 41).astype(object)
+    (lamp, shift), den = _points((lat, j, 1),
+                                 (sigma.freq, sigma.idx, _rational(eps)))
+    x, step = (lamp / den).astype(float), (shift / den).astype(float)
+    h = (sigma._values(x, step / 2.0) * (1 + step ** 2) ** (abs(s - t) / 2.0)
+         * ((1 + x ** 2) ** (-t / 2.0))[:, None])
+    keys = zip((lamp[:, None] - shift).ravel().tolist(),
+               np.repeat(j, len(step)).tolist())
+    const = (_schur_constant(dict(zip(keys, h.ravel().tolist())), p)
+             * 2.0 ** abs(s - t))
     worst = 0.0
     for phi in states:
         num = sobolev_norm(apply_symbol(sigma, phi, eps), s - t, p)

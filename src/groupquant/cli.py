@@ -192,8 +192,7 @@ def cmd_bohr_props(args):
     def rand_state(lat, n=5):
         ms = rng.integers(-8, 9, size=n)
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return B.FiniteSupportFn([(lat.point(int(m)), v)
-                                  for m, v in zip(ms, vals)])
+        return B.FiniteSupportFn.on_lattice(lat, ms, vals)
 
     lat_s = B.RationalLattice(1.0, 0.25)
     lat_t = B.RationalLattice(2.0 / 3.0, 0.5)
@@ -248,30 +247,29 @@ def _spin(text):
     return j
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="groupquant",
-        description="desk-scale checks for quantization calculi on "
-                    "compact groups")
-    p.add_argument("--cmd", required=True, choices=sorted(COMMANDS))
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--quad-degree", type=int, default=None,
-                   help="table1: fixed number of 24-point Gauss-Legendre "
-                        "panels, with no adaptive refinement and no "
-                        "convergence check")
-    p.add_argument("--j", type=_spin, default=None,
-                   help="sw-props: spin j, a multiple of 1/2 in [0, 32]")
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps-list", default=None,
-                   help="comma-separated epsilon values for moyal-fit")
-    return p
+# built once per process: main runs many times in one process (the benchmark
+# and the tests call it in-process)
+PARSER = argparse.ArgumentParser(
+    prog="groupquant",
+    description="desk-scale checks for quantization calculi on compact groups")
+PARSER.add_argument("--cmd", required=True, choices=sorted(COMMANDS))
+PARSER.add_argument("--out", default=None, help="output path (default stdout)")
+PARSER.add_argument("--seed", type=int, default=0)
+PARSER.add_argument("--tol", type=float, default=None)
+PARSER.add_argument("--quad-degree", type=int, default=None,
+                    help="table1: fixed number of 24-point Gauss-Legendre "
+                         "panels, with no adaptive refinement and no "
+                         "convergence check")
+PARSER.add_argument("--j", type=_spin, default=None,
+                    help="sw-props: spin j, a multiple of 1/2 in [0, 32]")
+PARSER.add_argument("--t", type=float, default=None)
+PARSER.add_argument("--n", type=int, default=None)
+PARSER.add_argument("--eps-list", default=None,
+                    help="comma-separated epsilon values for moyal-fit")
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     return COMMANDS[args.cmd](args)
 
 

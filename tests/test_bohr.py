@@ -19,11 +19,19 @@ def rand_state(lat, n=5, span=8):
                               for m, v in zip(ms, vals)])
 
 
+def bohr_mean(f, g):
+    """(f, g)_Bohr = lim (2T)^{-1} int conj(f) g: matching-frequency sum.
+
+    f, g given as frequency dicts nu -> coefficient of e^{i nu x}.
+    """
+    return sum(np.conj(v) * g.get(nu, 0.0) for nu, v in f.items())
+
+
 def test_bohr_mean():
-    assert B.bohr_mean({1.3: 1.0}, {1.3: 1.0}) == 1.0
-    assert B.bohr_mean({1.3: 1.0}, {0.9: 1.0}) == 0.0
+    assert bohr_mean({1.3: 1.0}, {1.3: 1.0}) == 1.0
+    assert bohr_mean({1.3: 1.0}, {0.9: 1.0}) == 0.0
     f = {1.0: 2.0, math.sqrt(2): 3.0}
-    assert B.bohr_mean({math.sqrt(2): 1.0}, f) == 3.0
+    assert bohr_mean({math.sqrt(2): 1.0}, f) == 3.0
 
 
 def test_sobolev_norm():
@@ -204,6 +212,117 @@ def test_twisted_product_associative():
         B.apply_symbol(a_bc, phi, eps)) < 1e-12
 
 
+# Fraction-keyed oracle: the dict routes of apply_symbol and twisted_product
+# from before points became lattice indices. A state is {lam: value}, a
+# symbol {nu: callable}, every key an exact Fraction.
+
+def oracle_apply(coeffs, phi, eps):
+    shifts = [(eps * nu, float(eps * nu) / 2.0, c) for nu, c in coeffs.items()]
+    sums = {}
+    for lamp, val in phi.items():
+        x = float(lamp)
+        for step, half, c in shifts:
+            lam = lamp - step
+            sums[lam] = sums.get(lam, 0j) + c(x - half) * val
+    return {lam: v for lam, v in sums.items() if v != 0}
+
+
+def oracle_twisted(s_coeffs, t_coeffs, eps):
+    out = {}
+    for mu, cs in s_coeffs.items():
+        for nu, ct in t_coeffs.items():
+            def term(lam, hs=float(eps * nu) / 2.0, ht=float(eps * mu) / 2.0,
+                     cs=cs, ct=ct):
+                return cs(lam - hs) * ct(lam + ht)
+
+            prev = out.get(mu + nu)
+            out[mu + nu] = term if prev is None else (
+                lambda lam, p=prev, t=term: p(lam) + t(lam))
+    return out
+
+
+def _seeded_case(rng):
+    """Two equivariant symbols and a state on three offset lattices with
+    spacings of ratio 1, 2, 3/2 or 1/3 to each other."""
+    base = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+    lats = [B.RationalLattice(base * r, Fraction(int(rng.integers(0, 8)), 8))
+            for r in rng.permutation([Fraction(1), Fraction(2),
+                                      Fraction(3, 2), Fraction(1, 3)])[:3]]
+
+    def chat():
+        cs = {}
+        for m in rng.choice(np.arange(-3, 4), size=3, replace=False):
+            a, b, w = rng.uniform(-1, 1, 3)
+            cs[int(m)] = (lambda a, b, w: lambda lam: (a + b * lam) * np.exp(
+                -0.1 * w * w * lam * lam) + 0.3j * b)(a, b, w)
+        return cs
+
+    sig, tau = (B.EquivariantSymbol(lat, chat()) for lat in lats[:2])
+    ms = rng.integers(-6, 7, size=6)
+    vals = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    phi = {}
+    for m, v in zip(ms, vals):
+        lam = lats[2].point(int(m))
+        phi[lam] = phi.get(lam, 0j) + v
+    return sig, tau, phi
+
+
+def _dict_symbol(sym):
+    return {-sym.lattice.point(m): c for m, c in sym.chat.items()}
+
+
+def _assert_same_state(out, ref):
+    data = out.data
+    assert sorted(data) == sorted(ref)
+    scale = max(abs(v) for v in ref.values())
+    assert max(abs(data[k] - ref[k]) for k in ref) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
+def test_index_routes_match_fraction_oracle(eps):
+    rng = np.random.default_rng(int(4 * eps))
+    lam = np.linspace(-3.0, 3.0, 7)
+    for _ in range(6):
+        sig, tau, phi = _seeded_case(rng)
+        state = B.FiniteSupportFn(phi)
+        bsig, btau = sig.to_bohr_symbol(), tau.to_bohr_symbol()
+        osig, otau = _dict_symbol(sig), _dict_symbol(tau)
+        _assert_same_state(B.apply_symbol(bsig, state, eps),
+                           oracle_apply(osig, phi, Fraction(eps)))
+        rho = B.twisted_product(bsig, btau, eps)
+        orho = oracle_twisted(osig, otau, Fraction(eps))
+        assert sorted(rho.coeffs) == sorted(orho)
+        for nu, c in rho.coeffs.items():
+            ref = np.array([orho[nu](x) for x in lam])
+            assert np.abs(c(lam) - ref).max() <= 1e-14 * np.abs(ref).max()
+        _assert_same_state(B.apply_symbol(rho, state, eps),
+                           oracle_apply(orho, phi, Fraction(eps)))
+
+
+def test_float_keys_and_eps_read_as_simplest_rationals():
+    # a float key or eps reads as RationalLattice reads a float spacing:
+    # 0.7 is 7/10, so the state at 7/5 moves to 21/10 = 0.7 * 3 exactly
+    lat = B.RationalLattice(0.7)
+    sym = B.EquivariantSymbol(B.RationalLattice(1.0),
+                              {1: lambda lam: 1.0}).to_bohr_symbol()
+    out = B.apply_symbol(sym, B.FiniteSupportFn([(lat.point(2), 1.0)]),
+                         eps=0.7)
+    assert out.data == {Fraction(21, 10): 1.0}
+    assert out[lat.point(3)] == 1.0
+    assert B.FiniteSupportFn([(0.7, 2.0)]).data == {Fraction(7, 10): 2.0}
+    assert B.BohrSymbol({0.7: np.cos}).coeffs.keys() == {Fraction(7, 10)}
+
+
+def test_state_is_not_a_sequence():
+    # phi[lam] looks a point up; iterating or `in` raise instead of calling
+    # phi[0], phi[1], ... forever
+    phi = B.FiniteSupportFn([(0.5, 1.0)])
+    with pytest.raises(TypeError):
+        iter(phi)
+    with pytest.raises(TypeError):
+        0.5 in phi
+
+
 def test_discrete_taylor():
     # exact on polynomials of degree <= N
     val, r = B.discrete_taylor(lambda x: x * x, 0.3, 2.5, 0.5, 2)
@@ -355,12 +474,12 @@ def test_boundary_keys_mean_and_young():
     lat = B.RationalLattice(0.12345675)
     s = lat.point(3) + lat.point(-2)
     assert s == lat.point(1)
-    assert B.bohr_mean({lat.point(1): 1.0}, {s: 1.0}) == 1.0
+    assert bohr_mean({lat.point(1): 1.0}, {s: 1.0}) == 1.0
     assert B.young_bound({(lat.point(1), 0.0): 1.0,
                           (s, 1.0): 1.0}) == (2.0, 1.0)
     # distinct floats are distinct frequencies, however close
     a, b = 0.12345675 + 3e-12, 0.12345675 - 3e-12
-    assert B.bohr_mean({a: 1.0}, {b: 1.0}) == 0.0
+    assert bohr_mean({a: 1.0}, {b: 1.0}) == 0.0
 
 
 def test_sobolev_feasibility_in_closed_form():

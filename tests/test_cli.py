@@ -188,6 +188,39 @@ def test_bohr_props(tmp_path):
     assert rep["results"]["twisted_vs_composition"] < 1e-13
 
 
+# bohr-props of the Fraction-keyed implementation that preceded the lattice
+# indices, seeds 0-9: (twisted_vs_composition, adjoint_pairing,
+# young_inequality_slack); newton_exactness read 0.0 for each
+BOHR_PROPS_PINNED = [
+    (9.155133597044475e-16, 0.0, 3.5835639391984224),
+    (1.2560739669470201e-15, 0.0, 1.892889084590614),
+    (1.831026719408895e-15, 0.0, 1.7747976471034153),
+    (3.3766115072321297e-16, 0.0, 2.3947307977710026),
+    (4.441434166503682e-16, 0.0, 1.0893481468830126),
+    (2.7755575615628914e-16, 0.0, 2.863951870795708),
+    (3.1401849173675503e-16, 0.0, 3.1299966371579653),
+    (2.482534153247273e-16, 0.0, 3.112084862712094),
+    (8.881784197001252e-16, 0.0, 2.7244324931027366),
+    (4.577566798522237e-16, 0.0, 2.415881400642542),
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bohr_props_pinned(tmp_path, seed):
+    # the exact quantities stay byte-identical; the two residuals stay
+    # below tolerance and within 1e-15 of the earlier route's
+    out = tmp_path / "b.json"
+    assert main(["--cmd", "bohr-props", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["results"]
+    twisted, adjoint, slack = BOHR_PROPS_PINNED[seed]
+    assert res["newton_exactness"] == 0.0
+    assert res["young_inequality_slack"] == slack
+    for key, ref in (("twisted_vs_composition", twisted),
+                     ("adjoint_pairing", adjoint)):
+        assert res[key] < 1e-13 and abs(res[key] - ref) <= 1e-15
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["--cmd", "nonsense"])

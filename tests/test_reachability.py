@@ -78,8 +78,12 @@ UNREACHED = {
                                       "maps only",
     "orbits.momentum_scaled_label": "orbit relabelling of the momentum-"
                                     "scaled transform; no command scales",
-    "bohr.bohr_mean": "the Bohr mean pairing; bohr-props pairs states in "
-                      "l^2",
+    "bohr.RationalLattice.contains": "membership of a caller's point; the "
+                                     "calculus forms its points as indices",
+    "bohr.FiniteSupportFn.data": "read-side view {exact point: value}; the "
+                                 "calculus works on the index arrays",
+    "bohr.BohrSymbol.coeffs": "read-side view {exact frequency: coefficient}; "
+                              "the calculus works on the index arrays",
     "bohr.asymptotic_product": "the Newton-series product of equivariant "
                                "symbols; bohr-props checks the exact one",
     "groups.rep_matrix": "one irrep matrix at one element; the dense test "
