@@ -1,17 +1,17 @@
-"""Stratonovich-Weyl calculus on SU(2) coadjoint orbits.
+"""Stratonovich-Weyl and Berezin calculi on SU(2) coadjoint orbits.
 
 The spin-j orbit is the sphere of radius j (weight units); its Liouville
-measure is normalized to total mass d = 2j+1. The coherent vector at
-theta = (alpha, beta) is column 0 of D(alpha, beta, 0), on the ZYZ section
-g_theta = R_z(alpha) R_y(beta) (gamma = 0); `OrbitSpec.coherent` holds it
-at every node. The momentum map J_i(v) = <v, J_i v> satisfies
-J(v_theta) = j * nhat(theta) exactly. The overlap kernel
+measure is normalized to total mass d = 2j+1. On the ZYZ section g_theta =
+R_z(alpha) R_y(beta), the coherent vector at theta = (alpha, beta) is
+v_theta = D(g_theta) e_j, its projector P_theta = D(g_theta) E_jj
+D(g_theta)^*, E_jj = diag(1, 0, ..., 0). The overlap kernel
 K(theta, theta') = |<v_theta, v_theta'>|^2 = cos^{4j}(gamma/2) is rotation
 invariant and acts diagonally on spherical harmonics with eigenvalues
 
     k_l = (d/2) int_{-1}^{1} ((1+x)/2)^{2j} P_l(x) dx,   k_0 = 1,
 
-and the Stratonovich-Weyl operator field is Delta(theta) = K^{-1/2} P_theta.
+and the Stratonovich-Weyl operator field is Delta(theta) = K^{-1/2} P_theta,
+so the Berezin quantization int f P_theta dmu is Q^SW(K^{1/2} f).
 K commutes with rotations, so the field is equivariant,
 Delta(theta) = D(g_theta) Delta_0 D(g_theta)^*, with Delta_0 diagonal in
 closed form (Varilly & Gracia-Bondia, Ann. Phys. 190 (1989) 107):
@@ -25,18 +25,18 @@ degree l on the d points m = j..-j, so Delta_0 comes from the eigenvectors
 of that family's d x d Jacobi matrix (Golub & Welsch, Math. Comp. 23
 (1969) 221; `OrbitSpec._sw_tables`), with no Clebsch-Gordan coefficient.
 
-With gamma = 0, D_{km}(alpha, beta, 0) = e^{-i m_k alpha} d_{km}(beta), so
-the field factors over the product grid of n_beta Gauss-Legendre and
-n_alpha uniform nodes (N = n_beta n_alpha):
-
-    Delta(alpha, beta)_{kl} = e^{-i (m_k - m_l) alpha} Delta~(beta)_{kl},
-    Delta~(beta) = d(beta) Delta_0 d(beta)^T,
-
-real and symmetric. The calculus holds two tables, never the (N, d, d)
-field: Delta~ on the beta nodes, (n_beta, d^2) real, and the phases
-P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c}, (n_alpha, d^2). Each symbol map
-is then one matrix product between them (27 x 625 and 52 x 625 entries at
-2j = 24, where the field has 1404 x 625).
+Every map uses one layout on the product grid of n_beta Gauss-Legendre and
+n_alpha uniform nodes (N = n_beta n_alpha): its field, never formed on the
+N nodes, is F[b, c; k] = T[b, k] P[c, k], a real (n_beta, K) table times
+an (n_alpha, K) phase table. As D_{km}(alpha, beta, 0) = e^{-i m_k alpha}
+d_{km}(beta), an operator field D(g_theta) F_0 D(g_theta)^* has k = (k, l),
+T = d F_0 d^T and P = e^{-i (m_k - m_l) alpha}, with F_0 = Delta_0
+(Stratonovich-Weyl) or E_jj (Berezin); the harmonics Y_lm have k = (l, m),
+T = sqrt((2l+1)/4pi) d^l_{m0}(beta) and P = e^{i m alpha}, l <= L/2. The
+symbols tr(Delta A), <v, A v> = tr(P_theta A) and the harmonic synthesis
+are `_to_field` of coefficients; the quantizations int W Delta dmu,
+int f P_theta dmu and the harmonic analysis (conjugate phases) are
+`_from_field`.
 
 The Stratonovich-Weyl-Fourier transform of Psi on SU(2) is, per orbit, the
 symbol W of its Fourier coefficient int Psi(g) pi(g) dg on a Haar grid
@@ -44,12 +44,12 @@ symbol W of its Fourier coefficient int Psi(g) pi(g) dg on a Haar grid
 never formed.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from ._kernels import _gauss_legendre, wigner_d_grid
-from .wigner import angular_momentum
+from ._kernels import _gauss_legendre, _jy_eigh, wigner_d_grid
 
 
 def kernel_eigenvalues(twoj, lmax=None):
@@ -65,6 +65,24 @@ def kernel_eigenvalues(twoj, lmax=None):
         lmax = twoj
     return np.array([math.perm(twoj, l) / math.perm(twoj + l + 1, l)
                      for l in range(lmax + 1)])
+
+
+def _to_field(T, P, x):
+    """sum_k T[b, k] P[c, k] x[k, ...] at node (b, c), shape (N, ...): per
+    trailing index of x, (K, ...), the table times x, then times P^T."""
+    x = np.asarray(x)
+    field = (T * x.reshape(len(x), -1).T[:, None, :]) @ P.T
+    return np.moveaxis(field, 0, -1).reshape((-1,) + x.shape[1:])
+
+
+def _from_field(T, P, field, w):
+    """sum_{(b, c)} w[(b, c)] T[b, k] P[c, k] field[(b, c), ...], shape
+    (K, ...): per trailing index, the weighted field as an (n_beta, n_alpha)
+    matrix times P, then summed over beta against T."""
+    field = np.asarray(field)
+    wf = (w[:, None] * field.reshape(len(w), -1)).T
+    return (T * (wf.reshape(-1, len(T), len(P)) @ P)).sum(1).T.reshape(
+        (-1,) + field.shape[1:])
 
 
 class OrbitSpec:
@@ -92,61 +110,57 @@ class OrbitSpec:
         self.nhat = np.stack([sb * np.cos(self.alpha),
                               sb * np.sin(self.alpha),
                               np.cos(self.beta)], axis=-1)
-        # d(beta) on the beta nodes, (n_beta, d, d); v_theta = D e_{highest},
-        # v_theta[m] = e^{-i m alpha} d_{mj}(beta)
+        # d(beta) on the beta nodes, (n_beta, d, d), and the phases of every
+        # operator field, P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c}
         self._d_beta = wigner_d_grid(twoj, beta)
-        m = np.arange(twoj, -twoj - 1, -2) / 2.0
-        self.coherent = (self._d_beta[:, None, :, 0]
-                         * np.exp(-1j * np.multiply.outer(alpha, m))
-                         ).reshape(self.n_nodes, self.d)
+        ls = np.arange(self.d)
+        self._phases = np.exp(1j * np.multiply.outer(
+            alpha, np.subtract.outer(ls, ls))).reshape(n_alpha, -1)
         self.k_l = kernel_eigenvalues(twoj)
-        self._Y = None
-        self._sw = None
-
-    def harmonics(self, l):
-        """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l: a column
-        slice of the harmonic matrix."""
-        return self._harmonic_matrix(l)[:, l * l:(l + 1) ** 2]
-
-    def _harmonic_matrix(self, lmax):
-        """(N, (L + 1)^2) matrix of all Y_lm with l <= L, for an L of at
-        least max(lmax, 2j), columns ordered by l and then m = -l..l:
-        Y_lm(beta, alpha) = sqrt((2l+1)/4pi) e^{i m alpha} d^l_{m0}(beta),
-        with d on the beta nodes only. Cached; a larger lmax rebuilds it."""
-        if self._Y is None or self._Y.shape[1] < (lmax + 1) ** 2:
-            ls = range(max(lmax, self.twoj) + 1)
-            d = np.concatenate(
-                [math.sqrt((2 * l + 1) / (4 * math.pi))
-                 * wigner_d_grid(2 * l, self.beta_nodes)[:, ::-1, l]
-                 for l in ls], axis=1)
-            m = np.concatenate([np.arange(-l, l + 1) for l in ls])
-            phase = np.exp(1j * np.multiply.outer(self.alpha_nodes, m))
-            self._Y = (d[:, None] * phase).reshape(self.n_nodes, len(m))
-        return self._Y
+        self._harmonic = None
 
     # -- harmonic analysis on the orbit (band l <= L/2 exact) ---------------
 
+    def _harmonic_factors(self, l):
+        """(T, P) of the Y_lm, m = -l..l: T = sqrt((2l+1)/4pi) d^l_{m0}(beta),
+        the column m = 0 of V e^{-i beta Lambda} V^* (`_kernels._jy_eigh`)
+        without the (2l+1)^2 matrix at each beta, and P = e^{i m alpha}."""
+        lam, V = _jy_eigh(2 * l)
+        col = V @ (np.exp(-1j * np.multiply.outer(self.beta_nodes, lam))
+                   * V[l].conj()).T
+        return (math.sqrt((2 * l + 1) / (4 * math.pi)) * col[::-1].real.T,
+                np.exp(1j * np.multiply.outer(self.alpha_nodes,
+                                              np.arange(-l, l + 1))))
+
+    def harmonics(self, l):
+        """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l, any l."""
+        table, phase = self._harmonic_factors(l)
+        return (table[:, None] * phase).reshape(self.n_nodes, 2 * l + 1)
+
+    def _harmonic_tables(self, lmax):
+        """(T, P) of the Y_lm with l <= lmax, columns by l, then m = -l..l.
+        The grid integrates degree L exactly, so the transforms are exact
+        up to lmax = L/2 and alias above; the tables to L/2 are built once."""
+        if not 0 <= lmax <= self.L // 2:
+            raise ValueError("lmax = %r is outside the orbit grid's exact "
+                             "band 0..%d" % (lmax, self.L // 2))
+        if self._harmonic is None:
+            factors = map(self._harmonic_factors, range(self.L // 2 + 1))
+            self._harmonic = tuple(np.concatenate(t, axis=1)
+                                   for t in zip(*factors))
+        return tuple(t[:, :(lmax + 1) ** 2] for t in self._harmonic)
+
     def sh_analysis(self, field, lmax):
         """Coefficients c_{lm} with field = sum c_{lm} Y_{lm}, as a list of
-        (2l+1, ...) arrays for l <= lmax: one matrix product with the
-        harmonic matrix."""
-        field = np.asarray(field)
-        Y = self._harmonic_matrix(lmax)[:, :(lmax + 1) ** 2]
-        wf = (self.weights * (4 * math.pi / self.d))[:, None] \
-            * field.reshape(self.n_nodes, -1)
-        c = np.conj(Y.T @ np.conj(wf))
-        return [c[l * l:(l + 1) ** 2].reshape((2 * l + 1,) + field.shape[1:])
-                for l in range(lmax + 1)]
+        (2l+1, ...) arrays for l <= lmax <= L/2."""
+        c = np.conj(_from_field(*self._harmonic_tables(lmax), np.conj(field),
+                                self.weights * (4 * math.pi / self.d)))
+        return [c[l * l:(l + 1) ** 2] for l in range(lmax + 1)]
 
     def sh_synthesis(self, coeffs):
-        """Field sum_{lm} c_{lm} Y_{lm} from sh_analysis's list of (2l+1, ...)
-        coefficient arrays: one matrix product with the harmonic matrix."""
-        lmax = len(coeffs) - 1
-        tail = np.shape(coeffs[0])[1:]
-        c = np.concatenate([np.reshape(cl, (2 * l + 1, -1))
-                            for l, cl in enumerate(coeffs)])
-        Y = self._harmonic_matrix(lmax)[:, :(lmax + 1) ** 2]
-        return (Y @ c).reshape((self.n_nodes,) + tail)
+        """Field sum c_{lm} Y_{lm} of sh_analysis's coefficients, l <= L/2."""
+        return _to_field(*self._harmonic_tables(len(coeffs) - 1),
+                         np.concatenate(coeffs))
 
     def rescale_harmonics(self, field, factors):
         """Apply sum_l factors[l] * (projection on degree l), l <= 2j."""
@@ -154,83 +168,58 @@ class OrbitSpec:
         return self.sh_synthesis([factors[l] * c
                                   for l, c in enumerate(coeffs)])
 
-    # -- Stratonovich-Weyl operator field ------------------------------------
+    # -- operator fields: Stratonovich-Weyl and the coherent projectors ------
 
+    def _operator_tables(self, f0):
+        """(T, P) of the field D(g_theta) diag(f0) D(g_theta)^*: T[b] =
+        d(beta_b) diag(f0) d(beta_b)^T raveled to (n_beta, d^2), real."""
+        db = self._d_beta
+        table = (db * f0) @ np.swapaxes(db, 1, 2)
+        return table.reshape(len(db), -1), self._phases
+
+    @functools.cached_property
     def _sw_tables(self):
-        """(Delta~, P) of the factored field, built once: Delta~[b] =
-        d(beta_b) Delta_0 d(beta_b)^T raveled to (n_beta, d^2), real, with
+        """The Stratonovich-Weyl field's tables: f0 = Delta_0, Delta_0[m] =
+        sum_l sqrt((2l+1)/d) c_l(m) with c_l the Gram polynomials, c_l(j) > 0.
+        They are the eigenvectors of the Jacobi matrix with zero diagonal and
+        off-diagonal b_l = l sqrt((d^2 - l^2)/(4 (4l^2 - 1))), l = 1..d-1,
+        whose eigenvalues are the m = j..-j. An eigenvector with positive c_0
+        entry solves the three-term recurrence with positive b_l, so its c_l
+        have positive leading coefficients, hence c_l(j) > 0; the c_l(j)
+        themselves reach 1e-38 at 2j = 128, too small to take signs from."""
+        ls = np.arange(self.d)
+        l = ls[1:]
+        b = l * np.sqrt((self.d ** 2 - l ** 2) / (4.0 * (4 * l ** 2 - 1)))
+        c = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))[1][:, ::-1]
+        return self._operator_tables(
+            np.sqrt((2 * ls + 1) / self.d) @ (c * np.sign(c[0])))
 
-        Delta_0[m] = sum_l (2l+1)/d <j m; l 0|j m>
-                   = sum_l sqrt((2l+1)/d) c_l(m)
-
-        for m = j..-j, and P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c} =
-        e^{i (k - l) alpha_c}, (n_alpha, d^2). The field at node (b, c) is
-        Delta~[b] * P[c], elementwise.
-
-        The c_l are the polynomials of degree l orthonormal on the d points
-        m (Gram's discrete Chebyshev polynomials), with c_l(j) > 0, and
-        <j m; l 0|j m> = sqrt(d/(2l+1)) c_l(m). They are the eigenvectors
-        of the Jacobi matrix with zero diagonal and off-diagonal
-        b_l = l sqrt((d^2 - l^2)/(4 (4l^2 - 1))), l = 1..d-1, whose
-        eigenvalues are the m (Golub & Welsch, Math. Comp. 23 (1969) 221).
-        An eigenvector with positive c_0 entry solves the three-term
-        recurrence with positive b_l, so its c_l have positive leading
-        coefficients, hence c_l(j) > 0; the c_l(j) themselves reach 1e-38
-        at 2j = 128, too small to take signs from."""
-        if self._sw is None:
-            ls = np.arange(self.d)
-            l = ls[1:]
-            b = l * np.sqrt((self.d ** 2 - l ** 2) / (4.0 * (4 * l ** 2 - 1)))
-            c = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))[1][:, ::-1]
-            delta0 = np.sqrt((2 * ls + 1) / self.d) @ (c * np.sign(c[0]))
-            db = self._d_beta
-            table = (db * delta0) @ np.swapaxes(db, 1, 2)
-            phase = np.exp(1j * np.multiply.outer(
-                self.alpha_nodes, np.subtract.outer(ls, ls)))
-            self._sw = (table.reshape(len(db), -1),
-                        phase.reshape(len(self.alpha_nodes), -1))
-        return self._sw
-
-
-def momentum_map(twoj, v):
-    """J_i(v) = <v, J_i v>; equals j * nhat for coherent vectors."""
-    J = angular_momentum(twoj)
-    return np.array([np.real(np.conj(v) @ (Ji @ v)) for Ji in J])
+    @functools.cached_property
+    def _berezin_tables(self):
+        """The projector field's tables: Delta_0 -> E_jj."""
+        return self._operator_tables(np.eye(self.d)[0])
 
 
 def lower_symbol(spec, A):
-    """L_A(theta) = <v_theta, A v_theta>."""
-    v = spec.coherent
-    return ((v.conj() @ A) * v).sum(1)
-
-
-def upper_symbol_from_lower(spec, L_field):
-    """U_A with K U_A = L_A, by harmonic rescaling with k_l^{-1}."""
-    return spec.rescale_harmonics(L_field, 1.0 / spec.k_l)
+    """L_A(theta) = <v_theta, A v_theta> = tr(P_theta A)."""
+    return _to_field(*spec._berezin_tables, A.T.ravel())
 
 
 def sw_symbol(spec, A):
-    """W_A(theta) = tr(Delta(theta) A) = sum_{kl} P[c, kl] Delta~[b, kl]
-    A_{lk} at node (b, c): the (n_beta, d^2) table times A^T, then one
-    matrix product with the (n_alpha, d^2) phase table, raveled in the
-    grid's (beta, alpha) order."""
-    table, phase = spec._sw_tables()
-    return ((table * A.T.ravel()) @ phase.T).ravel()
+    """W_A(theta) = tr(Delta(theta) A)."""
+    return _to_field(*spec._sw_tables, A.T.ravel())
 
 
 def sw_quantize(spec, W_field):
-    """A = int W(theta) Delta(theta) dmu: the weighted field as an
-    (n_beta, n_alpha) matrix times the (n_alpha, d^2) phase table, then
-    summed over beta against the (n_beta, d^2) table."""
-    table, phase = spec._sw_tables()
-    wW = (spec.weights * W_field).reshape(len(table), -1)
-    return (table * (wW @ phase)).sum(0).reshape(spec.d, spec.d)
+    """A = int W(theta) Delta(theta) dmu."""
+    return _from_field(*spec._sw_tables, W_field,
+                       spec.weights).reshape(spec.d, spec.d)
 
 
 def berezin_quantize(spec, field):
     """Q^B(f) = int f(theta) P_theta dmu."""
-    v = spec.coherent
-    return ((spec.weights * field)[:, None] * v).T @ v.conj()
+    return _from_field(*spec._berezin_tables, field,
+                       spec.weights).reshape(spec.d, spec.d)
 
 
 def berezin_sw_residual(spec, field):
@@ -252,9 +241,7 @@ def berezin_sw_residual(spec, field):
 def sw_twisted_product(spec, WA, WB):
     """(W_A * W_B)(theta) = W of Q^SW(W_A) Q^SW(W_B): the triple-kernel
     integral tr(Delta(theta) Delta(theta') Delta(theta'')) W_A(theta')
-    W_B(theta'') with the primed integrals done first, so two quantizations
-    and one symbol, each one matrix product with the factored field's
-    (n_beta, d^2) and (n_alpha, d^2) tables."""
+    W_B(theta'') with the primed integrals done first."""
     return sw_symbol(spec, sw_quantize(spec, WA) @ sw_quantize(spec, WB))
 
 
@@ -312,24 +299,6 @@ def group_convolution(psi_grid, phi_coeffs, pw, quad):
         B = math.sqrt(d) * psihat @ pw.block(lab, phi_coeffs)
         out += D.reshape(quad.n_nodes, d * d) @ B.ravel()
     return out
-
-
-def momentum_scaled_label(twoj, k):
-    """Orbit label 2(j/eps) of the momentum-scaled transform, eps = 1/k.
-
-    The scaling convention keeps scaled weights on the integer-spin
-    sub-lattice: eps^{-1} j must be an integer unless eps = 1 (the identity
-    relabeling), otherwise the label is rejected.
-    """
-    if k < 1 or int(k) != k:
-        raise ValueError("eps must be 1/k with integer k >= 1")
-    if k == 1:
-        return twoj
-    if (k * twoj) % 2:
-        raise ValueError(
-            "scaled weight %g/2 leaves the eps-sub-lattice of integer spins"
-            % (k * twoj))
-    return k * twoj
 
 
 # ---------------------------------------------------------------------------

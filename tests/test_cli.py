@@ -144,21 +144,22 @@ def test_sw_props_large_spin(tmp_path):
     assert all(v < 1e-9 for v in _sw_props_errors(tmp_path, "12").values())
 
 
-@pytest.mark.parametrize("j", ["16", "24", "32"])
+@pytest.mark.parametrize("j", ["16", "24", "32", "64"])
 def test_sw_props_larger_spin(tmp_path, j):
-    # 2j = 32, 48: spins where float Racah sums lost digits; 2j = 64, the
-    # largest accepted: comparing Q^SW with Q^B(S^{1/2} f) amplified the
-    # rounding of the harmonic analysis by up to 2^{2j} (3.9e-11 here)
+    # 2j = 32, 48: spins where float Racah sums lost digits; 2j = 64:
+    # comparing Q^SW with Q^B(S^{1/2} f) amplified the rounding of the
+    # harmonic analysis by up to 2^{2j} (3.9e-11 here); 2j = 128, the largest
+    # accepted
     errors = _sw_props_errors(tmp_path, j)
     assert all(v < 1e-9 for v in errors.values())
     assert errors["berezin_relation"] < 1e-12
 
 
-@pytest.mark.parametrize("j", ["0.3", "-1", "-0.5", "nan", "inf", "32.5",
-                               "64"])
+@pytest.mark.parametrize("j", ["0.3", "-1", "-0.5", "nan", "inf", "64.5",
+                               "65"])
 def test_sw_props_rejects_invalid_spin(j, capsys):
     # 0.3 used to run as j = 0.5 and -1 to fail inside matmul; above
-    # j = 32 the harmonic matrix of the Berezin check outgrows memory
+    # j = 64 no spin is checked
     with pytest.raises(SystemExit) as exc:
         main(["--cmd", "sw-props", "--j", j])
     assert exc.value.code == 2

@@ -69,15 +69,8 @@ UNREACHED = {
                                         "comparison, run by tests only",
     "localcalc.u1_midpoint_operator": "the U(1) midpoint-kernel "
                                       "comparison, run by tests only",
-    "orbits.momentum_map": "coherent-state momentum map J(v) = j n; "
-                           "no command reports it",
     "orbits.lower_symbol": "Berezin lower symbol on the orbit; sw-props "
                            "reports the SW and Berezin maps only",
-    "orbits.upper_symbol_from_lower": "Berezin upper symbol on the orbit; "
-                                      "sw-props reports the SW and Berezin "
-                                      "maps only",
-    "orbits.momentum_scaled_label": "orbit relabelling of the momentum-"
-                                    "scaled transform; no command scales",
     "bohr.RationalLattice.contains": "membership of a caller's point; the "
                                      "calculus forms its points as indices",
     "bohr.FiniteSupportFn.data": "read-side view {exact point: value}; the "

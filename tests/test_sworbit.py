@@ -12,8 +12,10 @@ from sympy.physics.wigner import clebsch_gordan as exact_cg
 
 from groupquant import groups as G
 from groupquant import orbits as O
+from groupquant._kernels import wigner_d_grid
 from groupquant.peterweyl import PWSpace
-from groupquant.wigner import su2_generator, wigner_D_euler_grid
+from groupquant.wigner import (angular_momentum, su2_generator,
+                               wigner_D_euler_grid)
 
 RNG = np.random.default_rng(31)
 
@@ -25,6 +27,19 @@ def spec(request):
 
 def rand_mat(d):
     return RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
+
+
+def _coherent(spec):
+    """The coherent vectors v_theta, column 0 of D(alpha, beta, 0), at every
+    node: the dense (N, d) array that the library does not hold."""
+    return wigner_D_euler_grid(spec.twoj, spec.alpha, spec.beta,
+                               np.zeros(spec.n_nodes))[:, :, 0]
+
+
+def momentum_map(twoj, v):
+    """J_i(v) = <v, J_i v>; equals j * nhat for coherent vectors."""
+    J = angular_momentum(twoj)
+    return np.array([np.real(np.conj(v) @ (Ji @ v)) for Ji in J])
 
 
 def _orthonormality_residual_loop(spec):
@@ -54,7 +69,7 @@ def test_orbit_spec_rejects_invalid_spin(twoj):
 
 def test_orbit_spec_accepts_numpy_int():
     s = O.OrbitSpec(np.int64(3))
-    assert s.d == 4 and s.coherent.shape == (s.n_nodes, 4)
+    assert s.d == 4 and _coherent(s).shape == (s.n_nodes, 4)
 
 
 @pytest.mark.parametrize("twoj", [1, 4, 24])
@@ -64,6 +79,49 @@ def test_harmonics_oracle(twoj):
         ref = np.stack([sph_harm_y(l, m, s.beta, s.alpha)
                         for m in range(-l, l + 1)], axis=-1)
         assert np.abs(s.harmonics(l) - ref).max() < 1e-12
+
+
+def _d_column_full_matrix(spec, l):
+    """sqrt((2l+1)/4pi) d^l_{m0}(beta), m = -l..l, read off the full
+    (2l+1)^2 Wigner d matrix at each beta node."""
+    return math.sqrt((2 * l + 1) / (4 * math.pi)) * wigner_d_grid(
+        2 * l, spec.beta_nodes)[:, ::-1, l]
+
+
+@pytest.mark.parametrize("twoj", [24, 64])
+def test_harmonic_columns_full_matrix_oracle(twoj):
+    # the tables of the transforms (l <= L/2), and the degree above them
+    s = O.OrbitSpec(twoj)
+    table, phase = s._harmonic_tables(s.L // 2)
+    ls = range(s.L // 2 + 1)
+    ref = np.concatenate([_d_column_full_matrix(s, l) for l in ls], axis=1)
+    assert np.abs(table - ref).max() < 1e-13
+    m = np.concatenate([np.arange(-l, l + 1) for l in ls])
+    assert np.array_equal(phase, np.exp(1j * np.multiply.outer(
+        s.alpha_nodes, m)))
+    l = s.L // 2 + 1
+    ref = _d_column_full_matrix(s, l)[:, None] * np.exp(
+        1j * np.multiply.outer(s.alpha_nodes, np.arange(-l, l + 1)))
+    assert np.abs(s.harmonics(l) - ref.reshape(s.n_nodes, -1)).max() < 1e-13
+
+
+@pytest.mark.parametrize("twoj", [1, 4])
+def test_sh_transforms_reject_aliased_band(twoj):
+    # the grid integrates Y_lm conj(Y_l'm') exactly only for l, l' <= L/2;
+    # above, analysis of a synthesis missed random coefficients by order 1
+    # (0.93 at 2j = 1, lmax = 3; 3.2 at 2j = 4, lmax = 10)
+    s = O.OrbitSpec(twoj)
+    rng = np.random.default_rng(100 + twoj)
+    top = s.L // 2
+    c = [rng.standard_normal(2 * l + 1) + 1j * rng.standard_normal(2 * l + 1)
+         for l in range(2 * top + 1)]
+    back = s.sh_analysis(s.sh_synthesis(c[:top + 1]), top)
+    assert max(np.abs(b - x).max() for b, x in zip(back, c)) < 1e-13
+    for lmax in (top + 1, 2 * top):
+        with pytest.raises(ValueError):
+            s.sh_synthesis(c[:lmax + 1])
+        with pytest.raises(ValueError):
+            s.sh_analysis(np.ones(s.n_nodes), lmax)
 
 
 # Per-degree oracles for the harmonic transforms: one einsum per l against
@@ -102,11 +160,11 @@ def test_sh_transforms_loop_oracle(twoj):
 
 
 def test_coherent_vectors(spec):
-    v = spec.coherent
+    v = _coherent(spec)
     assert np.abs(np.einsum("am,am->a", v.conj(), v) - 1).max() < 1e-13
     # momentum map J(v_theta) = j * nhat(theta)
     for a in range(0, spec.n_nodes, max(1, spec.n_nodes // 17)):
-        Jv = O.momentum_map(spec.twoj, v[a])
+        Jv = momentum_map(spec.twoj, v[a])
         assert np.abs(Jv - spec.j * spec.nhat[a]).max() < 1e-10
     # north pole is the highest-weight vector
     vn = wigner_D_euler_grid(spec.twoj, *np.zeros((3, 1)))[0, :, 0]
@@ -117,8 +175,9 @@ def test_coherent_vectors(spec):
 
 def test_overlap_formula(spec):
     # |<v, v'>|^2 = cos^{4j}(gamma/2)
+    v = _coherent(spec)
     for (i1, i2) in [(0, 5), (3, 11), (7, 2)]:
-        ov = abs(np.vdot(spec.coherent[i1], spec.coherent[i2])) ** 2
+        ov = abs(np.vdot(v[i1], v[i2])) ** 2
         cosg = np.clip(spec.nhat[i1] @ spec.nhat[i2], -1, 1)
         assert abs(ov - ((1 + cosg) / 2.0) ** spec.twoj) < 1e-13
 
@@ -230,7 +289,7 @@ def _delta0_recurrence(twoj):
 def _table_delta0(spec):
     """Delta_0 read back from the first row of the Delta~ table."""
     db = spec._d_beta[0]
-    table = spec._sw_tables()[0][0].reshape(spec.d, spec.d)
+    table = spec._sw_tables[0][0].reshape(spec.d, spec.d)
     return np.diag(db.T @ table @ db)
 
 
@@ -296,9 +355,18 @@ def test_swf_dense_oracle(twoj):
 
 @pytest.mark.parametrize("twoj", ORACLE_2J)
 def test_coherent_dense_oracle(twoj):
+    # the Berezin maps against the dense projector field P_theta = v v^*
     s = O.OrbitSpec(twoj)
-    D = wigner_D_euler_grid(twoj, s.alpha, s.beta, np.zeros(s.n_nodes))
-    assert np.abs(s.coherent - D[:, :, 0]).max() < 1e-15
+    v = _coherent(s)
+    flat = np.einsum("am,an->amn", v, v.conj()).reshape(s.n_nodes, -1)
+    rng = np.random.default_rng(400 + twoj)
+    A = rng.standard_normal((s.d, s.d)) + 1j * rng.standard_normal((s.d,
+                                                                     s.d))
+    assert _rel(O.lower_symbol(s, A), flat @ A.T.ravel()) < 1e-13
+    f = (rng.standard_normal(s.n_nodes)
+         + 1j * rng.standard_normal(s.n_nodes))
+    assert _rel(O.berezin_quantize(s, f),
+                ((s.weights * f) @ flat).reshape(s.d, s.d)) < 1e-13
 
 
 # 2j = 0 is left out: there d = 1, and every per-node array, the weights
@@ -307,10 +375,16 @@ def test_coherent_dense_oracle(twoj):
 def test_no_dense_field_held(twoj):
     s = O.OrbitSpec(twoj)
     O.sw_quantize(s, O.sw_symbol(s, np.eye(s.d)))
-    held = [a for v in vars(s).values()
+    f = s.rescale_harmonics(np.ones(s.n_nodes), s.k_l)
+    O.lower_symbol(s, O.berezin_quantize(s, f))
+    held = [(name, a) for name, v in vars(s).items()
             for a in (v if isinstance(v, tuple) else (v,))
             if isinstance(a, np.ndarray)]
-    assert max(a.size for a in held) < s.n_nodes * s.d ** 2
+    assert max(a.size for _, a in held) < s.n_nodes * s.d ** 2
+    # no coherent vectors and no harmonic matrix: only the nodes and the
+    # weights have a row per node
+    assert {name for name, a in held if a.shape[:1] == (s.n_nodes,)} == {
+        "alpha", "beta", "nhat", "weights"}
 
 
 def test_delta_field(spec):
@@ -325,7 +399,8 @@ def _delta_field_harmonic(spec):
     """Delta = K^{-1/2} P by spherical-harmonic analysis and synthesis of
     the projector field; loses digits as the spin grows (3.4e-8 against the
     equivariant closed form at 2j = 24)."""
-    P = np.einsum("am,an->amn", spec.coherent, spec.coherent.conj())
+    v = _coherent(spec)
+    P = np.einsum("am,an->amn", v, v.conj())
     # lower symbol of E_{mn} is conj(v_m) v_n = P[a, n, m]
     L_field = np.swapaxes(P, 1, 2).reshape(spec.n_nodes, -1)
     W_field = spec.rescale_harmonics(L_field, spec.k_l ** -0.5)
@@ -536,6 +611,24 @@ def test_swf_character_support(swf_setup):
     assert np.abs(tr[1] - 0.5).max() < 1e-12
 
 
+def momentum_scaled_label(twoj, k):
+    """Orbit label 2(j/eps) of the momentum-scaled transform, eps = 1/k.
+
+    The scaling convention keeps scaled weights on the integer-spin
+    sub-lattice: eps^{-1} j must be an integer unless eps = 1 (the identity
+    relabeling), otherwise the label is rejected.
+    """
+    if k < 1 or int(k) != k:
+        raise ValueError("eps must be 1/k with integer k >= 1")
+    if k == 1:
+        return twoj
+    if (k * twoj) % 2:
+        raise ValueError(
+            "scaled weight %g/2 leaves the eps-sub-lattice of integer spins"
+            % (k * twoj))
+    return k * twoj
+
+
 def test_momentum_scaled_transform(swf_setup):
     quad, specs, pwg = swf_setup
     coef = RNG.standard_normal(pwg.dim) + 1j * RNG.standard_normal(pwg.dim)
@@ -554,9 +647,9 @@ def test_momentum_scaled_transform(swf_setup):
     # eps = 1/3 with pi = spin-1/2: 3 * (1/2) = 3/2 not in the eps-sublattice
     # of integer multiples of the base weight; the relabeling must reject it
     with pytest.raises(ValueError):
-        O.momentum_scaled_label(1, 3)
-    assert O.momentum_scaled_label(1, 2) == 2
-    assert O.momentum_scaled_label(2, 3) == 6
+        momentum_scaled_label(1, 3)
+    assert momentum_scaled_label(1, 2) == 2
+    assert momentum_scaled_label(2, 3) == 6
 
 
 def _cartan_power_residual(twoj, k, quat):
@@ -577,6 +670,11 @@ def test_cartan_power_residual():
     assert _cartan_power_residual(2, 5, e) < 1e-14
 
 
+def upper_symbol_from_lower(spec, L_field):
+    """U_A with K U_A = L_A, by harmonic rescaling with k_l^{-1}."""
+    return spec.rescale_harmonics(L_field, 1.0 / spec.k_l)
+
+
 def test_berezin(spec):
     ones = np.ones(spec.n_nodes)
     assert np.abs(O.berezin_quantize(spec, ones) - np.eye(spec.d)).max() \
@@ -586,7 +684,7 @@ def test_berezin(spec):
     # upper/lower duality
     A, B = rand_mat(spec.d), rand_mat(spec.d)
     LA, LB = O.lower_symbol(spec, A), O.lower_symbol(spec, B)
-    UA = O.upper_symbol_from_lower(spec, LA)
+    UA = upper_symbol_from_lower(spec, LA)
     tr = np.trace(A.conj().T @ B)
     assert abs(tr - np.sum(spec.weights * UA.conj() * LB)) < 1e-9 * abs(tr)
 
