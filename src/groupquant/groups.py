@@ -53,16 +53,6 @@ def irrep_labels(group, band):
     return list(range(1, band + 1))
 
 
-def verma_norm_sq(lam, k):
-    """prod_{l=1..k} l*(lam+1-l); 1 at k=0; null vector at k = lam+1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for l in range(1, k + 1):
-        out *= l * (lam + 1 - l)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quaternions (N,4) arrays; scalar inputs accepted everywhere
 # ---------------------------------------------------------------------------

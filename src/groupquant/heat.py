@@ -19,6 +19,11 @@ m-sum of `_kernels.itn_denominator`, evaluated in its Poisson-dual form
 over k: the k = 0 term alone gives exactly t^3 n / 8, and the k >= 1
 terms, of order e^{-4 pi^2 k^2 / t}, make the deviation that `table1`
 prints (5.7e-8 relative at (t, n) = (4, 1), 3.4e-4 at (8, 1)).
+
+`schur_residual_su2` folds the radial integral of the SU(2) resolution
+operator into one diagonal R; the angular integral of D(g_theta) diag(R)
+D(g_theta)^* is then an operator-field integral of `orbits` on the orbit's
+product grid, with no Wigner D matrix at the nodes.
 """
 
 import math
@@ -29,8 +34,8 @@ import numpy as np
 from . import groups as G
 from ._kernels import (ITN_T_MAX, _gauss_legendre, itn_denominator,
                        su2_norm_series)
+from .orbits import OrbitSpec, _from_field
 from .theta import theta3, theta3_dz
-from .wigner import wigner_D_euler_grid
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -63,18 +68,6 @@ class PolarPoint:
     @staticmethod
     def su2(q, X):
         return PolarPoint(G.SU2, G.GroupElement.su2(q), np.asarray(X, float))
-
-
-def heat_kernel(params, g):
-    """rho_t(g) = sum_pi d_pi e^{-t lam_pi / 2} chi_pi(g); on SU(2) from the
-    half angle atan2(|v|, w) of q = (w, v), accurate next to 1 and -1."""
-    t = params.t
-    if params.group == G.U1:
-        phi = g.angle if isinstance(g, G.GroupElement) else float(g)
-        return theta3(phi / (2 * math.pi), 1j * t / (2 * math.pi)).real
-    q = np.asarray(g.quat if isinstance(g, G.GroupElement) else g, float)
-    half = math.atan2(float(np.linalg.norm(q[1:])), float(q[0]))
-    return float(su2_norm_series(1j * half, t / 2.0)[0].real)
 
 
 def _su2_complex_point(p):
@@ -242,42 +235,32 @@ def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
 # Schur property of the phase-space resolution operator (SU(2))
 # ---------------------------------------------------------------------------
 
-def sphere_grid(l_exact):
-    """(theta, phi) product grid integrating spherical harmonics l <= l_exact
-    exactly; returns (theta, phi, weights) with sum(weights) = 4 pi."""
-    n_theta = l_exact // 2 + 1
-    n_phi = l_exact + 1
-    x, wx = _gauss_legendre(n_theta)
-    theta = np.arccos(x)
-    phi = 2 * math.pi * np.arange(n_phi) / n_phi
-    T, P = np.meshgrid(theta, phi, indexing="ij")
-    W = np.repeat(wx[:, None], n_phi, axis=1) * (2 * math.pi / n_phi)
-    return T.ravel(), P.ravel(), W.ravel()
-
-
 def schur_residual_su2(t, n):
     """Numerically integrated resolution operator on the irrep n and its
     deviation from a multiple of the identity.
 
-    A = int_g dX rho_{2t}(e^{-2iX})^{-1} pi_n(e^{2iX}) evaluated in spherical
-    coordinates (Weyl integration on the Lie algebra: a sphere grid exact to
-    degree 2j + 4, 80 Gauss-Legendre radial nodes); returns (A, residual)
-    with residual = ||A - (tr A / n) 1||_F / |tr A|.
+    A = int_g dX rho_{2t}(e^{-2iX})^{-1} pi_n(e^{2iX}), X = h nhat: the 80
+    Gauss-Legendre radial nodes fold into R[m] = sum_r w_r h_r^2 e^{2 h_r m}
+    / N(h_r), N the norm series; then A = int_{S^2} D(g_theta) diag(R)
+    D(g_theta)^* dtheta, 4 pi / n times the orbit map on OrbitSpec(n - 1)'s
+    tables, whose weights have mass n and whose grid is exact to degree
+    2(n - 1) + 2 against the entries' 2(n - 1). Returns (A, residual) with
+    residual = ||A - (tr A / n) 1||_F / |tr A|.
     """
-    twoj = n - 1
-    j = twoj / 2.0
-    theta, phi, wsph = sphere_grid(2 * twoj + 4)
-    D = wigner_D_euler_grid(twoj, phi, theta, np.zeros_like(phi))
-    h_max = t * (2 * j + 1) / 2.0 + 12.0 * math.sqrt(t) + 2.0
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("require an integer n >= 1; got n = %r" % (n,))
+    if not t > 0:
+        raise ValueError("require t > 0; got t = %r" % (t,))
+    spec = OrbitSpec(n - 1)
+    h_max = t * n / 2.0 + 12.0 * math.sqrt(t) + 2.0
     x, wx = _gauss_legendre(80)
     h = (x + 1.0) * h_max / 2.0
     wh = wx * h_max / 2.0
-    norm = su2_norm_series(h, t)
-    m = np.arange(twoj, -twoj - 1, -2) / 2.0
-    # radial x sphere assembly: D diag(e^{2 h m}) D^dagger
-    rad = (h * h * wh / norm)[:, None] * np.exp(2.0 * np.outer(h, m))
-    ang = np.einsum("s,sma,sna->amn", wsph, D, D.conj())
-    A = np.einsum("ra,amn->mn", rad, ang)
+    m = np.arange(spec.twoj, -spec.twoj - 1, -2) / 2.0
+    R = (h * h * wh / su2_norm_series(h, t)) @ np.exp(2.0 * np.outer(h, m))
+    A = (4 * math.pi / n) * _from_field(
+        *spec._operator_tables(R), np.ones(spec.n_nodes),
+        spec.weights).reshape(n, n)
     tr = np.trace(A)
     resid = np.linalg.norm(A - (tr / n) * np.eye(n)) / abs(tr)
     return A, float(resid)

@@ -43,7 +43,6 @@ KN = "KN"
 WEYL = "Weyl"
 
 _EPS_KEY = 1e-9
-_FD_STEP = 1e-6   # central-difference step of kernel_cutoff's d_k phi(0)
 
 
 class SymbolClassError(ValueError):
@@ -340,28 +339,6 @@ def local_quantize(s, eps, pw, variant=KN):
     return _assemble(s, _operators(s, pw), eps, pw, variant)
 
 
-def kernel_cutoff(phi, s):
-    """H(phi) sigma: multiply the momentum-side data by phi pointwise.
-
-    phi is a callable on the Lie algebra (scalar argument for U(1), 3-vector
-    for SU(2)). The momentum-linear part picks up phi(0) theta_k q_k plus
-    i (d_k phi)(0) q_k at frequency zero, with d_k phi(0) by central
-    differences of step _FD_STEP.
-    """
-    def at(y):
-        return phi(float(y[0]) if s.group == G.U1 else y)
-
-    coeffs = np.array([at(y) for y in s.lattice()])[:, None] * s.coeffs
-    phi0 = at(np.zeros(s.n_dirs)) if s.poly else 0.0
-    out = LocalSymbol(s.group, s.step, s.points.copy(), coeffs, s.g_pw,
-                      {k: phi0 * v for k, v in s.poly.items()})
-    for k, q in s.poly.items():
-        e = _FD_STEP * np.eye(s.n_dirs)[k]
-        dk = (at(e) - at(-e)) / (2 * _FD_STEP)
-        out = symbol_add(out, _at_zero(s, s.g_pw, (1j * dk) * q))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # semiclassical residuals and slope fits
 # ---------------------------------------------------------------------------
@@ -411,38 +388,3 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
     moy, dir_ = np.sqrt(sq)
     return (fit_slope(eps_list, moy), fit_slope(eps_list, dir_),
             list(moy), list(dir_))
-
-
-# ---------------------------------------------------------------------------
-# U(1) geodesic-midpoint kernel comparison
-# ---------------------------------------------------------------------------
-
-def u1_symbol_from_samples(fun, step, n_points, g_pw):
-    """LocalSymbol from samples of a smooth momentum kernel fun(Y, grid).
-
-    fun maps a lattice ordinate Y to coefficient-function values on the
-    g_pw quadrature grid; the Riemann weight (the lattice step) is absorbed
-    into the stored coefficients.
-    """
-    points = np.arange(-n_points, n_points + 1)
-    coeffs = []
-    for p in points:
-        vals = fun(step * p, g_pw.quad.angles)
-        coeffs.append(g_pw.analysis(np.asarray(vals, complex)) * step)
-    return LocalSymbol(G.U1, step, points, np.array(coeffs), g_pw)
-
-
-def u1_midpoint_operator(fun, eps, pw):
-    """Operator matrix from the midpoint kernel
-    K(x, g) = eps^{-1} fun(eps^{-1} X_{g x^{-1}}, exp(-X/2) g)."""
-    ang = pw.quad.angles
-    X = ang[:, None] - ang[None, :]           # angle of g x^{-1}: rows g
-    X = (X + math.pi) % (2 * math.pi) - math.pi
-    mid = ang[:, None] - X / 2.0
-    Kv = fun(X / eps, mid) / eps
-    # (B e_j)(g) = int K(x, g) e_j(x) dx_Riemann = 2 pi sum_k w_k K(x_k, g)
-    # e_j(x_k), and e_j = s_j conj(e_jbar): 2 pi s_j times the analysis of
-    # K(., g) at jbar; the matrix is the analysis of those images
-    images = G.VOL_U1 * (pw._dual_sign[:, None]
-                         * pw.analysis(Kv.T)[pw._dual_index]).T
-    return pw.analysis(images)

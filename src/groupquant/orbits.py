@@ -41,7 +41,9 @@ int f P_theta dmu and the harmonic analysis (conjugate phases) are
 The Stratonovich-Weyl-Fourier transform of Psi on SU(2) is, per orbit, the
 symbol W of its Fourier coefficient int Psi(g) pi(g) dg on a Haar grid
 (`swf_transform`); its kernel E(g; pi, theta) = tr(Delta(theta) pi(g)) is
-never formed.
+never formed. By the convolution theorem, the coefficient block of a group
+convolution Psi * Phi is A C / sqrt(d), A the analysis block of Psi and C
+the coefficient block of Phi (`group_convolution`).
 """
 
 import functools
@@ -283,22 +285,17 @@ def swf_parseval(psi_grid, transform, quad, specs):
 
 
 def group_convolution(psi_grid, phi_coeffs, pw, quad):
-    """(Psi * Phi)(g) = int Psi(h) Phi(h^{-1} g) dh on the grid of quad.
-
-    Phi is band-limited with Peter-Weyl coefficients phi_coeffs, so
-    Phi(h^{-1} g) = sum sqrt(d) C_ab conj(D_ca(h)) D_cb(g) and the integral
-    is, per irrep, D(g) paired with sqrt(d) Psihat C, where
-    Psihat = int Psi(h) conj(D(h)) dh.
+    """(Psi * Phi)(g) = int Psi(h) Phi(h^{-1} g) dh on pw's grid, which quad
+    must be (ValueError otherwise). Phi has Peter-Weyl coefficients
+    phi_coeffs, so Phi(h^{-1} g) = sum sqrt(d) C_ab conj(D_ca(h)) D_cb(g),
+    and the block of Psi * Phi is A C / sqrt(d), A that of pw.analysis(Psi).
     """
-    out = np.zeros(quad.n_nodes, dtype=complex)
-    wpsi = quad.weights * psi_grid
-    for lab in pw.labels:
-        D = quad.rep_grid(lab)
-        d = D.shape[1]
-        psihat = np.tensordot(wpsi, D.conj(), axes=(0, 0))
-        B = math.sqrt(d) * psihat @ pw.block(lab, phi_coeffs)
-        out += D.reshape(quad.n_nodes, d * d) @ B.ravel()
-    return out
+    pw._check_grid(quad)
+    a = pw.analysis(psi_grid)
+    blocks = [pw.block(lab, a) @ pw.block(lab, phi_coeffs)
+              for lab in pw.labels]
+    return pw.synthesis(np.concatenate(
+        [B.ravel() / math.sqrt(len(B)) for B in blocks]))
 
 
 # ---------------------------------------------------------------------------

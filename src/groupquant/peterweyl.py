@@ -138,6 +138,16 @@ class PWSpace:
             cols.append(math.sqrt(d) * D.reshape(quad.n_nodes, d * d))
         return np.concatenate(cols, axis=1)
 
+    def _check_grid(self, quad):
+        """ValueError unless quad has this space's nodes and weights: the
+        transforms sum over this space's grid, so `orbits.group_convolution`
+        and `symbols._kernel_coefficients` need their quad to be it."""
+        nodes = "angles" if self.group == G.U1 else "quats"
+        if not all(np.array_equal(getattr(self.quad, a), getattr(quad, a))
+                   for a in ("weights", nodes)):
+            raise ValueError("the quadrature must be group_quadrature(%r, %d)"
+                             % (self.group, self.quad.exactness_degree))
+
     def _reps(self, quats_or_angles):
         """Irrep matrices per label at arbitrary group elements: a list of
         (M, d, d) arrays, one batched evaluation per label."""

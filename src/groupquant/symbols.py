@@ -320,24 +320,13 @@ def _kernel_coefficients(sym, h_quad, band):
     hp the PWSpace of `band` on h_quad; ValueError unless h_quad has the
     nodes and weights of group_quadrature at its degree."""
     hp = PWSpace(sym.group, band, quad_degree=h_quad.exactness_degree)
-    nodes = "angles" if sym.group == G.U1 else "quats"
-    if not (np.array_equal(hp.quad.weights, h_quad.weights) and
-            np.array_equal(getattr(hp.quad, nodes), getattr(h_quad, nodes))):
-        raise ValueError("the h quadrature must be group_quadrature(%r, %d)"
-                         % (sym.group, h_quad.exactness_degree))
+    hp._check_grid(h_quad)
     C = np.zeros((hp.dim, sym.g_pw.dim), dtype=complex)
     for lab in sym.labels:
         d = G.dim(sym.group, lab)
         C[hp.offsets[lab]:hp.offsets[lab] + d * d] = math.sqrt(d) * (
             sym.coefficients(lab).reshape(-1, d * d).T)
     return hp, hp.synthesis(hp._dual_sign[:, None] * C[hp._dual_index])
-
-
-def kernel_values(sym, h_quad):
-    """F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g)) on the (h_quad,
-    sym.quad) double grid; h_quad must be a group_quadrature."""
-    _, coef = _kernel_coefficients(sym, h_quad, sym.pi_band)
-    return sym.g_pw.synthesis(coef.T).T
 
 
 def _deform(sym, h_quad, s, pi_band):

@@ -546,11 +546,18 @@ def test_weyl_routes_match_oracles(group, request):
     op = S.kernel_quantize(kern, pw, hq)
     assert _max_rel(op.matrix, _kernel_quantize_oracle(kern, pw, hq)) < 1e-12
     # the branch check reads F_A off the KN symbol over the operator band
-    F_A = S.kernel_values(S.kn_symbol(op, pw.band, gpw), hq)
+    F_A = kernel_values(S.kn_symbol(op, pw.band, gpw), hq)
     assert _max_rel(_left_kernel_oracle(op, hq, gpw.quad), F_A) < 1e-12
     back = S.weyl_symbol(op, pi_band, gpw, hq)
     oracle = _weyl_symbol_oracle(op, pi_band, gpw, hq)
     assert _max_rel(oracle, back.values) < 1e-12
+
+
+def kernel_values(sym, h_quad):
+    """F(h, g) = sum_pi d_pi tr(pi(h)^* sigma(pi, g)) on the (h_quad,
+    sym.quad) double grid; h_quad must be a group_quadrature."""
+    _, coef = S._kernel_coefficients(sym, h_quad, sym.pi_band)
+    return sym.g_pw.synthesis(coef.T).T
 
 
 # The rep_grid route of the Weyl deformation: F(h, g) and its h-integral
@@ -595,7 +602,7 @@ def test_weyl_deformation_matches_rep_grid_route(group, request):
     kern = S.weyl_deform(sym, hq)
     assert _max_rel(_deform_rep_grid(sym, hq, -1, pi_band), kern.K) < 1e-13
     assert _max_rel(_kernel_values_rep_grid(sym, hq),
-                    S.kernel_values(sym, hq)) < 1e-13
+                    kernel_values(sym, hq)) < 1e-13
     # weyl_symbol deforms the KN symbol over the whole operator band, above
     # both output bands
     op = S.kernel_quantize(kern, pw, hq)
@@ -640,7 +647,7 @@ def test_weyl_rejects_other_h_grids():
         with pytest.raises(ValueError, match="group_quadrature"):
             S.weyl_deform(sym, hq)
         with pytest.raises(ValueError, match="group_quadrature"):
-            S.kernel_values(sym, hq)
+            kernel_values(sym, hq)
 
 
 def test_weyl_element_orthogonality_u1():
@@ -880,6 +887,31 @@ def test_poisson_bracket_lie_part_su2():
     assert np.abs(resid).max() < 1e-12
 
 
+_FD_STEP = 1e-6   # central-difference step of kernel_cutoff's d_k phi(0)
+
+
+def kernel_cutoff(phi, s):
+    """H(phi) sigma: multiply the momentum-side data by phi pointwise.
+
+    phi is a callable on the Lie algebra (scalar argument for U(1), 3-vector
+    for SU(2)). The momentum-linear part picks up phi(0) theta_k q_k plus
+    i (d_k phi)(0) q_k at frequency zero, with d_k phi(0) by central
+    differences of step _FD_STEP.
+    """
+    def at(y):
+        return phi(float(y[0]) if s.group == G.U1 else y)
+
+    coeffs = np.array([at(y) for y in s.lattice()])[:, None] * s.coeffs
+    phi0 = at(np.zeros(s.n_dirs)) if s.poly else 0.0
+    out = L.LocalSymbol(s.group, s.step, s.points.copy(), coeffs, s.g_pw,
+                        {k: phi0 * v for k, v in s.poly.items()})
+    for k, q in s.poly.items():
+        e = _FD_STEP * np.eye(s.n_dirs)[k]
+        dk = (at(e) - at(-e)) / (2 * _FD_STEP)
+        out = L.symbol_add(out, L._at_zero(s, s.g_pw, (1j * dk) * q))
+    return out
+
+
 def test_kernel_cutoff(local_u1):
     gpw, pw = local_u1
     pts = np.arange(-2, 3)
@@ -887,20 +919,20 @@ def test_kernel_cutoff(local_u1):
         (5, gpw.dim))
     qc = gpw.analysis(np.ones(gpw.quad.n_nodes, complex))
     s = L.LocalSymbol(G.U1, 0.4, pts, cs, gpw, {0: qc})
-    out = L.kernel_cutoff(lambda y: 1.0, s)
+    out = kernel_cutoff(lambda y: 1.0, s)
     assert np.abs(out.coeffs - s.coeffs).max() == 0.0
     assert np.abs(out.poly[0] - s.poly[0]).max() == 0.0
     # phi = c Y: H(phi) sigma = c i d_theta sigma; with phi = 1 above, this
     # is H(1 + c Y) by linearity. Central differences of c Y are exact up to
     # the rounding of c Y itself
     c = 0.37
-    out2 = L.kernel_cutoff(lambda y: c * y, s)
+    out2 = kernel_cutoff(lambda y: c * y, s)
     expect = L.theta_derivative(s, 0).scaled(1j * c)
     Qo = L.local_quantize(out2, 0.25, pw, L.KN)
     Qe = L.local_quantize(expect, 0.25, pw, L.KN)
     assert np.abs(Qo - Qe).max() < 1e-12
     # phi(0) = 0 and flat at 0 suppresses the frequency-zero mass
-    out3 = L.kernel_cutoff(lambda y: 0.0 if abs(y) < 1e-12 else 1.0, s)
+    out3 = kernel_cutoff(lambda y: 0.0 if abs(y) < 1e-12 else 1.0, s)
     i0 = [i for i, p in enumerate(out3.points) if p == 0][0]
     assert np.abs(out3.coeffs[i0]).max() == 0.0
     if 0 in out3.poly:
@@ -927,6 +959,37 @@ def test_support_invariant():
                       np.ones((1, gpw.dim), complex), gpw)
 
 
+def u1_symbol_from_samples(fun, step, n_points, g_pw):
+    """LocalSymbol from samples of a smooth momentum kernel fun(Y, grid).
+
+    fun maps a lattice ordinate Y to coefficient-function values on the
+    g_pw quadrature grid; the Riemann weight (the lattice step) is absorbed
+    into the stored coefficients.
+    """
+    points = np.arange(-n_points, n_points + 1)
+    coeffs = []
+    for p in points:
+        vals = fun(step * p, g_pw.quad.angles)
+        coeffs.append(g_pw.analysis(np.asarray(vals, complex)) * step)
+    return L.LocalSymbol(G.U1, step, points, np.array(coeffs), g_pw)
+
+
+def u1_midpoint_operator(fun, eps, pw):
+    """Operator matrix from the midpoint kernel
+    K(x, g) = eps^{-1} fun(eps^{-1} X_{g x^{-1}}, exp(-X/2) g)."""
+    ang = pw.quad.angles
+    X = ang[:, None] - ang[None, :]           # angle of g x^{-1}: rows g
+    X = (X + math.pi) % (2 * math.pi) - math.pi
+    mid = ang[:, None] - X / 2.0
+    Kv = fun(X / eps, mid) / eps
+    # (B e_j)(g) = int K(x, g) e_j(x) dx_Riemann = 2 pi sum_k w_k K(x_k, g)
+    # e_j(x_k), and e_j = s_j conj(e_jbar): 2 pi s_j times the analysis of
+    # K(., g) at jbar; the matrix is the analysis of those images
+    images = G.VOL_U1 * (pw._dual_sign[:, None]
+                         * pw.analysis(Kv.T)[pw._dual_index]).T
+    return pw.analysis(images)
+
+
 def test_midpoint_kernel():
     def bump(Y, phis):
         Y = np.asarray(Y)
@@ -934,10 +997,10 @@ def test_midpoint_kernel():
 
     pwm = PWSpace(G.U1, 30, quad_degree=100)
     gsm = S.make_g_space(G.U1, 1, quad_degree=10)
-    sym = L.u1_symbol_from_samples(bump, 0.05, 60, gsm)
+    sym = u1_symbol_from_samples(bump, 0.05, 60, gsm)
     for eps in (0.25, 0.125):
         QW = L.local_quantize(sym, eps, pwm, L.WEYL)
-        B = L.u1_midpoint_operator(bump, eps, pwm)
+        B = u1_midpoint_operator(bump, eps, pwm)
         assert np.abs(QW - B).max() < 1e-10 * np.abs(QW).max()
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,28 +10,42 @@ import pytest
 
 from groupquant import groups as G
 from groupquant import heat as H
-from groupquant._kernels import ITN_T_MAX, itn_denominator
+from groupquant._kernels import (ITN_T_MAX, _gauss_legendre, itn_denominator,
+                                 su2_norm_series)
 from groupquant.theta import theta3
+from groupquant.wigner import wigner_D_euler_grid
 
 RNG = np.random.default_rng(11)
+
+
+def heat_kernel(params, g):
+    """rho_t(g) = sum_pi d_pi e^{-t lam_pi / 2} chi_pi(g); on SU(2) from the
+    half angle atan2(|v|, w) of q = (w, v), accurate next to 1 and -1."""
+    t = params.t
+    if params.group == G.U1:
+        phi = g.angle if isinstance(g, G.GroupElement) else float(g)
+        return theta3(phi / (2 * math.pi), 1j * t / (2 * math.pi)).real
+    q = np.asarray(g.quat if isinstance(g, G.GroupElement) else g, float)
+    half = math.atan2(float(np.linalg.norm(q[1:])), float(q[0]))
+    return float(su2_norm_series(1j * half, t / 2.0)[0].real)
 
 
 def test_heat_kernel_u1_value():
     params = H.HeatParams(G.U1, 1.0)
     oracle = sum(math.exp(-j * j / 2.0) for j in range(-60, 61))
-    assert abs(H.heat_kernel(params, 0.0) - oracle) < 1e-13
+    assert abs(heat_kernel(params, 0.0) - oracle) < 1e-13
     assert abs(oracle - 2.5066282880429053) < 1e-12
 
 
 def test_heat_kernel_normalized():
     params = H.HeatParams(G.U1, 0.8)
     quad = G.u1_quadrature(40)
-    vals = np.array([H.heat_kernel(params, G.GroupElement.u1(p))
+    vals = np.array([heat_kernel(params, G.GroupElement.u1(p))
                      for p in quad.angles])
     assert abs(vals @ quad.weights - 1.0) < 1e-12
     ps = H.HeatParams(G.SU2, 1.0)
     quad2 = G.su2_quadrature(10)
-    vals2 = np.array([H.heat_kernel(ps, G.GroupElement.su2(q))
+    vals2 = np.array([heat_kernel(ps, G.GroupElement.su2(q))
                       for q in quad2.quats])
     assert abs(vals2 @ quad2.weights - 1.0) < 1e-12
 
@@ -44,7 +59,7 @@ def test_heat_kernel_positive():
             else:
                 g = G.GroupElement.su2(
                     G.quat_normalize(RNG.standard_normal(4)))
-            assert H.heat_kernel(params, g) > 0.0
+            assert heat_kernel(params, g) > 0.0
 
 
 def test_su2_series_loop_oracle():
@@ -64,7 +79,7 @@ def test_su2_series_loop_oracle():
             else:
                 chi = math.sin(n * ang / 2.0) / math.sin(ang / 2.0)
             terms.append(n * math.exp(-t * (n * n - 1) / 8.0) * chi)
-        val = H.heat_kernel(params, G.GroupElement.su2(q))
+        val = heat_kernel(params, G.GroupElement.su2(q))
         assert abs(val - math.fsum(terms)) <= 1e-14 * sum(map(abs, terms))
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -181,7 +196,7 @@ def test_su2_heat_kernel_near_antipode(t):
                 mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for x in v)),
                 mpmath.mpf(q[0]))
         ref, scale = _antipode_series_mp(eps, t / 2.0)
-        val = H.heat_kernel(params, q)
+        val = heat_kernel(params, q)
         assert val > 0.0
         assert abs(val - float(ref)) <= 1e-14 * float(scale)
 
@@ -193,7 +208,7 @@ def test_u1_heat_kernel_antipode():
     t = 0.2
     with mpmath.workdps(40):
         ref = mpmath.jtheta(3, mpmath.pi / 2, mpmath.exp(-mpmath.mpf(t) / 2))
-    val = H.heat_kernel(H.HeatParams(G.U1, t), math.pi)
+    val = heat_kernel(H.HeatParams(G.U1, t), math.pi)
     assert abs(val - float(ref)) <= 1e-14 * float(ref)
 
 
@@ -441,6 +456,54 @@ def test_schur_residual():
         assert r < 1e-6
         diag = np.diag(A).real
         assert np.abs(diag - diag.mean()).max() < 1e-6 * abs(diag.mean())
+
+
+def sphere_grid(l_exact):
+    """(theta, phi) product grid integrating spherical harmonics l <= l_exact
+    exactly; returns (theta, phi, weights) with sum(weights) = 4 pi."""
+    n_theta = l_exact // 2 + 1
+    n_phi = l_exact + 1
+    x, wx = _gauss_legendre(n_theta)
+    theta = np.arccos(x)
+    phi = 2 * math.pi * np.arange(n_phi) / n_phi
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    W = np.repeat(wx[:, None], n_phi, axis=1) * (2 * math.pi / n_phi)
+    return T.ravel(), P.ravel(), W.ravel()
+
+
+def _schur_operator_sphere_grid(t, n):
+    """The resolution operator of schur_residual_su2 assembled on a sphere
+    grid exact to degree 2(n - 1) + 4, with the Wigner D matrices at its
+    nodes and a (radial x angle) sum: D diag(e^{2 h m}) D^dagger."""
+    twoj = n - 1
+    theta, phi, wsph = sphere_grid(2 * twoj + 4)
+    D = wigner_D_euler_grid(twoj, phi, theta, np.zeros_like(phi))
+    h_max = t * n / 2.0 + 12.0 * math.sqrt(t) + 2.0
+    x, wx = _gauss_legendre(80)
+    h = (x + 1.0) * h_max / 2.0
+    wh = wx * h_max / 2.0
+    m = np.arange(twoj, -twoj - 1, -2) / 2.0
+    rad = (h * h * wh / su2_norm_series(h, t))[:, None] * np.exp(
+        2.0 * np.outer(h, m))
+    ang = np.einsum("s,sma,sna->amn", wsph, D, D.conj())
+    return np.einsum("ra,amn->mn", rad, ang)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_schur_operator_sphere_grid_oracle(t):
+    for n in range(1, 9):
+        A, _ = H.schur_residual_su2(t, n)
+        ref = _schur_operator_sphere_grid(t, n)
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("t, n, message", [
+    (0.0, 2, "require t > 0"), (-1.0, 2, "require t > 0"),
+    (1.0, 0, "require an integer n >= 1"),
+    (1.0, 2.5, "require an integer n >= 1")])
+def test_schur_residual_rejects_bad_input(t, n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        H.schur_residual_su2(t, n)
 
 
 def test_measure_equiv_ratio():

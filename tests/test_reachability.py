@@ -16,6 +16,7 @@ import inspect
 import io
 import pkgutil
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -33,7 +34,11 @@ worker.import_library()
 
 import workloads  # noqa: E402
 
-# the "One small run of each CLI command" step of the numpy-only CI job
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+CLI_STEP = "One small run of each CLI command"
+
+# the CLI_STEP step of the numpy-only CI job, pinned by
+# test_cli_runs_are_the_ci_step
 CLI_RUNS = [
     ["--cmd", "table1"],
     ["--cmd", "table1", "--t", "8"],
@@ -45,30 +50,20 @@ CLI_RUNS = [
     ["--cmd", "bohr-props"],
 ]
 
-_GLOBAL = ("global KN/Weyl calculus, run by tests only; whether a command "
-           "runs it is the next re-anchor's decision (ROADMAP item 11)")
+_GLOBAL = ("global KN/Weyl calculus, run by tests only until the global-su2 "
+           "workload runs it with the benchmark's maintenance change "
+           "(decided in ROADMAP item 11; the change is item 6)")
 
 UNREACHED = {
     "symbols.identity_symbol": _GLOBAL,
     "symbols.function_symbol": _GLOBAL,
     "symbols.momentum_symbol": _GLOBAL,
-    "symbols.kernel_values": _GLOBAL,
     "symbols.weyl_quantize": _GLOBAL,
-    "heat.heat_kernel": "the heat kernel rho_t itself; the commands use "
-                        "its overlaps and norm series",
     "heat.measure_equiv_ratio": "the paper's measure equivalence on T*SU(2) "
                                 "as t -> 0; no command reports it",
-    "groups.verma_norm_sq": "Verma-module norms, the positivity that fixes "
-                            "integral highest weights; no command reports it",
     "localcalc.local_quantize": "the local calculus's entry point; "
                                 "ensemble_order_fit runs its two halves, "
                                 "_operators and _assemble",
-    "localcalc.kernel_cutoff": "the momentum cutoff H(phi) of the local "
-                               "calculus; no command applies one",
-    "localcalc.u1_symbol_from_samples": "the U(1) midpoint-kernel "
-                                        "comparison, run by tests only",
-    "localcalc.u1_midpoint_operator": "the U(1) midpoint-kernel "
-                                      "comparison, run by tests only",
     "orbits.lower_symbol": "Berezin lower symbol on the orbit; sw-props "
                            "reports the SW and Berezin maps only",
     "bohr.RationalLattice.contains": "membership of a caller's point; the "
@@ -142,6 +137,29 @@ def test_unreached_functions_are_the_listed_ones():
     unreached = {name for name, code in _public_functions().items()
                  if code not in entered}
     assert unreached == set(UNREACHED)
+
+
+def _ci_step_commands(text, step):
+    """argv of each `groupquant` line in the run block of the workflow step
+    named `step`, read as text: from its `- name:` line to the next one."""
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.strip() == "- name: " + step:
+            break
+    else:
+        raise AssertionError("no step %r in the workflow" % step)
+    out = []
+    for line in lines:
+        if line.strip().startswith("- name:"):
+            break
+        words = shlex.split(line)
+        if words[:1] == ["groupquant"]:
+            out.append(words[1:])
+    return out
+
+
+def test_cli_runs_are_the_ci_step():
+    assert _ci_step_commands(WORKFLOW.read_text(), CLI_STEP) == CLI_RUNS
 
 
 def test_listed_functions_are_tested_elsewhere():

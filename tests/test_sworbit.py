@@ -498,6 +498,39 @@ def _group_convolution_nodes(psi_grid, phi_coeffs, pw, quad):
     return out
 
 
+def _group_convolution_rep_grid(psi_grid, phi_coeffs, pw, quad):
+    """(Psi * Phi)(g) per irrep: D(g) paired with sqrt(d) Psihat C, where
+    Psihat = int Psi(h) conj(D(h)) dh, from the irrep matrices at every
+    node of quad."""
+    out = np.zeros(quad.n_nodes, dtype=complex)
+    wpsi = quad.weights * psi_grid
+    for lab in pw.labels:
+        D = quad.rep_grid(lab)
+        d = D.shape[1]
+        psihat = np.tensordot(wpsi, D.conj(), axes=(0, 0))
+        B = math.sqrt(d) * psihat @ pw.block(lab, phi_coeffs)
+        out += D.reshape(quad.n_nodes, d * d) @ B.ravel()
+    return out
+
+
+def test_group_convolution_rep_grid_oracle(swf_setup):
+    quad, _, pwg = swf_setup
+    coef = RNG.standard_normal(pwg.dim) + 1j * RNG.standard_normal(pwg.dim)
+    coef2 = RNG.standard_normal(pwg.dim) + 1j * RNG.standard_normal(pwg.dim)
+    psi = pwg.eval_basis(quad.quats) @ coef
+    ref = _group_convolution_rep_grid(psi, coef2, pwg, quad)
+    conv = O.group_convolution(psi, coef2, pwg, quad)
+    assert np.abs(conv - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+def test_group_convolution_rejects_other_grid(swf_setup):
+    quad, _, pwg = swf_setup
+    other = G.su2_quadrature(quad.exactness_degree + 1)
+    psi = np.ones(other.n_nodes, dtype=complex)
+    with pytest.raises(ValueError, match="group_quadrature"):
+        O.group_convolution(psi, np.ones(pwg.dim), pwg, other)
+
+
 def test_group_convolution_nodes_oracle(swf_setup):
     quad, _, pwg = swf_setup
     coef = RNG.standard_normal(pwg.dim) + 1j * RNG.standard_normal(pwg.dim)
