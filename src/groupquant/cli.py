@@ -100,8 +100,8 @@ def _moyal_fit(rng, eps_list, n_pairs, group, step, pts, bands, in_band):
     bands are the (band, quad_degree) of the g-space, the product space and
     the operator space."""
     from . import localcalc as L
-    from .peterweyl import PWSpace
-    gpw, gout, pw = (PWSpace(group, b, quad_degree=q) for b, q in bands)
+    from .peterweyl import space
+    gpw, gout, pw = (space(group, b, q) for b, q in bands)
 
     def rand():
         shape = (len(pts), gpw.dim)

@@ -12,7 +12,7 @@ constants for the places that need the unnormalized measure.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,22 +190,10 @@ class Quadrature:
     quats: np.ndarray = None      # SU(2): node quaternions (N,4)
     euler: tuple = None           # SU(2): (alpha, beta, gamma) arrays
     shape: tuple = None           # SU(2): (n_alpha, n_beta, n_gamma) axes
-    _rep_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self):
         return len(self.weights)
-
-    def rep_grid(self, label):
-        """Irrep matrices at all nodes, shape (N, d, d); cached."""
-        if label in self._rep_cache:
-            return self._rep_cache[label]
-        if self.group == U1:
-            out = np.exp(1j * label * self.angles)[:, None, None]
-        else:
-            out = wigner_D_euler_grid(label - 1, *self.euler)
-        self._rep_cache[label] = out
-        return out
 
 
 def u1_quadrature(degree):

@@ -246,6 +246,10 @@ def schur_residual_su2(t, n):
     tables, whose weights have mass n and whose grid is exact to degree
     2(n - 1) + 2 against the entries' 2(n - 1). Returns (A, residual) with
     residual = ||A - (tr A / n) 1||_F / |tr A|.
+
+    Schur's lemma makes A a multiple of 1 whatever R is, so the residual
+    sees the angular half only; the radial half is the multiple, tr A / n =
+    4 pi e^{t (n^2 - 1) / 4} I(t, n) / n, I = `resolution_integral_su2`.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("require an integer n >= 1; got n = %r" % (n,))

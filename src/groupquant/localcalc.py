@@ -259,8 +259,9 @@ def _exp_points(group, Y):
 
 def _grid_values(g_pw, coeffs, pw):
     """Values on pw's quadrature grid, (N, rows), of the functions whose g_pw
-    coefficients are the rows of coeffs."""
-    return pw.synthesis(pw.pad(g_pw, np.transpose(coeffs)))
+    coefficients are the rows of coeffs: a synthesis of g_pw's band on that
+    grid. g_pw's band must not exceed pw's (ValueError)."""
+    return pw._band_space(g_pw.band).synthesis(np.transpose(coeffs))
 
 
 def _operators(s, pw, in_band=None):

@@ -40,10 +40,12 @@ int f P_theta dmu and the harmonic analysis (conjugate phases) are
 
 The Stratonovich-Weyl-Fourier transform of Psi on SU(2) is, per orbit, the
 symbol W of its Fourier coefficient int Psi(g) pi(g) dg on a Haar grid
-(`swf_transform`); its kernel E(g; pi, theta) = tr(Delta(theta) pi(g)) is
-never formed. By the convolution theorem, the coefficient block of a group
-convolution Psi * Phi is A C / sqrt(d), A the analysis block of Psi and C
-the coefficient block of Phi (`group_convolution`).
+(`swf_transform`), read off one Peter-Weyl analysis; its inverse is one
+quantization per orbit and one synthesis (`swf_inverse`). Neither forms
+the kernel E(g; pi, theta) = tr(Delta(theta) pi(g)). By the convolution
+theorem, the coefficient block of a group convolution Psi * Phi is
+A C / sqrt(d), A the analysis block of Psi and C the coefficient block of
+Phi (`group_convolution`).
 """
 
 import functools
@@ -51,7 +53,9 @@ import math
 
 import numpy as np
 
+from . import groups as G
 from ._kernels import _gauss_legendre, _jy_eigh, wigner_d_grid
+from .peterweyl import space
 
 
 def kernel_eigenvalues(twoj, lmax=None):
@@ -252,28 +256,28 @@ def sw_twisted_product(spec, WA, WB):
 # ---------------------------------------------------------------------------
 
 def swf_transform(psi_grid, quad, specs):
-    """F_SW[Psi](pi, theta) = W of Psihat(pi) for each orbit in specs."""
-    out = {}
-    for spec in specs:
-        D = quad.rep_grid(spec.twoj + 1)
-        psihat = np.einsum("k,k,kmn->mn", quad.weights, psi_grid, D)
-        out[spec.twoj] = sw_symbol(spec, psihat)
-    return out
+    """F_SW[Psi](pi, theta) = W of Psihat(pi) for each orbit in specs, with
+    Psihat(pi) = int Psi(g) pi(g) dg read off the analysis of conj Psi on
+    quad, a group_quadrature: the conjugate of pi's block over sqrt(d)."""
+    pw = space(G.SU2, max(spec.d for spec in specs), quad.exactness_degree)
+    pw._check_grid(quad)
+    c = pw.analysis(np.conj(psi_grid))
+    return {spec.twoj: sw_symbol(spec, pw.block(spec.d, c).conj()
+                                 / math.sqrt(spec.d)) for spec in specs}
 
 
 def swf_inverse(transform, quad, specs):
-    """Psi(g) = sum_pi d_pi int conj(E(g; pi, theta)) F(pi, theta) dmu.
-
-    Delta(theta) is Hermitian, so conj(E(g; pi, theta)) = tr(Delta(theta)
-    pi(g)^*) and the orbit integral is d_pi tr(Q^SW(F) pi(g)^*): one
-    quantization per orbit and one matrix product with the group nodes'
-    conj(pi(g)), raveled to (n_g, d^2)."""
-    out = np.zeros(quad.n_nodes, dtype=complex)
+    """Psi(g) = sum_pi d_pi int conj(E(g; pi, theta)) F(pi, theta) dmu =
+    sum_pi d_pi tr(Q^SW(F) pi(g)^*), Delta(theta) being Hermitian: the
+    conjugate of one synthesis on quad, a group_quadrature, of the blocks
+    sqrt(d) conj(Q^SW(F))."""
+    pw = space(G.SU2, max(spec.d for spec in specs), quad.exactness_degree)
+    pw._check_grid(quad)
+    c = np.zeros(pw.dim, dtype=complex)
     for spec in specs:
-        D = quad.rep_grid(spec.twoj + 1)
-        A = sw_quantize(spec, transform[spec.twoj])
-        out += spec.d * (D.conj().reshape(quad.n_nodes, -1) @ A.ravel())
-    return out
+        pw.block(spec.d, c)[:] = math.sqrt(spec.d) * np.conj(
+            sw_quantize(spec, transform[spec.twoj]))
+    return pw.synthesis(c).conj()
 
 
 def swf_parseval(psi_grid, transform, quad, specs):

@@ -17,20 +17,22 @@ On SU(2) the quadrature is a product grid: uniform alpha and gamma on
     e_(n,a,b)(alpha, beta, gamma) = e^{-i m_a alpha} sqrt(n) d^n_ab(beta)
                                     e^{-i m_b gamma},
 
-which is the separation of variables of Kostelec & Rockmore, "FFTs on the
-Rotation Group", J. Fourier Anal. Appl. 14 (2008) 145. The space keeps only
-its factors: the phase tables e^{-i m alpha} and e^{-i m gamma} over the
-2B - 1 twice-weights 2m, and one real d-table sqrt(n) d^n_ab(beta) of shape
-(n_beta, dim). `synthesis` takes the sum sum_i e_i(g_k) c_i first over the
-modes of each row twice-weight 2m_a, against the d-table times the gamma
-phases, and then over the row twice-weights, one matrix product with the
-alpha phase table; `analysis` takes the quadrature sum
-sum_k w_k conj(e_i(g_k)) f(g_k) in the reverse order. Both are the dense
-sums E @ c and _EW @ f reordered, so they agree with them for any grid
-values, band-limited or not, at O(B^5) operations per column against
-O(B^6), with temporaries of a few MB or of one beta node. On U(1) both are
-one FFT. The dense E and _EW are cached properties, built only when read:
-the test oracles read them, the library does not.
+the separation of variables of Kostelec & Rockmore, "FFTs on the Rotation
+Group", J. Fourier Anal. Appl. 14 (2008) 145. The space keeps only its
+factors: the phase tables e^{-i m alpha} and e^{-i m gamma} over the 2B - 1
+twice-weights 2m, and one real d-table sqrt(n) d^n_ab(beta), (n_beta, dim).
+`synthesis` sums first over the modes of each row twice-weight 2m_a,
+against the d-table times the gamma phases, then over the row
+twice-weights by one matrix product with the alpha phase table; `analysis`
+takes the quadrature sum in the reverse order. Both are the dense sums
+E @ c and _EW @ f reordered, equal to them for any grid values, at O(B^5)
+operations per column against O(B^6). On U(1) both are one FFT.
+
+No other module evaluates the basis on a grid: `_grid_reps` multiplies
+irrep matrices at the nodes out of the factors and keeps nothing, and data
+of band b on the grid of degree q is transformed, unpadded, by the memoised
+`space(group, b, q)`. The library never reads the dense E (`eval_basis` at
+the nodes) or _EW, cached properties for the oracles.
 
 Complex conjugation permutes the basis up to sign. By conj(D^n_ab) =
 (-1)^{a-b} D^n_{n-1-a, n-1-b} on SU(2) and conj(e^{ij phi}) = e^{-ij phi}
@@ -60,6 +62,12 @@ from .wigner import su2_generator, wigner_D_euler_grid
 _BLOCK = 1 << 18
 
 
+@functools.lru_cache(maxsize=32)
+def space(group, band, quad_degree):
+    """The PWSpace of (group, band, quad_degree), shared: do not change it."""
+    return PWSpace(group, band, quad_degree)
+
+
 class PWSpace:
     def __init__(self, group, band, quad_degree=None):
         self.group = group
@@ -86,7 +94,6 @@ class PWSpace:
         self._dual_sign = (-1.0) ** np.array([a + b for _, a, b in self.index])
         if group == G.SU2:
             self._euler_tables()
-        self._shift = None   # built by the first SU(2) multiplication
 
     def _euler_tables(self):
         """The factors of the SU(2) basis on the Euler product grid.
@@ -120,28 +127,40 @@ class PWSpace:
 
     @functools.cached_property
     def E(self):
-        """Dense basis matrix on the quadrature nodes, (N, dim): built on
-        first use, for the dense oracles; the transforms never read it."""
-        return self._basis_matrix(self.quad)
+        """Dense basis matrix (N, dim), `eval_basis` at the nodes: built on
+        first use, for the dense oracles."""
+        return self.eval_basis(self.quad.angles if self.group == G.U1
+                               else self.quad.quats)
 
     @functools.cached_property
     def _EW(self):
         """Dense analysis matrix conj(E)^T diag(w), built on first use."""
         return (self.E.conj() * self.quad.weights[:, None]).T
 
-    def _basis_matrix(self, quad):
-        """Basis matrix on any quadrature's nodes, from its cached rep_grid."""
-        cols = []
-        for lab in self.labels:
-            d = G.dim(self.group, lab)
-            D = quad.rep_grid(lab)
-            cols.append(math.sqrt(d) * D.reshape(quad.n_nodes, d * d))
-        return np.concatenate(cols, axis=1)
+    def _grid_reps(self, lab):
+        """The matrices of irrep lab, one of this space's labels, at its
+        nodes, (N, d, d), multiplied out of the factor tables and not kept:
+        D_ab = e^{-i m_a alpha} d_ab(beta) e^{-i m_b gamma} on SU(2),
+        e^{i lab phi} on U(1)."""
+        if self.group == G.U1:
+            return np.exp(1j * lab * self.quad.angles)[:, None, None]
+        u = np.arange(self.band - lab, self.band + lab - 1, 2)
+        o = self.offsets[lab]
+        d = self._dtable[:, o:o + lab * lab].reshape(-1, lab, lab)
+        D = (self._phase_a[:, None, None, u, None]
+             * (d[:, None] / math.sqrt(lab)) * self._phase_g[:, None, u])
+        return D.reshape(self.quad.n_nodes, lab, lab)
+
+    def _band_space(self, band):
+        """`space` of a band up to this one's (else ValueError) on its grid."""
+        if band > self.band:
+            raise ValueError("coefficient band %d exceeds the target band %d"
+                             % (band, self.band))
+        return space(self.group, band, self.quad.exactness_degree)
 
     def _check_grid(self, quad):
-        """ValueError unless quad has this space's nodes and weights: the
-        transforms sum over this space's grid, so `orbits.group_convolution`
-        and `symbols._kernel_coefficients` need their quad to be it."""
+        """ValueError unless quad has this space's nodes and weights, the
+        grid that its transforms sum over."""
         nodes = "angles" if self.group == G.U1 else "quats"
         if not all(np.array_equal(getattr(self.quad, a), getattr(quad, a))
                    for a in ("weights", nodes)):
@@ -271,26 +290,6 @@ class PWSpace:
         o = self.offsets[lab]
         return mat[o:o + d * d].reshape(d, d)
 
-    def sub_rows(self, sub):
-        """The row of this basis that holds each basis index of `sub`, a
-        space of the same group whose band is not larger (ValueError
-        otherwise): a label's basis functions sqrt(d) D_ab are the same in
-        both spaces, at other offsets."""
-        if sub.band > self.band:
-            raise ValueError("coefficient band %d exceeds the target band %d"
-                             % (sub.band, self.band))
-        return np.array([self.offsets[lab] - sub.offsets[lab] + i
-                         for i, (lab, _, _) in enumerate(sub.index)])
-
-    def pad(self, sub, coeffs):
-        """Coefficients (sub.dim, ...) on `sub`'s basis zero-padded into this
-        basis, (dim, ...): `synthesis` of the result evaluates them on this
-        space's grid."""
-        c = np.asarray(coeffs)
-        out = np.zeros((self.dim,) + c.shape[1:], dtype=complex)
-        out[self.sub_rows(sub)] = c
-        return out
-
     # -- block-diagonal operators -------------------------------------------
 
     def _generators(self, k):
@@ -364,7 +363,7 @@ class PWSpace:
             lab = np.array(self.labels)
             return np.fft.fft(f)[np.subtract.outer(lab, lab[cols])
                                  % len(f)] / len(f)
-        shift = self._shift_table()[:, cols]
+        shift = self._shift[:, cols]
         n_alpha, n_beta, n_gamma = self.quad.shape
         F = np.fft.ifft2(f.reshape(self.quad.shape), axes=(0, 2))
         F = F.transpose(1, 0, 2).reshape(n_beta, n_alpha * n_gamma)
@@ -373,14 +372,12 @@ class PWSpace:
             out += np.outer(w * e, e[cols]) * Fb[shift]
         return out
 
-    def _shift_table(self):
+    @functools.cached_property
+    def _shift(self):
         """Flat (alpha, gamma) frequency index of each entry of an SU(2)
         multiplication operator, built on first use."""
-        if self._shift is None:
-            n_alpha, _, n_gamma = self.quad.shape
-            two_ma = np.array([lab - 1 - 2 * a for lab, a, _ in self.index])
-            two_mb = np.array([lab - 1 - 2 * b for lab, _, b in self.index])
-            self._shift = (
-                np.subtract.outer(two_ma, two_ma) % n_alpha * n_gamma
+        n_alpha, _, n_gamma = self.quad.shape
+        two_ma = np.array([lab - 1 - 2 * a for lab, a, _ in self.index])
+        two_mb = np.array([lab - 1 - 2 * b for lab, _, b in self.index])
+        return (np.subtract.outer(two_ma, two_ma) % n_alpha * n_gamma
                 + np.subtract.outer(two_mb, two_mb) % n_gamma)
-        return self._shift

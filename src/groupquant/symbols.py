@@ -25,18 +25,18 @@ kn_quantize to the columns within the symbol's pi-band. By Schur's
 conjugation identity conj(e_i) = s_i e_ibar (peterweyl), kn_quantize and
 kn_symbol read Psihat_i(pi) and pi^* off an index map. Left translation of
 coefficients, rho(h^{-1} g) = rho(h)^* rho(g), lets kn_compose translate a
-band-limited symbol without evaluating it at the points h^{-1} g; kn_compose
-stays the direct h-quadrature of the composition integral, independent of
-the operator-product route, until the benchmark stops calling it (ROADMAP
-item 6).
+band-limited symbol without evaluating it at the points h^{-1} g.
 
 deform reuses the last two on the g-band coefficients of F(h, .) at the h
 nodes, which v shifts block by block: e_(pi,a,b)(v g) = sqrt(d) sum_c
 pi(v)_ac pi(g)_cb. With j = (pi, m, n), conj(pi(h)_mn) = s_j e_jbar(h) /
 sqrt(d) makes both h sums transforms of a PWSpace hp on the h-grid: F(h, .)
 is hp's synthesis of sqrt(d) sigma's coefficients, signed and moved to jbar;
-int dh F(h, .) pi(h)_mn is s_j / sqrt(d) times hp's analysis at jbar. The
-h-grid must therefore be a group_quadrature; others raise ValueError.
+int dh F(h, .) pi(h)_mn is s_j / sqrt(d) times hp's analysis at jbar.
+
+Every grid sum is a transform of `peterweyl.space`'s space of the band it
+needs on that grid, so the grids that deform, kn_compose and values_at_quad
+are handed must be group_quadratures; others raise ValueError.
 """
 
 import math
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups as G
-from .peterweyl import PWSpace
+from .peterweyl import PWSpace, space
 
 # Weyl kernels with more relative mass than _BRANCH_TOL within _BRANCH_MARGIN
 # of the square-root branch locus are rejected
@@ -94,17 +94,18 @@ class MatrixSymbol:
         return self.g_pw.analysis(self.values[lab])
 
     def values_at_quad(self, lab, quad):
-        """Re-evaluate sigma(lab, .) on another quadrature's nodes."""
-        E = self.g_pw._basis_matrix(quad)
-        return np.tensordot(E, self.coefficients(lab), axes=(1, 0))
+        """sigma(lab, .) at a group_quadrature's nodes, else ValueError."""
+        gs = space(self.group, self.g_pw.band, quad.exactness_degree)
+        gs._check_grid(quad)
+        return gs.synthesis(self.coefficients(lab))
 
     def max_abs_diff(self, other):
         return max(np.abs(self.values[lab] - other.values[lab]).max()
                    for lab in self.values)
 
 
-def make_g_space(group, g_band, quad_degree=None):
-    return PWSpace(group, g_band, quad_degree=quad_degree)
+def make_g_space(group, g_band, quad_degree):
+    return space(group, g_band, quad_degree)
 
 
 def identity_symbol(group, pi_band, g_pw):
@@ -180,14 +181,15 @@ def kn_quantize(sym, pw):
     they drop outside the operator band, relative to their largest value.
     """
     quad = pw.quad
+    gs = pw._band_space(sym.g_pw.band)
     cols = np.flatnonzero(pw.band_mask(sym.pi_band))
     out_vals = np.zeros((len(cols), quad.n_nodes), dtype=complex)
     for lab in sym.labels:
         if lab not in pw.offsets:
             continue          # its dual label is outside pw: no columns
         d = G.dim(sym.group, lab)
-        D = quad.rep_grid(lab)
-        sig = pw.synthesis(pw.pad(sym.g_pw, sym.coefficients(lab)))
+        D = pw._grid_reps(lab)
+        sig = gs.synthesis(sym.coefficients(lab))
         # tr(pi(g)^* sigma(pi, g) Psihat_i) = sum_pm Psihat_i[p, m] X[g, p, m]
         # with Psihat_i = s_i int conj(e_ibar) pi: s_i / sqrt(d) at (p, m) =
         # the place of ibar in pi's block, zero elsewhere
@@ -213,22 +215,22 @@ def kn_symbol(op, pi_band, g_pw):
     """
     pw = op.pw
     quad = pw.quad
-    rows = pw.sub_rows(g_pw)
+    gs = pw._band_space(g_pw.band)
     vals = {}
     resid = scale = 0.0
     for lab in G.irrep_labels(pw.group, pi_band):
         if lab not in pw.labels:
             raise ValueError("operator band too small for label %r" % lab)
         d = G.dim(pw.group, lab)
-        D = quad.rep_grid(lab)
+        D = pw._grid_reps(lab)
         # A applied to the entries (pi^*)_{mn} = conj(D_nm) = s_j e_jbar /
         # sqrt(d), j = (pi, n, m): the signed dual columns of A
         j = pw.offsets[lab] + np.arange(d * d).reshape(d, d).T.ravel()
         W = pw.synthesis(op.matrix[:, pw._dual_index[j]]
                          * (pw._dual_sign[j] / math.sqrt(d)))   # (N, d*d)
         sig = np.einsum("kmn,knp->kmp", D, W.reshape(quad.n_nodes, d, d))
-        coef = pw.analysis(sig)[rows]
-        proj = pw.synthesis(pw.pad(g_pw, coef))
+        coef = gs.analysis(sig)
+        proj = gs.synthesis(coef)
         resid = max(resid, np.abs(proj - sig).max())
         scale = max(scale, np.abs(sig).max())
         vals[lab] = g_pw.synthesis(coef)
@@ -250,10 +252,11 @@ def kn_compose(sa, sb, h_quad):
     matrix product per label, Q[g, i] = sum_h w_h F_A(h, g) pi(h) c_i(h),
     and sigma_AB(pi, g) = sum_i e_i(g) Q[g, i] with sb's basis at sa's nodes.
 
-    h_quad must be exact for conj(pi'(h)) pi(h) conj(rho(h)), pi' up to
-    sa.pi_band, pi up to the result's band, rho up to sb.g_pw.band; else
-    ValueError. On U(1): 2 * degree >= the sum of the three bands; on SU(2),
-    whose bands count dimensions: 2 * degree >= that sum - 1.
+    h_quad must be a group_quadrature exact for conj(pi'(h)) pi(h)
+    conj(rho(h)), pi' up to sa.pi_band, pi up to the result's band, rho up
+    to sb.g_pw.band; else ValueError. On U(1): 2 * degree >= the sum of the
+    three bands; on SU(2), whose bands count dimensions: 2 * degree >= that
+    sum - 1.
     """
     if sa.group != sb.group:
         raise ValueError("group mismatch")
@@ -267,12 +270,15 @@ def kn_compose(sa, sb, h_quad):
             "integrand; it needs degree %d" % (h_quad.exactness_degree, need))
     g_pw, gq = sb.g_pw, sa.quad
     N_h, N_g = h_quad.n_nodes, gq.n_nodes
+    hs = space(group, max(sa.pi_band, g_pw.band), h_quad.exactness_degree)
+    hs._check_grid(h_quad)
+    Dh = {lab: hs._grid_reps(lab) for lab in hs.labels}
 
     # F_A on the (h, g) double grid, weighted, as (g, h)
-    FA = sum(G.dim(group, lab) * h_quad.rep_grid(lab).conj().reshape(N_h, -1)
+    FA = sum(G.dim(group, lab) * Dh[lab].conj().reshape(N_h, -1)
              @ v.reshape(N_g, -1).T for lab, v in sa.values.items())
     wFA = (FA * h_quad.weights[:, None]).T
-    E = g_pw._basis_matrix(gq)                # sb's g-basis at sa's nodes
+    E = g_pw.eval_basis(gq.angles if group == G.U1 else gq.quats)
 
     out = {}
     for lab in G.irrep_labels(group, pi_band):
@@ -282,9 +288,9 @@ def kn_compose(sa, sb, h_quad):
         for lab2 in g_pw.labels:
             d2 = G.dim(group, lab2)
             blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
-            T[:, blk] = (h_quad.rep_grid(lab2).conj()
-                         @ CB[blk].reshape(d2, -1)).reshape(N_h, -1, d, d)
-        T = h_quad.rep_grid(lab)[:, None] @ T
+            T[:, blk] = (Dh[lab2].conj() @ CB[blk].reshape(d2, -1)).reshape(
+                N_h, -1, d, d)
+        T = Dh[lab][:, None] @ T
         Q = (wFA @ T.reshape(N_h, -1)).reshape(N_g, g_pw.dim, d, d)
         out[lab] = np.einsum("gi,gimn->gmn", E, Q)
     return MatrixSymbol(group, pi_band, sa.g_pw, out)
@@ -317,9 +323,8 @@ def branch_mass(group, quad, coef):
 
 def _kernel_coefficients(sym, h_quad, band):
     """(hp, the g-band coefficients of F(h, .) at the h nodes, (N_h, dim_g)),
-    hp the PWSpace of `band` on h_quad; ValueError unless h_quad has the
-    nodes and weights of group_quadrature at its degree."""
-    hp = PWSpace(sym.group, band, quad_degree=h_quad.exactness_degree)
+    hp the space of `band` on h_quad (ValueError unless it is hp's grid)."""
+    hp = space(sym.group, band, h_quad.exactness_degree)
     hp._check_grid(h_quad)
     C = np.zeros((hp.dim, sym.g_pw.dim), dtype=complex)
     for lab in sym.labels:

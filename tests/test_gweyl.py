@@ -2,15 +2,18 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from groupquant import groups as G
 from groupquant import localcalc as L
+from groupquant import orbits as O
 from groupquant import symbols as S
 from groupquant.peterweyl import PWSpace
 from groupquant.wigner import su2_generator
+from oracles import basis_matrix, pad, rep_grid, sub_rows
 
 RNG = np.random.default_rng(77)
 
@@ -152,8 +155,8 @@ def _eval_left_shifted(g_pw, coef, h_quad, h_slice, gq):
         d2 = G.dim(group, lab2)
         o = g_pw.offsets[lab2]
         c = coef[o:o + d2 * d2].reshape((d2, d2) + coef.shape[1:])
-        Dh2 = h_quad.rep_grid(lab2)[h_slice]
-        Dg2 = gq.rep_grid(lab2)
+        Dh2 = rep_grid(h_quad, lab2)[h_slice]
+        Dg2 = rep_grid(gq, lab2)
         out += math.sqrt(d2) * np.einsum("hca,gcb,ab...->hg...",
                                          Dh2.conj(), Dg2, c, optimize=True)
     return out
@@ -165,13 +168,13 @@ def _kn_compose_loop(sa, sb, h_quad):
     FA = np.zeros((h_quad.n_nodes, gq.n_nodes), dtype=complex)
     for lab in sa.labels:
         FA += G.dim(group, lab) * np.einsum(
-            "hnm,gnm->hg", h_quad.rep_grid(lab).conj(), sa.values[lab],
+            "hnm,gnm->hg", rep_grid(h_quad, lab).conj(), sa.values[lab],
             optimize=True)
     out = {}
     pi_band = min(sa.pi_band, sb.pi_band)
     for lab in G.irrep_labels(group, pi_band):
         d = G.dim(group, lab)
-        Dh = h_quad.rep_grid(lab)
+        Dh = rep_grid(h_quad, lab)
         CB = sb.coefficients(lab)
         acc = np.zeros((gq.n_nodes, d, d), dtype=complex)
         for sl in _h_chunks(h_quad):
@@ -185,11 +188,12 @@ def _kn_compose_loop(sa, sb, h_quad):
 def _kn_quantize_all_columns(sym, pw):
     """(matrix, truncation_error) with every column of the operator built."""
     quad = pw.quad
+    E_g = basis_matrix(sym.g_pw, quad)
     out_vals = np.zeros((pw.dim, quad.n_nodes), dtype=complex)
     for lab in sym.labels:
-        D = quad.rep_grid(lab)
+        D = rep_grid(quad, lab)
         psihat = pw.analysis(D.conj()).conj()
-        sig = sym.values_at_quad(lab, quad)
+        sig = np.tensordot(E_g, sym.coefficients(lab), axes=(1, 0))
         out_vals += G.dim(sym.group, lab) * np.einsum(
             "knm,knp,ipm->ik", D.conj(), sig, psihat, optimize=True)
     coeffs = pw.analysis(out_vals.T)
@@ -256,6 +260,24 @@ def test_kn_quantize_matches_all_columns(spaces, pi_band, request):
     assert not op.matrix[:, ~pw.band_mask(pi_band)].any()
 
 
+def test_kn_round_trip_keeps_no_grid_matrices():
+    # the irrep matrices on the operator's grid are built per label and
+    # dropped: no cache of them outlives the calls (labels 1-9 at operator
+    # band 10 would be 29 MB)
+    gpw = S.make_g_space(G.SU2, 2, 4)
+    pw = PWSpace(G.SU2, 10)
+    sym = S.random_symbol(G.SU2, 9, gpw, np.random.default_rng(10))
+    tracemalloc.start()
+    try:
+        op = S.kn_quantize(sym, pw)
+        S.kn_symbol(op, 9, gpw)
+        del op
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 5e6
+
+
 def _kn_symbol_by_analysis(op, pi_band, g_pw):
     """(values, projection_residual) of kn_symbol with A applied to the
     analysed columns of pi^*, conj(D_nm) on the grid."""
@@ -263,12 +285,12 @@ def _kn_symbol_by_analysis(op, pi_band, g_pw):
     vals, resid, scale = {}, 0.0, 0.0
     for lab in G.irrep_labels(pw.group, pi_band):
         d = G.dim(pw.group, lab)
-        D = quad.rep_grid(lab)
+        D = rep_grid(quad, lab)
         F = np.conj(np.swapaxes(D, 1, 2)).reshape(quad.n_nodes, d * d)
         W = pw.synthesis(op.matrix @ pw.analysis(F))
         sig = np.einsum("kmn,knp->kmp", D, W.reshape(quad.n_nodes, d, d))
-        coef = pw.analysis(sig)[pw.sub_rows(g_pw)]
-        proj = pw.synthesis(pw.pad(g_pw, coef))
+        coef = pw.analysis(sig)[sub_rows(pw, g_pw)]
+        proj = pw.synthesis(pad(pw, g_pw, coef))
         resid = max(resid, np.abs(proj - sig).max())
         scale = max(scale, np.abs(sig).max())
         vals[lab] = g_pw.synthesis(coef)
@@ -333,14 +355,14 @@ def test_adjoint_property_su2(su2_spaces):
     E_sh = gpw.eval_basis(pts.reshape(-1, 4))
     for lab in sym.values:
         d = G.dim(G.SU2, lab)
-        Dh = h_quad.rep_grid(lab)
+        Dh = rep_grid(h_quad, lab)
         coef = sym.coefficients(lab)
         vals = np.tensordot(E_sh, coef, axes=(1, 0)).reshape(
             h_quad.n_nodes, gq.n_nodes, d, d)
         FA_shift += d * np.einsum("hnm,hgnm->hg", Dh.conj(), vals,
                                   optimize=True)
     for lab in sig_star.values:
-        Dh = h_quad.rep_grid(lab)
+        Dh = rep_grid(h_quad, lab)
         rhs = np.einsum("h,hg,hmn->gmn", h_quad.weights, FA_shift, Dh,
                         optimize=True)
         rhs = np.conj(np.swapaxes(rhs, 1, 2))
@@ -481,7 +503,7 @@ def _kernel_quantize_oracle(kern, pw, h_quad):
     """rho_L(F) as (A Psi)(g) = int dh F(h, g) Psi(h^{-1} g) by quadrature."""
     group, gq = kern.group, kern.g_pw.quad
     F = sum(G.dim(group, lab) * np.einsum("hnm,gnm->hg",
-                                          h_quad.rep_grid(lab).conj(), Kv)
+                                          rep_grid(h_quad, lab).conj(), Kv)
             for lab, Kv in kern.K.items())
     h_inv = _inverse(group, h_quad.angles if group == G.U1 else h_quad.quats)
     out_vals = np.zeros((gq.n_nodes, pw.dim), dtype=complex)
@@ -518,7 +540,7 @@ def _weyl_symbol_oracle(op, pi_band, g_pw, h_quad):
             op, _times_grid(group, _inverse(group, r), gq),
             _times_grid(group, r, gq)).reshape(len(r), gq.n_nodes)
     return {lab: np.einsum("h,hg,hmn->gmn", h_quad.weights, vals,
-                           h_quad.rep_grid(lab), optimize=True)
+                           rep_grid(h_quad, lab), optimize=True)
             for lab in G.irrep_labels(group, pi_band)}
 
 
@@ -567,7 +589,7 @@ def kernel_values(sym, h_quad):
 def _kernel_values_rep_grid(sym, h_quad, s=0):
     """F(h, sqrt(h)^s g) on the (h_quad, sym.quad) double grid."""
     group, g_pw = sym.group, sym.g_pw
-    coef = sum(G.dim(group, lab) * h_quad.rep_grid(lab).conj().reshape(
+    coef = sum(G.dim(group, lab) * rep_grid(h_quad, lab).conj().reshape(
         h_quad.n_nodes, -1) @ sym.coefficients(lab).reshape(g_pw.dim, -1).T
         for lab in sym.labels)
     if s:
@@ -583,7 +605,7 @@ def _deform_rep_grid(sym, h_quad, s, pi_band):
     """int dh F(h, sqrt(h)^s g) pi(h) as sum_h w_h F(h, g) pi(h)."""
     FwT = (_kernel_values_rep_grid(sym, h_quad, s)
            * h_quad.weights[:, None]).T
-    return {lab: np.einsum("gh,hmn->gmn", FwT, h_quad.rep_grid(lab))
+    return {lab: np.einsum("gh,hmn->gmn", FwT, rep_grid(h_quad, lab))
             for lab in G.irrep_labels(sym.group, pi_band)}
 
 
@@ -617,7 +639,7 @@ def test_branch_mass_is_haar_weighted():
     # g-band 3 on a degree-5 grid, whose Gauss-Legendre weights differ: the
     # branch mass weighs |F(h, g)|^2 by Haar measure in g as well as in h
     rng = np.random.default_rng(18)
-    gpw = S.make_g_space(G.SU2, 3)
+    gpw = S.make_g_space(G.SU2, 3, 5)
     hq = G.su2_quadrature(10)
     sym = S.random_symbol(G.SU2, 2, gpw, rng)
     F = _kernel_values_rep_grid(sym, hq)
@@ -630,24 +652,33 @@ def test_branch_mass_is_haar_weighted():
 
 
 def test_weyl_rejects_other_h_grids():
-    # the h sums run as transforms on group_quadrature's grid: any other
-    # nodes, or the same nodes under another degree, raise
+    # the h sums, values_at_quad and the SWF transforms run as transforms
+    # of peterweyl.space on group_quadrature's grid: any other nodes, or the
+    # same nodes under another degree, raise
     u1 = G.u1_quadrature(20)
     su2 = G.su2_quadrature(6)
     rot = G.quat_exp(np.array([0.3, -0.2, 0.5]))
     others = [
-        dataclasses.replace(u1, angles=u1.angles + 0.1, _rep_cache={}),
-        dataclasses.replace(u1, exactness_degree=19, _rep_cache={}),
-        dataclasses.replace(su2, quats=G.quat_mul(rot, su2.quats),
-                            _rep_cache={}),
+        dataclasses.replace(u1, angles=u1.angles + 0.1),
+        dataclasses.replace(u1, exactness_degree=19),
+        dataclasses.replace(su2, quats=G.quat_mul(rot, su2.quats)),
+        dataclasses.replace(su2, exactness_degree=5),
     ]
+    specs = [O.OrbitSpec(t) for t in (0, 1)]
+    tr = O.swf_transform(np.ones(su2.n_nodes), su2, specs)
     for hq in others:
-        gpw = S.make_g_space(hq.group, 1)
+        gpw = S.make_g_space(hq.group, 1, 3)
         sym = S.random_symbol(hq.group, 2, gpw, np.random.default_rng(19))
-        with pytest.raises(ValueError, match="group_quadrature"):
-            S.weyl_deform(sym, hq)
-        with pytest.raises(ValueError, match="group_quadrature"):
-            kernel_values(sym, hq)
+        calls = [lambda: S.weyl_deform(sym, hq),
+                 lambda: kernel_values(sym, hq),
+                 lambda: sym.values_at_quad(1, hq),
+                 lambda: S.kn_compose(sym, sym, hq)]
+        if hq.group == G.SU2:
+            calls += [lambda: O.swf_transform(np.ones(hq.n_nodes), hq, specs),
+                      lambda: O.swf_inverse(tr, hq, specs)]
+        for call in calls:
+            with pytest.raises(ValueError, match="group_quadrature"):
+                call()
 
 
 def test_weyl_element_orthogonality_u1():
@@ -692,7 +723,7 @@ def local_u1():
 # T_p built from G.rep_matrix and R_k the public right-derivative matrix.
 
 def _multiplication_dense(pw, f):
-    E = pw._basis_matrix(pw.quad)
+    E = basis_matrix(pw, pw.quad)
     return (E.conj() * pw.quad.weights[:, None]).T @ (f[:, None] * E)
 
 
@@ -757,17 +788,25 @@ def test_multiplication_operator_oracle(group, band, degree):
 @pytest.mark.parametrize("group,g_band,band,degree", [
     (G.U1, 3, 11, 30), (G.SU2, 2, 5, 8)])
 def test_grid_values_by_synthesis(group, g_band, band, degree):
-    # g_pw's modes sit at other offsets of pw's basis (on U(1) label 0 of
-    # band 3 is index 3, of band 11 index 11): zero padding must follow them
+    # g_pw's band is synthesised on pw's grid by the space of that band,
+    # whose offsets differ from pw's (U(1) label 0: index 3, not 11)
     g_pw = PWSpace(group, g_band)
     pw = PWSpace(group, band, quad_degree=degree)
     rng = np.random.default_rng(g_band)
     c = rng.standard_normal((4, g_pw.dim)) + 1j * rng.standard_normal(
         (4, g_pw.dim))
-    oracle = g_pw._basis_matrix(pw.quad) @ c.T
+    oracle = basis_matrix(g_pw, pw.quad) @ c.T
     assert _max_rel(oracle, L._grid_values(g_pw, c, pw)) < 1e-13
     with pytest.raises(ValueError, match="exceeds the target band"):
         L._grid_values(pw, np.zeros((1, pw.dim)), g_pw)
+    # so does the KN calculus: a symbol's g-band above the operator band
+    # would alias on the operator's grid
+    sym = S.random_symbol(group, 1, pw, rng)
+    with pytest.raises(ValueError, match="exceeds the target band"):
+        S.kn_quantize(sym, g_pw)
+    op = S.TruncatedOperator(g_pw, np.eye(g_pw.dim, dtype=complex))
+    with pytest.raises(ValueError, match="exceeds the target band"):
+        S.kn_symbol(op, 1, pw)
 
 
 def test_local_quantize_oracle(local_u1):

@@ -458,6 +458,18 @@ def test_schur_residual():
         assert np.abs(diag - diag.mean()).max() < 1e-6 * abs(diag.mean())
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.3, 2.0])
+def test_schur_scalar_is_resolution_integral(t):
+    # Schur's lemma makes A a multiple of 1 whatever the radial weight, so
+    # the residual cannot see the heat kernel; the multiple is Table 1's
+    # integral, tr A / n = 4 pi e^{t (n^2 - 1) / 4} I(t, n) / n
+    for n in range(1, 9):
+        A, _ = H.schur_residual_su2(t, n)
+        ref = (4 * math.pi * math.exp(t * (n * n - 1) / 4.0)
+               * H.resolution_integral_su2(t, n) / n)
+        assert abs(np.trace(A) / n - ref) < 1e-13 * ref
+
+
 def sphere_grid(l_exact):
     """(theta, phi) product grid integrating spherical harmonics l <= l_exact
     exactly; returns (theta, phi, weights) with sum(weights) = 4 pi."""

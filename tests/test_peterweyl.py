@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from groupquant import groups as G
-from groupquant.peterweyl import PWSpace
+from groupquant.peterweyl import PWSpace, space
+from oracles import rep_grid
 
 # (group, band, quad_degree) of every space the CLI and the benchmark
 # build, next to bands 1-8 at their default degree
@@ -69,8 +70,7 @@ def _roundtrip(pw, rng):
 def test_pw_band12_builds_no_dense_basis():
     pw = PWSpace(G.SU2, 12)
     assert _roundtrip(pw, np.random.default_rng(12)) < 1e-12
-    assert "E" not in pw.__dict__ and "_EW" not in pw.__dict__
-    assert pw._shift is None and not pw.quad._rep_cache
+    assert not {"E", "_EW", "_shift"} & set(pw.__dict__)
 
 
 def test_pw_band16_roundtrip_memory():
@@ -104,3 +104,21 @@ def test_conjugation_map(group, band, degree):
     v = _crandn(np.random.default_rng(band), pw.quad.n_nodes, 3)
     assert _rel(s[:, None] * pw.analysis(v)[bar].conj(),
                 pw.analysis(v.conj())) < 1e-14
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_grid_reps_oracle(group):
+    # the irrep matrices multiplied out of the factor tables against
+    # wigner_D_euler_grid at the grid's Euler angles (U(1): the exponential)
+    for band in range(1, 17):
+        pw = PWSpace(group, band)
+        for lab in pw.labels:
+            assert np.abs(pw._grid_reps(lab)
+                          - rep_grid(pw.quad, lab)).max() < 1e-14
+
+
+def test_space_is_memoised():
+    pw = space(G.SU2, 3, 6)
+    assert space(G.SU2, 3, 6) is pw
+    assert pw.band == 3 and pw.quad.exactness_degree == 6
+    assert space(G.SU2, 3, 7) is not pw

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from groupquant import groups as G
 from groupquant.wigner import su2_generator, wigner_D_euler_grid
+from oracles import rep_grid
 
 RNG = np.random.default_rng(20240907)
 
@@ -80,9 +81,9 @@ def _schur_orthogonality_residual(quad, max_label):
     labels = G.irrep_labels(quad.group, max_label)
     worst = 0.0
     for la in labels:
-        Da = quad.rep_grid(la)
+        Da = rep_grid(quad, la)
         for lb in labels:
-            Db = quad.rep_grid(lb)
+            Db = rep_grid(quad, lb)
             gram = np.einsum("k,kmn,kpq->mnpq", quad.weights, Da, Db.conj())
             if la == lb:
                 d = G.dim(quad.group, la)

@@ -16,6 +16,7 @@ from groupquant._kernels import wigner_d_grid
 from groupquant.peterweyl import PWSpace
 from groupquant.wigner import (angular_momentum, su2_generator,
                                wigner_D_euler_grid)
+from oracles import rep_grid
 
 RNG = np.random.default_rng(31)
 
@@ -307,7 +308,7 @@ def _e_kernel_dense(spec, quad):
     """E(g; pi, theta) = tr(Delta(theta) pi(g)) on (group grid, orbit grid),
     from the dense field."""
     flat = _delta_field(spec).reshape(spec.n_nodes, -1)   # [a, (n, m)]
-    Dt = np.swapaxes(quad.rep_grid(spec.d), 1, 2).reshape(quad.n_nodes, -1)
+    Dt = np.swapaxes(rep_grid(quad, spec.d), 1, 2).reshape(quad.n_nodes, -1)
     return Dt @ flat.T
 
 
@@ -505,7 +506,7 @@ def _group_convolution_rep_grid(psi_grid, phi_coeffs, pw, quad):
     out = np.zeros(quad.n_nodes, dtype=complex)
     wpsi = quad.weights * psi_grid
     for lab in pw.labels:
-        D = quad.rep_grid(lab)
+        D = rep_grid(quad, lab)
         d = D.shape[1]
         psihat = np.tensordot(wpsi, D.conj(), axes=(0, 0))
         B = math.sqrt(d) * psihat @ pw.block(lab, phi_coeffs)
@@ -562,7 +563,7 @@ def test_e_kernel_properties(swf_setup):
     rhs = np.einsum("anm,mn->a", D, Dh @ Dg @ Dh.conj().T)
     assert np.abs(lhs - rhs).max() < 1e-12
     # 3. int E dmu = chi
-    chi = np.einsum("kmm->k", quad.rep_grid(spec.twoj + 1))
+    chi = np.einsum("kmm->k", rep_grid(quad, spec.twoj + 1))
     assert np.abs(E @ spec.weights - chi).max() < 1e-12
     # 4. int_G E(g,th) conj(E(g,th')) dg = d^{-1} tr(Delta(th) Delta(th'))
     lhs4 = np.einsum("k,ka,kb->ab", quad.weights, E, E.conj())
@@ -636,7 +637,7 @@ def test_swf_inversion_parseval_convolution(swf_setup):
 
 def test_swf_character_support(swf_setup):
     quad, specs, _ = swf_setup
-    chi = np.einsum("kmm->k", quad.rep_grid(2))  # character of n = 2
+    chi = np.einsum("kmm->k", rep_grid(quad, 2))  # character of n = 2
     tr = O.swf_transform(chi, quad, specs)
     assert np.abs(tr[0]).max() < 1e-12
     assert np.abs(tr[2]).max() < 1e-12
