@@ -10,7 +10,9 @@ Commands (via --cmd):
 Every JSON report records the seed and the tolerance each number was
 tested against; floats are emitted with 17 significant digits so runs are
 byte-identical given (config, seed). table1 writes nothing and exits 2, with
-a one-line message, for t or n outside the range it is checked on.
+a one-line message, for t or n outside the range it is checked on; an
+argument outside its range (--j, --eps-list) ends in argparse's usage
+message and exit status 2.
 """
 
 import argparse
@@ -130,8 +132,7 @@ def moyal_fit_su2(rng, eps_list, n_pairs=2):
 
 def cmd_moyal_fit(args):
     tol = args.tol if args.tol is not None else 0.2
-    eps_list = ([float(x) for x in args.eps_list.split(",")]
-                if args.eps_list else [0.25, 0.125, 0.0625, 0.03125])
+    eps_list = args.eps_list or [0.25, 0.125, 0.0625, 0.03125]
     rng = np.random.default_rng(args.seed)
     report = {"command": "moyal-fit", "seed": args.seed,
               "eps_list": eps_list, "tolerance": tol, "results": {}}
@@ -247,6 +248,18 @@ def _spin(text):
     return j
 
 
+def _eps_list(text):
+    """--eps-list: comma-separated eps, at least two distinct and all in
+    (0, 1], the range of moyal-fit's slope fits."""
+    from .localcalc import _check_eps_list
+    try:
+        eps_list = [float(x) for x in text.split(",")]
+        _check_eps_list(eps_list)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return eps_list
+
+
 # built once per process: main runs many times in one process (the benchmark
 # and the tests call it in-process)
 PARSER = argparse.ArgumentParser(
@@ -264,8 +277,9 @@ PARSER.add_argument("--j", type=_spin, default=None,
                     help="sw-props: spin j, a multiple of 1/2 in [0, 64]")
 PARSER.add_argument("--t", type=float, default=None)
 PARSER.add_argument("--n", type=int, default=None)
-PARSER.add_argument("--eps-list", default=None,
-                    help="comma-separated epsilon values for moyal-fit")
+PARSER.add_argument("--eps-list", type=_eps_list, default=None,
+                    help="moyal-fit: comma-separated epsilon values, at "
+                         "least two distinct, all in (0, 1]")
 
 
 def main(argv=None):

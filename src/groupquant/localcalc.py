@@ -29,6 +29,14 @@ Quantization is therefore split: the multiplication operators of a symbol's
 coefficients are built once, free of eps and of the variant, and each eps
 and variant only applies the block-diagonal T_v and R_k to them
 (`local_quantize`). The semiclassical fits reuse them across every eps.
+
+Two more facts keep the fits to what their residuals read. The KN and
+Weyl translations of a point p are both e^{eps step k / 2}, k = 2p or p,
+so one table of irrep blocks per eps serves every symbol and variant of a
+fit. And a coefficient of g-band g maps band <= in_band into band <= the
+product band in_band (+) g, while T_v and R_k keep bands: Q(b)[:, in-band]
+has no rows beyond that band, and a product Q(a) Q(b)[:, in-band] reads
+Q(a) on those columns only (`ensemble_order_fit`).
 """
 
 import math
@@ -277,24 +285,42 @@ def _operators(s, pw, in_band=None):
     return np.array(mults[:P]), dict(zip(s.poly, mults[P:])), cols
 
 
-def _assemble(s, ops, eps, pw, variant):
-    """Q_eps(sigma)[:, cols] from ops = _operators(s, pw, ...) by
-    block-diagonal translations alone (see local_quantize)."""
+def _translation_keys(items):
+    """The table of the left translations T_v of each (symbol, variant) of
+    items. The KN point p translates by v = e^{eps Y_p}, the Weyl point p
+    by its square root e^{eps Y_p / 2}; both are e^{eps step k / 2}, with
+    the key k = 2p (KN) or p (Weyl), and (eps (step 2p)) / 2 = eps (step p)
+    exactly in floating point. Returns the distinct (step, k), one per row,
+    and for each item the rows of its points; neither depends on eps."""
+    if any(v not in (KN, WEYL) for _, v in items):
+        raise ValueError("variant must be KN or Weyl")
+    keys = [np.column_stack([np.full(len(s.points), s.step),
+                             s.points if v == WEYL else 2 * s.points])
+            for s, v in items]
+    table, rows = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    ends = np.cumsum([len(k) for k in keys])[:-1]
+    return table, np.split(rows.ravel(), ends)
+
+
+def _translations(table, eps, pw):
+    """The blocks conj D(e^{eps step k / 2}) per label, (K, d, d), at the
+    rows (step, k) of a `_translation_keys` table: one batched `pw._reps`."""
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    if variant not in (KN, WEYL):
-        raise ValueError("variant must be KN or Weyl")
+    Y = table[:, :1] * table[:, 1:]
+    return [D.conj() for D in pw._reps(_exp_points(pw.group, eps * Y / 2.0))]
+
+
+def _assemble(s, ops, eps, pw, variant, T, rows):
+    """Q_eps(sigma)[:, cols] from ops = _operators(s, pw, ...) by
+    block-diagonal translations alone (see local_quantize): the blocks of
+    s's points are the rows `rows` of the `_translations` T."""
     mults, lin, cols = ops
     weyl = variant == WEYL
-    Y = s.lattice()
-    jfac = haar_jacobian_sq(s.group, eps * Y)
-    # T_v = U_v has blocks kron(conj D(v), 1): v = e^{eps Y_p} for KN, and
-    # its square root e^{eps Y_p / 2}, on both sides, for Weyl
-    T = [D.conj() for D in pw._reps(
-        _exp_points(s.group, eps * Y / 2.0 if weyl else eps * Y))]
+    jfac = haar_jacobian_sq(s.group, eps * s.lattice())
     if s.group == G.U1:
         # T_p = diag(t_p) and R = diag(i n): one einsum over the points
-        t = np.concatenate(T, axis=1)[:, :, 0]
+        t = np.concatenate(T, axis=1)[rows, :, 0]
         r = 1j * np.array(pw.labels)
         tw = jfac[:, None] * t[:, cols]
         out = (np.einsum("pi,pij,pj->ij", t, mults, tw) if weyl
@@ -304,6 +330,7 @@ def _assemble(s, ops, eps, pw, variant):
             out += ((-0.5j * eps) * (MR + r[:, None] * M) if weyl
                     else (-1j * eps) * MR)
         return out
+    T = [D[rows] for D in T]
     if weyl:
         mults = pw._kron_rows(T, mults)
     out = pw._kron_cols(mults, [jfac[:, None, None] * D for D in T])
@@ -333,11 +360,16 @@ def local_quantize(s, eps, pw, variant=KN):
     So Q_eps is the composition of two parts. `_operators` builds M_p and
     M_q, which depend on neither eps nor the variant; `_assemble` applies
     the block-diagonal T and R to them, one irrep block at a time (on U(1)
-    both are diagonal phases: one einsum over the points).
-    `ensemble_order_fit` builds the first part once per symbol and runs the
-    second for every eps and both variants.
+    both are diagonal phases: one einsum over the points). It reads the
+    blocks of T from a table, `_translations`, one batched evaluation of
+    the irreps at the distinct e^{eps step k / 2} (`_translation_keys`).
+    `ensemble_order_fit` builds the first part once per symbol, on the
+    columns its products read, and runs the second for every eps and both
+    variants, with one table per eps for all its symbols.
     """
-    return _assemble(s, _operators(s, pw), eps, pw, variant)
+    table, (rows,) = _translation_keys([(s, variant)])
+    T = _translations(table, eps, pw)
+    return _assemble(s, _operators(s, pw), eps, pw, variant, T, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +380,28 @@ def _op_norm(M):
     return np.linalg.svd(M, compute_uv=False)[0]
 
 
+def _check_eps_list(eps_list):
+    """ValueError unless eps_list holds at least two distinct finite eps,
+    all in (0, 1]: a slope needs two abscissae."""
+    e = np.asarray(eps_list, float)
+    if not (np.all(np.isfinite(e)) and np.all((0 < e) & (e <= 1))
+            and len(np.unique(e)) >= 2):
+        raise ValueError("eps_list needs at least two distinct eps, all in "
+                         "(0, 1], got %s" % e.tolist())
+
+
 def fit_slope(eps_list, residuals):
+    _check_eps_list(eps_list)
     x = np.log(np.asarray(eps_list, float))
     y = np.log(np.asarray(residuals, float))
     return float(np.polyfit(x, y, 1)[0])
+
+
+def _product_band(group, band_1, band_2):
+    """The band of a product of functions of bands band_1 and band_2:
+    n_1 + n_2 - 1 on SU(2), whose labels are irrep dimensions, and
+    j_1 + j_2 on U(1)."""
+    return band_1 + band_2 - 1 if group == G.SU2 else band_1 + band_2
 
 
 def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
@@ -363,27 +413,45 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
 
     on the input modes within in_band, so band truncation is exact.
     Aggregation keeps the leading-order coefficient away from accidental
-    near-cancellations of a single random draw.
+    near-cancellations of a single random draw. eps_list needs two
+    distinct eps in (0, 1] at least (ValueError, before any work).
 
-    Per pair the multiplication operators of a, b, ab and {a,b} are built
-    once (those of ab and {a,b} on the in-band columns only) and assembled
-    for every eps and both variants (see local_quantize).
+    Only what the residuals read is built. Q(b)[:, in-band] has no rows
+    beyond the band `reach` = in_band (+) g, g the larger g-band of a and
+    b, the product band (`_product_band`, capped at pw's band): the
+    coefficients multiply band <= in_band into band <= reach, and the
+    translations are block diagonal. So Q(a) Q(b)[:, in-band] = Q(a)[:, r] Q(b)[r, in-band] with
+    r = band_mask(reach), and likewise with a and b swapped; the fit builds
+    Q(a) and Q(b) on the columns r only (a prefix of whole irrep blocks on
+    SU(2)), Q(ab) and Q({a,b}) on the in-band columns. Per pair the
+    multiplication operators of a, b, ab and {a,b} are built once and
+    assembled for every eps and both variants (see local_quantize), and
+    per eps the translation blocks of all seven assemblies come from one
+    table (`_translations`).
     """
+    _check_eps_list(eps_list)
     cols = pw.band_mask(in_band)
     sq = np.zeros((2, len(eps_list)))
     for a, b in pairs:
         ab = symbol_product(a, b, g_pw_out)
         br = poisson_bracket(a, b, g_pw_out)
-        ops = [(a, _operators(a, pw)), (b, _operators(b, pw)),
-               (ab, _operators(ab, pw, in_band)),
-               (br, _operators(br, pw, in_band))]
+        reach = min(pw.band, _product_band(pw.group, in_band,
+                                           max(a.g_pw.band, b.g_pw.band)))
+        r = pw.band_mask(reach)
+        c = cols[r]
+        syms = (a, b, ab, br)
+        ops = [_operators(s, pw, band)
+               for s, band in zip(syms, (reach, reach, in_band, in_band))]
+        table, rows = _translation_keys([(s, WEYL) for s in syms]
+                                        + [(s, KN) for s in (a, b, br)])
         for i, eps in enumerate(eps_list):
-            Qa, Qb, Qab, Qbr = (_assemble(s, o, eps, pw, WEYL)
-                                for s, o in ops)
-            moyal = Qa @ Qb[:, cols] - Qab + (0.5j * eps) * Qbr
-            Qa, Qb, Qbr = (_assemble(s, o, eps, pw, KN)
-                           for s, o in (ops[0], ops[1], ops[3]))
-            dirac = ((1j / eps) * (Qa @ Qb[:, cols] - Qb @ Qa[:, cols])
+            T = _translations(table, eps, pw)
+            Qa, Qb, Qab, Qbr = (_assemble(s, o, eps, pw, WEYL, T, rw)
+                                for s, o, rw in zip(syms, ops, rows))
+            moyal = Qa @ Qb[r][:, c] - Qab + (0.5j * eps) * Qbr
+            Qa, Qb, Qbr = (_assemble(syms[j], ops[j], eps, pw, KN, T, rw)
+                           for j, rw in zip((0, 1, 3), rows[4:]))
+            dirac = ((1j / eps) * (Qa @ Qb[r][:, c] - Qb @ Qa[r][:, c])
                      - Qbr)
             sq[:, i] += [_op_norm(moyal) ** 2, _op_norm(dirac) ** 2]
     moy, dir_ = np.sqrt(sq)

@@ -181,6 +181,38 @@ def test_moyal_fit_pinned(tmp_path):
         assert abs(res["dirac_slope"] - dirac) < 1e-9
 
 
+@pytest.mark.parametrize("eps_list", ["0.25", "0.25,0.25", "2,1",
+                                      "0.25,-0.125", "0.25,nan", "0.25,inf",
+                                      "0.25,x"])
+def test_moyal_fit_rejects_degenerate_eps_list(eps_list, capsys):
+    # one distinct eps used to fit a slope through one point (a numpy
+    # RankWarning and a made-up slope); eps outside (0, 1] ended in a
+    # traceback after every operator was built
+    with pytest.raises(SystemExit) as exc:
+        main(["--cmd", "moyal-fit", "--eps-list", eps_list])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage: groupquant" in err and "--eps-list" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps_list", [[0.25], [0.25, 0.25], [2.0, 1.0],
+                                      [0.25, -0.125], [0.25, math.nan]])
+def test_order_fit_rejects_degenerate_eps_list_first(eps_list, monkeypatch):
+    from groupquant import localcalc as L
+
+    def no_work(*args):
+        raise AssertionError("operators built before the eps check")
+
+    monkeypatch.setattr(L, "_operators", no_work)
+    monkeypatch.setattr(L, "symbol_product", no_work)
+    with pytest.raises(ValueError, match="two distinct eps"):
+        L.ensemble_order_fit([(None, None)], eps_list, None, 4, None)
+    with pytest.raises(ValueError, match="two distinct eps"):
+        L.fit_slope(eps_list, [1.0] * len(eps_list))
+
+
 def test_bohr_props(tmp_path):
     out = tmp_path / "b.json"
     assert main(["--cmd", "bohr-props", "--out", str(out)]) == 0

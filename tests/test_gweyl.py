@@ -1110,6 +1110,81 @@ def test_ensemble_fit_matches_loop(monkeypatch, fit, seed):
         assert abs(dres[i] - dirac) < 1e-9 * dirac
 
 
+def _fit_arguments(fit, seed):
+    """(pairs, eps_list, pw, in_band, g_pw_out) with which cli.<fit> calls
+    ensemble_order_fit on a seed, captured without running the fit."""
+    from groupquant import cli
+    calls = []
+    original = L.ensemble_order_fit
+    L.ensemble_order_fit = lambda *args: calls.append(args)
+    try:
+        getattr(cli, fit)(np.random.default_rng(seed), [0.25, 0.125])
+    finally:
+        L.ensemble_order_fit = original
+    return calls[0]
+
+
+@pytest.mark.parametrize("fit", ["moyal_fit_u1", "moyal_fit_su2"])
+def test_quantized_columns_reach_product_band(fit):
+    # Q(s)[:, band <= in_band] has no rows above in_band (+) g-band: the
+    # fit builds Q(a) and Q(b) on the columns up to that band only
+    pairs, _, pw, in_band, _ = _fit_arguments(fit, 3)
+    a, b = pairs[0]
+    g_pw = a.g_pw
+    rng = np.random.default_rng(4)
+    pts = (np.arange(-2, 3)[:, None] if pw.group == G.U1
+           else np.array([[1, 0, 0], [0, 1, -1], [0, 0, 0], [-1, 1, 1]]))
+    cs = rng.standard_normal((len(pts), g_pw.dim)) + 1j * rng.standard_normal(
+        (len(pts), g_pw.dim))
+    poly = {k: rng.standard_normal(g_pw.dim) + 1j * rng.standard_normal(
+        g_pw.dim) for k in range(pts.shape[1])}
+    linear = L.LocalSymbol(pw.group, a.step, pts, cs, g_pw, poly)
+    reach = L._product_band(pw.group, in_band, g_pw.band)
+    assert reach < pw.band
+    out, cols = ~pw.band_mask(reach), pw.band_mask(in_band)
+    assert out.any()
+    for s in (a, b, linear):
+        for variant in (L.KN, L.WEYL):
+            for eps in (0.25, 0.03125):
+                Q = L.local_quantize(s, eps, pw, variant)
+                assert np.abs(Q[out][:, cols]).max() < 1e-14 * np.abs(Q).max()
+
+
+def test_order_fit_makes_one_translation_table_per_eps(monkeypatch):
+    from groupquant.cli import moyal_fit_su2
+    rows = []
+    reps = PWSpace._reps
+
+    def spy(self, quats_or_angles):
+        rows.append(len(quats_or_angles))
+        return reps(self, quats_or_angles)
+
+    monkeypatch.setattr(PWSpace, "_reps", spy)
+    eps_list = [0.25, 0.125, 0.0625, 0.03125]
+    moyal_fit_su2(np.random.default_rng(0), eps_list, n_pairs=2)
+    # one table per (pair, eps): the 27 translations that the 7 assemblies
+    # of a, b, ab and {a,b} apply are 7 distinct elements e^{eps step k/2},
+    # k = 0, +-1, +-2 (Weyl points) and +-4 (twice the KN points of {a,b})
+    # on the z axis
+    assert rows == [7] * (2 * len(eps_list))
+
+
+@pytest.mark.parametrize("fit", ["moyal_fit_u1", "moyal_fit_su2"])
+def test_translation_table_matches_local_quantize(fit):
+    pairs, _, pw, _, g_pw_out = _fit_arguments(fit, 5)
+    a, b = pairs[0]
+    ab = L.symbol_product(a, b, g_pw_out)
+    br = L.poisson_bracket(a, b, g_pw_out)
+    items = ([(s, L.WEYL) for s in (a, b, ab, br)]
+             + [(s, L.KN) for s in (a, b, br)])
+    table, rows = L._translation_keys(items)
+    for eps in (0.25, 0.0625):
+        T = L._translations(table, eps, pw)
+        for (s, variant), rw in zip(items, rows):
+            Q = L._assemble(s, L._operators(s, pw), eps, pw, variant, T, rw)
+            assert np.array_equal(Q, L.local_quantize(s, eps, pw, variant))
+
+
 def test_von_neumann_symmetrized_identity(local_u1):
     # sigma = tau: the order-eps term vanishes identically ({s,s} = 0), so
     # Q(s)Q(s) - Q(s*s) is already O(eps^2)
