@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups as G
-from .peterweyl import PWSpace
+from .peterweyl import PWSpace, _product_band
 
 KN = "KN"
 WEYL = "Weyl"
@@ -395,13 +395,6 @@ def fit_slope(eps_list, residuals):
     x = np.log(np.asarray(eps_list, float))
     y = np.log(np.asarray(residuals, float))
     return float(np.polyfit(x, y, 1)[0])
-
-
-def _product_band(group, band_1, band_2):
-    """The band of a product of functions of bands band_1 and band_2:
-    n_1 + n_2 - 1 on SU(2), whose labels are irrep dimensions, and
-    j_1 + j_2 on U(1)."""
-    return band_1 + band_2 - 1 if group == G.SU2 else band_1 + band_2
 
 
 def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):

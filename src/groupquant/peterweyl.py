@@ -28,11 +28,12 @@ takes the quadrature sum in the reverse order. Both are the dense sums
 E @ c and _EW @ f reordered, equal to them for any grid values, at O(B^5)
 operations per column against O(B^6). On U(1) both are one FFT.
 
-No other module evaluates the basis on a grid: `_grid_reps` multiplies
-irrep matrices at the nodes out of the factors and keeps nothing, and data
-of band b on the grid of degree q is transformed, unpadded, by the memoised
-`space(group, b, q)`. The library never reads the dense E (`eval_basis` at
-the nodes) or _EW, cached properties for the oracles.
+No other module evaluates the basis on a grid: `_rep_products` multiplies
+a stack of matrices at the nodes by the irreps out of the factors, without
+forming the irreps; `_grid_reps`, its product with the identity, is not
+kept; and data of band b on the grid of degree q is transformed, unpadded,
+by the memoised `space(group, b, q)`. The library never reads the dense E
+(`eval_basis` at the nodes) or _EW, cached properties for the oracles.
 
 Complex conjugation permutes the basis up to sign. By conj(D^n_ab) =
 (-1)^{a-b} D^n_{n-1-a, n-1-b} on SU(2) and conj(e^{ij phi}) = e^{-ij phi}
@@ -58,8 +59,16 @@ from .wigner import su2_generator, wigner_D_euler_grid
 
 # complex entries of the per-block temporaries of the SU(2) transforms
 # (4 MB): a transform of many columns, or at a large band, runs over blocks
-# of beta nodes instead of making temporaries of the size of its output
+# of beta nodes instead of making temporaries of the size of its output.
+# The KN calculus (symbols) stacks as many labels' grid values as fit in it.
 _BLOCK = 1 << 18
+
+
+def _product_band(group, band_1, band_2):
+    """The band of a product of functions of bands band_1 and band_2:
+    n_1 + n_2 - 1 on SU(2), whose labels are irrep dimensions, and
+    j_1 + j_2 on U(1)."""
+    return band_1 + band_2 - 1 if group == G.SU2 else band_1 + band_2
 
 
 @functools.lru_cache(maxsize=32)
@@ -92,6 +101,7 @@ class PWSpace:
         self._dual_index = (np.repeat(np.array(ends, dtype=int), sizes)
                             - np.arange(self.dim))
         self._dual_sign = (-1.0) ** np.array([a + b for _, a, b in self.index])
+        self._abs_label = np.repeat(np.abs(self.labels), sizes)
         if group == G.SU2:
             self._euler_tables()
 
@@ -139,17 +149,48 @@ class PWSpace:
 
     def _grid_reps(self, lab):
         """The matrices of irrep lab, one of this space's labels, at its
-        nodes, (N, d, d), multiplied out of the factor tables and not kept:
-        D_ab = e^{-i m_a alpha} d_ab(beta) e^{-i m_b gamma} on SU(2),
-        e^{i lab phi} on U(1)."""
+        nodes, (N, d, d): `_rep_products` of the identity, not kept."""
+        d = G.dim(self.group, lab)
+        eye = np.broadcast_to(np.eye(d).ravel(), (self.quad.n_nodes, d * d))
+        return self._rep_products(eye, [lab]).reshape(-1, d, d)
+
+    def _rep_products(self, stack, labels, conj=False):
+        """Per node g and label, D(g) @ v(g) for the label's block v of the
+        grid stack (N, sum of d^2): one (d, d) matrix per node and label,
+        the labels consecutive ones of this space, in order; with conj,
+        v(g)^T @ conj(D(g)). No irrep is formed at the nodes. On U(1) D is
+        the phase e^{i lab phi}. On SU(2) the factors of D_mn = e^{-i m_m
+        alpha} d_mn(beta) e^{-i m_n gamma} act in turn: the phase of the
+        contracted index n multiplies the stack, the d-table contracts it,
+        one real matrix product per beta node, and the phase of m
+        multiplies the result."""
         if self.group == G.U1:
-            return np.exp(1j * lab * self.quad.angles)[:, None, None]
-        u = np.arange(self.band - lab, self.band + lab - 1, 2)
-        o = self.offsets[lab]
-        d = self._dtable[:, o:o + lab * lab].reshape(-1, lab, lab)
-        D = (self._phase_a[:, None, None, u, None]
-             * (d[:, None] / math.sqrt(lab)) * self._phase_g[:, None, u])
-        return D.reshape(self.quad.n_nodes, lab, lab)
+            lab = np.array(labels)
+            return stack * np.exp((-1j if conj else 1j)
+                                  * np.multiply.outer(self.quad.angles, lab))
+        n_alpha, n_beta, n_gamma = shape = self.quad.shape
+        out = np.empty(stack.shape, dtype=complex)
+        for lab in labels:
+            o = self.offsets[lab]
+            s = slice(o - self.offsets[labels[0]],
+                      o - self.offsets[labels[0]] + lab * lab)  # in the stack
+            u = np.arange(self.band - lab, self.band + lab - 1, 2)
+            d = self._dtable[:, o:o + lab * lab].reshape(
+                n_beta, lab, lab) / math.sqrt(lab)
+            a, g = self._phase_a[:, u].T, self._phase_g[:, u].T   # (n, node)
+            # the blocks of stack and out as (beta, n, p, alpha, gamma)
+            v, w = (x[:, s].reshape(shape + (lab, lab)).transpose(
+                1, 3, 4, 0, 2) for x in (stack, out))
+            if conj:   # sum_n v_np conj(D_nm): conjugate phases, d transposed
+                pre, d, post = (a.conj()[:, None, :, None], d.swapaxes(1, 2),
+                                g.conj()[:, None, None, :])
+                w = w.swapaxes(1, 2)                      # written at (p, m)
+            else:      # sum_n D_mn v_np (docstring's factors of D_mn)
+                pre, post = g[:, None, None, :], a[:, None, :, None]
+            Y = np.multiply(v, pre, out=np.empty(v.shape, dtype=complex))
+            Z = (d @ Y.view(float).reshape(n_beta, lab, -1)).view(complex)
+            np.multiply(Z.reshape(Y.shape), post, out=w)
+        return out
 
     def _band_space(self, band):
         """`space` of a band up to this one's (else ValueError) on its grid."""
@@ -282,7 +323,7 @@ class PWSpace:
     def band_mask(self, band):
         """Boolean mask of basis indices with irrep label within `band`
         (|j| <= band on U(1))."""
-        return np.array([abs(lab) <= band for lab, _, _ in self.index])
+        return self._abs_label <= band
 
     def block(self, lab, mat):
         """Coefficient slice of one irrep as a (d, d) matrix view."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups as G
-from .peterweyl import PWSpace, space
+from .peterweyl import _BLOCK, PWSpace, _product_band, space
 
 # Weyl kernels with more relative mass than _BRANCH_TOL within _BRANCH_MARGIN
 # of the square-root branch locus are rejected
@@ -92,6 +92,13 @@ class MatrixSymbol:
     def coefficients(self, lab):
         """g-band-limited PW coefficients of sigma(lab, .)_{mn}: (dim_g, d, d)."""
         return self.g_pw.analysis(self.values[lab])
+
+    def _coefficient_stack(self, run):
+        """The coefficients of the labels of a run side by side, (dim_g, sum
+        of d^2) with d^2 columns per label: one analysis."""
+        return self.g_pw.analysis(np.concatenate(
+            [self.values[lab].reshape(self.quad.n_nodes, -1) for lab in run],
+            axis=1))
 
     def values_at_quad(self, lab, quad):
         """sigma(lab, .) at a group_quadrature's nodes, else ValueError."""
@@ -169,6 +176,27 @@ class ConvolutionKernel:
 # quantization / dequantization
 # ---------------------------------------------------------------------------
 
+def _label_runs(group, labels, n_nodes):
+    """The labels in runs of consecutive ones whose stacks of values at
+    n_nodes nodes, n_nodes by the sum of their d^2, hold at most
+    peterweyl._BLOCK entries; one label at least per run."""
+    runs, size = [], 0
+    for lab in labels:
+        d2 = G.dim(group, lab) ** 2
+        if not runs or (size + d2) * n_nodes > _BLOCK:
+            runs, size = runs + [[]], 0
+        runs[-1].append(lab)
+        size += d2
+    return runs
+
+
+def _stack_dims(group, run):
+    """The irrep dimension d of each column of a stack of the labels of a
+    run: d^2 columns per label."""
+    d = np.array([G.dim(group, lab) for lab in run])
+    return np.repeat(d, d * d)
+
+
 def kn_quantize(sym, pw):
     """Matrix of the Kohn-Nirenberg operator on the truncated PW space.
 
@@ -179,30 +207,40 @@ def kn_quantize(sym, pw):
     pw.band_mask(sym.pi_band) are exactly zero, and only the others are
     evaluated, analysed and checked: truncation_error is the largest value
     they drop outside the operator band, relative to their largest value.
+
+    The labels go in stacks (`_label_runs` on pw's grid) of four
+    transforms each: sigma's analysis on g_pw and synthesis on pw's grid,
+    then the columns' analysis and synthesis. pi^* multiplies sigma out of
+    pw's factor tables (`PWSpace._rep_products`). A column's values are
+    products of pi^*'s entries with sigma, of at most the product band of
+    sym.pi_band and the g-band: they are analysed on pw's space of that
+    band capped at pw.band, and the rows beyond stay zero. Since pw's grid
+    is exact for pw's own band, this drops nothing; above pw.band,
+    truncation_error measures what is dropped.
     """
-    quad = pw.quad
     gs = pw._band_space(sym.g_pw.band)
-    cols = np.flatnonzero(pw.band_mask(sym.pi_band))
-    out_vals = np.zeros((len(cols), quad.n_nodes), dtype=complex)
-    for lab in sym.labels:
-        if lab not in pw.offsets:
-            continue          # its dual label is outside pw: no columns
-        d = G.dim(sym.group, lab)
-        D = pw._grid_reps(lab)
-        sig = gs.synthesis(sym.coefficients(lab))
-        # tr(pi(g)^* sigma(pi, g) Psihat_i) = sum_pm Psihat_i[p, m] X[g, p, m]
-        # with Psihat_i = s_i int conj(e_ibar) pi: s_i / sqrt(d) at (p, m) =
-        # the place of ibar in pi's block, zero elsewhere
-        X = (np.swapaxes(sig, 1, 2) @ D.conj()).reshape(quad.n_nodes, d * d)
-        j = pw.offsets[lab] + np.arange(d * d)
-        out_vals[np.searchsorted(cols, pw._dual_index[j])] += (
-            math.sqrt(d) * pw._dual_sign[j, None] * X.T)
-    coeffs = pw.analysis(out_vals.T)          # (dim, in-band columns)
-    resid = np.abs(out_vals.T - pw.synthesis(coeffs)).max(initial=0.0)
-    scale = max(np.abs(out_vals).max(initial=0.0), 1e-300)
+    rs = pw._band_space(min(pw.band, _product_band(
+        sym.group, sym.pi_band, sym.g_pw.band)))
+    rows = np.flatnonzero(pw.band_mask(rs.band))
     matrix = np.zeros((pw.dim, pw.dim), dtype=complex)
-    matrix[:, cols] = coeffs
-    return TruncatedOperator(pw, matrix, truncation_error=resid / scale)
+    resid = scale = 0.0
+    labels = [lab for lab in sym.labels if lab in pw.offsets]
+    for run in _label_runs(sym.group, labels, pw.quad.n_nodes):
+        # tr(pi(g)^* sigma(pi, g) Psihat_j) is X[g, p, m] = (sigma^T
+        # conj(pi))_pm with Psihat_j = s_j int conj(e_jbar) pi: s_j /
+        # sqrt(d) at (p, m) = the place of jbar in pi's block, zero
+        # elsewhere; column jbar takes sqrt(d) s_j X at j = (pi, p, m)
+        d = _stack_dims(sym.group, run)
+        j = pw.offsets[run[0]] + np.arange(len(d))
+        X = pw._rep_products(gs.synthesis(sym._coefficient_stack(run)), run,
+                             conj=True)
+        X *= np.sqrt(d) * pw._dual_sign[j]
+        coeffs = rs.analysis(X)
+        resid = max(resid, np.abs(X - rs.synthesis(coeffs)).max())
+        scale = max(scale, np.abs(X).max())
+        matrix[rows[:, None], pw._dual_index[j]] = coeffs
+    return TruncatedOperator(pw, matrix,
+                             truncation_error=resid / max(scale, 1e-300))
 
 
 def kn_symbol(op, pi_band, g_pw):
@@ -212,28 +250,36 @@ def kn_symbol(op, pi_band, g_pw):
     symbol value over all labels, is returned as the symbol's
     projection_residual; it vanishes for operators in the band-limited
     calculus.
+
+    The labels go in stacks (`_label_runs` on the operator's grid) of four
+    transforms each: the synthesis of A applied to pi^*'s entries, the
+    analysis and synthesis on the g-band, and the synthesis on g_pw. pi
+    multiplies from the left out of pw's factor tables
+    (`PWSpace._rep_products`).
     """
     pw = op.pw
-    quad = pw.quad
+    labels = G.irrep_labels(pw.group, pi_band)
+    missing = [lab for lab in labels if lab not in pw.offsets]
+    if missing:
+        raise ValueError("operator band too small for label %r" % missing[0])
     gs = pw._band_space(g_pw.band)
     vals = {}
     resid = scale = 0.0
-    for lab in G.irrep_labels(pw.group, pi_band):
-        if lab not in pw.labels:
-            raise ValueError("operator band too small for label %r" % lab)
-        d = G.dim(pw.group, lab)
-        D = pw._grid_reps(lab)
-        # A applied to the entries (pi^*)_{mn} = conj(D_nm) = s_j e_jbar /
-        # sqrt(d), j = (pi, n, m): the signed dual columns of A
-        j = pw.offsets[lab] + np.arange(d * d).reshape(d, d).T.ravel()
-        W = pw.synthesis(op.matrix[:, pw._dual_index[j]]
-                         * (pw._dual_sign[j] / math.sqrt(d)))   # (N, d*d)
-        sig = np.einsum("kmn,knp->kmp", D, W.reshape(quad.n_nodes, d, d))
+    for run in _label_runs(pw.group, labels, pw.quad.n_nodes):
+        # A applied to the entries (pi^*)_{nm} = conj(D_mn) = s_j e_jbar /
+        # sqrt(d), j = (pi, m, n): the signed dual columns of A
+        j = np.concatenate([pw.block(lab, np.arange(pw.dim)).T.ravel()
+                            for lab in run])
+        W = pw.synthesis(op.matrix[:, pw._dual_index[j]] * (
+            pw._dual_sign[j] / np.sqrt(_stack_dims(pw.group, run))))
+        sig = pw._rep_products(W, run)
         coef = gs.analysis(sig)
-        proj = gs.synthesis(coef)
-        resid = max(resid, np.abs(proj - sig).max())
+        resid = max(resid, np.abs(gs.synthesis(coef) - sig).max())
         scale = max(scale, np.abs(sig).max())
-        vals[lab] = g_pw.synthesis(coef)
+        out = g_pw.synthesis(coef)
+        for lab in run:
+            d, o = G.dim(pw.group, lab), pw.offsets[lab] - pw.offsets[run[0]]
+            vals[lab] = out[:, o:o + d * d].reshape(-1, d, d)
     return MatrixSymbol(pw.group, pi_band, g_pw, vals,
                         projection_residual=resid / max(scale, 1e-300))
 
@@ -327,10 +373,10 @@ def _kernel_coefficients(sym, h_quad, band):
     hp = space(sym.group, band, h_quad.exactness_degree)
     hp._check_grid(h_quad)
     C = np.zeros((hp.dim, sym.g_pw.dim), dtype=complex)
-    for lab in sym.labels:
-        d = G.dim(sym.group, lab)
-        C[hp.offsets[lab]:hp.offsets[lab] + d * d] = math.sqrt(d) * (
-            sym.coefficients(lab).reshape(-1, d * d).T)
+    for run in _label_runs(sym.group, sym.labels, sym.quad.n_nodes):
+        d = _stack_dims(sym.group, run)
+        o = hp.offsets[run[0]]
+        C[o:o + len(d)] = (np.sqrt(d) * sym._coefficient_stack(run)).T
     return hp, hp.synthesis(hp._dual_sign[:, None] * C[hp._dual_index])
 
 

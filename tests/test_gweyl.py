@@ -260,6 +260,53 @@ def test_kn_quantize_matches_all_columns(spaces, pi_band, request):
     assert not op.matrix[:, ~pw.band_mask(pi_band)].any()
 
 
+@pytest.mark.parametrize("spaces,pi_band", [("u1_spaces", 6),
+                                           ("su2_spaces", 4)])
+def test_kn_quantize_rows_end_at_product_band(spaces, pi_band, request):
+    # the cases above whose product band lies below pw.band: the oracle's
+    # rows beyond it are rounding, so kn_quantize analyses up to it only
+    gpw, pw = request.getfixturevalue(spaces)[:2]
+    sym = S.random_symbol(gpw.group, pi_band, gpw,
+                          np.random.default_rng(pi_band))
+    reach = L._product_band(pw.group, pi_band, gpw.band)
+    assert reach < pw.band
+    matrix, _ = _kn_quantize_all_columns(sym, pw)
+    out = ~pw.band_mask(reach)
+    assert np.abs(matrix[out]).max() <= 1e-14 * np.abs(matrix).max()
+    assert not S.kn_quantize(sym, pw).matrix[out].any()
+
+
+@pytest.mark.parametrize("spaces,pi_band", [("weyl_u1", 24),
+                                           ("su2_spaces", 4)])
+def test_kn_transform_count_is_fixed(spaces, pi_band, request, monkeypatch):
+    # every label goes into one stack: the transforms per call do not grow
+    # with the number of labels, and no irrep is formed at the nodes
+    gpw, pw = request.getfixturevalue(spaces)[:2]
+    calls = {"analysis": 0, "synthesis": 0, "_grid_reps": 0}
+    for name in calls:
+        def spy(self, *args, _f=getattr(PWSpace, name), _n=name):
+            calls[_n] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(PWSpace, name, spy)
+
+    def counts(f, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        f(*args)
+        return dict(calls)
+
+    rng = np.random.default_rng(pi_band)
+    seen = []
+    for band in (1, pi_band):
+        sym = S.random_symbol(gpw.group, band, gpw, rng)
+        op = S.kn_quantize(sym, pw)
+        seen.append([counts(S.kn_quantize, sym, pw),
+                     counts(S.kn_symbol, op, band, gpw)])
+    assert seen[0] == seen[1]
+    for c in seen[1]:
+        assert c["_grid_reps"] == 0
+        assert c["analysis"] + c["synthesis"] == 4
+
+
 def test_kn_round_trip_keeps_no_grid_matrices():
     # the irrep matrices on the operator's grid are built per label and
     # dropped: no cache of them outlives the calls (labels 1-9 at operator

@@ -117,6 +117,32 @@ def test_grid_reps_oracle(group):
                           - rep_grid(pw.quad, lab)).max() < 1e-14
 
 
+@pytest.mark.parametrize("group,band,degree", SPACES)
+def test_band_mask_matches_index_loop(group, band, degree):
+    pw = PWSpace(group, band, quad_degree=degree)
+    for b in range(band + 2):
+        assert np.array_equal(pw.band_mask(b), np.array(
+            [abs(lab) <= b for lab, _, _ in pw.index]))
+
+
+@pytest.mark.parametrize("group,band", [(G.U1, 10), (G.SU2, 10)])
+def test_rep_products_oracle(group, band):
+    # D(g) v(g) and v(g)^T conj(D(g)) from the factor tables, one stack of
+    # every label, against the irreps of wigner_D_euler_grid at the nodes
+    pw = PWSpace(group, band)
+    N = pw.quad.n_nodes
+    v = _crandn(np.random.default_rng(band), N, pw.dim)
+    left, right = pw._rep_products(v, pw.labels), pw._rep_products(
+        v, pw.labels, conj=True)
+    for lab in pw.labels:
+        D, d = rep_grid(pw.quad, lab), G.dim(group, lab)
+        blk = slice(pw.offsets[lab], pw.offsets[lab] + d * d)
+        V = v[:, blk].reshape(N, d, d)
+        assert _rel(left[:, blk].reshape(N, d, d), D @ V) < 1e-13
+        assert _rel(right[:, blk].reshape(N, d, d),
+                    np.swapaxes(V, 1, 2) @ D.conj()) < 1e-13
+
+
 def test_space_is_memoised():
     pw = space(G.SU2, 3, 6)
     assert space(G.SU2, 3, 6) is pw
