@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups as G
-from .peterweyl import PWSpace, _product_band
+from .peterweyl import PWSpace, _generators, _product_band
 
 KN = "KN"
 WEYL = "Weyl"
@@ -336,7 +336,7 @@ def _assemble(s, ops, eps, pw, variant, T, rows):
     out = pw._kron_cols(mults, [jfac[:, None, None] * D for D in T])
     for k, M in lin.items():
         # R_k has blocks kron(dpi(tau_k)^T, 1)
-        R = [X.T[None] for X in pw._generators(k)]
+        R = [X.T[None] for X in _generators(pw.group, pw.labels, k)]
         MR = pw._kron_cols(M[None], R)
         out += ((-0.5j * eps) * (MR + pw._kron_rows(R, M[None])[0]) if weyl
                 else (-1j * eps) * MR)

@@ -28,12 +28,12 @@ takes the quadrature sum in the reverse order. Both are the dense sums
 E @ c and _EW @ f reordered, equal to them for any grid values, at O(B^5)
 operations per column against O(B^6). On U(1) both are one FFT.
 
-No other module evaluates the basis on a grid: `_rep_products` multiplies
-a stack of matrices at the nodes by the irreps out of the factors, without
-forming the irreps; `_grid_reps`, its product with the identity, is not
-kept; and data of band b on the grid of degree q is transformed, unpadded,
-by the memoised `space(group, b, q)`. The library never reads the dense E
-(`eval_basis` at the nodes) or _EW, cached properties for the oracles.
+`_rep_products` multiplies a stack of matrices at the nodes by the irreps
+out of the factors, without forming them; data of band b on the grid of
+degree q is transformed, unpadded, by the memoised `space(group, b, q)`.
+Outside this module only `symbols.kn_compose`, the composition oracle,
+evaluates a basis at nodes: sb's `eval_basis` at sa's nodes. E and _EW,
+the dense basis and analysis matrices, are cached for the oracles alone.
 
 Complex conjugation permutes the basis up to sign. By conj(D^n_ab) =
 (-1)^{a-b} D^n_{n-1-a, n-1-b} on SU(2) and conj(e^{ij phi}) = e^{-ij phi}
@@ -69,6 +69,13 @@ def _product_band(group, band_1, band_2):
     n_1 + n_2 - 1 on SU(2), whose labels are irrep dimensions, and
     j_1 + j_2 on U(1)."""
     return band_1 + band_2 - 1 if group == G.SU2 else band_1 + band_2
+
+
+def _generators(group, labels, k):
+    """dpi(X) per label, X = tau_k (SU(2)) or X = 1 (U(1))."""
+    if group == G.U1:
+        return [np.array([[1j * lab]]) for lab in labels]
+    return [su2_generator(lab - 1, k) for lab in labels]
 
 
 @functools.lru_cache(maxsize=32)
@@ -146,13 +153,6 @@ class PWSpace:
     def _EW(self):
         """Dense analysis matrix conj(E)^T diag(w), built on first use."""
         return (self.E.conj() * self.quad.weights[:, None]).T
-
-    def _grid_reps(self, lab):
-        """The matrices of irrep lab, one of this space's labels, at its
-        nodes, (N, d, d): `_rep_products` of the identity, not kept."""
-        d = G.dim(self.group, lab)
-        eye = np.broadcast_to(np.eye(d).ravel(), (self.quad.n_nodes, d * d))
-        return self._rep_products(eye, [lab]).reshape(-1, d, d)
 
     def _rep_products(self, stack, labels, conj=False):
         """Per node g and label, D(g) @ v(g) for the label's block v of the
@@ -333,12 +333,6 @@ class PWSpace:
 
     # -- block-diagonal operators -------------------------------------------
 
-    def _generators(self, k):
-        """dpi(X) per label, X = tau_k (SU(2)) or X = 1 (U(1))."""
-        if self.group == G.U1:
-            return [np.array([[1j * lab]]) for lab in self.labels]
-        return [su2_generator(lab - 1, k) for lab in self.labels]
-
     def _kron_rows(self, blocks, mats):
         """kron(X_p, 1) @ mats[p] for a stack: blocks per label (P, d, d),
         mats (P, dim, n); one irrep block of rows at a time, each a batch of
@@ -379,7 +373,8 @@ class PWSpace:
         """R_X for X = tau_k (SU(2)) or X = 1 (U(1)): d/ds Psi(e^{sX} g), the
         dense block-diagonal matrix with kron(dpi(X)^T, 1) per label."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for lab, X in zip(self.labels, self._generators(k)):
+        for lab, X in zip(self.labels,
+                          _generators(self.group, self.labels, k)):
             d = len(X)
             o = self.offsets[lab]
             out[o:o + d * d, o:o + d * d] = np.kron(X.T, np.eye(d))

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups as G
-from .peterweyl import _BLOCK, PWSpace, _product_band, space
+from .peterweyl import _BLOCK, PWSpace, _generators, _product_band, space
 
 # Weyl kernels with more relative mass than _BRANCH_TOL within _BRANCH_MARGIN
 # of the square-root branch locus are rejected
@@ -89,10 +89,6 @@ class MatrixSymbol:
                             {lab: np.conj(np.swapaxes(v, 1, 2))
                              for lab, v in self.values.items()})
 
-    def coefficients(self, lab):
-        """g-band-limited PW coefficients of sigma(lab, .)_{mn}: (dim_g, d, d)."""
-        return self.g_pw.analysis(self.values[lab])
-
     def _coefficient_stack(self, run):
         """The coefficients of the labels of a run side by side, (dim_g, sum
         of d^2) with d^2 columns per label: one analysis."""
@@ -104,7 +100,8 @@ class MatrixSymbol:
         """sigma(lab, .) at a group_quadrature's nodes, else ValueError."""
         gs = space(self.group, self.g_pw.band, quad.exactness_degree)
         gs._check_grid(quad)
-        return gs.synthesis(self.coefficients(lab))
+        d = G.dim(self.group, lab)
+        return gs.synthesis(self._coefficient_stack([lab])).reshape(-1, d, d)
 
     def max_abs_diff(self, other):
         return max(np.abs(self.values[lab] - other.values[lab]).max()
@@ -130,28 +127,22 @@ def function_symbol(group, pi_band, g_pw, f_grid):
 
 def momentum_symbol(group, pi_band, g_pw, eps, direction=0):
     """sigma_{P_X}(pi, g) = i eps dpi(X), X = tau_direction (or 1 for U(1))."""
-    from .wigner import su2_generator
-    vals = {}
+    labels = G.irrep_labels(group, pi_band)
     n = g_pw.quad.n_nodes
-    for lab in G.irrep_labels(group, pi_band):
-        if group == G.U1:
-            blk = np.array([[1j * lab]], dtype=complex)
-        else:
-            blk = su2_generator(lab - 1, direction)
-        vals[lab] = np.broadcast_to(1j * eps * blk,
-                                    (n,) + blk.shape).copy()
-    return MatrixSymbol(group, pi_band, g_pw, vals)
+    return MatrixSymbol(group, pi_band, g_pw, {
+        lab: np.broadcast_to(1j * eps * X, (n,) + X.shape).copy()
+        for lab, X in zip(labels, _generators(group, labels, direction))})
 
 
 def random_symbol(group, pi_band, g_pw, rng):
     """Band-limited random symbol (g-band = g_pw.band) with standard complex
-    Gaussian coefficients."""
-    vals = {}
-    for lab in G.irrep_labels(group, pi_band):
-        shape = (g_pw.dim,) + (G.dim(group, lab),) * 2
-        vals[lab] = g_pw.synthesis(rng.standard_normal(shape)
-                                   + 1j * rng.standard_normal(shape))
-    return MatrixSymbol(group, pi_band, g_pw, vals)
+    Gaussian coefficients, drawn per label, real parts then imaginary parts;
+    one synthesis."""
+    labels = G.irrep_labels(group, pi_band)
+    draws = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in
+             [(g_pw.dim, G.dim(group, lab) ** 2) for lab in labels]]
+    return MatrixSymbol(group, pi_band, g_pw, _label_views(
+        group, labels, g_pw.synthesis(np.concatenate(draws, axis=1))))
 
 
 @dataclass
@@ -188,6 +179,17 @@ def _label_runs(group, labels, n_nodes):
         runs[-1].append(lab)
         size += d2
     return runs
+
+
+def _label_views(group, labels, stack):
+    """{label: (rows, d, d) view} of a stack (rows, sum of d^2) that holds
+    the labels' matrices side by side, d^2 columns per label."""
+    views, o = {}, 0
+    for lab in labels:
+        d = G.dim(group, lab)
+        views[lab] = stack[:, o:o + d * d].reshape(-1, d, d)
+        o += d * d
+    return views
 
 
 def _stack_dims(group, run):
@@ -276,10 +278,7 @@ def kn_symbol(op, pi_band, g_pw):
         coef = gs.analysis(sig)
         resid = max(resid, np.abs(gs.synthesis(coef) - sig).max())
         scale = max(scale, np.abs(sig).max())
-        out = g_pw.synthesis(coef)
-        for lab in run:
-            d, o = G.dim(pw.group, lab), pw.offsets[lab] - pw.offsets[run[0]]
-            vals[lab] = out[:, o:o + d * d].reshape(-1, d, d)
+        vals.update(_label_views(pw.group, run, g_pw.synthesis(coef)))
     return MatrixSymbol(pw.group, pi_band, g_pw, vals,
                         projection_residual=resid / max(scale, 1e-300))
 
@@ -318,7 +317,8 @@ def kn_compose(sa, sb, h_quad):
     N_h, N_g = h_quad.n_nodes, gq.n_nodes
     hs = space(group, max(sa.pi_band, g_pw.band), h_quad.exactness_degree)
     hs._check_grid(h_quad)
-    Dh = {lab: hs._grid_reps(lab) for lab in hs.labels}
+    Dh = dict(zip(hs.labels, hs._reps(h_quad.angles if group == G.U1
+                                      else h_quad.quats)))
 
     # F_A on the (h, g) double grid, weighted, as (g, h)
     FA = sum(G.dim(group, lab) * Dh[lab].conj().reshape(N_h, -1)
@@ -326,10 +326,11 @@ def kn_compose(sa, sb, h_quad):
     wFA = (FA * h_quad.weights[:, None]).T
     E = g_pw.eval_basis(gq.angles if group == G.U1 else gq.quats)
 
+    labels = G.irrep_labels(group, pi_band)
+    coefs = _label_views(group, labels, sb._coefficient_stack(labels))
     out = {}
-    for lab in G.irrep_labels(group, pi_band):
+    for lab, CB in coefs.items():             # CB: (dim_g, d, d)
         d = G.dim(group, lab)
-        CB = sb.coefficients(lab)             # (dim_g, d, d)
         T = np.empty((N_h, g_pw.dim, d, d), dtype=complex)
         for lab2 in g_pw.labels:
             d2 = G.dim(group, lab2)
@@ -369,7 +370,12 @@ def branch_mass(group, quad, coef):
 
 def _kernel_coefficients(sym, h_quad, band):
     """(hp, the g-band coefficients of F(h, .) at the h nodes, (N_h, dim_g)),
-    hp the space of `band` on h_quad (ValueError unless it is hp's grid)."""
+    hp the space of `band` on h_quad. ValueError unless h_quad is hp's grid
+    of degree `band` at least: a coarser grid aliases the Weyl sums."""
+    if h_quad.exactness_degree < band:
+        raise ValueError("h quadrature of degree %d aliases the Weyl kernel;"
+                         " it needs degree %d"
+                         % (h_quad.exactness_degree, band))
     hp = space(sym.group, band, h_quad.exactness_degree)
     hp._check_grid(h_quad)
     C = np.zeros((hp.dim, sym.g_pw.dim), dtype=complex)
@@ -393,13 +399,11 @@ def _deform(sym, h_quad, s, pi_band):
         v = -v if group == G.U1 else G.quat_inv(v)
     DvT = [np.swapaxes(D, 1, 2) for D in g_pw._reps(v)]
     A = hp.analysis(g_pw._kron_rows(DvT, coef[:, :, None])[:, :, 0])
-    j = np.flatnonzero(hp.band_mask(pi_band))     # one run of whole blocks
-    vals = g_pw.synthesis((hp._dual_sign[j, None] * A[hp._dual_index[j]]).T)
-    out = {}
-    for lab in G.irrep_labels(group, pi_band):
-        d, o = G.dim(group, lab), hp.offsets[lab] - j[0]
-        out[lab] = vals[:, o:o + d * d].reshape(-1, d, d) / math.sqrt(d)
-    return out
+    labels = G.irrep_labels(group, pi_band)
+    j = np.flatnonzero(hp.band_mask(pi_band))     # the labels' whole blocks
+    scale = hp._dual_sign[j] / np.sqrt(_stack_dims(group, labels))
+    return _label_views(group, labels, g_pw.synthesis(
+        (scale[:, None] * A[hp._dual_index[j]]).T))
 
 
 def weyl_deform(sym, h_quad):

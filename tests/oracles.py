@@ -1,12 +1,12 @@
 """Dense routes to the basis on a grid, for the test oracles only.
 
-The library evaluates irrep matrices on a quadrature grid only inside
-`peterweyl` (`PWSpace._grid_reps`, from the space's factor tables) and
-moves data of a small band onto a larger grid by that band's own
-transforms. These helpers keep the direct routes beside them: every irrep
-matrix from `wigner_D_euler_grid` at the grid's Euler angles, the dense
-basis matrix they make, and zero padding of coefficients into a larger
-basis.
+The library multiplies by irrep matrices on a quadrature grid only inside
+`peterweyl` (`PWSpace._rep_products`, from the space's factor tables,
+without forming them) and moves data of a small band onto a larger grid
+by that band's own transforms. These helpers keep the direct routes beside
+them: every irrep matrix from `wigner_D_euler_grid` at the grid's Euler
+angles, the dense basis matrix they make, and zero padding of coefficients
+into a larger basis.
 """
 
 import math

@@ -89,6 +89,30 @@ def test_roundtrip_su2(su2_spaces):
     assert d < 1e-10 and p < 1e-10
 
 
+@pytest.mark.parametrize("spaces,pi_band", [("u1_spaces", 6),
+                                           ("su2_spaces", 4)])
+def test_random_symbol_is_one_synthesis(spaces, pi_band, request,
+                                        monkeypatch):
+    # the same draws as a synthesis per label, made as one
+    gpw = request.getfixturevalue(spaces)[0]
+    rng = np.random.default_rng(pi_band)
+    loop = {}
+    for lab in G.irrep_labels(gpw.group, pi_band):
+        shape = (gpw.dim,) + (G.dim(gpw.group, lab),) * 2
+        loop[lab] = gpw.synthesis(rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
+    calls = []
+
+    def spy(self, *args, _f=PWSpace.synthesis):
+        calls.append(self)
+        return _f(self, *args)
+    monkeypatch.setattr(PWSpace, "synthesis", spy)
+    sym = S.random_symbol(gpw.group, pi_band, gpw,
+                          np.random.default_rng(pi_band))
+    assert calls == [gpw]
+    assert _max_rel(loop, sym.values) < 1e-14
+
+
 def _compose_check(group, gpw, pw, pi_band, h_quad, g2):
     sa = S.random_symbol(group, pi_band, gpw, RNG)
     sb = S.random_symbol(group, pi_band, gpw, RNG)
@@ -175,7 +199,7 @@ def _kn_compose_loop(sa, sb, h_quad):
     for lab in G.irrep_labels(group, pi_band):
         d = G.dim(group, lab)
         Dh = rep_grid(h_quad, lab)
-        CB = sb.coefficients(lab)
+        CB = sb.g_pw.analysis(sb.values[lab])
         acc = np.zeros((gq.n_nodes, d, d), dtype=complex)
         for sl in _h_chunks(h_quad):
             shift = _eval_left_shifted(sb.g_pw, CB, h_quad, sl, gq)
@@ -193,7 +217,8 @@ def _kn_quantize_all_columns(sym, pw):
     for lab in sym.labels:
         D = rep_grid(quad, lab)
         psihat = pw.analysis(D.conj()).conj()
-        sig = np.tensordot(E_g, sym.coefficients(lab), axes=(1, 0))
+        sig = np.tensordot(E_g, sym.g_pw.analysis(sym.values[lab]),
+                           axes=(1, 0))
         out_vals += G.dim(sym.group, lab) * np.einsum(
             "knm,knp,ipm->ik", D.conj(), sig, psihat, optimize=True)
     coeffs = pw.analysis(out_vals.T)
@@ -240,6 +265,26 @@ def test_kn_compose_rejects_inexact_h_quad(group, pi_band, g_band, g_degree,
     assert _max_rel(ref, S.kn_compose(sa, sb, exact).values) < 1e-12
 
 
+@pytest.mark.parametrize("spaces,pi_band,h_degree", [
+    ("u1_spaces", 6, 8), ("su2_spaces", 4, 5)])
+def test_kn_compose_makes_no_rep_products(spaces, pi_band, h_degree,
+                                          request, monkeypatch):
+    # the composition oracle takes its h-side irreps from `_reps` at the
+    # h nodes, not from the factor tables of the kn_quantize/kn_symbol
+    # route that it checks
+    gpw = request.getfixturevalue(spaces)[0]
+    rng = np.random.default_rng(h_degree)
+    sa, sb = (S.random_symbol(gpw.group, pi_band, gpw, rng) for _ in "ab")
+    calls = []
+
+    def spy(self, *args, _f=PWSpace._rep_products, **kwargs):
+        calls.append(self)
+        return _f(self, *args, **kwargs)
+    monkeypatch.setattr(PWSpace, "_rep_products", spy)
+    S.kn_compose(sa, sb, G.group_quadrature(gpw.group, h_degree))
+    assert calls == []
+
+
 @pytest.fixture(scope="module")
 def su2_band3():
     return S.make_g_space(G.SU2, 2, quad_degree=5), PWSpace(G.SU2, 3)
@@ -280,9 +325,9 @@ def test_kn_quantize_rows_end_at_product_band(spaces, pi_band, request):
                                            ("su2_spaces", 4)])
 def test_kn_transform_count_is_fixed(spaces, pi_band, request, monkeypatch):
     # every label goes into one stack: the transforms per call do not grow
-    # with the number of labels, and no irrep is formed at the nodes
+    # with the number of labels
     gpw, pw = request.getfixturevalue(spaces)[:2]
-    calls = {"analysis": 0, "synthesis": 0, "_grid_reps": 0}
+    calls = {"analysis": 0, "synthesis": 0}
     for name in calls:
         def spy(self, *args, _f=getattr(PWSpace, name), _n=name):
             calls[_n] += 1
@@ -303,7 +348,6 @@ def test_kn_transform_count_is_fixed(spaces, pi_band, request, monkeypatch):
                      counts(S.kn_symbol, op, band, gpw)])
     assert seen[0] == seen[1]
     for c in seen[1]:
-        assert c["_grid_reps"] == 0
         assert c["analysis"] + c["synthesis"] == 4
 
 
@@ -380,7 +424,8 @@ def test_left_right_covariance_su2(su2_spaces):
     worst = 0.0
     for lab in sig_c.values:
         Dh = G.rep_matrix(G.SU2, lab, h)
-        shifted = np.tensordot(E_sh, sym.coefficients(lab), axes=(1, 0))
+        shifted = np.tensordot(E_sh, sym.g_pw.analysis(sym.values[lab]),
+                               axes=(1, 0))
         expect = np.einsum("mn,knp,pq->kmq", Dh, shifted, Dh.conj().T)
         worst = max(worst, np.abs(sig_c.values[lab] - expect).max())
     assert worst < 1e-10
@@ -403,7 +448,7 @@ def test_adjoint_property_su2(su2_spaces):
     for lab in sym.values:
         d = G.dim(G.SU2, lab)
         Dh = rep_grid(h_quad, lab)
-        coef = sym.coefficients(lab)
+        coef = sym.g_pw.analysis(sym.values[lab])
         vals = np.tensordot(E_sh, coef, axes=(1, 0)).reshape(
             h_quad.n_nodes, gq.n_nodes, d, d)
         FA_shift += d * np.einsum("hnm,hgnm->hg", Dh.conj(), vals,
@@ -513,6 +558,39 @@ def test_weyl_branch_rejection(weyl_u1):
     bad = S.MatrixSymbol(G.U1, 24, gpw, vals)
     with pytest.raises(S.BranchLocusError):
         S.weyl_deform(bad, hq)
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_weyl_rejects_aliasing_h_grid(group, request):
+    # the Weyl sums are transforms of the h-space of band max(the symbol's
+    # pi-band, the output's): an h-grid of lower degree aliases them. At
+    # the U(1) sizes below, weyl_quantize was off by 1.0 relative at
+    # degree 12 and by 1.8e-5 at degree 20; from degree 24 it agrees with
+    # degree 130 to rounding
+    rng = np.random.default_rng(20)
+    if group == G.U1:
+        gpw, pw, fine = request.getfixturevalue("weyl_u1")
+        pi_band, s = 24, 0.07
+    else:
+        gpw = S.make_g_space(G.SU2, 2, quad_degree=6)
+        pw = PWSpace(G.SU2, 4, quad_degree=6)
+        pi_band, s, fine = 3, 0.3, None
+    sym = gaussian_profile_symbol(gpw, pi_band, s, rng)
+    low = G.group_quadrature(group, pi_band - 1)
+    with pytest.raises(ValueError, match="needs degree %d" % pi_band):
+        S.weyl_quantize(sym, pw, low)
+    hq = G.group_quadrature(group, pi_band)
+    kern = S.weyl_deform(sym, hq)
+    assert _max_rel(_deform_rep_grid(sym, hq, -1, pi_band), kern.K) < 1e-13
+    op = S.kernel_quantize(kern, pw, hq)
+    if fine is not None:
+        assert _max_rel(S.weyl_quantize(sym, pw, fine).matrix,
+                        op.matrix) < 1e-12
+    # weyl_symbol deforms the KN symbol over the whole operator band
+    with pytest.raises(ValueError, match="needs degree %d" % pw.band):
+        S.weyl_symbol(op, pi_band, gpw, G.group_quadrature(group,
+                                                           pw.band - 1))
+    S.weyl_symbol(op, pi_band, gpw, G.group_quadrature(group, pw.band))
 
 
 # Brute-force oracles for the Weyl routes: an h-quadrature of the left
@@ -637,8 +715,8 @@ def _kernel_values_rep_grid(sym, h_quad, s=0):
     """F(h, sqrt(h)^s g) on the (h_quad, sym.quad) double grid."""
     group, g_pw = sym.group, sym.g_pw
     coef = sum(G.dim(group, lab) * rep_grid(h_quad, lab).conj().reshape(
-        h_quad.n_nodes, -1) @ sym.coefficients(lab).reshape(g_pw.dim, -1).T
-        for lab in sym.labels)
+        h_quad.n_nodes, -1) @ g_pw.analysis(sym.values[lab]).reshape(
+            g_pw.dim, -1).T for lab in sym.labels)
     if s:
         v = S.sqrt_elements(group, h_quad)
         if s < 0:

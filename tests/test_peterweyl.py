@@ -106,17 +106,6 @@ def test_conjugation_map(group, band, degree):
                 pw.analysis(v.conj())) < 1e-14
 
 
-@pytest.mark.parametrize("group", [G.U1, G.SU2])
-def test_grid_reps_oracle(group):
-    # the irrep matrices multiplied out of the factor tables against
-    # wigner_D_euler_grid at the grid's Euler angles (U(1): the exponential)
-    for band in range(1, 17):
-        pw = PWSpace(group, band)
-        for lab in pw.labels:
-            assert np.abs(pw._grid_reps(lab)
-                          - rep_grid(pw.quad, lab)).max() < 1e-14
-
-
 @pytest.mark.parametrize("group,band,degree", SPACES)
 def test_band_mask_matches_index_loop(group, band, degree):
     pw = PWSpace(group, band, quad_degree=degree)
@@ -125,22 +114,32 @@ def test_band_mask_matches_index_loop(group, band, degree):
             [abs(lab) <= b for lab, _, _ in pw.index]))
 
 
-@pytest.mark.parametrize("group,band", [(G.U1, 10), (G.SU2, 10)])
+@pytest.mark.parametrize("group,band", [
+    (group, band) for group in (G.U1, G.SU2) for band in range(1, 17)])
 def test_rep_products_oracle(group, band):
-    # D(g) v(g) and v(g)^T conj(D(g)) from the factor tables, one stack of
-    # every label, against the irreps of wigner_D_euler_grid at the nodes
-    pw = PWSpace(group, band)
-    N = pw.quad.n_nodes
-    v = _crandn(np.random.default_rng(band), N, pw.dim)
-    left, right = pw._rep_products(v, pw.labels), pw._rep_products(
-        v, pw.labels, conj=True)
-    for lab in pw.labels:
-        D, d = rep_grid(pw.quad, lab), G.dim(group, lab)
-        blk = slice(pw.offsets[lab], pw.offsets[lab] + d * d)
+    # against the irreps of wigner_D_euler_grid at the grid's Euler angles
+    # (U(1): the exponential): D(g) v(g) and v(g)^T conj(D(g)) for one
+    # stack of every label on a coarse grid, since the products are taken
+    # node by node; and D, the product with the identity, label by label
+    # on the space's own grid
+    coarse = PWSpace(group, band, quad_degree=3)
+    N = coarse.quad.n_nodes
+    v = _crandn(np.random.default_rng(band), N, coarse.dim)
+    left, right = coarse._rep_products(v, coarse.labels), (
+        coarse._rep_products(v, coarse.labels, conj=True))
+    for lab in coarse.labels:
+        D, d = rep_grid(coarse.quad, lab), G.dim(group, lab)
+        blk = slice(coarse.offsets[lab], coarse.offsets[lab] + d * d)
         V = v[:, blk].reshape(N, d, d)
         assert _rel(left[:, blk].reshape(N, d, d), D @ V) < 1e-13
         assert _rel(right[:, blk].reshape(N, d, d),
                     np.swapaxes(V, 1, 2) @ D.conj()) < 1e-13
+    pw = PWSpace(group, band)
+    for lab in pw.labels:
+        d = G.dim(group, lab)
+        eye = np.broadcast_to(np.eye(d).ravel(), (pw.quad.n_nodes, d * d))
+        assert np.abs(pw._rep_products(eye, [lab]).reshape(-1, d, d)
+                      - rep_grid(pw.quad, lab)).max() < 1e-14
 
 
 def test_space_is_memoised():
