@@ -36,7 +36,9 @@ so one table of irrep blocks per eps serves every symbol and variant of a
 fit. And a coefficient of g-band g maps band <= in_band into band <= the
 product band in_band (+) g, while T_v and R_k keep bands: Q(b)[:, in-band]
 has no rows beyond that band, and a product Q(a) Q(b)[:, in-band] reads
-Q(a) on those columns only (`ensemble_order_fit`).
+Q(a) on those columns only (`ensemble_order_fit`). `_operators` builds
+M_f on the entries of that triangle rule alone, |n - n'|, |2m - 2m'| <=
+g - 1 on SU(2) and |j - j'| <= g on U(1): at g = 2 in moyal-fit, 3.5 %.
 """
 
 import math
@@ -153,9 +155,14 @@ def _merge_lattice(pts, coeffs):
 
 def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
     """PW coefficients, on g_pw_out's band, of the pointwise products of
-    each row of ca with each row of cb: shape (len(ca), len(cb), dim)."""
-    va = _grid_values(g_pw_a, np.atleast_2d(ca), g_pw_out)
-    vb = _grid_values(g_pw_b, np.atleast_2d(cb), g_pw_out)
+    each row of ca with each row of cb: shape (len(ca), len(cb), dim).
+    Exact zeros, with no transform, when ca or cb is all zero."""
+    ca, cb = np.atleast_2d(ca), np.atleast_2d(cb)
+    if not (ca.any() and cb.any()):
+        g_pw_out._band_space(max(g_pw_a.band, g_pw_b.band))   # band check
+        return np.zeros((len(ca), len(cb), g_pw_out.dim), dtype=complex)
+    va = _grid_values(g_pw_a, ca, g_pw_out)
+    vb = _grid_values(g_pw_b, cb, g_pw_out)
     prods = g_pw_out.analysis(va[:, :, None] * vb[:, None, :])
     return np.moveaxis(prods, 0, -1)
 
@@ -278,10 +285,10 @@ def _operators(s, pw, in_band=None):
     the momentum-linear coefficients q_k, {k: (dim, n)}, on the n columns
     `cols` of pw's basis: those of `pw.band_mask(in_band)`, or all."""
     vals = _grid_values(s.g_pw, np.vstack([s.coeffs, *s.poly.values()]), pw)
-    mults = [pw.multiplication_operator(v, in_band) for v in vals.T]
+    mults = [pw.multiplication_operator(v, in_band, s.g_pw.band)
+             for v in vals.T]
     P = len(s.coeffs)
-    cols = (slice(None) if in_band is None
-            else np.flatnonzero(pw.band_mask(in_band)))
+    cols = slice(None) if in_band is None else pw.band_mask(in_band)
     return np.array(mults[:P]), dict(zip(s.poly, mults[P:])), cols
 
 
@@ -377,7 +384,9 @@ def local_quantize(s, eps, pw, variant=KN):
 # ---------------------------------------------------------------------------
 
 def _op_norm(M):
-    return np.linalg.svd(M, compute_uv=False)[0]
+    """sigma_max(M), from the top eigenvalue of the smaller Gram matrix."""
+    gram = M.conj().T @ M if M.shape[0] >= M.shape[1] else M @ M.conj().T
+    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
 def _check_eps_list(eps_list):
@@ -409,18 +418,15 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
     near-cancellations of a single random draw. eps_list needs two
     distinct eps in (0, 1] at least (ValueError, before any work).
 
-    Only what the residuals read is built. Q(b)[:, in-band] has no rows
-    beyond the band `reach` = in_band (+) g, g the larger g-band of a and
-    b, the product band (`_product_band`, capped at pw's band): the
-    coefficients multiply band <= in_band into band <= reach, and the
-    translations are block diagonal. So Q(a) Q(b)[:, in-band] = Q(a)[:, r] Q(b)[r, in-band] with
-    r = band_mask(reach), and likewise with a and b swapped; the fit builds
-    Q(a) and Q(b) on the columns r only (a prefix of whole irrep blocks on
-    SU(2)), Q(ab) and Q({a,b}) on the in-band columns. Per pair the
-    multiplication operators of a, b, ab and {a,b} are built once and
-    assembled for every eps and both variants (see local_quantize), and
-    per eps the translation blocks of all seven assemblies come from one
-    table (`_translations`).
+    Only what the residuals read is built (module docstring): with g the
+    larger g-band of a and b, reach = in_band (+) g (`_product_band`,
+    capped at pw's band) and r = band_mask(reach), Q(a) Q(b)[:, in-band] =
+    Q(a)[:, r] Q(b)[r, in-band], so Q(a) and Q(b) are built on the columns
+    r, a prefix of whole irrep blocks on SU(2), and Q(ab) and Q({a,b}) on
+    the in-band ones. Per pair the multiplication operators of a, b, ab and
+    {a,b} are built once and assembled for every eps and both variants,
+    and per eps the translation blocks of all seven assemblies come from
+    one table (`_translations`).
     """
     _check_eps_list(eps_list)
     cols = pw.band_mask(in_band)

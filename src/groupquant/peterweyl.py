@@ -45,7 +45,9 @@ so for any grid values v with analysis c, that of conj v is s conj(c[ibar]).
 A multiplication operator is the quadrature sum _EW diag(f) E reordered.
 On U(1) it is the circulant of the DFT of f. On SU(2) it is a 2-D DFT of f
 over (alpha, gamma) and a short sum over the beta nodes against the same
-d-table.
+d-table. Given the band g of f only entries with |j - j'| <= g (U(1)), or
+|n - n'|, |2m_a - 2m_a'|, |2m_b - 2m_b'| <= g - 1 (SU(2)), are computed:
+O(g^3) of them per column against dim; the rest are exact zeros.
 """
 
 import functools
@@ -109,6 +111,7 @@ class PWSpace:
                             - np.arange(self.dim))
         self._dual_sign = (-1.0) ** np.array([a + b for _, a, b in self.index])
         self._abs_label = np.repeat(np.abs(self.labels), sizes)
+        self._entry_cache = {}
         if group == G.SU2:
             self._euler_tables()
 
@@ -199,6 +202,14 @@ class PWSpace:
                              % (band, self.band))
         return space(self.group, band, self.quad.exactness_degree)
 
+    def _check_nodes(self, values):
+        """values as an array; ValueError unless it has quad.n_nodes rows."""
+        v = np.asarray(values)
+        if v.shape[:1] != (self.quad.n_nodes,):
+            raise ValueError("grid values need quad.n_nodes = %d rows, got "
+                             "shape %s" % (self.quad.n_nodes, v.shape))
+        return v
+
     def _check_grid(self, quad):
         """ValueError unless quad has this space's nodes and weights, the
         grid that its transforms sum over."""
@@ -227,7 +238,7 @@ class PWSpace:
         then per u the sum over the (beta, gamma) nodes against
         w_beta sqrt(n) d^n_ab(beta) e^{i m_b gamma} w_gamma for the modes of
         row weight u, in the cheaper of two orders (`_many_columns`)."""
-        v = np.asarray(values)
+        v = self._check_nodes(values)
         tail = v.shape[1:]
         v = v.reshape(len(v), -1)
         if self.group == G.U1:
@@ -380,7 +391,7 @@ class PWSpace:
             out[o:o + d * d, o:o + d * d] = np.kron(X.T, np.eye(d))
         return out
 
-    def multiplication_operator(self, grid_values, in_band=None):
+    def multiplication_operator(self, grid_values, in_band=None, f_band=None):
         """Matrix of Psi -> f * Psi from samples of f on the quadrature grid.
 
         Equal to EW diag(f) E. U(1): M[j, j'] = fft(f)[j - j' mod n] / n.
@@ -390,30 +401,42 @@ class PWSpace:
 
         With `in_band` only the columns of `band_mask(in_band)` are built:
         the result is M[:, band_mask(in_band)], of shape (dim, n_in_band),
-        at that share of the work.
+        at that share of the work. With `f_band` = g, the band of f, only
+        the entries with |j - j'| <= g (U(1)), or |n - n'|, |2m_a - 2m_a'|
+        and |2m_b - 2m_b'| <= g - 1 (SU(2)), are computed, O(g^3 n_beta)
+        per column on SU(2) against O(dim n_beta); the rest are exactly 0.
         """
-        f = np.asarray(grid_values, dtype=complex)
-        cols = (slice(None) if in_band is None
-                else np.flatnonzero(self.band_mask(in_band)))
-        if self.group == G.U1:
-            lab = np.array(self.labels)
-            return np.fft.fft(f)[np.subtract.outer(lab, lab[cols])
-                                 % len(f)] / len(f)
-        shift = self._shift[:, cols]
-        n_alpha, n_beta, n_gamma = self.quad.shape
-        F = np.fft.ifft2(f.reshape(self.quad.shape), axes=(0, 2))
-        F = F.transpose(1, 0, 2).reshape(n_beta, n_alpha * n_gamma)
-        out = np.zeros(shift.shape, dtype=complex)
-        for Fb, e, w in zip(F, self._dtable, self._w_beta):
-            out += np.outer(w * e, e[cols]) * Fb[shift]
+        f = self._check_nodes(np.ravel(grid_values))
+        if not (f_band is None or isinstance(f_band, (int, np.integer))
+                and f_band > 0):
+            raise ValueError("f_band %r is not a positive integer" % (f_band,))
+        F = (np.fft.fft(f)[None] / len(f) if self.group == G.U1 else
+             np.fft.ifft2(f.reshape(self.quad.shape).transpose(1, 0, 2)))
+        n_cols, rows, cols, freq, weights = self._entries(in_band, f_band)
+        out = np.zeros((self.dim, n_cols), dtype=complex)
+        out[rows, cols] = np.einsum("be,be->e", weights,   # F as (beta, freq)
+                                    F.reshape(len(F), -1)[:, freq])
         return out
 
-    @functools.cached_property
-    def _shift(self):
-        """Flat (alpha, gamma) frequency index of each entry of an SU(2)
-        multiplication operator, built on first use."""
-        n_alpha, _, n_gamma = self.quad.shape
-        two_ma = np.array([lab - 1 - 2 * a for lab, a, _ in self.index])
-        two_mb = np.array([lab - 1 - 2 * b for lab, _, b in self.index])
-        return (np.subtract.outer(two_ma, two_ma) % n_alpha * n_gamma
-                + np.subtract.outer(two_mb, two_mb) % n_gamma)
+    def _entries(self, in_band, f_band):
+        """Per (in_band, f_band), built on first use: the column count and,
+        per entry the rule admits, its row, column, flat frequency in F and
+        beta weights (w_beta e_i(beta) e_j(beta) on SU(2), 1 on U(1))."""
+        if (in_band, f_band) not in self._entry_cache:
+            cols = np.flatnonzero(self.band_mask(
+                self.band if in_band is None else in_band))
+            # (n, 2m_a, 2m_b); on U(1) each difference is j - j'
+            q = np.array([(n, n - 1 - 2 * a, n - 1 - 2 * b)
+                          for n, a, b in self.index])
+            n_a, n_g = ((self.quad.n_nodes, 1) if self.group == G.U1
+                        else self.quad.shape[::2])
+            lim = np.inf if f_band is None else f_band - (self.group == G.SU2)
+            diff = q[:, None] - q[cols]
+            rows, cs = np.nonzero(np.abs(diff).max(axis=2) <= lim)
+            d = diff[rows, cs]
+            self._entry_cache[in_band, f_band] = (
+                len(cols), rows, cs, d[:, 1] % n_a * n_g + d[:, 2] % n_g,
+                np.ones((1, len(rows))) if self.group == G.U1 else
+                self._w_beta[:, None] * self._dtable[:, rows]
+                * self._dtable[:, cols[cs]])
+        return self._entry_cache[in_band, f_band]

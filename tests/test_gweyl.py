@@ -910,6 +910,63 @@ def test_multiplication_operator_oracle(group, band, degree):
     assert _max_rel(oracle[:, pw.band_mask(in_band)], cols) < 1e-13
 
 
+def _selection_rule(pw, g):
+    """Entries of a multiplication operator that a band-g f can make
+    nonzero: |j - j'| <= g on U(1); |n - n'|, |2m_a - 2m_a'| and
+    |2m_b - 2m_b'| all <= g - 1 on SU(2)."""
+    if pw.group == G.U1:
+        q = np.array([[lab] for lab, _, _ in pw.index])
+        return np.abs(q - q.T) <= g
+    q = np.array([(n, n - 1 - 2 * a, n - 1 - 2 * b) for n, a, b in pw.index])
+    return np.abs(q[:, None] - q[None]).max(axis=2) <= g - 1
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+@pytest.mark.parametrize("band", range(1, 9))
+def test_multiplication_operator_selection_rule(group, band):
+    # a grid that integrates conj(e_i) f e_j exactly for every f band g <=
+    # band, so that the dense quadrature sum obeys the rule too
+    pw = PWSpace(group, band, quad_degree=band + (band + 1) // 2)
+    E = basis_matrix(pw, pw.quad)
+    rng = np.random.default_rng(band)
+    in_band = max(1, band // 2)
+    for g in range(1, band + 1):
+        g_pw = PWSpace(group, g)
+        f = basis_matrix(g_pw, pw.quad) @ _crand(rng, g_pw.dim)
+        oracle = (E.conj() * pw.quad.weights[:, None]).T @ (f[:, None] * E)
+        rule = _selection_rule(pw, g)
+        M = pw.multiplication_operator(f, None, g)
+        assert np.all(M[~rule] == 0)
+        assert _max_rel(oracle, M) < 1e-13
+        cols = pw.band_mask(in_band)
+        Mc = pw.multiplication_operator(f, in_band, g)
+        assert np.all(Mc[~rule[:, cols]] == 0)
+        assert _max_rel(oracle[:, cols], Mc) < 1e-13
+    assert _max_rel(oracle, pw.multiplication_operator(f)) < 1e-13
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+@pytest.mark.parametrize("f_band", [0, -1, 2.0, "2", [2]])
+def test_multiplication_operator_rejects_bad_f_band(group, f_band):
+    pw = PWSpace(group, 3)
+    with pytest.raises(ValueError, match="f_band"):
+        pw.multiplication_operator(np.ones(pw.quad.n_nodes), None, f_band)
+
+
+@pytest.mark.parametrize("group,degree", [(G.U1, 12), (G.SU2, 4)])
+def test_grid_values_of_wrong_length_raise(group, degree):
+    # on U(1) 28 values for 25 nodes used to make an operator off by 0.36
+    pw = PWSpace(group, 3, quad_degree=degree)
+    n = pw.quad.n_nodes
+    for f in (np.ones(n + 3), np.ones(n - 1), np.ones((n, 2))):
+        with pytest.raises(ValueError, match="quad.n_nodes"):
+            pw.multiplication_operator(f)
+    for v in (np.ones(n + 3), np.ones((n - 1, 2))):
+        with pytest.raises(ValueError, match="quad.n_nodes"):
+            pw.analysis(v)
+    assert pw.analysis(np.ones((n, 2))).shape == (pw.dim, 2)
+
+
 @pytest.mark.parametrize("group,g_band,band,degree", [
     (G.U1, 3, 11, 30), (G.SU2, 2, 5, 8)])
 def test_grid_values_by_synthesis(group, g_band, band, degree):
@@ -1206,6 +1263,45 @@ def _product_residuals_loop(a, b, eps, pw, in_band, g_pw_out):
     Qbr = L.local_quantize(br, eps, pw, L.KN)
     dirac = L._op_norm(((1j / eps) * (Qa @ Qb - Qb @ Qa) - Qbr)[:, mask])
     return moyal, dirac
+
+
+@pytest.mark.parametrize("shape,rank", [
+    ((40, 7), None), ((7, 40), None), ((30, 20), 1), ((12, 12), 0)])
+def test_op_norm_is_largest_singular_value(shape, rank):
+    rng = np.random.default_rng(shape[0])
+    M = _crand(rng, *shape)
+    if rank == 1:
+        M = np.outer(_crand(rng, shape[0]), _crand(rng, shape[1]))
+    elif rank == 0:
+        M = np.zeros(shape, dtype=complex)
+    ref = np.linalg.norm(M, 2)
+    assert abs(L._op_norm(M) - ref) <= 1e-13 * max(ref, 1.0)
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_coeff_products_with_a_zero_factor_make_no_transform(
+        monkeypatch, layout_spaces, group):
+    gpw, gout = layout_spaces[group]
+    rng = np.random.default_rng(29)
+    c, zero = _crand(rng, 3, gpw.dim), np.zeros((2, gpw.dim), complex)
+    routes = {}
+    for ca, cb in ((c, zero), (zero, c), (zero, zero)):
+        va, vb = (L._grid_values(gpw, x, gout) for x in (ca, cb))
+        routes[len(ca), len(cb)] = np.moveaxis(
+            gout.analysis(va[:, :, None] * vb[:, None, :]), 0, -1)
+    calls = []
+    for name in ("analysis", "synthesis"):
+        def spy(self, *args, _f=getattr(PWSpace, name), _n=name):
+            calls.append(_n)
+            return _f(self, *args)
+        monkeypatch.setattr(PWSpace, name, spy)
+    for ca, cb in ((c, zero), (zero, c), (zero, zero)):
+        out = L._coeff_products(gpw, ca, gpw, cb, gout)
+        assert np.array_equal(out, routes[len(ca), len(cb)])
+    assert calls == []
+    # the zero route keeps the band check of the transform route
+    with pytest.raises(ValueError, match="exceeds"):
+        L._coeff_products(gout, np.zeros((2, gout.dim)), gpw, c, gpw)
 
 
 @pytest.mark.parametrize("seed", [0, 13])
