@@ -37,9 +37,15 @@ def _gauss_legendre(n):
     return x, w
 
 
-@functools.lru_cache(maxsize=None)
+# spins whose J_y eigenbases stay cached: the most a benchmark pass reads
+# is 27 (sw-orbit); the orbit harmonic table at 2j = 128 reads 130, 47 MB
+_JY_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_JY_CACHE)
 def _jy_eigh(twoj):
-    """(lambda, V) with J_y = V diag(lambda) V^*; lambda is exactly m = -j..j."""
+    """(lambda, V) with J_y = V diag(lambda) V^*; lambda is exactly m = -j..j.
+    The _JY_CACHE most recently used spins are kept."""
     jp = _raising(twoj)
     _, V = np.linalg.eigh((jp - jp.T) / 2j)
     lam = np.arange(-twoj, twoj + 1, 2) / 2.0

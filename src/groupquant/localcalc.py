@@ -36,9 +36,10 @@ so one table of irrep blocks per eps serves every symbol and variant of a
 fit. And a coefficient of g-band g maps band <= in_band into band <= the
 product band in_band (+) g, while T_v and R_k keep bands: Q(b)[:, in-band]
 has no rows beyond that band, and a product Q(a) Q(b)[:, in-band] reads
-Q(a) on those columns only (`ensemble_order_fit`). `_operators` builds
-M_f on the entries of that triangle rule alone, |n - n'|, |2m - 2m'| <=
-g - 1 on SU(2) and |j - j'| <= g on U(1): at g = 2 in moyal-fit, 3.5 %.
+Q(a) on those columns only (`ensemble_order_fit`). Multiplication
+operators, and with them the products of coefficient functions, are built
+from the coefficients, on the entries of that triangle rule alone
+(`PWSpace.multiplication_operator`): the calculus makes no transform.
 """
 
 import math
@@ -74,7 +75,8 @@ def haar_jacobian_sq(group, Y):
 class LocalSymbol:
     """Lattice points, (P, n_dirs) ints with n_dirs = 1 on U(1) and 3 on
     SU(2) (a 1-D array is read as one column), and the PW coefficients of
-    m_p and of the momentum-linear q_k. The lattice must lie in the
+    m_p and of the momentum-linear q_k: one row of g_pw.dim per point, one
+    (g_pw.dim,) vector per k, else ValueError. The lattice must lie in the
     injectivity set: |Y_p| < pi on U(1) and |Y_p| < 2 pi on SU(2), else
     SymbolClassError."""
     group: str
@@ -87,6 +89,15 @@ class LocalSymbol:
     def __post_init__(self):
         self.points = np.asarray(self.points).reshape(-1, self.n_dirs)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        P, dim = len(self.points), self.g_pw.dim
+        if self.coeffs.shape != (P, dim):
+            raise ValueError("coeffs has shape %s; %d points and g_pw.dim = "
+                             "%d need (%d, %d)" % (self.coeffs.shape, P, dim,
+                                                   P, dim))
+        for k, v in self.poly.items():
+            if np.shape(v) != (dim,):
+                raise ValueError("poly[%r] has shape %s; g_pw.dim = %d needs "
+                                 "(%d,)" % (k, np.shape(v), dim, dim))
         lim = math.pi if self.group == G.U1 else 2 * math.pi
         if (self.points.size
                 and np.linalg.norm(self.lattice(), axis=1).max() >= lim):
@@ -150,21 +161,18 @@ def _merge_lattice(pts, coeffs):
     for p, c in zip(pts, coeffs):
         key = tuple(p)
         merged[key] = merged[key] + c if key in merged else c.copy()
-    return np.array(list(merged), dtype=int), np.array(list(merged.values()))
+    return (np.array(list(merged), dtype=int),
+            np.array(list(merged.values())).reshape(-1, coeffs.shape[-1]))
 
 
 def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
     """PW coefficients, on g_pw_out's band, of the pointwise products of
-    each row of ca with each row of cb: shape (len(ca), len(cb), dim).
-    Exact zeros, with no transform, when ca or cb is all zero."""
+    each row of ca with each row of cb: shape (len(ca), len(cb), dim), by
+    ca's multiplication operators on the columns of b's band, b's basis in
+    b's order. ValueError if either band exceeds g_pw_out's."""
     ca, cb = np.atleast_2d(ca), np.atleast_2d(cb)
-    if not (ca.any() and cb.any()):
-        g_pw_out._band_space(max(g_pw_a.band, g_pw_b.band))   # band check
-        return np.zeros((len(ca), len(cb), g_pw_out.dim), dtype=complex)
-    va = _grid_values(g_pw_a, ca, g_pw_out)
-    vb = _grid_values(g_pw_b, cb, g_pw_out)
-    prods = g_pw_out.analysis(va[:, :, None] * vb[:, None, :])
-    return np.moveaxis(prods, 0, -1)
+    M = g_pw_out.multiplication_operator(g_pw_a, ca, g_pw_b.band)
+    return cb @ M.transpose(0, 2, 1)
 
 
 def symbol_product(a, b, g_pw_out):
@@ -272,24 +280,17 @@ def _exp_points(group, Y):
     return Y[:, 0] if group == G.U1 else G.quat_exp(Y)
 
 
-def _grid_values(g_pw, coeffs, pw):
-    """Values on pw's quadrature grid, (N, rows), of the functions whose g_pw
-    coefficients are the rows of coeffs: a synthesis of g_pw's band on that
-    grid. g_pw's band must not exceed pw's (ValueError)."""
-    return pw._band_space(g_pw.band).synthesis(np.transpose(coeffs))
-
-
 def _operators(s, pw, in_band=None):
     """The eps- and variant-free half of Q_eps(sigma): the multiplication
     operators M_p of the lattice coefficients m_p, (P, dim, n), and M_q of
     the momentum-linear coefficients q_k, {k: (dim, n)}, on the n columns
-    `cols` of pw's basis: those of `pw.band_mask(in_band)`, or all."""
-    vals = _grid_values(s.g_pw, np.vstack([s.coeffs, *s.poly.values()]), pw)
-    mults = [pw.multiplication_operator(v, in_band, s.g_pw.band)
-             for v in vals.T]
+    `cols` of pw's basis: those of `pw.band_mask(in_band)`, or all; one
+    `multiplication_operator` stack."""
+    mults = pw.multiplication_operator(
+        s.g_pw, np.vstack([s.coeffs, *s.poly.values()]), in_band)
     P = len(s.coeffs)
     cols = slice(None) if in_band is None else pw.band_mask(in_band)
-    return np.array(mults[:P]), dict(zip(s.poly, mults[P:])), cols
+    return mults[:P], dict(zip(s.poly, mults[P:])), cols
 
 
 def _translation_keys(items):

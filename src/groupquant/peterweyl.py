@@ -42,12 +42,13 @@ block of the dual label (n on SU(2), -j on U(1)) and s_i = (-1)^{a+b} (1 on
 U(1)). `_dual_index` and `_dual_sign` hold the map. It holds at every node,
 so for any grid values v with analysis c, that of conj v is s conj(c[ibar]).
 
-A multiplication operator is the quadrature sum _EW diag(f) E reordered.
-On U(1) it is the circulant of the DFT of f. On SU(2) it is a 2-D DFT of f
-over (alpha, gamma) and a short sum over the beta nodes against the same
-d-table. Given the band g of f only entries with |j - j'| <= g (U(1)), or
-|n - n'|, |2m_a - 2m_a'|, |2m_b - 2m_b'| <= g - 1 (SU(2)), are computed:
-O(g^3) of them per column against dim; the rest are exact zeros.
+A multiplication operator is the quadrature sum _EW diag(f) E reordered,
+formed from f's coefficients: on U(1) their Toeplitz matrix; on SU(2) a
+short sum over the beta nodes, against the d-table, of f's (alpha, gamma)
+Fourier coefficients at each beta, which are its coefficients times its
+own d-table. A band-g f admits only entries with |j - j'| <= g (U(1)), or
+|n - n'|, |2m_a - 2m_a'|, |2m_b - 2m_b'| <= g - 1 (SU(2)): O(g^3) of them
+per column against dim are computed; the rest are exact zeros.
 """
 
 import functools
@@ -202,14 +203,6 @@ class PWSpace:
                              % (band, self.band))
         return space(self.group, band, self.quad.exactness_degree)
 
-    def _check_nodes(self, values):
-        """values as an array; ValueError unless it has quad.n_nodes rows."""
-        v = np.asarray(values)
-        if v.shape[:1] != (self.quad.n_nodes,):
-            raise ValueError("grid values need quad.n_nodes = %d rows, got "
-                             "shape %s" % (self.quad.n_nodes, v.shape))
-        return v
-
     def _check_grid(self, quad):
         """ValueError unless quad has this space's nodes and weights, the
         grid that its transforms sum over."""
@@ -238,7 +231,10 @@ class PWSpace:
         then per u the sum over the (beta, gamma) nodes against
         w_beta sqrt(n) d^n_ab(beta) e^{i m_b gamma} w_gamma for the modes of
         row weight u, in the cheaper of two orders (`_many_columns`)."""
-        v = self._check_nodes(values)
+        v = np.asarray(values)
+        if v.shape[:1] != (self.quad.n_nodes,):
+            raise ValueError("grid values need quad.n_nodes = %d rows, got "
+                             "shape %s" % (self.quad.n_nodes, v.shape))
         tail = v.shape[1:]
         v = v.reshape(len(v), -1)
         if self.group == G.U1:
@@ -391,52 +387,59 @@ class PWSpace:
             out[o:o + d * d, o:o + d * d] = np.kron(X.T, np.eye(d))
         return out
 
-    def multiplication_operator(self, grid_values, in_band=None, f_band=None):
-        """Matrix of Psi -> f * Psi from samples of f on the quadrature grid.
+    def multiplication_operator(self, g_pw, coeffs, in_band=None):
+        """Matrices of Psi -> f * Psi, a stack (rows, dim, n), for the f
+        whose g_pw coefficients c are the rows of coeffs.
 
-        Equal to EW diag(f) E. U(1): M[j, j'] = fft(f)[j - j' mod n] / n.
-        SU(2): with F the inverse DFT of f over alpha and gamma,
+        Each equals EW diag(f) E. U(1): M[j, j'] = c_{j - j'}. SU(2):
         M[(n,a,b), (n',a',b')] = sum_beta w_beta sqrt(n) d^n_ab(beta)
-        sqrt(n') d^n'_a'b'(beta) F[2(m_a - m_a'), beta, 2(m_b - m_b')].
-
-        With `in_band` only the columns of `band_mask(in_band)` are built:
-        the result is M[:, band_mask(in_band)], of shape (dim, n_in_band),
-        at that share of the work. With `f_band` = g, the band of f, only
-        the entries with |j - j'| <= g (U(1)), or |n - n'|, |2m_a - 2m_a'|
-        and |2m_b - 2m_b'| <= g - 1 (SU(2)), are computed, O(g^3 n_beta)
-        per column on SU(2) against O(dim n_beta); the rest are exactly 0.
+        sqrt(n') d^n'_a'b'(beta) F[beta, 2(m_a - m_a'), 2(m_b - m_b')], with
+        F[beta, 2m_a, 2m_b] = sum_n c_(n,a,b) sqrt(n) d^n_ab(beta). Only the
+        entries that g = g_pw.band admits (module docstring) are computed,
+        the rest are exactly 0; with `in_band` only the n columns of
+        `band_mask(in_band)`. ValueError if g or in_band exceeds this band,
+        or coeffs is not (rows, g_pw.dim).
         """
-        f = self._check_nodes(np.ravel(grid_values))
-        if not (f_band is None or isinstance(f_band, (int, np.integer))
-                and f_band > 0):
-            raise ValueError("f_band %r is not a positive integer" % (f_band,))
-        F = (np.fft.fft(f)[None] / len(f) if self.group == G.U1 else
-             np.fft.ifft2(f.reshape(self.quad.shape).transpose(1, 0, 2)))
-        n_cols, rows, cols, freq, weights = self._entries(in_band, f_band)
-        out = np.zeros((self.dim, n_cols), dtype=complex)
-        out[rows, cols] = np.einsum("be,be->e", weights,   # F as (beta, freq)
-                                    F.reshape(len(F), -1)[:, freq])
+        g_space = self._band_space(g_pw.band)
+        c = np.asarray(coeffs)
+        if c.ndim != 2 or c.shape[1] != g_space.dim:
+            raise ValueError("coefficients of band %d need shape (rows, %d), "
+                             "got %s" % (g_pw.band, g_space.dim, c.shape))
+        in_band = self.band if in_band is None else in_band
+        if in_band > self.band:
+            raise ValueError("in_band %d exceeds the band %d"
+                             % (in_band, self.band))
+        n_cols, rows, cols, freq, weights, modes = self._entries(
+            in_band, g_pw.band)
+        d = 1.0 if self.group == G.U1 else g_space._dtable
+        F = (c[:, None, :] * d) @ modes           # (row, beta, frequency)
+        out = np.zeros((len(c), self.dim, n_cols), dtype=complex)
+        for o, f in zip(out, F):
+            o[rows, cols] = np.einsum("be,be->e", weights, f[:, freq])
         return out
 
-    def _entries(self, in_band, f_band):
-        """Per (in_band, f_band), built on first use: the column count and,
-        per entry the rule admits, its row, column, flat frequency in F and
-        beta weights (w_beta e_i(beta) e_j(beta) on SU(2), 1 on U(1))."""
-        if (in_band, f_band) not in self._entry_cache:
-            cols = np.flatnonzero(self.band_mask(
-                self.band if in_band is None else in_band))
-            # (n, 2m_a, 2m_b); on U(1) each difference is j - j'
-            q = np.array([(n, n - 1 - 2 * a, n - 1 - 2 * b)
+    def _entries(self, in_band, g):
+        """Per (in_band, g), built on first use: the column count; per
+        entry that a band-g f admits, its row, column, frequency and beta
+        weights (w_beta e_i(beta) e_j(beta) on SU(2), 1 on U(1)); and the
+        one-hot map from f's modes to frequencies, the flat weight pairs
+        (2m_a, 2m_b), (j, 0) on U(1)."""
+        if (in_band, g) not in self._entry_cache:
+            cols = np.flatnonzero(self.band_mask(in_band))
+            q = np.array([(n, n, 0) if self.group == G.U1 else
+                          (n, n - 1 - 2 * a, n - 1 - 2 * b)
                           for n, a, b in self.index])
-            n_a, n_g = ((self.quad.n_nodes, 1) if self.group == G.U1
-                        else self.quad.shape[::2])
-            lim = np.inf if f_band is None else f_band - (self.group == G.SU2)
+            lim = g - (self.group == G.SU2)
+            w = 2 * lim + 1
             diff = q[:, None] - q[cols]
             rows, cs = np.nonzero(np.abs(diff).max(axis=2) <= lim)
             d = diff[rows, cs]
-            self._entry_cache[in_band, f_band] = (
-                len(cols), rows, cs, d[:, 1] % n_a * n_g + d[:, 2] % n_g,
+            # the weight pair (x, y) has flat frequency (x + lim) w + y + lim
+            flat = lambda pairs: pairs @ [w, 1] + lim * (w + 1)
+            self._entry_cache[in_band, g] = (
+                len(cols), rows, cs, flat(d[:, 1:]),
                 np.ones((1, len(rows))) if self.group == G.U1 else
                 self._w_beta[:, None] * self._dtable[:, rows]
-                * self._dtable[:, cols[cs]])
-        return self._entry_cache[in_band, f_band]
+                * self._dtable[:, cols[cs]],
+                np.eye(w * w)[flat(q[self.band_mask(g), 1:])])
+        return self._entry_cache[in_band, g]

@@ -47,7 +47,7 @@ def test_function_and_momentum_symbols(u1_spaces):
     coef = RNG.standard_normal(gpw.dim) + 1j * RNG.standard_normal(gpw.dim)
     symf = S.function_symbol(G.U1, 6, gpw, gpw.synthesis(coef))
     opf = S.kn_quantize(symf, pw)
-    mult = pw.multiplication_operator(gpw.eval_basis(pw.quad.angles) @ coef)
+    mult = pw.multiplication_operator(gpw, coef[None])[0]
     assert np.abs((opf.matrix - mult)[:, mask]).max() < 1e-12
     symp = S.momentum_symbol(G.U1, 6, gpw, 0.25)
     opp = S.kn_quantize(symp, pw)
@@ -60,8 +60,7 @@ def test_commutator_symbol(u1_spaces):
     gpw, pw = u1_spaces
     eps = 0.5
     coef = RNG.standard_normal(gpw.dim) + 1j * RNG.standard_normal(gpw.dim)
-    f_pw = gpw.eval_basis(pw.quad.angles) @ coef
-    Mf = pw.multiplication_operator(f_pw)
+    Mf = pw.multiplication_operator(gpw, coef[None])[0]
     P = -1j * eps * pw.right_derivative()
     comm = S.TruncatedOperator(pw, P @ Mf - Mf @ P)
     sig = S.kn_symbol(comm, 4, gpw)
@@ -893,21 +892,37 @@ def _local_quantize_dense(s, eps, pw, variant):
     return A
 
 
+def _exact_f_band(pw):
+    """The largest band g of f for which pw's grid, of exactness degree q,
+    integrates conj(e_i) f e_j exactly for all basis pairs: 2 band + g <=
+    2q on U(1), 2 (band - 1) + g - 1 <= 2 (q - 1) on SU(2)."""
+    q = pw.quad.exactness_degree
+    return 2 * (q - pw.band) + (pw.group == G.SU2)
+
+
 @pytest.mark.parametrize("group,band,degree", [
     *[(G.U1, b, None) for b in range(1, 9)],
     *[(G.SU2, b, None) for b in range(1, 9)],
     (G.U1, 22, 60), (G.SU2, 2, 6), (G.SU2, 5, 8), (G.SU2, 8, 10)])
 def test_multiplication_operator_oracle(group, band, degree):
     pw = PWSpace(group, band, quad_degree=degree)
+    g_pw = PWSpace(group, min(band, _exact_f_band(pw)))
     rng = np.random.default_rng(band)
-    f = (rng.standard_normal(pw.quad.n_nodes)
-         + 1j * rng.standard_normal(pw.quad.n_nodes))
-    oracle = _multiplication_dense(pw, f)
-    assert _max_rel(oracle, pw.multiplication_operator(f)) < 1e-13
+    c = _crand(rng, 3, g_pw.dim)
+    f = basis_matrix(g_pw, pw.quad) @ c.T
     in_band = max(1, band // 2)
-    cols = pw.multiplication_operator(f, in_band)
-    assert cols.shape == (pw.dim, pw.band_mask(in_band).sum())
-    assert _max_rel(oracle[:, pw.band_mask(in_band)], cols) < 1e-13
+    cols = pw.band_mask(in_band)
+    M = pw.multiplication_operator(g_pw, c)
+    Mc = pw.multiplication_operator(g_pw, c, in_band)
+    assert M.shape == (3, pw.dim, pw.dim)
+    assert Mc.shape == (3, pw.dim, cols.sum())
+    for r in range(3):
+        oracle = _multiplication_dense(pw, f[:, r])
+        assert _max_rel(oracle, M[r]) < 1e-13
+        assert _max_rel(oracle[:, cols], Mc[r]) < 1e-13
+        # a stack's operators are those of its rows one at a time
+        one, = pw.multiplication_operator(g_pw, c[r:r + 1])
+        assert np.abs(one - M[r]).max() <= 1e-15 * np.abs(one).max()
 
 
 def _selection_rule(pw, g):
@@ -927,41 +942,44 @@ def test_multiplication_operator_selection_rule(group, band):
     # a grid that integrates conj(e_i) f e_j exactly for every f band g <=
     # band, so that the dense quadrature sum obeys the rule too
     pw = PWSpace(group, band, quad_degree=band + (band + 1) // 2)
+    assert _exact_f_band(pw) >= band
     E = basis_matrix(pw, pw.quad)
     rng = np.random.default_rng(band)
-    in_band = max(1, band // 2)
+    cols = pw.band_mask(max(1, band // 2))
     for g in range(1, band + 1):
         g_pw = PWSpace(group, g)
-        f = basis_matrix(g_pw, pw.quad) @ _crand(rng, g_pw.dim)
+        c = _crand(rng, 1, g_pw.dim)
+        f = basis_matrix(g_pw, pw.quad) @ c[0]
         oracle = (E.conj() * pw.quad.weights[:, None]).T @ (f[:, None] * E)
         rule = _selection_rule(pw, g)
-        M = pw.multiplication_operator(f, None, g)
+        M, = pw.multiplication_operator(g_pw, c)
         assert np.all(M[~rule] == 0)
         assert _max_rel(oracle, M) < 1e-13
-        cols = pw.band_mask(in_band)
-        Mc = pw.multiplication_operator(f, in_band, g)
+        Mc, = pw.multiplication_operator(g_pw, c, max(1, band // 2))
         assert np.all(Mc[~rule[:, cols]] == 0)
         assert _max_rel(oracle[:, cols], Mc) < 1e-13
-    assert _max_rel(oracle, pw.multiplication_operator(f)) < 1e-13
 
 
 @pytest.mark.parametrize("group", [G.U1, G.SU2])
-@pytest.mark.parametrize("f_band", [0, -1, 2.0, "2", [2]])
-def test_multiplication_operator_rejects_bad_f_band(group, f_band):
-    pw = PWSpace(group, 3)
-    with pytest.raises(ValueError, match="f_band"):
-        pw.multiplication_operator(np.ones(pw.quad.n_nodes), None, f_band)
+def test_multiplication_operator_rejects_what_does_not_fit(group):
+    pw, g_pw, above = (PWSpace(group, b) for b in (3, 2, 4))
+    with pytest.raises(ValueError, match="exceeds the target band"):
+        pw.multiplication_operator(above, np.zeros((1, above.dim)))
+    with pytest.raises(ValueError, match="in_band 4 exceeds the band 3"):
+        pw.multiplication_operator(g_pw, np.zeros((1, g_pw.dim)), 4)
+    for c in (np.zeros((1, g_pw.dim + 1)), np.zeros(g_pw.dim),
+              np.zeros((1, 1, g_pw.dim))):
+        with pytest.raises(ValueError, match=r"\(rows, %d\)" % g_pw.dim):
+            pw.multiplication_operator(g_pw, c)
+    empty = pw.multiplication_operator(g_pw, np.zeros((0, g_pw.dim)))
+    assert empty.shape == (0, pw.dim, pw.dim)
 
 
 @pytest.mark.parametrize("group,degree", [(G.U1, 12), (G.SU2, 4)])
 def test_grid_values_of_wrong_length_raise(group, degree):
-    # on U(1) 28 values for 25 nodes used to make an operator off by 0.36
     pw = PWSpace(group, 3, quad_degree=degree)
     n = pw.quad.n_nodes
-    for f in (np.ones(n + 3), np.ones(n - 1), np.ones((n, 2))):
-        with pytest.raises(ValueError, match="quad.n_nodes"):
-            pw.multiplication_operator(f)
-    for v in (np.ones(n + 3), np.ones((n - 1, 2))):
+    for v in (np.ones(n + 3), np.ones(n - 1), np.ones((n - 1, 2))):
         with pytest.raises(ValueError, match="quad.n_nodes"):
             pw.analysis(v)
     assert pw.analysis(np.ones((n, 2))).shape == (pw.dim, 2)
@@ -969,21 +987,13 @@ def test_grid_values_of_wrong_length_raise(group, degree):
 
 @pytest.mark.parametrize("group,g_band,band,degree", [
     (G.U1, 3, 11, 30), (G.SU2, 2, 5, 8)])
-def test_grid_values_by_synthesis(group, g_band, band, degree):
-    # g_pw's band is synthesised on pw's grid by the space of that band,
-    # whose offsets differ from pw's (U(1) label 0: index 3, not 11)
+def test_kn_calculus_refuses_a_g_band_above_the_operator_band(
+        group, g_band, band, degree):
+    # a symbol's g-band above the operator band would alias on the
+    # operator's grid
     g_pw = PWSpace(group, g_band)
     pw = PWSpace(group, band, quad_degree=degree)
-    rng = np.random.default_rng(g_band)
-    c = rng.standard_normal((4, g_pw.dim)) + 1j * rng.standard_normal(
-        (4, g_pw.dim))
-    oracle = basis_matrix(g_pw, pw.quad) @ c.T
-    assert _max_rel(oracle, L._grid_values(g_pw, c, pw)) < 1e-13
-    with pytest.raises(ValueError, match="exceeds the target band"):
-        L._grid_values(pw, np.zeros((1, pw.dim)), g_pw)
-    # so does the KN calculus: a symbol's g-band above the operator band
-    # would alias on the operator's grid
-    sym = S.random_symbol(group, 1, pw, rng)
+    sym = S.random_symbol(group, 1, pw, np.random.default_rng(g_band))
     with pytest.raises(ValueError, match="exceeds the target band"):
         S.kn_quantize(sym, g_pw)
     op = S.TruncatedOperator(g_pw, np.eye(g_pw.dim, dtype=complex))
@@ -1027,7 +1037,7 @@ def test_local_elementary(local_u1):
     sf = L.LocalSymbol(G.U1, 0.5, np.array([0]), fc[None, :], gpw)
     Qf = L.local_quantize(sf, 0.25, pw, L.KN)
     QfW = L.local_quantize(sf, 0.25, pw, L.WEYL)
-    Mf = pw.multiplication_operator(gpw.eval_basis(pw.quad.angles) @ fc)
+    Mf = pw.multiplication_operator(gpw, fc[None])[0]
     assert np.abs(Qf - Mf).max() < 1e-12
     assert np.abs(Qf - QfW).max() < 1e-14  # Weyl == KN for theta-free symbols
     qc = gpw.analysis(np.ones(gpw.quad.n_nodes, complex))
@@ -1046,7 +1056,7 @@ def test_local_elementary_su2():
     zero = np.zeros((1, 3), int)
     sf = L.LocalSymbol(G.SU2, 0.5, zero, fc[None, :], gpw)
     Qf = L.local_quantize(sf, 0.5, pw, L.KN)
-    Mf = pw.multiplication_operator(gpw.eval_basis(pw.quad.quats) @ fc)
+    Mf = pw.multiplication_operator(gpw, fc[None])[0]
     assert np.abs(Qf - Mf).max() < 1e-12
     assert np.abs(Qf - L.local_quantize(sf, 0.5, pw, L.WEYL)).max() < 1e-14
     qc = gpw.analysis(np.ones(gpw.quad.n_nodes, complex))
@@ -1071,8 +1081,7 @@ def test_poisson_bracket_identities(local_u1):
     # {sigma_X, sigma_f} = R_X f
     br = L.poisson_bracket(sx, sf, gout)
     Qbr = L.local_quantize(br, eps, pw, L.KN)
-    Rf = pw.multiplication_operator(
-        gpw.eval_basis(pw.quad.angles) @ (gpw.right_derivative() @ fc))
+    Rf = pw.multiplication_operator(gpw, [gpw.right_derivative() @ fc])[0]
     mask = pw.band_mask(18)
     assert np.abs((Qbr - Rf)[:, mask]).max() < 1e-11
     # {sigma, sigma} = 0
@@ -1278,30 +1287,61 @@ def test_op_norm_is_largest_singular_value(shape, rank):
     assert abs(L._op_norm(M) - ref) <= 1e-13 * max(ref, 1.0)
 
 
-@pytest.mark.parametrize("group", [G.U1, G.SU2])
-def test_coeff_products_with_a_zero_factor_make_no_transform(
-        monkeypatch, layout_spaces, group):
-    gpw, gout = layout_spaces[group]
-    rng = np.random.default_rng(29)
-    c, zero = _crand(rng, 3, gpw.dim), np.zeros((2, gpw.dim), complex)
-    routes = {}
-    for ca, cb in ((c, zero), (zero, c), (zero, zero)):
-        va, vb = (L._grid_values(gpw, x, gout) for x in (ca, cb))
-        routes[len(ca), len(cb)] = np.moveaxis(
-            gout.analysis(va[:, :, None] * vb[:, None, :]), 0, -1)
+def _spy_transforms(monkeypatch):
+    """The list to which every later PWSpace.analysis or synthesis call
+    appends its name."""
     calls = []
     for name in ("analysis", "synthesis"):
         def spy(self, *args, _f=getattr(PWSpace, name), _n=name):
             calls.append(_n)
             return _f(self, *args)
         monkeypatch.setattr(PWSpace, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_coeff_products_match_the_transform_route(
+        monkeypatch, layout_spaces, group):
+    # the oracle synthesises both factors on gout's grid, multiplies the
+    # values and analyses the product
+    gpw, gout = layout_spaces[group]
+    rng = np.random.default_rng(29)
+    c, zero = _crand(rng, 3, gpw.dim), np.zeros((2, gpw.dim), complex)
+    c_out = _crand(rng, 2, gout.dim)
+
+    def transform_route(g_a, ca, g_b, cb):
+        va, vb = (gout._band_space(g.band).synthesis(x.T)
+                  for g, x in ((g_a, ca), (g_b, cb)))
+        return np.moveaxis(
+            gout.analysis(va[:, :, None] * vb[:, None, :]), 0, -1)
+
+    factors = [(gpw, c, gpw, c[::-1]), (gpw, c, gout, c_out),
+               (gout, c_out, gpw, c)]
+    oracles = [transform_route(*f) for f in factors]
+    calls = _spy_transforms(monkeypatch)
+    for f, oracle in zip(factors, oracles):
+        assert _max_rel(oracle, L._coeff_products(*f, gout)) < 1e-13
     for ca, cb in ((c, zero), (zero, c), (zero, zero)):
         out = L._coeff_products(gpw, ca, gpw, cb, gout)
-        assert np.array_equal(out, routes[len(ca), len(cb)])
+        assert out.shape == (len(ca), len(cb), gout.dim)
+        assert np.all(out == 0)
     assert calls == []
-    # the zero route keeps the band check of the transform route
+    # a factor's band above gout's is refused, whichever factor it is
+    big = np.zeros((2, gout.dim))
     with pytest.raises(ValueError, match="exceeds"):
-        L._coeff_products(gout, np.zeros((2, gout.dim)), gpw, c, gpw)
+        L._coeff_products(gout, big, gpw, c, gpw)
+    with pytest.raises(ValueError, match="exceeds"):
+        L._coeff_products(gpw, c, gout, big, gpw)
+
+
+@pytest.mark.parametrize("fit", ["moyal_fit_u1", "moyal_fit_su2"])
+def test_moyal_fit_makes_no_transform(monkeypatch, fit):
+    # the local calculus multiplies through coefficients: its operators
+    # and products need no values on a grid
+    from groupquant import cli
+    calls = _spy_transforms(monkeypatch)
+    getattr(cli, fit)(np.random.default_rng(0), [0.25, 0.125])
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", [0, 13])
@@ -1522,6 +1562,28 @@ def layout_spaces():
                    S.make_g_space(G.U1, 4, quad_degree=20)),
             G.SU2: (S.make_g_space(G.SU2, 1, quad_degree=4),
                     S.make_g_space(G.SU2, 2, quad_degree=5))}
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_local_symbol_rejects_coefficients_that_do_not_fit(
+        layout_spaces, group):
+    # two points with one coefficient row used to build, and a product
+    # with a symbol of one point and two rows paired mismatched rows
+    gpw, _ = layout_spaces[group]
+    pts = np.zeros((2, 1 if group == G.U1 else 3), int)
+    pts[1, 0] = 1
+    for rows, width in ((1, gpw.dim), (3, gpw.dim), (2, gpw.dim + 1)):
+        with pytest.raises(ValueError, match=r"2 points and g_pw.dim = %d "
+                           r"need \(2, %d\)" % (gpw.dim, gpw.dim)):
+            L.LocalSymbol(group, 0.5, pts, np.zeros((rows, width)), gpw)
+    for q in (np.zeros(gpw.dim + 1), np.zeros((1, gpw.dim))):
+        with pytest.raises(ValueError, match=r"poly\[0\] .* needs \(%d,\)"
+                           % gpw.dim):
+            L.LocalSymbol(group, 0.5, pts, np.zeros((2, gpw.dim)), gpw,
+                          {0: q})
+    # a symbol of no points has no coefficient rows, and so has a sum of two
+    empty = L.LocalSymbol(group, 0.5, pts[:0], np.zeros((0, gpw.dim)), gpw)
+    assert L.symbol_add(empty, empty).coeffs.shape == (0, gpw.dim)
 
 
 def test_u1_points_either_shape(layout_spaces):

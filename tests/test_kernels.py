@@ -149,3 +149,15 @@ def test_gauss_legendre_cached_rule():
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         assert not x.flags.writeable and not w.flags.writeable
         assert K._gauss_legendre(n)[0] is x
+
+
+def test_jy_eigh_cache_is_bounded():
+    # the orbit harmonic table at 2j = _JY_CACHE reads one J_y eigenbasis
+    # per 2l <= L = 2 (2j + 1): more spins than the cache keeps
+    from groupquant.orbits import OrbitSpec
+    K._jy_eigh.cache_clear()
+    spec = OrbitSpec(K._JY_CACHE)
+    spec._harmonic_tables(0)
+    info = K._jy_eigh.cache_info()
+    assert info.misses >= spec.L // 2 + 1 > K._JY_CACHE
+    assert info.currsize <= info.maxsize == K._JY_CACHE
