@@ -366,6 +366,12 @@ def forward_difference(f, lam, step, order):
                * f(lam + k * step) for k in range(order + 1))
 
 
+def _newton_term(f, lam, step, n, k):
+    """(n)_k / k! (Delta^k_step f)(lam): order k of f(lam + n step)."""
+    return (falling_factorial(n, k) / math.factorial(k)
+            * forward_difference(f, lam, step, k))
+
+
 def discrete_taylor(phi, lam, lamp, step, N):
     """Newton series of phi(lam + lamp) to order N on the step lattice.
 
@@ -377,15 +383,9 @@ def discrete_taylor(phi, lam, lamp, step, N):
     n = round(ratio)
     if abs(ratio - n) > 1e-9:
         raise ValueError("lamp must lie on the step lattice")
-    val = sum(falling_factorial(n, k) / math.factorial(k)
-              * forward_difference(phi, lam, step, k) for k in range(N + 1))
-    bound = 0.0
-    for q in range(-abs(n), abs(n) + 1):
-        bound = max(bound, abs(falling_factorial(n, N + 1)
-                               / math.factorial(N + 1)
-                               * forward_difference(phi, lam + q * step,
-                                                    step, N + 1)))
-    return val, bound
+    val = sum(_newton_term(phi, lam, step, n, k) for k in range(N + 1))
+    return val, max(abs(_newton_term(phi, lam + q * step, step, n, N + 1))
+                    for q in range(-abs(n), abs(n) + 1))
 
 
 @dataclass
@@ -421,29 +421,27 @@ def asymptotic_product(sig, tau, eps, N):
     hs, ht = eps / 2.0 * lat_s.lam0, eps / 2.0 * lat_t.lam0
     base_s = eps / 2.0 * lat_t.lam0 * lat_t.j0
     base_t = -eps / 2.0 * lat_s.lam0 * lat_s.j0
-    terms = {}
     out_lat = lat_s.combined_with(lat_t)
     ratio_s = round(lat_s.lam0 / out_lat.lam0)
     ratio_t = round(lat_t.lam0 / out_lat.lam0)
+    # output frequency: lam0^s (ms + j0^s) + lam0^t (mt + j0^t)
+    shift = round(lat_s.j0 * ratio_s + lat_t.j0 * ratio_t - out_lat.j0)
+    terms = {}
     for ms, cs in sig.chat.items():
         for mt, ct in tau.chat.items():
-            # output frequency: lam0^s (ms + j0^s) + lam0^t (mt + j0^t)
-            idx = ms * ratio_s + mt * ratio_t + round(
-                (lat_s.j0 * ratio_s + lat_t.j0 * ratio_t) - out_lat.j0)
-
             def term(lam, ms=ms, mt=mt, cs=cs, ct=ct):
+                a = [_newton_term(cs, lam + base_s, ht, mt, k)
+                     for k in range(N + 1)]
+                b = [_newton_term(ct, lam + base_t, hs, -ms, l)
+                     for l in range(N + 1)]
                 tot = 0.0
                 for n in range(N + 1):
                     for k in range(n + 1):
-                        l = n - k
-                        a = (falling_factorial(mt, k) / math.factorial(k)
-                             * forward_difference(cs, lam + base_s, ht, k))
-                        b = (falling_factorial(-ms, l) / math.factorial(l)
-                             * forward_difference(ct, lam + base_t, hs, l))
-                        tot = tot + a * b
+                        tot = tot + a[k] * b[n - k]
                 return tot
 
-            terms.setdefault(idx, []).append(term)
+            terms.setdefault(ms * ratio_s + mt * ratio_t + shift,
+                             []).append(term)
     return EquivariantSymbol(out_lat, {i: _sum_of(ts)
                                        for i, ts in terms.items()})
 

@@ -7,12 +7,13 @@ Commands (via --cmd):
   sw-props        Stratonovich-Weyl property suite at spin j (JSON)
   bohr-props      Bohr-lattice calculus property suite (JSON)
 
-Every JSON report records the seed and the tolerance each number was
-tested against; floats are emitted with 17 significant digits so runs are
-byte-identical given (config, seed). table1 writes nothing and exits 2, with
-a one-line message, for t or n outside the range it is checked on; an
-argument outside its range (--j, --eps-list) ends in argparse's usage
-message and exit status 2.
+Every JSON report goes through one writer, `_report`, and always carries
+`command`, `seed`, `tolerance` (what each number was tested against),
+`results` and `passed`; floats are written as their round-trip repr, so
+runs are byte-identical given (config, seed). table1 writes nothing and
+exits 2, with a one-line message, for t or n outside the range it is
+checked on; an argument outside its range (--j, --eps-list) ends in
+argparse's usage message and exit status 2.
 """
 
 import argparse
@@ -23,22 +24,6 @@ import sys
 import numpy as np
 
 
-def _dump(obj):
-    def walk(v):
-        if isinstance(v, dict):
-            return {k: walk(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [walk(x) for x in v]
-        if isinstance(v, (np.floating, float)):
-            return float("%.17g" % float(v))
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.bool_,)):
-            return bool(v)
-        return v
-    return json.dumps(walk(obj), indent=1, sort_keys=True)
-
-
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -47,19 +32,27 @@ def _emit(text, out):
         sys.stdout.write(text + "\n")
 
 
+def _report(args, tol, results, passed, **extra):
+    """Write the JSON report of args.cmd, the entries of extra beside its
+    five standing ones, and return the exit status: 0 if passed, else 1."""
+    report = dict(extra, command=args.cmd, seed=args.seed, tolerance=tol,
+                  results=results, passed=bool(passed))
+    _emit(json.dumps(report, indent=1, sort_keys=True,
+                     default=lambda v: v.item()), args.out)
+    return 0 if passed else 1
+
+
 def cmd_table1(args):
     from .heat import resolution_integral_su2
     ts = [args.t] if args.t is not None else [1.0, 2.0, math.e, math.pi, 4.0]
     ns = [args.n] if args.n is not None else [1, 2, 3, 4, 5]
     tol = args.tol if args.tol is not None else 2e-3
-    panels = args.quad_degree  # fixed coarse panel count when given
     rows = [("t", "n", "I", "expected", "rel_err")]
-    status = 0
     first_fail = None
     for t in ts:
         for n in ns:
             try:
-                val = resolution_integral_su2(t, n, n_panels=panels)
+                val = resolution_integral_su2(t, n)
             except ValueError as exc:   # t or n outside the checked range
                 sys.stderr.write("groupquant: %s\n" % exc)
                 return 2
@@ -69,32 +62,25 @@ def cmd_table1(args):
                          repr(float(expected)), repr(float(rel))))
             if rel >= tol and first_fail is None:
                 first_fail = (t, n, rel)
-                status = 1
     text = "\n".join(",".join(str(x) for x in row) for row in rows)
     _emit(text, args.out)
     if first_fail:
         sys.stderr.write("FAIL at t=%r n=%r rel_err=%.3e (tol %.1e)\n"
                          % (first_fail + (tol,)))
-    return status
+    return 1 if first_fail else 0
 
 
 def cmd_resolution_u1(args):
     from .heat import resolution_constant_u1
     tol = args.tol if args.tol is not None else 1e-4
     ts = [args.t] if args.t is not None else [0.5, 1.0, 2.0]
-    report = {"command": "resolution-u1", "seed": args.seed,
-              "tolerance": tol, "results": []}
-    ok = True
+    results = []
     for t in ts:
         val = resolution_constant_u1(t)
         rel = abs(val - t) / t
-        passed = rel < tol
-        ok = ok and passed
-        report["results"].append({"t": t, "C_t_inverse": val,
-                                  "rel_err": rel, "passed": passed})
-    report["passed"] = ok
-    _emit(_dump(report), args.out)
-    return 0 if ok else 1
+        results.append({"t": t, "C_t_inverse": val, "rel_err": rel,
+                        "passed": rel < tol})
+    return _report(args, tol, results, all(r["passed"] for r in results))
 
 
 def _moyal_fit(rng, eps_list, n_pairs, group, step, pts, bands, in_band):
@@ -134,18 +120,16 @@ def cmd_moyal_fit(args):
     tol = args.tol if args.tol is not None else 0.2
     eps_list = args.eps_list or [0.25, 0.125, 0.0625, 0.03125]
     rng = np.random.default_rng(args.seed)
-    report = {"command": "moyal-fit", "seed": args.seed,
-              "eps_list": eps_list, "tolerance": tol, "results": {}}
+    results = {}
     for group, fit in (("U1", moyal_fit_u1), ("SU2", moyal_fit_su2)):
         ms, ds, mres, dres = fit(rng, eps_list)
-        report["results"][group] = {
+        results[group] = {
             "moyal_slope": ms, "dirac_slope": ds,
             "moyal_residuals": mres, "dirac_residuals": dres,
-            "passed": bool(abs(ms - 2) < tol and abs(ds - 1) < tol)}
-    ok = all(r["passed"] for r in report["results"].values())
-    report["passed"] = bool(ok)
-    _emit(_dump(report), args.out)
-    return 0 if ok else 1
+            "passed": abs(ms - 2) < tol and abs(ds - 1) < tol}
+    return _report(args, tol, results,
+                   all(r["passed"] for r in results.values()),
+                   eps_list=eps_list)
 
 
 def cmd_sw_props(args):
@@ -178,10 +162,7 @@ def cmd_sw_props(args):
     ok = all(v < tol for k, v in results.items()
              if k not in ("k_rate_slope",))
     ok = ok and abs(results["k_rate_slope"] - 1.0) < 0.2
-    report = {"command": "sw-props", "seed": args.seed, "j": twoj / 2.0,
-              "tolerance": tol, "results": results, "passed": bool(ok)}
-    _emit(_dump(report), args.out)
-    return 0 if ok else 1
+    return _report(args, tol, results, ok, j=twoj / 2.0)
 
 
 def cmd_bohr_props(args):
@@ -222,10 +203,7 @@ def cmd_bohr_props(args):
           and results["adjoint_pairing"] < tol
           and results["newton_exactness"] < 1e-12
           and results["young_inequality_slack"] >= 0)
-    report = {"command": "bohr-props", "seed": args.seed, "tolerance": tol,
-              "results": results, "passed": bool(ok)}
-    _emit(_dump(report), args.out)
-    return 0 if ok else 1
+    return _report(args, tol, results, ok)
 
 
 COMMANDS = {
@@ -269,10 +247,6 @@ PARSER.add_argument("--cmd", required=True, choices=sorted(COMMANDS))
 PARSER.add_argument("--out", default=None, help="output path (default stdout)")
 PARSER.add_argument("--seed", type=int, default=0)
 PARSER.add_argument("--tol", type=float, default=None)
-PARSER.add_argument("--quad-degree", type=int, default=None,
-                    help="table1: fixed number of 24-point Gauss-Legendre "
-                         "panels, with no adaptive refinement and no "
-                         "convergence check")
 PARSER.add_argument("--j", type=_spin, default=None,
                     help="sw-props: spin j, a multiple of 1/2 in [0, 64]")
 PARSER.add_argument("--t", type=float, default=None)

@@ -122,6 +122,18 @@ def _panel_gl(f, a, b, n_panels):
     return half @ (vals.reshape(n_panels, -1) @ w)
 
 
+def _refined(levels, tol, what):
+    """The first value of levels within tol (relative above 1) of the one
+    before it; QuadratureConvergenceError with the last difference if none."""
+    prev = math.inf
+    for val in levels:
+        diff, prev = abs(val - prev), val
+        if diff <= tol * max(1.0, abs(val)):
+            return val
+    raise QuadratureConvergenceError(
+        "%s quadrature did not converge" % what, diff)
+
+
 def resolution_constant_u1(t):
     """C_t^{-1} = sqrt(t/pi) int e^{-l^2/t} / theta3(l/t | i pi/t) dl.
 
@@ -147,15 +159,10 @@ def resolution_constant_u1(t):
                 "resolution integrand is 0/0 in double precision", math.inf)
         return np.exp(-l * l / t) / den
 
-    prev = math.inf
-    for n_panels in (8, 16, 32, 64, 128):
-        val = math.sqrt(t / math.pi) * _panel_gl(f, -width, width,
-                                                 scale * n_panels)
-        diff, prev = abs(val - prev), val
-        if diff <= 1e-8 * max(1.0, abs(val)):
-            return val
-    raise QuadratureConvergenceError(
-        "resolution constant quadrature did not converge", diff)
+    return _refined((math.sqrt(t / math.pi)
+                     * _panel_gl(f, -width, width, scale * n_panels)
+                     for n_panels in (8, 16, 32, 64, 128)),
+                    1e-8, "resolution constant")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,7 @@ def itn_theta_integrand(p, t, n):
     return num / den
 
 
-def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
+def resolution_integral_su2(t, n, return_imag_residual=False):
     """I(t, n) = int p^2 e^{-(p - tn/2)^2/t} / sum_m m e^{-(p - tm/2)^2/t} dp.
 
     The k = 0 term of the denominator's Poisson dual (itn_denominator)
@@ -187,8 +194,8 @@ def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
     side of p = 0, over all of that side's Gauss-Legendre nodes. The
     imaginary residual is measured from the complex theta3' form on a
     sample of nodes. The adaptive refinement stops when two levels agree to
-    1e-9 (relative above 1). A fixed n_panels skips it and its convergence
-    check (coarse-quadrature escape hatch for the CLI). t must be at most
+    1e-9 (relative above 1); when no two of its levels agree it raises
+    QuadratureConvergenceError with the last difference. t must be at most
     ITN_T_MAX = 16, the range over which itn_denominator is checked; above
     it ValueError.
     """
@@ -204,24 +211,15 @@ def resolution_integral_su2(t, n, return_imag_residual=False, n_panels=None):
     def f(p):
         return p * p * np.exp(-(p - center) ** 2 / t) / itn_denominator(p, t)
 
-    # keep p = 0 a panel edge: the integrand has a removable point there
-    prev = math.inf
-    adaptive = n_panels is None
-    schedule = (16, 32, 64, 128) if adaptive else (n_panels,)
-    for npan in schedule:
+    def level(npan):
+        # keep p = 0 a panel edge: the integrand has a removable point there
         if lo < 0.0 < hi:
             k = max(1, int(round(npan * (0.0 - lo) / (hi - lo))))
-            val = (_panel_gl(f, lo, 0.0, k) +
-                   _panel_gl(f, 0.0, hi, npan - k + 1))
-        else:
-            val = _panel_gl(f, lo, hi, npan)
-        diff, prev = abs(val - prev), val
-        if diff <= 1e-9 * max(1.0, abs(val)):
-            break
-    else:
-        if adaptive:
-            raise QuadratureConvergenceError(
-                "I(t,n) quadrature did not converge", diff)
+            return (_panel_gl(f, lo, 0.0, k) +
+                    _panel_gl(f, 0.0, hi, npan - k + 1))
+        return _panel_gl(f, lo, hi, npan)
+
+    val = _refined(map(level, (16, 32, 64, 128)), 1e-9, "I(t,n)")
     if not return_imag_residual:
         return val
     sample = np.linspace(center - 2 * math.sqrt(t), center + 2 * math.sqrt(t), 7)

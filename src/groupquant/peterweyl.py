@@ -122,7 +122,9 @@ class PWSpace:
         Twice-weights 2m = B - 1 - u are indexed by u = 0..2B-2, so label n
         occupies u = B - n, B - n + 2, ..., B + n - 2. `_pad` lists, per u,
         the modes (n, a, b) whose row weight is u, padded with the index dim
-        to a common length; `_pad_v` is the column weight u of each entry.
+        to a common length; `_pad_v` is the column weight u of each entry,
+        and `_dpad` the d-table per u, (2B-1, n_beta, slots), zero in the
+        padding slots.
         """
         B, shape = self.band, self.quad.shape
         alpha, beta, gamma = (x.reshape(shape) for x in self.quad.euler)
@@ -145,6 +147,8 @@ class PWSpace:
         self._pad = np.full((2 * B - 1, counts.max()), self.dim)
         self._pad[u[order], slot] = order
         self._pad_v = np.append(v, 0)[self._pad]
+        self._dpad = np.append(self._dtable, np.zeros((shape[1], 1)),
+                               axis=1)[:, self._pad].transpose(1, 0, 2)
 
     @functools.cached_property
     def E(self):
@@ -244,7 +248,7 @@ class PWSpace:
         n_alpha, _, n_gamma = self.quad.shape
         n_cols = v.shape[1]
         v = v.reshape(n_alpha, -1)
-        wd = self._padded_d() * self._w_beta[:, None]     # (u, beta, slot)
+        wd = self._dpad * self._w_beta[:, None]           # (u, beta, slot)
         ag = self._ana_g[self._pad_v]                     # (u, slot, gamma)
         acc = 0.0
         for ks in self._beta_blocks(n_cols):
@@ -279,7 +283,7 @@ class PWSpace:
         n_alpha, _, n_gamma = self.quad.shape
         n_cols = c.shape[1]
         cpad = np.append(c, np.zeros((1, n_cols)), axis=0)[self._pad]
-        d = self._padded_d()                              # (u, beta, slot)
+        d = self._dpad                                    # (u, beta, slot)
         pg = self._phase_g[:, self._pad_v].transpose(1, 0, 2)[:, None]
         out = np.empty((n_alpha, self.quad.n_nodes // n_alpha * n_cols),
                        dtype=complex)
@@ -303,12 +307,6 @@ class PWSpace:
         first costs n_gamma and the second n_cols multiplications per
         (u, beta, slot) entry, next to the same matrix-product work."""
         return n_cols > self.quad.shape[2]
-
-    def _padded_d(self):
-        """The d-table per row twice-weight, (2B-1, n_beta, slots), zero in
-        the padding slots."""
-        d = np.append(self._dtable, np.zeros((len(self._dtable), 1)), axis=1)
-        return d[:, self._pad].transpose(1, 0, 2)
 
     def _beta_blocks(self, n_cols):
         """Slices of beta nodes whose temporaries, (u, beta) times one of

@@ -1,12 +1,15 @@
 """Command-line front end: exit codes, formats, determinism."""
 
+import argparse
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from groupquant import cli
 from groupquant.cli import main
 
 
@@ -51,43 +54,35 @@ TABLE1_ADAPTIVE = [
     [8.000000454818398, 16.000000254629136, 24.00000015062656,
      32.000000109289886, 40.00000008629604],
 ]
-# the same grid with --quad-degree 4: four fixed panels, no refinement
-TABLE1_FOUR_PANELS = [
-    [0.12499999999999996, 0.2499999999999998, 0.3749999999999998,
-     0.49999999999999967, 0.6249999999999994],
-    [0.9999999999999979, 1.9999999999999991, 3.000000000000005,
-     3.999999999999982, 5.0000000000000036],
-    [2.510692115421449, 5.021384230813571, 7.532076346205354,
-     10.042768461600703, 12.553460576997685],
-    [3.8757845864818385, 7.751569171020163, 11.627353755660177,
-     15.503138340544323, 19.37892292549743],
-    [8.000000454819864, 16.000000254690598, 24.000000150975588,
-     32.000000109289964, 40.000000086296716],
-]
 
 
-@pytest.mark.parametrize("extra, pinned", [
-    ([], TABLE1_ADAPTIVE),
-    (["--quad-degree", "4"], TABLE1_FOUR_PANELS)])
-def test_table1_pinned_values(tmp_path, extra, pinned):
+def test_table1_pinned_values(tmp_path):
     out = tmp_path / "t.csv"
-    assert main(["--cmd", "table1", "--out", str(out)] + extra) == 0
+    assert main(["--cmd", "table1", "--out", str(out)]) == 0
     rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
     ts = [1.0, 2.0, math.e, math.pi, 4.0]
     assert [(float(r[0]), int(r[1])) for r in rows] == [
         (t, n) for t in ts for n in range(1, 6)]
-    refs = [v for row in pinned for v in row]
+    refs = [v for row in TABLE1_ADAPTIVE for v in row]
     for r, ref in zip(rows, refs, strict=True):
         assert abs(float(r[2]) - ref) <= 1e-12 * ref
 
 
 def test_table1_forced_failure(tmp_path, capsys):
+    # t = 4, n = 1 deviates from t^3 n / 8 by 5.7e-8 relative
     out = tmp_path / "t.csv"
-    rc = main(["--cmd", "table1", "--tol", "1e-9", "--quad-degree", "4",
-               "--out", str(out)])
+    rc = main(["--cmd", "table1", "--tol", "1e-9", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "FAIL" in err and "rel_err" in err
+
+
+def test_table1_has_no_fixed_panel_option(capsys):
+    # --quad-degree ran I(t, n) on fixed panels with no convergence check
+    with pytest.raises(SystemExit) as exc:
+        main(["--cmd", "table1", "--quad-degree", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad-degree" in capsys.readouterr().err
 
 
 def test_table1_rejects_large_t(tmp_path, capsys):
@@ -129,6 +124,45 @@ def test_sw_props_deterministic(tmp_path):
     assert rep["passed"] and rep["seed"] == 7
     assert all(v < 1e-9 for k, v in rep["results"].items()
                if k != "k_rate_slope")
+
+
+def test_report_writes_numpy_scalars_as_python_values(tmp_path):
+    # json writes a float64 as a float; np.bool_ and np.int64 go through
+    # .item(): the bytes are those of the same report in Python values
+    def report(f, b, i):
+        return {"x": f, "nested": {"flag": b, "list": [i, f, {"k": b}]},
+                "pair": (f, i)}
+
+    args = argparse.Namespace(cmd="bohr-props", seed=3, out=None)
+    paths = []
+    for name, (f, b, i) in (
+            ("py", (0.1 + 0.2, False, 7)),
+            ("np", (np.float64(0.1) + np.float64(0.2), np.bool_(False),
+                    np.int64(7)))):
+        args.out = str(tmp_path / name)
+        assert cli._report(args, np.float64(1e-13), report(f, b, i), b,
+                           j=f) == 1
+        paths.append(tmp_path / name)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    rep = json.loads(paths[1].read_text())
+    assert rep["results"]["nested"]["list"] == [7, 0.30000000000000004,
+                                                {"k": False}]
+    assert rep["j"] == 0.1 + 0.2 and rep["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cmd", "table1", "--t", "2", "--n", "3"],
+    ["--cmd", "resolution-u1", "--t", "1.0"],
+    ["--cmd", "moyal-fit", "--eps-list", "0.25,0.125"],
+    ["--cmd", "sw-props", "--j", "1"],
+    ["--cmd", "bohr-props"]], ids=lambda argv: argv[1])
+def test_commands_are_deterministic(tmp_path, argv):
+    # the same arguments and seed write the same bytes; a fresh process,
+    # with its own hash seed, is checked in CI
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        main(argv + ["--seed", "4", "--out", str(out)])
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _sw_props_errors(tmp_path, j):
