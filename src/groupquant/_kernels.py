@@ -37,8 +37,8 @@ def _gauss_legendre(n):
     return x, w
 
 
-# spins whose J_y eigenbases stay cached: the most a benchmark pass reads
-# is 27 (sw-orbit); the orbit harmonic table at 2j = 128 reads 130, 47 MB
+# spins whose J_y eigenbases stay cached: a benchmark pass reads at most 8;
+# an OrbitSpec reads its own spin's only, for d(beta)
 _JY_CACHE = 64
 
 

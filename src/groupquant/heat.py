@@ -240,10 +240,10 @@ def schur_residual_su2(t, n):
     A = int_g dX rho_{2t}(e^{-2iX})^{-1} pi_n(e^{2iX}), X = h nhat: the 80
     Gauss-Legendre radial nodes fold into R[m] = sum_r w_r h_r^2 e^{2 h_r m}
     / N(h_r), N the norm series; then A = int_{S^2} D(g_theta) diag(R)
-    D(g_theta)^* dtheta, 4 pi / n times the orbit map on OrbitSpec(n - 1)'s
-    tables, whose weights have mass n and whose grid is exact to degree
-    2(n - 1) + 2 against the entries' 2(n - 1). Returns (A, residual) with
-    residual = ||A - (tr A / n) 1||_F / |tr A|.
+    D(g_theta)^* dtheta is 4 pi / n times `orbits._from_field` of the field
+    1 on OrbitSpec(n - 1)'s table of R, mass n, exact to degree 2n against
+    the entries' 2(n - 1); its alpha sum keeps frequency 0, the diagonal.
+    Returns (A, residual), residual = ||A - (tr A / n) 1||_F / |tr A|.
 
     Schur's lemma makes A a multiple of 1 whatever R is, so the residual
     sees the angular half only; the radial half is the multiple, tr A / n =

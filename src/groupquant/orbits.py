@@ -27,16 +27,18 @@ of that family's d x d Jacobi matrix (Golub & Welsch, Math. Comp. 23
 
 Every map uses one layout on the product grid of n_beta Gauss-Legendre and
 n_alpha uniform nodes (N = n_beta n_alpha): its field, never formed on the
-N nodes, is F[b, c; k] = T[b, k] P[c, k], a real (n_beta, K) table times
-an (n_alpha, K) phase table. As D_{km}(alpha, beta, 0) = e^{-i m_k alpha}
-d_{km}(beta), an operator field D(g_theta) F_0 D(g_theta)^* has k = (k, l),
-T = d F_0 d^T and P = e^{-i (m_k - m_l) alpha}, with F_0 = Delta_0
-(Stratonovich-Weyl) or E_jj (Berezin); the harmonics Y_lm have k = (l, m),
-T = sqrt((2l+1)/4pi) d^l_{m0}(beta) and P = e^{i m alpha}, l <= L/2. The
+N nodes, is F[b, c; k] = T_k(beta_b) e^{i f_k alpha_c}. A table holds the
+phases P, (n_alpha, F), of the F distinct frequencies f; the real T,
+(F, R, n_beta), in R slots per frequency (zero where it has fewer
+coefficients); and each coefficient's slot. As D_{km}(alpha, beta, 0) =
+e^{-i m_k alpha} d_{km}(beta), an operator field D(g_theta) F_0
+D(g_theta)^* has k = (k, l), T_k = (d F_0 d^T)_{kl} and f = k - l, with F_0
+= Delta_0 (Stratonovich-Weyl) or E_jj (Berezin); the harmonics Y_lm have
+k = (l, m), T_k = sqrt((2l+1)/4pi) d^l_{m0}(beta) and f = m, l <= L/2. The
 symbols tr(Delta A), <v, A v> = tr(P_theta A) and the harmonic synthesis
-are `_to_field` of coefficients; the quantizations int W Delta dmu,
-int f P_theta dmu and the harmonic analysis (conjugate phases) are
-`_from_field`.
+are `_to_field` of coefficients, T x summed per frequency, then times P^T;
+the quantizations int W Delta dmu, int f P_theta dmu and the harmonic
+analysis (conjugate phases) are `_from_field`, its transpose.
 
 The Stratonovich-Weyl-Fourier transform of Psi on SU(2) is, per orbit, the
 symbol W of its Fourier coefficient int Psi(g) pi(g) dg on a Haar grid
@@ -54,7 +56,7 @@ import math
 import numpy as np
 
 from . import groups as G
-from ._kernels import _gauss_legendre, _jy_eigh, wigner_d_grid
+from ._kernels import _gauss_legendre, wigner_d_grid
 from .peterweyl import space
 
 
@@ -73,22 +75,53 @@ def kernel_eigenvalues(twoj, lmax=None):
                      for l in range(lmax + 1)])
 
 
-def _to_field(T, P, x):
-    """sum_k T[b, k] P[c, k] x[k, ...] at node (b, c), shape (N, ...): per
-    trailing index of x, (K, ...), the table times x, then times P^T."""
+def _to_field(T, P, slots, x):
+    """sum_k T[f_k, s_k, b] P[c, f_k] x[k, ...] at node (b, c), (N, ...), for
+    slots[k] = f_k R + s_k: x in its slots as real pairs, times T, then P^T."""
     x = np.asarray(x)
-    field = (T * x.reshape(len(x), -1).T[:, None, :]) @ P.T
-    return np.moveaxis(field, 0, -1).reshape((-1,) + x.shape[1:])
+    F, R, n_beta = T.shape
+    X = np.zeros((F * R, x[0].size), dtype=complex)
+    X[slots] = x.reshape(len(x), -1)
+    Y = (T.swapaxes(1, 2) @ X.reshape(F, R, -1).view(float)).view(complex)
+    field = (P @ Y.reshape(F, -1)).reshape(len(P), n_beta, -1)
+    return field.swapaxes(0, 1).reshape((-1,) + x.shape[1:])
 
 
-def _from_field(T, P, field, w):
-    """sum_{(b, c)} w[(b, c)] T[b, k] P[c, k] field[(b, c), ...], shape
-    (K, ...): per trailing index, the weighted field as an (n_beta, n_alpha)
-    matrix times P, then summed over beta against T."""
+def _from_field(T, P, slots, field, w):
+    """sum_{(b, c)} w[(b, c)] T[f_k, s_k, b] P[c, f_k] field[(b, c), ...],
+    shape (K, ...): per trailing index, P^T times the weighted field, then
+    T times that per frequency, read off at the slots."""
     field = np.asarray(field)
-    wf = (w[:, None] * field.reshape(len(w), -1)).T
-    return (T * (wf.reshape(-1, len(T), len(P)) @ P)).sum(1).T.reshape(
-        (-1,) + field.shape[1:])
+    F, R, n_beta = T.shape
+    wf = (w[:, None] * field.reshape(len(w), -1)).reshape(n_beta, len(P), -1)
+    Z = (P.T @ wf.swapaxes(0, 1).reshape(len(P), -1)).reshape(F, n_beta, -1)
+    S = (T @ Z.view(float)).view(complex)
+    return S.reshape(F * R, -1)[slots].reshape((-1,) + field.shape[1:])
+
+
+def _legendre_table(beta, lmax):
+    """T[lmax + m, l, b] = sqrt((2l+1)/4pi) d^l_{m0}(beta_b) for |m| <= l <=
+    lmax, else 0: the normalized associated Legendre recurrence in l for all
+    m at once, on T / sin^m beta so that no power of sin beta underflows
+    (Holmes & Featherstone, J. Geodesy 76 (2002) 279); d^l_{-m0} = (-1)^m."""
+    x, u = np.cos(beta), np.sin(beta)
+    m = np.arange(lmax + 1)
+    sectoral = np.cumprod(np.r_[1 / math.sqrt(4 * math.pi),
+                                -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:]))])
+    n, k = np.tril_indices(lmax + 1, -1)     # (l, m) with m < l, by l
+    a = np.sqrt((4.0 * n * n - 1) / ((n - k) * (n + k)))[:, None]
+    b = np.sqrt(((n - 1.0) ** 2 - k * k) / (4.0 * (n - 1) ** 2 - 1))[:, None]
+    T = np.zeros((2 * lmax + 1, lmax + 1, len(x)))
+    Q = T[lmax:]
+    prev = cur = np.zeros((lmax + 1, len(x)))
+    for l in range(lmax + 1):
+        r = slice(l * (l - 1) // 2, l * (l + 1) // 2)
+        Q[:l, l] = a[r] * (x * cur[:l] - b[r] * prev[:l])
+        Q[l, l] = sectoral[l]
+        prev, cur = cur, Q[:, l]
+    Q *= u ** m[:, None, None]
+    np.multiply(Q[:0:-1], (-1.0) ** m[:0:-1, None, None], out=T[:lmax])
+    return T
 
 
 class OrbitSpec:
@@ -116,45 +149,39 @@ class OrbitSpec:
         self.nhat = np.stack([sb * np.cos(self.alpha),
                               sb * np.sin(self.alpha),
                               np.cos(self.beta)], axis=-1)
-        # d(beta) on the beta nodes, (n_beta, d, d), and the phases of every
-        # operator field, P[c, (k, l)] = e^{-i (m_k - m_l) alpha_c}
+        # d(beta) on the beta nodes, (n_beta, d, d); e^{i f alpha}, |f| <= 2j
         self._d_beta = wigner_d_grid(twoj, beta)
-        ls = np.arange(self.d)
         self._phases = np.exp(1j * np.multiply.outer(
-            alpha, np.subtract.outer(ls, ls))).reshape(n_alpha, -1)
+            alpha, np.arange(-twoj, twoj + 1)))
         self.k_l = kernel_eigenvalues(twoj)
         self._harmonic = None
 
     # -- harmonic analysis on the orbit (band l <= L/2 exact) ---------------
 
-    def _harmonic_factors(self, l):
-        """(T, P) of the Y_lm, m = -l..l: T = sqrt((2l+1)/4pi) d^l_{m0}(beta),
-        the column m = 0 of V e^{-i beta Lambda} V^* (`_kernels._jy_eigh`)
-        without the (2l+1)^2 matrix at each beta, and P = e^{i m alpha}."""
-        lam, V = _jy_eigh(2 * l)
-        col = V @ (np.exp(-1j * np.multiply.outer(self.beta_nodes, lam))
-                   * V[l].conj()).T
-        return (math.sqrt((2 * l + 1) / (4 * math.pi)) * col[::-1].real.T,
-                np.exp(1j * np.multiply.outer(self.alpha_nodes,
-                                              np.arange(-l, l + 1))))
-
     def harmonics(self, l):
         """Y_{lm}(theta) on the grid, shape (N, 2l+1), m = -l..l, any l."""
-        table, phase = self._harmonic_factors(l)
+        table = _legendre_table(self.beta_nodes, l)[:, l].T
+        phase = np.exp(1j * np.multiply.outer(self.alpha_nodes,
+                                              np.arange(-l, l + 1)))
         return (table[:, None] * phase).reshape(self.n_nodes, 2 * l + 1)
 
     def _harmonic_tables(self, lmax):
-        """(T, P) of the Y_lm with l <= lmax, columns by l, then m = -l..l.
-        The grid integrates degree L exactly, so the transforms are exact
-        up to lmax = L/2 and alias above; the tables to L/2 are built once."""
+        """(T, P, slots) of the Y_lm, l <= lmax, by l, then m = -l..l. The
+        grid integrates degree L exactly, so the transforms are exact up to
+        lmax = L/2 and alias above; the table to L/2 is built once."""
         if not 0 <= lmax <= self.L // 2:
             raise ValueError("lmax = %r is outside the orbit grid's exact "
                              "band 0..%d" % (lmax, self.L // 2))
+        top = self.L // 2
         if self._harmonic is None:
-            factors = map(self._harmonic_factors, range(self.L // 2 + 1))
-            self._harmonic = tuple(np.concatenate(t, axis=1)
-                                   for t in zip(*factors))
-        return tuple(t[:, :(lmax + 1) ** 2] for t in self._harmonic)
+            l = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
+            m = np.arange(len(l)) - l * l - l
+            self._harmonic = (
+                _legendre_table(self.beta_nodes, top),
+                np.exp(1j * np.multiply.outer(self.alpha_nodes, m[l == top])),
+                (m + top) * (top + 1) + l)
+        T, P, slots = self._harmonic
+        return T, P, slots[:(lmax + 1) ** 2]
 
     def sh_analysis(self, field, lmax):
         """Coefficients c_{lm} with field = sum c_{lm} Y_{lm}, as a list of
@@ -177,11 +204,14 @@ class OrbitSpec:
     # -- operator fields: Stratonovich-Weyl and the coherent projectors ------
 
     def _operator_tables(self, f0):
-        """(T, P) of the field D(g_theta) diag(f0) D(g_theta)^*: T[b] =
-        d(beta_b) diag(f0) d(beta_b)^T raveled to (n_beta, d^2), real."""
+        """(T, P, slots) of the field D(g_theta) diag(f0) D(g_theta)^*: the
+        real d(beta) diag(f0) d(beta)^T, entry (k, l) in slot k of k - l."""
         db = self._d_beta
-        table = (db * f0) @ np.swapaxes(db, 1, 2)
-        return table.reshape(len(db), -1), self._phases
+        k, l = np.divmod(np.arange(self.d ** 2), self.d)
+        T = np.zeros((2 * self.d - 1, self.d, len(db)))
+        T[k - l + self.twoj, k] = ((db * f0) @ np.swapaxes(db, 1, 2)).reshape(
+            len(db), -1).T
+        return T, self._phases, (k - l + self.twoj) * self.d + k
 
     @functools.cached_property
     def _sw_tables(self):

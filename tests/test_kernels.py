@@ -152,12 +152,10 @@ def test_gauss_legendre_cached_rule():
 
 
 def test_jy_eigh_cache_is_bounded():
-    # the orbit harmonic table at 2j = _JY_CACHE reads one J_y eigenbasis
-    # per 2l <= L = 2 (2j + 1): more spins than the cache keeps
-    from groupquant.orbits import OrbitSpec
+    # Wigner d at more spins than the cache keeps
     K._jy_eigh.cache_clear()
-    spec = OrbitSpec(K._JY_CACHE)
-    spec._harmonic_tables(0)
+    for twoj in range(K._JY_CACHE + 8):
+        K.wigner_d_grid(twoj, 0.3)
     info = K._jy_eigh.cache_info()
-    assert info.misses >= spec.L // 2 + 1 > K._JY_CACHE
+    assert info.misses == K._JY_CACHE + 8
     assert info.currsize <= info.maxsize == K._JY_CACHE

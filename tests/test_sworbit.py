@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from sympy import Rational
 from sympy.physics.wigner import clebsch_gordan as exact_cg
 
 from groupquant import groups as G
+from groupquant import _kernels as K
 from groupquant import orbits as O
 from groupquant._kernels import wigner_d_grid
 from groupquant.peterweyl import PWSpace
@@ -89,11 +91,33 @@ def _d_column_full_matrix(spec, l):
         2 * l, spec.beta_nodes)[:, ::-1, l]
 
 
+def _dense_tables(T, P, slots):
+    """(T, P) with one column per coefficient, (n_beta, K) and (n_alpha, K),
+    read off a table's slots: the dense layout of the oracles below."""
+    f, k = np.divmod(slots, T.shape[1])
+    return T[f, k].T, P[:, f]
+
+
+def _to_field_dense(T, P, x):
+    """sum_k T[b, k] P[c, k] x[k, ...] at node (b, c), shape (N, ...)."""
+    x = np.asarray(x)
+    field = (T * x.reshape(len(x), -1).T[:, None, :]) @ P.T
+    return np.moveaxis(field, 0, -1).reshape((-1,) + x.shape[1:])
+
+
+def _from_field_dense(T, P, field, w):
+    """sum_{(b, c)} w[(b, c)] T[b, k] P[c, k] field[(b, c), ...], (K, ...)."""
+    field = np.asarray(field)
+    wf = (w[:, None] * field.reshape(len(w), -1)).T
+    return (T * (wf.reshape(-1, len(T), len(P)) @ P)).sum(1).T.reshape(
+        (-1,) + field.shape[1:])
+
+
 @pytest.mark.parametrize("twoj", [24, 64])
 def test_harmonic_columns_full_matrix_oracle(twoj):
     # the tables of the transforms (l <= L/2), and the degree above them
     s = O.OrbitSpec(twoj)
-    table, phase = s._harmonic_tables(s.L // 2)
+    table, phase = _dense_tables(*s._harmonic_tables(s.L // 2))
     ls = range(s.L // 2 + 1)
     ref = np.concatenate([_d_column_full_matrix(s, l) for l in ls], axis=1)
     assert np.abs(table - ref).max() < 1e-13
@@ -104,6 +128,43 @@ def test_harmonic_columns_full_matrix_oracle(twoj):
     ref = _d_column_full_matrix(s, l)[:, None] * np.exp(
         1j * np.multiply.outer(s.alpha_nodes, np.arange(-l, l + 1)))
     assert np.abs(s.harmonics(l) - ref.reshape(s.n_nodes, -1)).max() < 1e-13
+
+
+def test_harmonic_table_large_spin():
+    # 2j = 128: the recurrence's table to L/2 = 130 against scipy
+    s = O.OrbitSpec(128)
+    table, _ = _dense_tables(*s._harmonic_tables(s.L // 2))
+    ls = np.repeat(np.arange(s.L // 2 + 1), 2 * np.arange(s.L // 2 + 1) + 1)
+    ms = np.arange(len(ls)) - ls * ls - ls
+    ref = sph_harm_y(ls, ms, s.beta_nodes[:, None], 0.0).real
+    assert np.abs(table - ref).max() < 1e-12
+
+
+def test_orbit_tables_memory():
+    # 2j = 128: one phase column per distinct frequency; with one per (k, l)
+    # and per (l, m), and the harmonic table from J_y eigenbases, the peak
+    # was 309 MB
+    tracemalloc.start()
+    try:
+        s = O.OrbitSpec(128)
+        f = s.harmonics(2)[:, 0]
+        s.rescale_harmonics(f, s.k_l ** 0.5)
+        O.sw_symbol(s, np.eye(s.d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s._phases.shape == (len(s.alpha_nodes), 2 * s.d - 1)
+    assert peak < 160e6
+
+
+def test_orbit_spec_reads_one_jy_eigenbasis():
+    # the harmonic table comes from the Legendre recurrence: only d(beta)
+    # of the spin itself reads a J_y eigenbasis
+    before = K._jy_eigh.cache_info().misses
+    s = O.OrbitSpec(128)
+    s.rescale_harmonics(np.ones(s.n_nodes), s.k_l)
+    O.sw_symbol(s, np.eye(s.d))
+    assert K._jy_eigh.cache_info().misses - before <= 1
 
 
 @pytest.mark.parametrize("twoj", [1, 4])
@@ -290,7 +351,7 @@ def _delta0_recurrence(twoj):
 def _table_delta0(spec):
     """Delta_0 read back from the first row of the Delta~ table."""
     db = spec._d_beta[0]
-    table = spec._sw_tables[0][0].reshape(spec.d, spec.d)
+    table = _dense_tables(*spec._sw_tables)[0][0].reshape(spec.d, spec.d)
     return np.diag(db.T @ table @ db)
 
 
@@ -338,6 +399,26 @@ def test_sw_maps_dense_oracle(twoj):
          + 1j * rng.standard_normal(s.n_nodes))
     assert _rel(O.sw_quantize(s, W),
                 ((s.weights * W) @ flat).reshape(s.d, s.d)) < 1e-13
+
+
+@pytest.mark.parametrize("twoj", ORACLE_2J)
+def test_field_maps_dense_oracle(twoj):
+    # the per-frequency contractions against one phase column per
+    # coefficient, on both table kinds
+    s = O.OrbitSpec(twoj)
+    rng = np.random.default_rng(500 + twoj)
+    for table in (s._sw_tables, s._berezin_tables,
+                  s._harmonic_tables(s.L // 2)):
+        T, P = _dense_tables(*table)
+        for tail in [(), (3,)]:
+            x = (rng.standard_normal((T.shape[1],) + tail)
+                 + 1j * rng.standard_normal((T.shape[1],) + tail))
+            assert _rel(O._to_field(*table, x),
+                        _to_field_dense(T, P, x)) < 1e-13
+            field = (rng.standard_normal((s.n_nodes,) + tail)
+                     + 1j * rng.standard_normal((s.n_nodes,) + tail))
+            assert _rel(O._from_field(*table, field, s.weights),
+                        _from_field_dense(T, P, field, s.weights)) < 1e-13
 
 
 @pytest.mark.parametrize("twoj", ORACLE_2J)
