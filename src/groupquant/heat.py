@@ -22,8 +22,8 @@ prints (5.7e-8 relative at (t, n) = (4, 1), 3.4e-4 at (8, 1)).
 
 `schur_residual_su2` folds the radial integral of the SU(2) resolution
 operator into one diagonal R; the angular integral of D(g_theta) diag(R)
-D(g_theta)^* is then an operator-field integral of `orbits` on the orbit's
-product grid, with no Wigner D matrix at the nodes.
+D(g_theta)^* keeps only its diagonal, a Gauss-Legendre sum in cos beta of
+Wigner small-d squared against R.
 """
 
 import math
@@ -33,8 +33,7 @@ import numpy as np
 
 from . import groups as G
 from ._kernels import (ITN_T_MAX, _gauss_legendre, itn_denominator,
-                       su2_norm_series)
-from .orbits import OrbitSpec, _from_field
+                       su2_norm_series, wigner_d_grid)
 from .theta import theta3, theta3_dz
 
 
@@ -240,9 +239,9 @@ def schur_residual_su2(t, n):
     A = int_g dX rho_{2t}(e^{-2iX})^{-1} pi_n(e^{2iX}), X = h nhat: the 80
     Gauss-Legendre radial nodes fold into R[m] = sum_r w_r h_r^2 e^{2 h_r m}
     / N(h_r), N the norm series; then A = int_{S^2} D(g_theta) diag(R)
-    D(g_theta)^* dtheta is 4 pi / n times `orbits._from_field` of the field
-    1 on OrbitSpec(n - 1)'s table of R, mass n, exact to degree 2n against
-    the entries' 2(n - 1); its alpha sum keeps frequency 0, the diagonal.
+    D(g_theta)^* dtheta, whose alpha integral keeps the diagonal: A =
+    diag(2 pi sum_b w_b sum_m d_km(beta_b)^2 R[m]), by the (n + 1)-point
+    Gauss-Legendre rule in cos beta, exact for d_km^2, of degree n - 1.
     Returns (A, residual), residual = ||A - (tr A / n) 1||_F / |tr A|.
 
     Schur's lemma makes A a multiple of 1 whatever R is, so the residual
@@ -253,19 +252,17 @@ def schur_residual_su2(t, n):
         raise ValueError("require an integer n >= 1; got n = %r" % (n,))
     if not t > 0:
         raise ValueError("require t > 0; got t = %r" % (t,))
-    spec = OrbitSpec(n - 1)
     h_max = t * n / 2.0 + 12.0 * math.sqrt(t) + 2.0
     x, wx = _gauss_legendre(80)
     h = (x + 1.0) * h_max / 2.0
     wh = wx * h_max / 2.0
-    m = np.arange(spec.twoj, -spec.twoj - 1, -2) / 2.0
+    m = np.arange(n - 1, -n, -2) / 2.0
     R = (h * h * wh / su2_norm_series(h, t)) @ np.exp(2.0 * np.outer(h, m))
-    A = (4 * math.pi / n) * _from_field(
-        *spec._operator_tables(R), np.ones(spec.n_nodes),
-        spec.weights).reshape(n, n)
-    tr = np.trace(A)
-    resid = np.linalg.norm(A - (tr / n) * np.eye(n)) / abs(tr)
-    return A, float(resid)
+    c, wc = _gauss_legendre(n + 1)
+    d = wigner_d_grid(n - 1, np.arccos(c))
+    diag = 2 * math.pi * np.einsum("b,bkm,m->k", wc, d * d, R)
+    return np.diag(diag), float(np.linalg.norm(diag - diag.mean())
+                                / abs(diag.sum()))
 
 
 # ---------------------------------------------------------------------------

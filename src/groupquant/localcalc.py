@@ -33,12 +33,12 @@ and variant only applies the block-diagonal T_v and R_k to them
 Two more facts keep the fits to what their residuals read. The KN and
 Weyl translations of a point p are both e^{eps step k / 2}, k = 2p or p,
 so one table of irrep blocks per eps serves every symbol and variant of a
-fit. And a coefficient of g-band g maps band <= in_band into band <= the
-product band in_band (+) g, while T_v and R_k keep bands: Q(b)[:, in-band]
-has no rows beyond that band, and a product Q(a) Q(b)[:, in-band] reads
-Q(a) on those columns only (`ensemble_order_fit`). Multiplication
-operators, and with them the products of coefficient functions, are built
-from the coefficients, on the entries of that triangle rule alone
+fit. And a coefficient holding band g maps band <= n into band <= n (+) g,
+while T_v and R_k keep bands: Q(a) Q(b)[:, in-band] reads Q(a) on the
+columns up to in_band (+) g only, and each operator has no rows above its
+column band (+) g (`ensemble_order_fit`). Multiplication operators, and
+with them the products of coefficient functions, are built from the
+coefficients, on the entries of that triangle rule alone
 (`PWSpace.multiplication_operator`): the calculus makes no transform.
 """
 
@@ -165,6 +165,17 @@ def _merge_lattice(pts, coeffs):
             np.array(list(merged.values())).reshape(-1, coeffs.shape[-1]))
 
 
+def _factor_band(a, b, g_pw_out):
+    """The larger of the bands that a's and b's coefficients hold
+    (`PWSpace._held_band`); ValueError if their product exceeds g_pw_out's."""
+    ga, gb = (s.g_pw._held_band(np.vstack([s.coeffs, *s.poly.values()]))
+              for s in (a, b))
+    if _product_band(a.group, ga, gb) > g_pw_out.band:
+        raise ValueError("a product of bands %d and %d exceeds the band %d "
+                         "of g_pw_out" % (ga, gb, g_pw_out.band))
+    return max(ga, gb)
+
+
 def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
     """PW coefficients, on g_pw_out's band, of the pointwise products of
     each row of ca with each row of cb: shape (len(ca), len(cb), dim), by
@@ -176,8 +187,10 @@ def _coeff_products(g_pw_a, ca, g_pw_b, cb, g_pw_out):
 
 
 def symbol_product(a, b, g_pw_out):
-    """Pointwise product sigma * tau within the finite class."""
+    """Pointwise product sigma * tau within the finite class, on g_pw_out
+    (ValueError if it cannot hold it, `_factor_band`)."""
     _check_steps(a, b)
+    _factor_band(a, b, g_pw_out)
     if a.poly and b.poly:
         raise SymbolClassError("product of two momentum-linear symbols is "
                                "quadratic in theta")
@@ -223,7 +236,9 @@ def right_derivative_symbol(s, k):
 
 def poisson_bracket(a, b, g_pw_out):
     """{sigma, tau} = <d_theta sigma, R tau> - <R sigma, d_theta tau>
-    + {sigma, tau}_-  on T*G (right-translation trivialization)."""
+    + {sigma, tau}_-  on T*G (right-translation trivialization), on g_pw_out
+    (ValueError as for `symbol_product`)."""
+    _factor_band(a, b, g_pw_out)
     terms = []
     for k in range(a.n_dirs):
         da = theta_derivative(a, k)
@@ -280,17 +295,17 @@ def _exp_points(group, Y):
     return Y[:, 0] if group == G.U1 else G.quat_exp(Y)
 
 
-def _operators(s, pw, in_band=None):
+def _operators(s, pw, in_band=None, out_band=None):
     """The eps- and variant-free half of Q_eps(sigma): the multiplication
-    operators M_p of the lattice coefficients m_p, (P, dim, n), and M_q of
-    the momentum-linear coefficients q_k, {k: (dim, n)}, on the n columns
-    `cols` of pw's basis: those of `pw.band_mask(in_band)`, or all; one
-    `multiplication_operator` stack."""
+    operators M_p of the lattice coefficients m_p, (P, m, n), and M_q of
+    the momentum-linear q_k, {k: (m, n)}, on the rows and columns `rows`,
+    `cols` of pw.band_mask(out_band), pw.band_mask(in_band) or all."""
     mults = pw.multiplication_operator(
-        s.g_pw, np.vstack([s.coeffs, *s.poly.values()]), in_band)
+        s.g_pw, np.vstack([s.coeffs, *s.poly.values()]), in_band, out_band)
     P = len(s.coeffs)
-    cols = slice(None) if in_band is None else pw.band_mask(in_band)
-    return mults[:P], dict(zip(s.poly, mults[P:])), cols
+    rows, cols = (slice(None) if band is None else pw.band_mask(band)
+                  for band in (out_band, in_band))
+    return mults[:P], dict(zip(s.poly, mults[P:])), rows, cols
 
 
 def _translation_keys(items):
@@ -319,26 +334,26 @@ def _translations(table, eps, pw):
     return [D.conj() for D in pw._reps(_exp_points(pw.group, eps * Y / 2.0))]
 
 
-def _assemble(s, ops, eps, pw, variant, T, rows):
-    """Q_eps(sigma)[:, cols] from ops = _operators(s, pw, ...) by
+def _assemble(s, ops, eps, pw, variant, T, keys):
+    """Q_eps(sigma)[rows, cols] from ops = _operators(s, pw, ...) by
     block-diagonal translations alone (see local_quantize): the blocks of
-    s's points are the rows `rows` of the `_translations` T."""
-    mults, lin, cols = ops
+    s's points are the rows `keys` of the `_translations` T."""
+    mults, lin, rows, cols = ops
     weyl = variant == WEYL
     jfac = haar_jacobian_sq(s.group, eps * s.lattice())
     if s.group == G.U1:
         # T_p = diag(t_p) and R = diag(i n): one einsum over the points
-        t = np.concatenate(T, axis=1)[rows, :, 0]
+        t = np.concatenate(T, axis=1)[keys, :, 0]
         r = 1j * np.array(pw.labels)
         tw = jfac[:, None] * t[:, cols]
-        out = (np.einsum("pi,pij,pj->ij", t, mults, tw) if weyl
+        out = (np.einsum("pi,pij,pj->ij", t[:, rows], mults, tw) if weyl
                else np.einsum("pij,pj->ij", mults, tw))
         for M in lin.values():
             MR = M * r[cols]
-            out += ((-0.5j * eps) * (MR + r[:, None] * M) if weyl
+            out += ((-0.5j * eps) * (MR + r[rows][:, None] * M) if weyl
                     else (-1j * eps) * MR)
         return out
-    T = [D[rows] for D in T]
+    T = [D[keys] for D in T]
     if weyl:
         mults = pw._kron_rows(T, mults)
     out = pw._kron_cols(mults, [jfac[:, None, None] * D for D in T])
@@ -420,14 +435,14 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
     distinct eps in (0, 1] at least (ValueError, before any work).
 
     Only what the residuals read is built (module docstring): with g the
-    larger g-band of a and b, reach = in_band (+) g (`_product_band`,
-    capped at pw's band) and r = band_mask(reach), Q(a) Q(b)[:, in-band] =
-    Q(a)[:, r] Q(b)[r, in-band], so Q(a) and Q(b) are built on the columns
-    r, a prefix of whole irrep blocks on SU(2), and Q(ab) and Q({a,b}) on
-    the in-band ones. Per pair the multiplication operators of a, b, ab and
-    {a,b} are built once and assembled for every eps and both variants,
-    and per eps the translation blocks of all seven assemblies come from
-    one table (`_translations`).
+    larger band that a and b hold (`_factor_band`), reach = in_band (+) g
+    (`_product_band`, capped at pw's band) and r = band_mask(reach),
+    Q(a) Q(b)[:, in-band] = Q(a)[:, r] Q(b)[r, in-band], so Q(a) and Q(b)
+    are built on the columns r, a prefix of whole irrep blocks on SU(2),
+    and Q(ab) and Q({a,b}) on the in-band ones; all four on the rows up to
+    reach (+) g, the others being 0 (ab and {a,b} hold g (+) g at most).
+    Per pair the operators are built once and assembled for every eps and
+    both variants, and per eps the seven share one `_translations` table.
     """
     _check_eps_list(eps_list)
     cols = pw.band_mask(in_band)
@@ -435,12 +450,13 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
     for a, b in pairs:
         ab = symbol_product(a, b, g_pw_out)
         br = poisson_bracket(a, b, g_pw_out)
-        reach = min(pw.band, _product_band(pw.group, in_band,
-                                           max(a.g_pw.band, b.g_pw.band)))
-        r = pw.band_mask(reach)
-        c = cols[r]
+        g = _factor_band(a, b, g_pw_out)
+        reach = min(pw.band, _product_band(pw.group, in_band, g))
+        top = min(pw.band, _product_band(pw.group, reach, g))
+        r = pw.band_mask(reach)[pw.band_mask(top)]
+        c = cols[pw.band_mask(reach)]
         syms = (a, b, ab, br)
-        ops = [_operators(s, pw, band)
+        ops = [_operators(s, pw, band, top)
                for s, band in zip(syms, (reach, reach, in_band, in_band))]
         table, rows = _translation_keys([(s, WEYL) for s in syms]
                                         + [(s, KN) for s in (a, b, br)])

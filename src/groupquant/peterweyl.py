@@ -46,9 +46,9 @@ A multiplication operator is the quadrature sum _EW diag(f) E reordered,
 formed from f's coefficients: on U(1) their Toeplitz matrix; on SU(2) a
 short sum over the beta nodes, against the d-table, of f's (alpha, gamma)
 Fourier coefficients at each beta, which are its coefficients times its
-own d-table. A band-g f admits only entries with |j - j'| <= g (U(1)), or
-|n - n'|, |2m_a - 2m_a'|, |2m_b - 2m_b'| <= g - 1 (SU(2)): O(g^3) of them
-per column against dim are computed; the rest are exact zeros.
+own d-table. An f whose coefficients hold band g admits only entries with
+|j - j'| <= g (U(1)), or |n - n'|, |2m_a - 2m_a'|, |2m_b - 2m_b'| <= g - 1
+(SU(2)): O(g^3) per column are computed; the rest are exact zeros.
 """
 
 import functools
@@ -339,13 +339,15 @@ class PWSpace:
     # -- block-diagonal operators -------------------------------------------
 
     def _kron_rows(self, blocks, mats):
-        """kron(X_p, 1) @ mats[p] for a stack: blocks per label (P, d, d),
-        mats (P, dim, n); one irrep block of rows at a time, each a batch of
-        (d, d) @ (d, d * n)."""
+        """kron(X_p, 1) @ mats[p] on the rows mats holds, a prefix like the
+        columns of `_kron_cols`: blocks per label (P, d, d), mats (P, m, n);
+        one irrep block of rows at a time, a batch of (d, d) @ (d, d * n)."""
         out = np.empty(mats.shape, dtype=complex)
         for lab, X in zip(self.labels, blocks):
             d = X.shape[-1]
             o = self.offsets[lab]
+            if o >= mats.shape[1]:
+                break
             rows = mats[:, o:o + d * d]
             out[:, o:o + d * d] = (X @ rows.reshape(len(X), d, -1)).reshape(
                 rows.shape)
@@ -385,59 +387,69 @@ class PWSpace:
             out[o:o + d * d, o:o + d * d] = np.kron(X.T, np.eye(d))
         return out
 
-    def multiplication_operator(self, g_pw, coeffs, in_band=None):
-        """Matrices of Psi -> f * Psi, a stack (rows, dim, n), for the f
+    def _held_band(self, coeffs):
+        """Largest |label| of a nonzero column of coeffs, else the smallest."""
+        return int(self._abs_label[np.any(coeffs, axis=0)].max(
+            initial=self._abs_label.min()))
+
+    def multiplication_operator(self, g_pw, coeffs, in_band=None,
+                                out_band=None):
+        """Matrices of Psi -> f * Psi, a stack (rows, m, n), for the f
         whose g_pw coefficients c are the rows of coeffs.
 
         Each equals EW diag(f) E. U(1): M[j, j'] = c_{j - j'}. SU(2):
         M[(n,a,b), (n',a',b')] = sum_beta w_beta sqrt(n) d^n_ab(beta)
         sqrt(n') d^n'_a'b'(beta) F[beta, 2(m_a - m_a'), 2(m_b - m_b')], with
         F[beta, 2m_a, 2m_b] = sum_n c_(n,a,b) sqrt(n) d^n_ab(beta). Only the
-        entries that g = g_pw.band admits (module docstring) are computed,
-        the rest are exactly 0; with `in_band` only the n columns of
-        `band_mask(in_band)`. ValueError if g or in_band exceeds this band,
-        or coeffs is not (rows, g_pw.dim).
+        entries that g = g_pw._held_band(c) admits (module docstring) are
+        computed, the rest are 0; only the n columns of band_mask(in_band)
+        and the m rows of band_mask(out_band). ValueError if g_pw.band,
+        in_band or out_band exceeds this band, or coeffs is not (rows, dim).
         """
-        g_space = self._band_space(g_pw.band)
+        self._band_space(g_pw.band)
         c = np.asarray(coeffs)
-        if c.ndim != 2 or c.shape[1] != g_space.dim:
+        if c.ndim != 2 or c.shape[1] != g_pw.dim:
             raise ValueError("coefficients of band %d need shape (rows, %d), "
-                             "got %s" % (g_pw.band, g_space.dim, c.shape))
-        in_band = self.band if in_band is None else in_band
-        if in_band > self.band:
-            raise ValueError("in_band %d exceeds the band %d"
-                             % (in_band, self.band))
-        n_cols, rows, cols, freq, weights, modes = self._entries(
-            in_band, g_pw.band)
-        d = 1.0 if self.group == G.U1 else g_space._dtable
-        F = (c[:, None, :] * d) @ modes           # (row, beta, frequency)
-        out = np.zeros((len(c), self.dim, n_cols), dtype=complex)
+                             "got %s" % (g_pw.band, g_pw.dim, c.shape))
+        in_band, out_band = (self.band if b is None else b
+                             for b in (in_band, out_band))
+        for name, band in (("in_band", in_band), ("out_band", out_band)):
+            if band > self.band:
+                raise ValueError("%s %d exceeds the band %d"
+                                 % (name, band, self.band))
+        g = g_pw._held_band(c)
+        n_rows, n_cols, rows, cols, freq, weights, modes = self._entries(
+            in_band, out_band, g)
+        d = 1.0 if self.group == G.U1 else self._band_space(g)._dtable
+        F = (c[:, None, g_pw.band_mask(g)] * d) @ modes  # (row, beta, freq)
+        out = np.zeros((len(c), n_rows, n_cols), dtype=complex)
         for o, f in zip(out, F):
             o[rows, cols] = np.einsum("be,be->e", weights, f[:, freq])
         return out
 
-    def _entries(self, in_band, g):
-        """Per (in_band, g), built on first use: the column count; per
-        entry that a band-g f admits, its row, column, frequency and beta
-        weights (w_beta e_i(beta) e_j(beta) on SU(2), 1 on U(1)); and the
-        one-hot map from f's modes to frequencies, the flat weight pairs
-        (2m_a, 2m_b), (j, 0) on U(1)."""
-        if (in_band, g) not in self._entry_cache:
-            cols = np.flatnonzero(self.band_mask(in_band))
+    def _entries(self, in_band, out_band, g):
+        """Per (in_band, out_band, g), built on first use: the row and
+        column counts; per entry that a band-g f admits, its row, column,
+        frequency and beta weights (w_beta e_i(beta) e_j(beta) on SU(2), 1
+        on U(1)); and the one-hot map from f's modes to frequencies, the
+        flat weight pairs (2m_a, 2m_b), (j, 0) on U(1)."""
+        if (in_band, out_band, g) not in self._entry_cache:
+            rsel, cols = (np.flatnonzero(self.band_mask(b))
+                          for b in (out_band, in_band))
             q = np.array([(n, n, 0) if self.group == G.U1 else
                           (n, n - 1 - 2 * a, n - 1 - 2 * b)
                           for n, a, b in self.index])
             lim = g - (self.group == G.SU2)
             w = 2 * lim + 1
-            diff = q[:, None] - q[cols]
+            diff = q[rsel, None] - q[cols]
             rows, cs = np.nonzero(np.abs(diff).max(axis=2) <= lim)
             d = diff[rows, cs]
             # the weight pair (x, y) has flat frequency (x + lim) w + y + lim
             flat = lambda pairs: pairs @ [w, 1] + lim * (w + 1)
-            self._entry_cache[in_band, g] = (
-                len(cols), rows, cs, flat(d[:, 1:]),
+            self._entry_cache[in_band, out_band, g] = (
+                len(rsel), len(cols), rows, cs, flat(d[:, 1:]),
                 np.ones((1, len(rows))) if self.group == G.U1 else
-                self._w_beta[:, None] * self._dtable[:, rows]
+                self._w_beta[:, None] * self._dtable[:, rsel[rows]]
                 * self._dtable[:, cols[cs]],
                 np.eye(w * w)[flat(q[self.band_mask(g), 1:])])
-        return self._entry_cache[in_band, g]
+        return self._entry_cache[in_band, out_band, g]

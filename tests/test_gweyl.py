@@ -975,6 +975,94 @@ def test_multiplication_operator_rejects_what_does_not_fit(group):
     assert empty.shape == (0, pw.dim, pw.dim)
 
 
+@pytest.mark.parametrize("group,band,degree", [(G.U1, 22, 60),
+                                                (G.SU2, 8, 10)])
+def test_multiplication_operator_reads_the_band_coefficients_hold(
+        group, band, degree):
+    # coefficients declared on band 5 but nonzero up to band 2 only: the
+    # operator is that of band 2's space, built on the entries band 2
+    # admits, and on the rows up to in_band (+) 2 it is the whole operator
+    pw = PWSpace(group, band, quad_degree=degree)
+    g_lo, g_hi = (PWSpace(group, b) for b in (2, 5))
+    c_lo = _crand(np.random.default_rng(band), 3, g_lo.dim)
+    c_hi = np.zeros((3, g_hi.dim), complex)
+    c_hi[:, g_hi.band_mask(2)] = c_lo
+    assert g_hi._held_band(c_hi) == 2
+    in_band = band // 2
+    out_band = L._product_band(group, in_band, 2)
+    rows = pw.band_mask(out_band)
+    assert not rows.all()
+    full = pw.multiplication_operator(g_lo, c_lo, in_band)
+    assert np.all(full[:, ~rows] == 0)
+    for g_pw, c in ((g_lo, c_lo), (g_hi, c_hi)):
+        M = pw.multiplication_operator(g_pw, c, in_band, out_band)
+        assert M.shape == (3, rows.sum(), pw.band_mask(in_band).sum())
+        assert _max_rel(full[:, rows], M) < 1e-14
+    assert {g for _, _, g in pw._entry_cache} == {2}
+    with pytest.raises(ValueError, match="out_band %d exceeds the band %d"
+                       % (band + 1, band)):
+        pw.multiplication_operator(g_lo, c_lo, in_band, band + 1)
+
+
+@pytest.mark.parametrize("group,band", [(G.U1, 6), (G.SU2, 5)])
+def test_kron_rows_on_a_row_prefix(group, band):
+    # a stack that holds the first m rows only, whole irrep blocks, gets
+    # the first m rows of the product on all rows
+    pw = PWSpace(group, band)
+    rng = np.random.default_rng(band)
+    blocks = [_crand(rng, 2, G.dim(group, lab), G.dim(group, lab))
+              for lab in pw.labels]
+    mats = _crand(rng, 2, pw.dim, 7)
+    full = pw._kron_rows(blocks, mats)
+    for lab in pw.labels:
+        m = pw.offsets[lab] + G.dim(group, lab) ** 2
+        assert np.array_equal(pw._kron_rows(blocks, mats[:, :m]),
+                              full[:, :m])
+
+
+@pytest.mark.parametrize("group,bands", [(G.U1, ((2, 30), (4, 30))),
+                                         (G.SU2, ((2, 6), (5, 8)))])
+def test_products_refuse_a_band_below_the_product(group, bands):
+    # a and b of band 2 have a product of band 4 (U(1)) or 3 (SU(2)): on a
+    # band-2 g_pw_out symbol_product used to return its projection without
+    # saying so: for these symbols it dropped 0.45 (U(1)) and 0.68 (SU(2))
+    # of the product's coefficient norm
+    g2, g_big = (S.make_g_space(group, *b) for b in bands)
+    rng = np.random.default_rng(33)
+    a, b = (_random_local(group, g2, rng) for _ in range(2))
+    for product in (L.symbol_product, L.poisson_bracket):
+        with pytest.raises(ValueError, match="bands 2 and 2 exceeds the "
+                                             "band 2 of g_pw_out"):
+            product(a, b, g2)
+    # the bands that the coefficients hold decide: a constant declared on
+    # band 2 times b fits on band 2, and is the product on the larger band
+    const = L.LocalSymbol(group, a.step, a.points, a.coeffs
+                          * g2.band_mask(int(group == G.SU2)), g2)
+    ab, ab_big = (L.symbol_product(const, b, g) for g in (g2, g_big))
+    assert np.array_equal(ab.points, ab_big.points)
+    assert np.all(ab_big.coeffs[:, ~g_big.band_mask(2)] == 0)
+    assert _max_rel(ab_big.coeffs[:, g_big.band_mask(2)], ab.coeffs) < 1e-13
+
+
+def test_poisson_bracket_checks_the_bands_of_its_lie_part():
+    # momentum-linear a = theta_3 q, b = theta_1 q' with q, q' of band 3
+    # and R_1 q = R_3 q' = 0 exactly: every product of the bracket's terms
+    # fits on band 3, but the Lie-Poisson part -q q' theta_2 holds band 5,
+    # all of it above band 3, and its projection on band 3 is 0
+    g3 = S.make_g_space(G.SU2, 3, quad_degree=6)
+    o = g3.offsets[3]
+    q, qp = np.zeros((2, g3.dim), complex)
+    q[[o, o + 6]] = 1.0, -1.0         # (a, b) = (0, 0) and (2, 0)
+    qp[o + 3] = 1.0                   # (a, b) = (1, 0): weight m_a = 0
+    assert not np.any(g3.right_derivative(0) @ q)
+    assert not np.any(g3.right_derivative(2) @ qp)
+    a, b = (L.LocalSymbol(G.SU2, 0.5, np.zeros((1, 3), int),
+                          np.zeros((1, g3.dim)), g3, {k: v})
+            for k, v in ((2, q), (0, qp)))
+    with pytest.raises(ValueError, match="bands 3 and 3 exceeds the band 3"):
+        L.poisson_bracket(a, b, g3)
+
+
 @pytest.mark.parametrize("group,degree", [(G.U1, 12), (G.SU2, 4)])
 def test_grid_values_of_wrong_length_raise(group, degree):
     pw = PWSpace(group, 3, quad_degree=degree)

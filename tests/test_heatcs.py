@@ -10,6 +10,7 @@ import pytest
 
 from groupquant import groups as G
 from groupquant import heat as H
+from groupquant import orbits as O
 from groupquant._kernels import (ITN_T_MAX, _gauss_legendre, itn_denominator,
                                  su2_norm_series)
 from groupquant.theta import theta3
@@ -483,6 +484,19 @@ def sphere_grid(l_exact):
     return T.ravel(), P.ravel(), W.ravel()
 
 
+def _schur_radial_weights(t, n):
+    """The radial factors of schur_residual_su2's operator, one row per
+    radial node and one column per weight m = j..-j: w_r h_r^2 e^{2 h_r m}
+    / N(h_r)."""
+    h_max = t * n / 2.0 + 12.0 * math.sqrt(t) + 2.0
+    x, wx = _gauss_legendre(80)
+    h = (x + 1.0) * h_max / 2.0
+    wh = wx * h_max / 2.0
+    m = np.arange(n - 1, -n, -2) / 2.0
+    return (h * h * wh / su2_norm_series(h, t))[:, None] * np.exp(
+        2.0 * np.outer(h, m))
+
+
 def _schur_operator_sphere_grid(t, n):
     """The resolution operator of schur_residual_su2 assembled on a sphere
     grid exact to degree 2(n - 1) + 4, with the Wigner D matrices at its
@@ -490,15 +504,21 @@ def _schur_operator_sphere_grid(t, n):
     twoj = n - 1
     theta, phi, wsph = sphere_grid(2 * twoj + 4)
     D = wigner_D_euler_grid(twoj, phi, theta, np.zeros_like(phi))
-    h_max = t * n / 2.0 + 12.0 * math.sqrt(t) + 2.0
-    x, wx = _gauss_legendre(80)
-    h = (x + 1.0) * h_max / 2.0
-    wh = wx * h_max / 2.0
-    m = np.arange(twoj, -twoj - 1, -2) / 2.0
-    rad = (h * h * wh / su2_norm_series(h, t))[:, None] * np.exp(
-        2.0 * np.outer(h, m))
     ang = np.einsum("s,sma,sna->amn", wsph, D, D.conj())
-    return np.einsum("ra,amn->mn", rad, ang)
+    return np.einsum("ra,amn->mn", _schur_radial_weights(t, n), ang)
+
+
+def _schur_operator_orbit_grid(t, n):
+    """The resolution operator of schur_residual_su2 as an operator-field
+    integral on the orbit's product grid: 4 pi / n times the integral of
+    the field 1 against OrbitSpec(n - 1)'s operator table of the summed
+    radial weights R, every entry of A, exact to degree 2n against the
+    entries' 2(n - 1)."""
+    spec = O.OrbitSpec(n - 1)
+    R = _schur_radial_weights(t, n).sum(axis=0)
+    return (4 * math.pi / n) * O._from_field(
+        *spec._operator_tables(R), np.ones(spec.n_nodes),
+        spec.weights).reshape(n, n)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -506,6 +526,17 @@ def test_schur_operator_sphere_grid_oracle(t):
     for n in range(1, 9):
         A, _ = H.schur_residual_su2(t, n)
         ref = _schur_operator_sphere_grid(t, n)
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_schur_operator_orbit_grid_oracle(t):
+    # the library keeps only the diagonal that the alpha integral leaves;
+    # the operator-field integral on the orbit tables, which it used to
+    # take, forms every entry of A from the orbits module's own tables
+    for n in range(1, 9):
+        A, _ = H.schur_residual_su2(t, n)
+        ref = _schur_operator_orbit_grid(t, n)
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
