@@ -10,10 +10,13 @@ Commands (via --cmd):
 Every JSON report goes through one writer, `_report`, and always carries
 `command`, `seed`, `tolerance` (what each number was tested against),
 `results` and `passed`; floats are written as their round-trip repr, so
-runs are byte-identical given (config, seed). table1 writes nothing and
-exits 2, with a one-line message, for t or n outside the range it is
-checked on; an argument outside its range (--j, --eps-list) ends in
-argparse's usage message and exit status 2.
+runs are byte-identical given (config, seed). table1 and resolution-u1
+write nothing and exit 2, with a one-line message, for a t they cannot
+evaluate: t <= 0 or not finite; for table1 also t above 16 or n < 1, the
+range its I(t, n) is checked on; for resolution-u1 also t above about
+2980, where theta3 underflows and C_t does not converge. An argument
+outside its range (--j, --eps-list) ends in argparse's usage message and
+exit status 2.
 """
 
 import argparse
@@ -71,12 +74,19 @@ def cmd_table1(args):
 
 
 def cmd_resolution_u1(args):
-    from .heat import resolution_constant_u1
+    from .heat import QuadratureConvergenceError, resolution_constant_u1
     tol = args.tol if args.tol is not None else 1e-4
     ts = [args.t] if args.t is not None else [0.5, 1.0, 2.0]
     results = []
     for t in ts:
-        val = resolution_constant_u1(t)
+        try:
+            val = resolution_constant_u1(t)
+        except ValueError as exc:   # t <= 0 or not finite
+            sys.stderr.write("groupquant: %s\n" % exc)
+            return 2
+        except QuadratureConvergenceError as exc:   # theta3 underflows
+            sys.stderr.write("groupquant: C_t at t = %r: %s\n" % (t, exc))
+            return 2
         rel = abs(val - t) / t
         results.append({"t": t, "C_t_inverse": val, "rel_err": rel,
                         "passed": rel < tol})

@@ -146,8 +146,8 @@ def resolution_constant_u1(t):
     achieved difference on failure, and with an infinite one where theta3
     underflows to 0 (e^{-t/4} at |l| = t/2, for t above about 2980).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("C_t needs a finite t > 0; got t = %r" % t)
     width = t / 2.0 + 9.0 * math.sqrt(t)
     scale = max(1, math.ceil(width / 256.0))
 
@@ -198,8 +198,9 @@ def resolution_integral_su2(t, n, return_imag_residual=False):
     ITN_T_MAX = 16, the range over which itn_denominator is checked; above
     it ValueError.
     """
-    if t <= 0 or n < 1:
-        raise ValueError("require t > 0 and n >= 1")
+    if not (math.isfinite(t) and t > 0 and n >= 1):
+        raise ValueError("I(t, n) needs a finite t > 0 and n >= 1; got "
+                         "t = %r, n = %r" % (t, n))
     if t > ITN_T_MAX:
         raise ValueError("I(t, n) needs t <= %g, where its denominator is "
                          "accurate; got t = %r" % (ITN_T_MAX, t))

@@ -33,7 +33,8 @@ and variant only applies the block-diagonal T_v and R_k to them
 Two more facts keep the fits to what their residuals read. The KN and
 Weyl translations of a point p are both e^{eps step k / 2}, k = 2p or p,
 so one table of irrep blocks per eps serves every symbol and variant of a
-fit. And a coefficient holding band g maps band <= n into band <= n (+) g,
+pair, and one evaluation of the irreps makes the tables of every eps. And
+a coefficient holding band g maps band <= n into band <= n (+) g,
 while T_v and R_k keep bands: Q(a) Q(b)[:, in-band] reads Q(a) on the
 columns up to in_band (+) g only, and each operator has no rows above its
 column band (+) g (`ensemble_order_fit`). Multiplication operators, and
@@ -167,7 +168,9 @@ def _merge_lattice(pts, coeffs):
 
 def _factor_band(a, b, g_pw_out):
     """The larger of the bands that a's and b's coefficients hold
-    (`PWSpace._held_band`); ValueError if their product exceeds g_pw_out's."""
+    (`PWSpace._held_band`); ValueError if their product exceeds g_pw_out's.
+    The one band check of `symbol_product` and `poisson_bracket`: theta
+    and right derivatives keep the bands, so it covers all their terms."""
     ga, gb = (s.g_pw._held_band(np.vstack([s.coeffs, *s.poly.values()]))
               for s in (a, b))
     if _product_band(a.group, ga, gb) > g_pw_out.band:
@@ -191,10 +194,16 @@ def symbol_product(a, b, g_pw_out):
     (ValueError if it cannot hold it, `_factor_band`)."""
     _check_steps(a, b)
     _factor_band(a, b, g_pw_out)
+    return _product(a, b, g_pw_out)
+
+
+def _product(a, b, g_pw_out):
+    """`symbol_product` without the step and band checks."""
     if a.poly and b.poly:
         raise SymbolClassError("product of two momentum-linear symbols is "
                                "quadratic in theta")
-    if (a.poly and _has_lattice_dep(b)) or (b.poly and _has_lattice_dep(a)):
+    if ((a.poly and _lattice_dirs(b).any())
+            or (b.poly and _lattice_dirs(a).any())):
         raise SymbolClassError("momentum-linear times oscillatory factor "
                                "leaves the finite class")
     pts = (a.points[:, None] + b.points[None, :]).reshape(-1, a.n_dirs)
@@ -211,10 +220,12 @@ def symbol_product(a, b, g_pw_out):
                        _prune_poly(poly))
 
 
-def _has_lattice_dep(s):
-    """Whether a nonzero coefficient sits at a lattice point other than 0."""
-    return bool(np.any(np.any(s.points != 0, axis=1)
-                       & np.any(s.coeffs != 0, axis=1)))
+def _lattice_dirs(s):
+    """Per direction k, whether s has a nonzero coefficient row at a
+    lattice point with Y_k != 0, so that d/d theta_k of its trig part is
+    not 0. Its any() says whether s depends on theta through its lattice."""
+    return np.any((s.points != 0) & np.any(s.coeffs != 0, axis=1)[:, None],
+                  axis=0)
 
 
 def theta_derivative(s, k):
@@ -237,22 +248,32 @@ def right_derivative_symbol(s, k):
 def poisson_bracket(a, b, g_pw_out):
     """{sigma, tau} = <d_theta sigma, R tau> - <R sigma, d_theta tau>
     + {sigma, tau}_-  on T*G (right-translation trivialization), on g_pw_out
-    (ValueError as for `symbol_product`)."""
+    (ValueError as for `symbol_product`).
+
+    The k-th term pair is formed only where sigma or tau moves in direction
+    k, through a theta_k term or a lattice point (`_lattice_dirs`);
+    elsewhere both theta derivatives are 0. On the z-axis lattices of
+    moyal-fit that is k = z alone, 2 of the 6 products. With no direction
+    left and a zero Lie part, it is the zero symbol at 0."""
     _factor_band(a, b, g_pw_out)
+    _check_steps(a, b)
+    minus = _lie_poisson_part(a, b, g_pw_out)   # may refuse: before terms
+    moving = _lattice_dirs(a) | _lattice_dirs(b)
     terms = []
     for k in range(a.n_dirs):
-        da = theta_derivative(a, k)
-        rb = right_derivative_symbol(b, k)
-        terms.append(symbol_product(da, rb, g_pw_out))
-        ra = right_derivative_symbol(a, k)
-        db = theta_derivative(b, k)
-        terms.append(symbol_product(ra, db, g_pw_out).scaled(-1.0))
+        if not (moving[k] or k in a.poly or k in b.poly):
+            continue
+        terms.append(_product(theta_derivative(a, k),
+                              right_derivative_symbol(b, k), g_pw_out))
+        terms.append(_product(right_derivative_symbol(a, k),
+                              theta_derivative(b, k), g_pw_out).scaled(-1.0))
+    if minus is not None:
+        terms.append(minus)
+    if not terms:
+        return _at_zero(a, g_pw_out, np.zeros(g_pw_out.dim, complex))
     out = terms[0]
     for t in terms[1:]:
         out = symbol_add(out, t)
-    minus = _lie_poisson_part(a, b, g_pw_out)
-    if minus is not None:
-        out = symbol_add(out, minus)
     return out
 
 
@@ -263,7 +284,7 @@ def _lie_poisson_part(a, b, g_pw_out):
     [tau_k, tau_l] = eps_klm tau_m gives -eps_klm q_k q'_l theta_m."""
     if a.group == G.U1:
         return None
-    if _has_lattice_dep(a) or _has_lattice_dep(b):
+    if _lattice_dirs(a).any() or _lattice_dirs(b).any():
         # vanishes when all momentum directions are parallel
         dirs = np.concatenate([a.points, b.points])
         dirs = dirs[np.any(dirs != 0, axis=1)]
@@ -325,25 +346,34 @@ def _translation_keys(items):
     return table, np.split(rows.ravel(), ends)
 
 
-def _translations(table, eps, pw):
-    """The blocks conj D(e^{eps step k / 2}) per label, (K, d, d), at the
-    rows (step, k) of a `_translation_keys` table: one batched `pw._reps`."""
-    if not 0 < eps <= 1:
+def _translations(table, eps_list, pw):
+    """The blocks conj D(e^{eps step k / 2}) at the rows (step, k) of a
+    `_translation_keys` table, one table per eps of eps_list, from one
+    evaluation for all of them: on SU(2) one batched `pw._reps` over the
+    (eps, row) elements, a table being one (K, d, d) array per label; on
+    U(1) one (E, K, labels) array of the phases e^{-i eps step k lab / 2},
+    a table being its (K, labels) slice."""
+    eps = np.asarray(eps_list, float)
+    if not np.all((0 < eps) & (eps <= 1)):
         raise ValueError("eps must be in (0, 1]")
-    Y = table[:, :1] * table[:, 1:]
-    return [D.conj() for D in pw._reps(_exp_points(pw.group, eps * Y / 2.0))]
+    Y = eps[:, None, None] * (table[:, :1] * table[:, 1:]) / 2.0
+    if pw.group == G.U1:
+        return np.exp(1j * np.multiply.outer(Y[..., 0], pw.labels)).conj()
+    blocks = pw._reps(_exp_points(pw.group, Y.reshape(-1, Y.shape[-1])))
+    return list(zip(*(D.conj().reshape(Y.shape[:2] + D.shape[1:])
+                      for D in blocks)))
 
 
 def _assemble(s, ops, eps, pw, variant, T, keys):
     """Q_eps(sigma)[rows, cols] from ops = _operators(s, pw, ...) by
     block-diagonal translations alone (see local_quantize): the blocks of
-    s's points are the rows `keys` of the `_translations` T."""
+    s's points are the rows `keys` of T, eps's `_translations` table."""
     mults, lin, rows, cols = ops
     weyl = variant == WEYL
     jfac = haar_jacobian_sq(s.group, eps * s.lattice())
     if s.group == G.U1:
         # T_p = diag(t_p) and R = diag(i n): one einsum over the points
-        t = np.concatenate(T, axis=1)[keys, :, 0]
+        t = T[keys]
         r = 1j * np.array(pw.labels)
         tw = jfac[:, None] * t[:, cols]
         out = (np.einsum("pi,pij,pj->ij", t[:, rows], mults, tw) if weyl
@@ -388,10 +418,10 @@ def local_quantize(s, eps, pw, variant=KN):
     the irreps at the distinct e^{eps step k / 2} (`_translation_keys`).
     `ensemble_order_fit` builds the first part once per symbol, on the
     columns its products read, and runs the second for every eps and both
-    variants, with one table per eps for all its symbols.
+    variants, with the tables of every eps from one evaluation per pair.
     """
     table, (rows,) = _translation_keys([(s, variant)])
-    T = _translations(table, eps, pw)
+    T, = _translations(table, [eps], pw)
     return _assemble(s, _operators(s, pw), eps, pw, variant, T, rows)
 
 
@@ -400,9 +430,11 @@ def local_quantize(s, eps, pw, variant=KN):
 # ---------------------------------------------------------------------------
 
 def _op_norm(M):
-    """sigma_max(M), from the top eigenvalue of the smaller Gram matrix."""
-    gram = M.conj().T @ M if M.shape[0] >= M.shape[1] else M @ M.conj().T
-    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+    """sigma_max of each matrix of the stack M, (..., m, n), from the top
+    eigenvalue of the smaller Gram matrix: one product and one eigvalsh."""
+    H = M.conj().swapaxes(-1, -2)
+    gram = H @ M if M.shape[-2] >= M.shape[-1] else M @ H
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def _check_eps_list(eps_list):
@@ -441,8 +473,13 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
     are built on the columns r, a prefix of whole irrep blocks on SU(2),
     and Q(ab) and Q({a,b}) on the in-band ones; all four on the rows up to
     reach (+) g, the others being 0 (ab and {a,b} hold g (+) g at most).
-    Per pair the operators are built once and assembled for every eps and
-    both variants, and per eps the seven share one `_translations` table.
+    Per pair: ab and {a,b} check their bands once each, and g is read
+    from a third `_factor_band`; the operators are built once and assembled
+    for every eps and both variants; the seven assemblies of an eps share
+    one table, and one `_translations` call makes the tables of every eps;
+    one `_op_norm` call takes the norms of both residuals at every eps.
+    Assemblies stay one eps at a time, which keeps the peak memory of a
+    pair to one eps's operators.
     """
     _check_eps_list(eps_list)
     cols = pw.band_mask(in_band)
@@ -460,8 +497,8 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
                for s, band in zip(syms, (reach, reach, in_band, in_band))]
         table, rows = _translation_keys([(s, WEYL) for s in syms]
                                         + [(s, KN) for s in (a, b, br)])
-        for i, eps in enumerate(eps_list):
-            T = _translations(table, eps, pw)
+        res = []
+        for eps, T in zip(eps_list, _translations(table, eps_list, pw)):
             Qa, Qb, Qab, Qbr = (_assemble(s, o, eps, pw, WEYL, T, rw)
                                 for s, o, rw in zip(syms, ops, rows))
             moyal = Qa @ Qb[r][:, c] - Qab + (0.5j * eps) * Qbr
@@ -469,7 +506,8 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
                            for j, rw in zip((0, 1, 3), rows[4:]))
             dirac = ((1j / eps) * (Qa @ Qb[r][:, c] - Qb @ Qa[r][:, c])
                      - Qbr)
-            sq[:, i] += [_op_norm(moyal) ** 2, _op_norm(dirac) ** 2]
+            res.append((moyal, dirac))
+        sq += _op_norm(np.array(res)).T ** 2
     moy, dir_ = np.sqrt(sq)
     return (fit_slope(eps_list, moy), fit_slope(eps_list, dir_),
             list(moy), list(dir_))

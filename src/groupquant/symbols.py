@@ -293,9 +293,14 @@ def kn_compose(sa, sb, h_quad):
     once the benchmark stops calling it (ROADMAP item 6). Left translation
     acts on sb's g-band coefficients: rho(h^{-1} g) = rho(h)^* rho(g), so
     the block of irrep rho of sigma_B(pi, h^{-1} .) is conj(rho(h)) @ c_rho,
-    and pi(h) multiplies each coefficient from the left. The h-sum is one
-    matrix product per label, Q[g, i] = sum_h w_h F_A(h, g) pi(h) c_i(h),
-    and sigma_AB(pi, g) = sum_i e_i(g) Q[g, i] with sb's basis at sa's nodes.
+    and pi(h) multiplies each coefficient from the left. The kernel has
+    rank sum d^2 over sa's labels (30 at pi-band 4 on SU(2)): F_A(h, g) =
+    sum_r U_r(h) V_r(g), r = (pi', p, q), U_r = d' conj(pi'(h)_pq) and V_r
+    = sigma_A(pi', g)_pq. So the h-sum never forms F_A on the (h, g) double
+    grid: it is G[r, pi (x) conj rho] = sum_h w_h U_r(h) pi(h)_mk
+    conj(rho(h))_xa, one matrix product per (pi, rho) pair of labels, and
+    Q[g, i] = sum_r V_r(g) (G c_B)[r, i] with c_B sb's coefficients. Then
+    sigma_AB(pi, g) = sum_i e_i(g) Q[g, i] with sb's basis at sa's nodes.
 
     h_quad must be a group_quadrature exact for conj(pi'(h)) pi(h)
     conj(rho(h)), pi' up to sa.pi_band, pi up to the result's band, rho up
@@ -320,26 +325,34 @@ def kn_compose(sa, sb, h_quad):
     Dh = dict(zip(hs.labels, hs._reps(h_quad.angles if group == G.U1
                                       else h_quad.quats)))
 
-    # F_A on the (h, g) double grid, weighted, as (g, h)
-    FA = sum(G.dim(group, lab) * Dh[lab].conj().reshape(N_h, -1)
-             @ v.reshape(N_g, -1).T for lab, v in sa.values.items())
-    wFA = (FA * h_quad.weights[:, None]).T
+    # F_A(h, g) = sum_r U_r(h) V_r(g), r = (pi', p, q): weighted U, (r, h)
+    wU = np.concatenate([G.dim(group, lab) * Dh[lab].conj().reshape(N_h, -1)
+                         for lab in sa.values], axis=1).T * h_quad.weights
+    V = np.concatenate([v.reshape(N_g, -1) for v in sa.values.values()],
+                       axis=1)
     E = g_pw.eval_basis(gq.angles if group == G.U1 else gq.quats)
+    VE = (V[:, :, None] * E[:, None, :]).reshape(N_g, -1)   # (g, (r, i))
 
     labels = G.irrep_labels(group, pi_band)
     coefs = _label_views(group, labels, sb._coefficient_stack(labels))
     out = {}
     for lab, CB in coefs.items():             # CB: (dim_g, d, d)
         d = G.dim(group, lab)
-        T = np.empty((N_h, g_pw.dim, d, d), dtype=complex)
+        GC = np.empty((len(wU), g_pw.dim, d, d), dtype=complex)
         for lab2 in g_pw.labels:
             d2 = G.dim(group, lab2)
             blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
-            T[:, blk] = (Dh[lab2].conj() @ CB[blk].reshape(d2, -1)).reshape(
-                N_h, -1, d, d)
-        T = Dh[lab][:, None] @ T
-        Q = (wFA @ T.reshape(N_h, -1)).reshape(N_g, g_pw.dim, d, d)
-        out[lab] = np.einsum("gi,gimn->gmn", E, Q)
+            # G[r, (x, m), (k, a)] = sum_h w_h U_r(h) conj(rho(h))_xa pi(h)_mk
+            P = (Dh[lab2].conj()[:, :, None, None, :]
+                 * Dh[lab][:, None, :, :, None])
+            Gr = (wU @ P.reshape(N_h, -1)).reshape(-1, d * d2)
+            # (G C)[r, (x, b), m, n] = sum_(k, a) G[r, (x, m), (k, a)]
+            # c_(rho, a, b)[k, n]
+            C = CB[blk].reshape(d2, d2, d, d).transpose(2, 0, 1, 3)
+            GC[:, blk] = (Gr @ C.reshape(d * d2, -1)).reshape(
+                -1, d2, d, d2, d).transpose(0, 1, 3, 2, 4).reshape(
+                -1, d2 * d2, d, d)
+        out[lab] = (VE @ GC.reshape(-1, d * d)).reshape(N_g, d, d)
     return MatrixSymbol(group, pi_band, sa.g_pw, out)
 
 

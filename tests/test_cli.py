@@ -102,6 +102,33 @@ def test_table1_rejection_is_one_line():
     assert "Traceback" not in proc.stderr and "t <= 16" in proc.stderr
 
 
+def test_table1_rejects_nan_t(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["--cmd", "table1", "--t", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs a finite t > 0" in err
+
+
+@pytest.mark.parametrize("t", ["-1", "0", "nan", "inf", "5000"])
+def test_resolution_u1_rejects_bad_t(t, tmp_path, capsys):
+    # t <= 0, t not finite, and t where theta3 underflows (above about
+    # 2980): no JSON and a one-line message, exit status 2
+    out = tmp_path / "r.json"
+    rc = main(["--cmd", "resolution-u1", "--t", t, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_resolution_u1_rejection_is_one_line():
+    proc = run_cli(["--cmd", "resolution-u1", "--t", "nan"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr and "finite t > 0" in proc.stderr
+
+
 def test_resolution_u1(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["--cmd", "resolution-u1", "--out", str(out)])

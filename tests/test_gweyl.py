@@ -1205,6 +1205,117 @@ def test_poisson_bracket_lie_part_su2():
     assert np.abs(resid).max() < 1e-12
 
 
+def _poisson_bracket_all_directions(a, b, g_pw_out):
+    """{a, b} with the term pair of every direction k formed, whether or
+    not a or b moves in it, and summed with the Lie part."""
+    terms = []
+    for k in range(a.n_dirs):
+        terms.append(L.symbol_product(L.theta_derivative(a, k),
+                                      L.right_derivative_symbol(b, k),
+                                      g_pw_out))
+        terms.append(L.symbol_product(L.right_derivative_symbol(a, k),
+                                      L.theta_derivative(b, k),
+                                      g_pw_out).scaled(-1.0))
+    out = terms[0]
+    for t in terms[1:]:
+        out = L.symbol_add(out, t)
+    minus = L._lie_poisson_part(a, b, g_pw_out)
+    return out if minus is None else L.symbol_add(out, minus)
+
+
+def _by_point(s):
+    """s's coefficient rows and theta_k terms keyed by lattice point and k."""
+    out = {("m", tuple(p)): c for p, c in zip(s.points, s.coeffs)}
+    out.update({("q", k): v for k, v in s.poly.items()})
+    return out
+
+
+def _symbol_at(rng, group, step, pts, g_pw, poly_dirs=()):
+    """A random symbol at the lattice points pts, with theta_k terms for
+    the k of poly_dirs."""
+    return L.LocalSymbol(group, step, pts, _crand(rng, len(pts), g_pw.dim),
+                         g_pw, {k: _crand(rng, g_pw.dim) for k in poly_dirs})
+
+
+def _bracket_pairs(group):
+    """(a, b, g_pw_out) pairs: moyal-fit's own, off-axis and single-axis
+    oscillatory ones, and momentum-linear ones."""
+    rng = np.random.default_rng(11)
+    fit = "moyal_fit_u1" if group == G.U1 else "moyal_fit_su2"
+    pairs, _, _, _, gout = _fit_arguments(fit, 1)
+    out = [(a, b, gout) for a, b in pairs]
+    g_pw, step = pairs[0][0].g_pw, pairs[0][0].step
+    zero = np.zeros((1, 1 if group == G.U1 else 3), int)
+    const = _symbol_at(rng, group, step, zero, g_pw)
+    if group == G.U1:
+        osc = _symbol_at(rng, group, step, np.arange(-2, 3)[:, None], g_pw)
+        lin = _symbol_at(rng, group, step, zero, g_pw, (0,))
+        return out + [(osc, const, gout), (const, osc, gout),
+                      (lin, const, gout), (const, lin, gout)]
+    line = np.arange(-1, 2)[:, None]
+    off = [_symbol_at(rng, group, 0.4, line * [1, 2, -1], g_pw)
+           for _ in range(2)]
+    xs = _symbol_at(rng, group, step, line * [1, 0, 0], g_pw)
+    lin = [_symbol_at(rng, group, step, zero, g_pw, ks)
+           for ks in ((0,), (1, 2))]
+    # theta_x and theta_y, as in test_poisson_bracket_lie_part_su2
+    ones = g_pw.analysis(np.ones(g_pw.quad.n_nodes, complex))
+    sx, sy = (L.LocalSymbol(group, step, zero, np.zeros((1, g_pw.dim)), g_pw,
+                            {k: ones}) for k in (0, 1))
+    return out + [(off[0], off[1], gout), (xs, const, gout),
+                  (const, xs, gout), (lin[0], lin[1], gout),
+                  (lin[0], const, gout), (sx, sy, gout)]
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_poisson_bracket_matches_all_directions(group):
+    # poisson_bracket skips the directions in which neither symbol moves;
+    # the loop over every direction is the oracle, point by point
+    for a, b, gout in _bracket_pairs(group):
+        got = _by_point(L.poisson_bracket(a, b, gout))
+        ref = _by_point(_poisson_bracket_all_directions(a, b, gout))
+        scale = max(np.abs(v).max() for v in ref.values())
+        zero = np.zeros(gout.dim)
+        for key in set(got) | set(ref):
+            err = np.abs(got.get(key, zero) - ref.get(key, zero)).max()
+            assert err <= 1e-15 * scale, (key, err, scale)
+
+
+def test_poisson_bracket_of_non_parallel_symbols_is_refused():
+    # the Lie part of oscillatory symbols with non-parallel momentum
+    # support leaves the finite class, with or without the skipped terms
+    rng = np.random.default_rng(12)
+    g_pw = S.make_g_space(G.SU2, 2, quad_degree=6)
+    gout = S.make_g_space(G.SU2, 5, quad_degree=8)
+    line = np.arange(-1, 2)[:, None]
+    a = _symbol_at(rng, G.SU2, 0.5, line * [1, 0, 0], g_pw)
+    b = _symbol_at(rng, G.SU2, 0.5, line * [0, 1, 1], g_pw)
+    for bracket in (L.poisson_bracket, _poisson_bracket_all_directions):
+        with pytest.raises(L.SymbolClassError, match="non-parallel"):
+            bracket(a, b, gout)
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_poisson_bracket_of_theta_independent_symbols_is_zero(group):
+    # neither symbol moves in any direction: the zero symbol at 0, on
+    # g_pw_out, even with zero coefficient rows away from 0
+    rng = np.random.default_rng(13)
+    n_dirs = 1 if group == G.U1 else 3
+    g_pw = (S.make_g_space(G.U1, 1, quad_degree=30) if group == G.U1
+            else S.make_g_space(G.SU2, 2, quad_degree=6))
+    gout = (S.make_g_space(G.U1, 4, quad_degree=30) if group == G.U1
+            else S.make_g_space(G.SU2, 5, quad_degree=8))
+    zero = np.zeros((1, n_dirs), int)
+    a = _symbol_at(rng, group, 0.5, zero, g_pw)
+    b = _symbol_at(rng, group, 0.5, np.concatenate([zero, zero + 1]), g_pw)
+    b.coeffs[1] = 0.0
+    for x, y in ((a, b), (b, a), (a, a)):
+        br = L.poisson_bracket(x, y, gout)
+        assert br.g_pw is gout and br.poly == {}
+        assert np.array_equal(br.points, zero)
+        assert not br.coeffs.any()
+
+
 _FD_STEP = 1e-6   # central-difference step of kernel_cutoff's d_k phi(0)
 
 
@@ -1373,6 +1484,10 @@ def test_op_norm_is_largest_singular_value(shape, rank):
         M = np.zeros(shape, dtype=complex)
     ref = np.linalg.norm(M, 2)
     assert abs(L._op_norm(M) - ref) <= 1e-13 * max(ref, 1.0)
+    # a stack (2, 3, m, n) takes one call: a norm per matrix
+    stack = np.array([[M, 2 * M, M.conj()], [M[::-1], -M, 0 * M]])
+    refs = np.array([[ref, 2 * ref, ref], [ref, ref, 0.0]])
+    assert np.abs(L._op_norm(stack) - refs).max() <= 1e-13 * max(ref, 1.0)
 
 
 def _spy_transforms(monkeypatch):
@@ -1499,23 +1614,36 @@ def test_quantized_columns_reach_product_band(fit):
                 assert np.abs(Q[out][:, cols]).max() < 1e-14 * np.abs(Q).max()
 
 
-def test_order_fit_makes_one_translation_table_per_eps(monkeypatch):
-    from groupquant.cli import moyal_fit_su2
-    rows = []
-    reps = PWSpace._reps
+@pytest.mark.parametrize("fit", ["moyal_fit_u1", "moyal_fit_su2"])
+def test_order_fit_makes_one_translation_table_per_pair(fit, monkeypatch):
+    from groupquant import cli
+    rows, checks = [], []
+    reps, factor_band = PWSpace._reps, L._factor_band
 
-    def spy(self, quats_or_angles):
+    def spy_reps(self, quats_or_angles):
         rows.append(len(quats_or_angles))
         return reps(self, quats_or_angles)
 
-    monkeypatch.setattr(PWSpace, "_reps", spy)
+    def spy_factor_band(*args):
+        checks.append(args)
+        return factor_band(*args)
+
+    monkeypatch.setattr(PWSpace, "_reps", spy_reps)
+    monkeypatch.setattr(L, "_factor_band", spy_factor_band)
     eps_list = [0.25, 0.125, 0.0625, 0.03125]
-    moyal_fit_su2(np.random.default_rng(0), eps_list, n_pairs=2)
-    # one table per (pair, eps): the 27 translations that the 7 assemblies
-    # of a, b, ab and {a,b} apply are 7 distinct elements e^{eps step k/2},
-    # k = 0, +-1, +-2 (Weyl points) and +-4 (twice the KN points of {a,b})
-    # on the z axis
-    assert rows == [7] * (2 * len(eps_list))
+    getattr(cli, fit)(np.random.default_rng(0), eps_list, n_pairs=2)
+    # three band checks per pair, one each for ab, {a,b} and the fit's
+    # bands: none per term of the bracket
+    assert len(checks) == 3 * 2
+    if fit == "moyal_fit_u1":
+        # the U(1) table is one array of phases: no irrep evaluation
+        assert rows == []
+    else:
+        # one table per pair for every eps: the 27 translations that the 7
+        # assemblies of a, b, ab and {a,b} apply are 7 distinct elements
+        # e^{eps step k/2} per eps, k = 0, +-1, +-2 (Weyl points) and +-4
+        # (twice the KN points of {a,b}) on the z axis
+        assert rows == [7 * len(eps_list)] * 2
 
 
 @pytest.mark.parametrize("fit", ["moyal_fit_u1", "moyal_fit_su2"])
@@ -1527,8 +1655,8 @@ def test_translation_table_matches_local_quantize(fit):
     items = ([(s, L.WEYL) for s in (a, b, ab, br)]
              + [(s, L.KN) for s in (a, b, br)])
     table, rows = L._translation_keys(items)
-    for eps in (0.25, 0.0625):
-        T = L._translations(table, eps, pw)
+    eps_list = (0.25, 0.0625)
+    for eps, T in zip(eps_list, L._translations(table, eps_list, pw)):
         for (s, variant), rw in zip(items, rows):
             Q = L._assemble(s, L._operators(s, pw), eps, pw, variant, T, rw)
             assert np.array_equal(Q, L.local_quantize(s, eps, pw, variant))

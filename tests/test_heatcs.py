@@ -302,6 +302,16 @@ def test_resolution_constant_u1_underflow_raises():
         H.resolution_constant_u1(1e4)
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_resolution_rejects_t_that_is_not_finite_and_positive(t):
+    # nan used to reach an int() of the panel count ("cannot convert float
+    # NaN to integer"); each integral names its own range instead
+    with pytest.raises(ValueError, match="C_t needs a finite t > 0"):
+        H.resolution_constant_u1(t)
+    with pytest.raises(ValueError, match=r"I\(t, n\) needs a finite t > 0"):
+        H.resolution_integral_su2(t, 1)
+
+
 def _theta3_cosine(x, t):
     """Oracle: theta3(x | i pi/t) for real x by its cosine series,
     1 + 2 sum_{n>=1} e^{-pi^2 n^2/t} cos(2 pi n x), to terms below 1e-18."""
