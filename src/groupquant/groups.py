@@ -105,18 +105,6 @@ def quat_log(q):
     return scale[..., None] * v
 
 
-def quat_to_su2(q):
-    q = np.asarray(q, dtype=float)
-    a = q[..., 0] - 1j * q[..., 3]
-    b = -q[..., 2] - 1j * q[..., 1]
-    m = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    m[..., 0, 0] = a
-    m[..., 0, 1] = b
-    m[..., 1, 0] = -np.conj(b)
-    m[..., 1, 1] = np.conj(a)
-    return m
-
-
 def quat_to_euler(q):
     """ZYZ Euler angles with gamma = 0 on the beta in {0, pi} branch."""
     q = np.atleast_2d(np.asarray(q, dtype=float))

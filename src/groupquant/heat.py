@@ -1,10 +1,15 @@
 """Heat kernels, coherent-state overlaps and resolution-of-unity integrals.
 
 Complexified points are handled through the right polar decomposition
-z = g e^{iX}; for SU(2) the factor e^{iX} is the positive Hermitian matrix
-exp(|X| (Xhat . sigma)/2). Overlaps reduce to the analytically continued
-heat kernel rho_{2t}(z'^{-1} zbar), whose SU(2) characters are
-sinh(n mu)/sinh(mu) in the complex torus parameter mu.
+z = g e^{iX}. Overlaps reduce to the analytically continued heat kernel
+rho_{2t}(z'^{-1} zbar), whose SU(2) characters are sinh(n mu)/sinh(mu) in
+the complex torus parameter mu. On SU(2) only cosh(mu) = tr(z^dag z')/2
+enters, and it is taken in closed form from the quaternions of g, g' and
+from X, X', with no 2x2 matrix: each of its terms is written so that
+swapping z and z' gives its exact conjugate. cmath.acosh and the norm
+series take conjugate arguments to conjugate values, so the SU(2) overlaps
+are exactly Hermitian: coherent_overlap(w, z) is conj(coherent_overlap(z,
+w)) to the last bit.
 
 Each group has one heat-kernel series: theta3 on U(1), rho_t(phi) =
 theta3(phi/2pi | it/2pi), which also gives the U(1) overlaps and, on arrays
@@ -26,6 +31,7 @@ D(g_theta)^* keeps only its diagonal, a Gauss-Legendre sum in cos beta of
 Wigner small-d squared against R.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -69,16 +75,35 @@ class PolarPoint:
         return PolarPoint(G.SU2, G.GroupElement.su2(q), np.asarray(X, float))
 
 
-def _su2_complex_point(p):
-    """2x2 matrix of z = g e^{iX}: U(g) H with H = exp((X . sigma)/2) =
-    cosh(h/2) 1 + (sinh(h/2)/h) (X . sigma), h = |X|; the factor is its
-    limit 1/2 at h = 0."""
-    x1, x2, x3 = (float(c) for c in p.X)
-    h = math.hypot(x1, x2, x3)
-    c, s = math.cosh(h / 2.0), (math.sinh(h / 2.0) / h if h else 0.5)
-    H = np.array([[c + s * x3, s * complex(x1, -x2)],
-                  [s * complex(x1, x2), c - s * x3]])
-    return G.quat_to_su2(np.asarray(p.g.quat, float)) @ H
+def _su2_half_trace(z, zp):
+    """cosh(mu) = tr(z^dag z')/2 for z = g e^{iX}, z' = g' e^{iX'}, from the
+    quaternions and X as Python floats.
+
+    With r = conj(q) q' (U(q)^dag U(q') = U(r)), c = cosh(h/2) and s =
+    sinh(h/2)/h (1/2 at h = |X| = 0), and the same primed for z':
+    tr(z^dag z')/2 = c c' r0 + s s' (r0 X.X' + r.(X' x X))
+    - i (c s' r.X' + s c' r.X). Swapping z and z' negates r's vector part
+    and the triple product exactly, so every term is the exact conjugate."""
+    q0, q1, q2, q3 = (float(v) for v in z.g.quat)
+    p0, p1, p2, p3 = (float(v) for v in zp.g.quat)
+    r0 = q0 * p0 + (q1 * p1 + q2 * p2 + q3 * p3)
+    r1 = (q0 * p1 - p0 * q1) - (q2 * p3 - q3 * p2)
+    r2 = (q0 * p2 - p0 * q2) - (q3 * p1 - q1 * p3)
+    r3 = (q0 * p3 - p0 * q3) - (q1 * p2 - q2 * p1)
+    x1, x2, x3 = (float(v) for v in z.X)
+    y1, y2, y3 = (float(v) for v in zp.X)
+
+    def cosh_sinhc(h):
+        return math.cosh(h / 2.0), (math.sinh(h / 2.0) / h if h else 0.5)
+
+    c, s = cosh_sinhc(math.hypot(x1, x2, x3))
+    cp, sp = cosh_sinhc(math.hypot(y1, y2, y3))
+    dot = x1 * y1 + x2 * y2 + x3 * y3
+    triple = (r1 * (y2 * x3 - y3 * x2) + r2 * (y3 * x1 - y1 * x3)
+              + r3 * (y1 * x2 - y2 * x1))
+    im = (c * sp * (r1 * y1 + r2 * y2 + r3 * y3)
+          + s * cp * (r1 * x1 + r2 * x2 + r3 * x3))
+    return complex(c * cp * r0 + s * sp * (r0 * dot + triple), -im)
 
 
 def coherent_overlap(params, z, zp):
@@ -88,7 +113,12 @@ def coherent_overlap(params, z, zp):
     the identity map of G, so z'^{-1} zbar = (z^dag z')^{-1} with the plain
     matrix adjoint; at z = z' this is e^{-2iX} and the norm series results.
     On SU(2), z^dag z' is in SL(2, C), so it and its inverse share the
-    trace 2 cosh(mu); the series is even in mu and holds at mu = i pi.
+    trace 2 cosh(mu); the series is even in mu and holds at mu = i pi. mu
+    is cmath.acosh of the closed-form half trace `_su2_half_trace`, so
+    coherent_overlap(w, z) is exactly conj(coherent_overlap(z, w)). The
+    half trace is real at X = X' = 0 and at g' = +-g, and so is the
+    overlap, a real polynomial in it: the series' imaginary rounding there,
+    of the same sign in both orders, is dropped.
     """
     t = params.t
     if params.group == G.U1:
@@ -97,8 +127,9 @@ def coherent_overlap(params, z, zp):
         # sum_j e^{-t j^2} e^{i j (phi' - phi)} e^{-j (l + l')}
         zz = ((phip - phi) + 1j * (l + lp)) / (2 * math.pi)
         return theta3(zz, 1j * t / math.pi)
-    m = np.conj(_su2_complex_point(z).T) @ _su2_complex_point(zp)
-    return su2_norm_series(np.arccosh((m[0, 0] + m[1, 1]) / 2), t)[0]
+    ch = _su2_half_trace(z, zp)
+    val = su2_norm_series(cmath.acosh(ch), t)[0]
+    return val if ch.imag else val.real + 0j
 
 
 def su2_overlap_norm(t, h):
@@ -110,15 +141,37 @@ def su2_overlap_norm(t, h):
 # U(1) resolution constant
 # ---------------------------------------------------------------------------
 
-def _panel_gl(f, a, b, n_panels):
-    """Composite 24-point Gauss-Legendre rule on n_panels equal panels of
-    [a, b]; f is called once, on all 24 n_panels nodes."""
+def _panel_gl(f, levels):
+    """Composite 24-point Gauss-Legendre value of each level, a list of
+    segments (a, b, n_panels) of n_panels equal panels of [a, b]: the sum of
+    its segments' values, in order. The panels of every segment come from
+    one vectorised construction, with np.linspace's edges i (b - a)/n_panels
+    + a (b last), and f is called once, on all of their 24 nodes each. Each
+    segment is summed on its own rows, as one level alone would be: one
+    matrix product over every panel rounds some panel sums differently."""
     x, w = _gauss_legendre(24)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    vals = f((mid[:, None] + half[:, None] * x).ravel())
-    return half @ (vals.reshape(n_panels, -1) @ w)
+    segments = [seg for level in levels for seg in level]
+    a, b, n = (np.array(v) for v in zip(*segments))
+    start = np.cumsum(n) - n
+    seg = np.repeat(np.arange(len(segments)), n)
+    i = np.arange(n.sum()) - start[seg]
+    step = ((b - a) / n)[seg]
+    left = i * step + a[seg]
+    right = np.where(i + 1 < n[seg], (i + 1) * step + a[seg], b[seg])
+    mid, half = (left + right) / 2.0, (right - left) / 2.0
+    vals = f((mid[:, None] + half[:, None] * x).ravel()).reshape(-1, 24)
+    sums = iter([half[j:j + k] @ (vals[j:j + k] @ w)
+                 for j, k in zip(start, n)])
+    return [sum(next(sums) for _ in level) for level in levels]
+
+
+def _level_values(f, levels):
+    """The value of each level in turn, for `_refined`: the first two
+    levels, which every refinement reads, share one `_panel_gl` call; each
+    later level makes its own."""
+    yield from _panel_gl(f, levels[:2])
+    for level in levels[2:]:
+        yield from _panel_gl(f, [level])
 
 
 def _refined(levels, tol, what):
@@ -158,9 +211,10 @@ def resolution_constant_u1(t):
                 "resolution integrand is 0/0 in double precision", math.inf)
         return np.exp(-l * l / t) / den
 
-    return _refined((math.sqrt(t / math.pi)
-                     * _panel_gl(f, -width, width, scale * n_panels)
-                     for n_panels in (8, 16, 32, 64, 128)),
+    levels = [[(-width, width, scale * n_panels)]
+              for n_panels in (8, 16, 32, 64, 128)]
+    return _refined((math.sqrt(t / math.pi) * val
+                     for val in _level_values(f, levels)),
                     1e-8, "resolution constant")
 
 
@@ -188,15 +242,16 @@ def resolution_integral_su2(t, n, return_imag_residual=False):
 
     The k = 0 term of the denominator's Poisson dual (itn_denominator)
     alone gives t^3 n / 8; the value differs from it by the k >= 1 terms.
-    The real form of the integrand is the fast path: each refinement level
-    evaluates the denominator by one vectorised itn_denominator call per
-    side of p = 0, over all of that side's Gauss-Legendre nodes. The
-    imaginary residual is measured from the complex theta3' form on a
-    sample of nodes. The adaptive refinement stops when two levels agree to
-    1e-9 (relative above 1); when no two of its levels agree it raises
-    QuadratureConvergenceError with the last difference. t must be at most
-    ITN_T_MAX = 16, the range over which itn_denominator is checked; above
-    it ValueError.
+    The real form of the integrand is the fast path: the levels of 16 and
+    32 panels, which every refinement reads, take their Gauss-Legendre
+    nodes on both sides of p = 0 from one `_panel_gl` call and their
+    denominators from one vectorised itn_denominator call; each later level
+    makes one call of its own. The imaginary residual is measured from the
+    complex theta3' form on a sample of nodes. The adaptive refinement
+    stops when two levels agree to 1e-9 (relative above 1); when no two of
+    its levels agree it raises QuadratureConvergenceError with the last
+    difference. t must be at most ITN_T_MAX = 16, the range over which
+    itn_denominator is checked; above it ValueError.
     """
     if not (math.isfinite(t) and t > 0 and n >= 1):
         raise ValueError("I(t, n) needs a finite t > 0 and n >= 1; got "
@@ -215,11 +270,11 @@ def resolution_integral_su2(t, n, return_imag_residual=False):
         # keep p = 0 a panel edge: the integrand has a removable point there
         if lo < 0.0 < hi:
             k = max(1, int(round(npan * (0.0 - lo) / (hi - lo))))
-            return (_panel_gl(f, lo, 0.0, k) +
-                    _panel_gl(f, 0.0, hi, npan - k + 1))
-        return _panel_gl(f, lo, hi, npan)
+            return [(lo, 0.0, k), (0.0, hi, npan - k + 1)]
+        return [(lo, hi, npan)]
 
-    val = _refined(map(level, (16, 32, 64, 128)), 1e-9, "I(t,n)")
+    levels = [level(npan) for npan in (16, 32, 64, 128)]
+    val = _refined(_level_values(f, levels), 1e-9, "I(t,n)")
     if not return_imag_residual:
         return val
     sample = np.linspace(center - 2 * math.sqrt(t), center + 2 * math.sqrt(t), 7)

@@ -15,6 +15,7 @@ from groupquant._kernels import (ITN_T_MAX, _gauss_legendre, itn_denominator,
                                  su2_norm_series)
 from groupquant.theta import theta3
 from groupquant.wigner import wigner_D_euler_grid
+from oracles import quat_to_su2, su2_complex_point
 
 RNG = np.random.default_rng(11)
 
@@ -88,8 +89,8 @@ def test_su2_series_loop_oracle():
                                  0.7 * rng.standard_normal(3))
                 for _ in range(2))
         # mu from the trace: 2 cosh(mu) = tr W, W = (z^dag w)^{-1}
-        W = np.linalg.inv(H._su2_complex_point(z).conj().T
-                          @ H._su2_complex_point(w))
+        W = np.linalg.inv(su2_complex_point(z).conj().T
+                          @ su2_complex_point(w))
         mu = cmath.acosh(np.trace(W) / 2.0)
         # n sinh(n mu)/sinh(mu) e^{-t(n^2-1)/4}, one exponential per sign
         terms = [n * (cmath.exp(n * mu - t * (n * n - 1) / 4.0)
@@ -111,16 +112,16 @@ def test_su2_complex_point_expm_oracle():
     u = rng.standard_normal(3)
     for X in (np.zeros(3), 1e-12 * u / np.linalg.norm(u), 0.7 * u,
               np.array([0.0, -2.3, 0.4])):
-        ref = G.quat_to_su2(q) @ expm(np.einsum("k,kab->ab", X, sigma) / 2)
-        val = H._su2_complex_point(H.PolarPoint.su2(q, X))
+        ref = quat_to_su2(q) @ expm(np.einsum("k,kab->ab", X, sigma) / 2)
+        val = su2_complex_point(H.PolarPoint.su2(q, X))
         assert np.abs(val - ref).max() < 1e-14 * np.abs(ref).max()
 
 
 def _overlap_eigvals_oracle(params, z, zp):
     """SU(2) (Psi_z, Psi_z') with mu from an eigenvalue of (z^dag z')^{-1},
     independent of the library's trace route."""
-    w = np.linalg.inv(H._su2_complex_point(z).conj().T
-                      @ H._su2_complex_point(zp))
+    w = np.linalg.inv(su2_complex_point(z).conj().T
+                      @ su2_complex_point(zp))
     ev = np.linalg.eigvals(w)  # e^{+-mu}
     return H.su2_norm_series(np.log(ev[np.argmax(np.abs(ev))]),
                              params.t)[0]
@@ -147,6 +148,91 @@ def test_su2_overlap_trace_vs_eigvals_oracle():
         val = H.coherent_overlap(params, z, w)
         worst = max(worst, abs(val - ref) / scale)
     assert worst < 1e-11
+
+
+def _random_point(rng, h_max=None):
+    """A PolarPoint.su2 with a random unit quaternion and X drawn as in the
+    benchmark's overlaps (0.7 N(0, I_3)), or of a uniform modulus up to
+    h_max in a random direction."""
+    q = G.quat_normalize(rng.standard_normal(4))
+    if h_max is None:
+        return H.PolarPoint.su2(q, 0.7 * rng.standard_normal(3))
+    u = rng.standard_normal(3)
+    return H.PolarPoint.su2(q, rng.uniform(0.0, h_max) * u / np.linalg.norm(u))
+
+
+def test_su2_half_trace_matrix_oracle():
+    # tr(z^dag z')/2 in closed form against the 2x2 matrices of z and z'.
+    # The scale is e^{(|X| + |X'|)/2} = ||z|| ||z'||, which bounds the half
+    # trace: where it cancels, neither route keeps relative digits of it
+    rng = np.random.default_rng(13)
+    zero = H.PolarPoint.su2(G.quat_normalize(rng.standard_normal(4)),
+                            np.zeros(3))
+    pairs = [(zero, zero), (zero, H.PolarPoint.su2(-np.asarray(
+        zero.g.quat), np.zeros(3))), (zero, _random_point(rng))]
+    for k in range(600):
+        z, w = _random_point(rng, 3.0), _random_point(rng, 3.0)
+        if k % 3 == 1:
+            w = z
+        elif k % 3 == 2:
+            w = H.PolarPoint.su2(-np.asarray(z.g.quat), z.X)
+        pairs.append((z, w))
+    for z, w in pairs:
+        m = su2_complex_point(z).conj().T @ su2_complex_point(w)
+        scale = math.exp((np.linalg.norm(z.X) + np.linalg.norm(w.X)) / 2.0)
+        val = H._su2_half_trace(z, w)
+        assert abs(val - np.trace(m) / 2.0) <= 1e-14 * scale
+
+
+def _overlap_mp(t, z, zp):
+    """SU(2) (Psi_z, Psi_z') at 30 digits from the 2x2 matrices of z and z'
+    in mpmath: sum_n n e^{-t(n^2-1)/4} U_{n-1}(c), c = tr(z^dag z')/2 and
+    U_{n-1}(cosh mu) = sinh(n mu)/sinh(mu) by the Chebyshev recurrence, to
+    terms below 1e-40 of the sum; no mu and no float rounding of c."""
+    with mpmath.workdps(30):
+        def matrix(p):
+            q0, q1, q2, q3 = (mpmath.mpf(float(c)) for c in p.g.quat)
+            x1, x2, x3 = (mpmath.mpf(float(c)) for c in p.X)
+            h = mpmath.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+            c = mpmath.cosh(h / 2)
+            s = mpmath.sinh(h / 2) / h if h else mpmath.mpf(0.5)
+            U = mpmath.matrix([[q0 - 1j * q3, -q2 - 1j * q1],
+                               [q2 - 1j * q1, q0 + 1j * q3]])
+            return U * mpmath.matrix([[c + s * x3, s * (x1 - 1j * x2)],
+                                      [s * (x1 + 1j * x2), c - s * x3]])
+
+        m = matrix(z).H * matrix(zp)
+        c, t = (m[0, 0] + m[1, 1]) / 2, mpmath.mpf(t)
+        u_prev, u, total, n = mpmath.mpf(0), mpmath.mpf(1), 0, 1
+        while True:
+            term = n * mpmath.exp(-t * (n * n - 1) / 4) * u
+            total += term
+            if n > 10 and abs(term) < mpmath.mpf(10) ** -40 * abs(total):
+                return complex(total)
+            u_prev, u, n = u, 2 * c * u - u_prev, n + 1
+
+
+def test_su2_overlap_mpmath_oracle():
+    # 20 draws as in the benchmark's overlaps, every fourth pair z' = z,
+    # z' 1e-7 from -z or z' = -z, on the Cauchy-Schwarz scale of
+    # test_su2_overlap_trace_vs_eigvals_oracle; the worst error is 4.4e-16
+    # (6.5e-16 by the 2x2 matrix route and numpy's arccosh)
+    rng = np.random.default_rng(21)
+    r = np.array([math.cos(1e-7), 0.0, 0.0, math.sin(1e-7)])
+    for k in range(20):
+        t = rng.uniform(0.3, 1.5)
+        z, w = _random_point(rng), _random_point(rng)
+        if k % 4 == 1:
+            w = z
+        elif k % 4 == 2:
+            w = H.PolarPoint.su2(G.quat_mul(-np.asarray(z.g.quat), r), z.X)
+        elif k % 4 == 3:
+            w = H.PolarPoint.su2(-np.asarray(z.g.quat), z.X)
+        ref = _overlap_mp(t, z, w)
+        scale = math.sqrt(abs(_overlap_mp(t, z, z))
+                          * abs(_overlap_mp(t, w, w)))
+        val = H.coherent_overlap(H.HeatParams(G.SU2, t), z, w)
+        assert abs(val - ref) <= 1e-14 * scale
 
 
 def _antipode_series_mp(eps, s):
@@ -283,6 +369,27 @@ def test_overlap_hermiticity_and_positivity():
         assert abs(o1 - np.conj(o2)) < 1e-11 * max(1.0, abs(o1))
 
 
+def test_su2_overlap_hermiticity_is_exact():
+    # swapping z and z' conjugates every term of the half trace exactly:
+    # 1000 draws as in the benchmark's overlaps, and the cancellation case
+    # t = 0.32, |X| = |X'| = 2.1, at a random pair, at g' = -g, where the
+    # half trace is real and below -1, and at X = X' = 0
+    rng = np.random.default_rng(2)
+    cases = [(rng.uniform(0.3, 1.5), _random_point(rng), _random_point(rng))
+             for _ in range(1000)]
+    for _ in range(20):
+        z, w = (H.PolarPoint.su2(p.g.quat, 2.1 * p.X / np.linalg.norm(p.X))
+                for p in (_random_point(rng), _random_point(rng)))
+        cases += [(0.32, z, w),
+                  (0.32, z, H.PolarPoint.su2(-np.asarray(z.g.quat), w.X)),
+                  (0.32, H.PolarPoint.su2(z.g.quat, np.zeros(3)),
+                   H.PolarPoint.su2(w.g.quat, np.zeros(3)))]
+    for t, z, w in cases:
+        params = H.HeatParams(G.SU2, t)
+        o1 = H.coherent_overlap(params, z, w)
+        assert o1 == np.conj(H.coherent_overlap(params, w, z))
+
+
 def test_resolution_constant_u1():
     for t in (0.5, 1.0, 2.0):
         val = H.resolution_constant_u1(t)
@@ -351,7 +458,7 @@ def test_resolution_constant_shift_invariance():
         return np.exp(-(l + t * j) ** 2 / t) / _theta3_cosine(l / t, t)
 
     val = math.sqrt(t / math.pi) * _panel_gl(
-        f_shift, -width - t * j, width - t * j, 64)
+        f_shift, [[(-width - t * j, width - t * j, 64)]])[0]
     assert abs(val - H.resolution_constant_u1(t)) < 1e-9
 
 
@@ -387,7 +494,156 @@ def test_panel_gl_oracle(n_panels):
         cases += [(f_su2, center - w2, 0.0), (f_su2, 0.0, center + w2)]
     for f, a, b in cases:
         ref = _panel_gl_loop(f, a, b, n_panels)
-        assert abs(_panel_gl(f, a, b, n_panels) - ref) <= 1e-14 * abs(ref)
+        val = _panel_gl(f, [[(a, b, n_panels)]])[0]
+        assert abs(val - ref) <= 1e-14 * abs(ref)
+    # several levels in one call: the two sides of p = 0 as one level, each
+    # side as its own, and the two sides at twice the panels
+    for (f, lo, mid), (_, _, hi) in zip(cases[1::2], cases[2::2]):
+        levels = [[(lo, mid, n_panels), (mid, hi, n_panels)],
+                  [(lo, mid, n_panels)], [(mid, hi, n_panels)],
+                  [(lo, mid, 2 * n_panels), (mid, hi, 2 * n_panels)]]
+        for val, level in zip(_panel_gl(f, levels), levels):
+            ref = sum(_panel_gl_loop(f, *seg) for seg in level)
+            assert abs(val - ref) <= 1e-14 * abs(ref)
+
+
+def _linspace_panels(a, b, n_panels):
+    """(24-point nodes, half widths) of n_panels equal panels of [a, b] from
+    np.linspace's edges: the per-segment construction that the batched
+    levels replaced."""
+    x, _ = _gauss_legendre(24)
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * x).ravel(), half
+
+
+def _panel_gl_level(f, a, b, n_panels):
+    """One segment by the per-level route: one call of f on its nodes."""
+    nodes, half = _linspace_panels(a, b, n_panels)
+    return half @ (f(nodes).reshape(n_panels, -1) @ _gauss_legendre(24)[1])
+
+
+def test_panel_gl_nodes_are_linspace_nodes():
+    # the one vectorised panel construction puts every node where the
+    # per-segment np.linspace edges put it, last edge b included, to the
+    # last bit
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        segs = [(a, a + rng.uniform(1e-3, 60.0), int(k)) for a, k in zip(
+            rng.uniform(-40.0, 40.0, 4), rng.integers(1, 140, 4))]
+        seen = []
+        H._panel_gl(lambda p: seen.append(p) or np.ones_like(p),
+                    [segs[:2], segs[2:]])
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.concatenate(
+            [_linspace_panels(*seg)[0] for seg in segs]))
+
+
+def _first_agreeing(levels, tol):
+    """The refinement loop: the first level within tol (relative above 1)
+    of the one before it."""
+    prev = math.inf
+    for val in levels:
+        diff, prev = abs(val - prev), val
+        if diff <= tol * max(1.0, abs(val)):
+            return val
+    raise H.QuadratureConvergenceError("no two levels agree", diff)
+
+
+def _itn_per_level(t, n, return_imag_residual=False):
+    """resolution_integral_su2 with one `_panel_gl_level` call per side of
+    p = 0 and per level; H.itn_denominator is read at each call."""
+    center, width = t * n / 2.0, 13.0 * math.sqrt(t)
+    lo, hi = center - width, center + width
+
+    def f(p):
+        return p * p * np.exp(-(p - center) ** 2 / t) / H.itn_denominator(p, t)
+
+    def level(npan):
+        if lo < 0.0 < hi:
+            k = max(1, int(round(npan * (0.0 - lo) / (hi - lo))))
+            return (_panel_gl_level(f, lo, 0.0, k) +
+                    _panel_gl_level(f, 0.0, hi, npan - k + 1))
+        return _panel_gl_level(f, lo, hi, npan)
+
+    val = _first_agreeing(map(level, (16, 32, 64, 128)), 1e-9)
+    if not return_imag_residual:
+        return val
+    sample = np.linspace(center - 2 * math.sqrt(t), center + 2 * math.sqrt(t),
+                         7)
+    vals = H.itn_theta_integrand(
+        sample[np.abs(sample) > 1e-6 * math.sqrt(t)], t, n)
+    return val, np.abs(vals.imag).max() / np.abs(vals.real).max()
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, math.e, math.pi, 4.0, 8.0, 16.0])
+def test_itn_batched_levels_match_per_level_route(t):
+    # one integrand call for the levels of 16 and 32 panels leaves every
+    # node value and every panel sum as it was: equal to the last bit
+    for n in range(1, 6):
+        assert H.resolution_integral_su2(t, n) == _itn_per_level(t, n)
+        assert (H.resolution_integral_su2(t, n, return_imag_residual=True)
+                == _itn_per_level(t, n, return_imag_residual=True))
+
+
+def test_itn_later_levels_match_per_level_route(monkeypatch):
+    # a denominator off by 1e-6 relative, oscillating far faster than the
+    # finest panels resolve, keeps every two levels apart, so the levels of
+    # 64 and 128 panels (65 and 129 with p = 0 an edge) run too, one call
+    # each; the last difference is the same to the last bit on both routes
+    exact, sizes, achieved = H.itn_denominator, [], []
+
+    def noisy(p, t):
+        sizes.append(np.size(p))
+        return exact(p, t) * (1.0 + 1e-6 * np.sin(1e5 * np.asarray(p)))
+
+    monkeypatch.setattr(H, "itn_denominator", noisy)
+    for route in (H.resolution_integral_su2, _itn_per_level):
+        with pytest.raises(H.QuadratureConvergenceError) as err:
+            route(2.0, 3)
+        achieved.append(err.value.achieved)
+    assert sizes[:3] == [24 * (17 + 33), 24 * 65, 24 * 129]
+    assert achieved[0] == achieved[1]
+
+
+def _u1_per_level(t):
+    """resolution_constant_u1 with one `_panel_gl_level` call per level."""
+    width = t / 2.0 + 9.0 * math.sqrt(t)
+    scale = max(1, math.ceil(width / 256.0))
+
+    def f(l):
+        return np.exp(-l * l / t) / theta3(l / t, 1j * math.pi / t).real
+
+    return _first_agreeing((math.sqrt(t / math.pi)
+                            * _panel_gl_level(f, -width, width, scale * npan)
+                            for npan in (8, 16, 32, 64, 128)), 1e-8)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 100.0])
+def test_resolution_constant_batched_levels_match_per_level_route(t):
+    # at t = 100 the levels of 32 and 64 panels run after the batched pair
+    assert H.resolution_constant_u1(t) == _u1_per_level(t)
+
+
+@pytest.mark.parametrize("name, func, args, nodes", [
+    ("itn_denominator", H.resolution_integral_su2, (2.0, 3),
+     24 * (17 + 33)),
+    ("theta3", H.resolution_constant_u1, (1.0,), 24 * (8 + 16)),
+])
+def test_first_two_levels_make_one_integrand_call(monkeypatch, name, func,
+                                                  args, nodes):
+    # I(2, 3) converges at 32 panels (17 and 33 with p = 0 an edge), C_t at
+    # t = 1 at 16: one call, on the nodes of both levels
+    exact, sizes = getattr(H, name), []
+
+    def spy(x, *a):
+        sizes.append(np.size(x))
+        return exact(x, *a)
+
+    monkeypatch.setattr(H, name, spy)
+    func(*args)
+    assert sizes == [nodes]
 
 
 def test_itn_table_cells():

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from groupquant import groups as G
 from groupquant.wigner import su2_generator, wigner_D_euler_grid
-from oracles import rep_grid
+from oracles import quat_to_su2, rep_grid
 
 RNG = np.random.default_rng(20240907)
 
@@ -158,4 +158,4 @@ def test_quaternion_normalization_roundtrip(w, x, y, z):
     q = G.quat_normalize(q)
     a, b, c = G.quat_to_euler(q[None, :])
     q2 = G.euler_to_quat(a, b, c)[0]
-    assert np.abs(G.quat_to_su2(q2) - G.quat_to_su2(q)).max() < 1e-12
+    assert np.abs(quat_to_su2(q2) - quat_to_su2(q)).max() < 1e-12
