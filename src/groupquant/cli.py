@@ -15,8 +15,8 @@ write nothing and exit 2, with a one-line message, for a t they cannot
 evaluate: t <= 0 or not finite; for table1 also t above 16 or n < 1, the
 range its I(t, n) is checked on; for resolution-u1 also t above about
 2980, where theta3 underflows and C_t does not converge. An argument
-outside its range (--j, --eps-list) ends in argparse's usage message and
-exit status 2.
+outside its range (--seed below 0, --tol not finite and > 0, --j,
+--eps-list) ends in argparse's usage message and exit status 2.
 """
 
 import argparse
@@ -225,15 +225,16 @@ COMMANDS = {
 }
 
 
-def _spin(text):
-    """--j: a spin, a multiple of 1/2 in [0, 64]: the largest spin checked
-    on seeds 0-9, where twisted_vs_matrix, whose rounding grows with the
-    spin, reaches 5.9e-10 of the 1e-9 tolerance."""
-    j = float(text)
-    if not (math.isfinite(j) and 0 <= j <= 64 and 2 * j == round(2 * j)):
-        raise argparse.ArgumentTypeError(
-            "spin j must be a multiple of 1/2 in [0, 64], got %s" % text)
-    return j
+def _checked(convert, valid, refusal):
+    """An argparse type: convert(text), refused with the message refusal
+    (exit status 2) unless valid(value)."""
+    def parse(text):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError("%s, got %s" % (refusal, text))
+        return value
+    parse.__name__ = convert.__name__     # argparse: "invalid int value"
+    return parse
 
 
 def _eps_list(text):
@@ -255,10 +256,18 @@ PARSER = argparse.ArgumentParser(
     description="desk-scale checks for quantization calculi on compact groups")
 PARSER.add_argument("--cmd", required=True, choices=sorted(COMMANDS))
 PARSER.add_argument("--out", default=None, help="output path (default stdout)")
-PARSER.add_argument("--seed", type=int, default=0)
-PARSER.add_argument("--tol", type=float, default=None)
-PARSER.add_argument("--j", type=_spin, default=None,
-                    help="sw-props: spin j, a multiple of 1/2 in [0, 64]")
+PARSER.add_argument("--seed", default=0, type=_checked(
+    int, lambda seed: seed >= 0, "seed must be >= 0"))
+PARSER.add_argument("--tol", default=None, type=_checked(
+    float, lambda tol: math.isfinite(tol) and tol > 0,
+    "tolerance must be finite and > 0"))
+# j = 64 is the largest spin checked on seeds 0-9: there twisted_vs_matrix,
+# whose rounding grows with the spin, reaches 5.9e-10 of the 1e-9 tolerance
+PARSER.add_argument("--j", default=None, type=_checked(
+    float, lambda j: (math.isfinite(j) and 0 <= j <= 64
+                      and 2 * j == round(2 * j)),
+    "spin j must be a multiple of 1/2 in [0, 64]"),
+    help="sw-props: spin j, a multiple of 1/2 in [0, 64]")
 PARSER.add_argument("--t", type=float, default=None)
 PARSER.add_argument("--n", type=int, default=None)
 PARSER.add_argument("--eps-list", type=_eps_list, default=None,

@@ -4,11 +4,28 @@ SU(2) elements are stored as unit quaternions q = (w, x, y, z) corresponding
 to the matrix w*1 - i(x sig_x + y sig_y + z sig_z); Euler angles are derived
 on demand (gamma = 0 branch at the poles). The Lie algebra carries the
 orthonormal basis tau_k = -i sig_k/2, so exp(h n tau) has rotation angle h
-with period 4pi and -1 sits at h = 2pi.
+with period 4pi and -1 sits at h = 2pi. U(1) elements are angles phi, and
+its Lie algebra coordinates are (N, 1) arrays.
 
 Haar measure is normalized to total mass 1 everywhere (vol(G) = 1
 convention); the Riemannian volumes 2*pi and 16*pi^2 are exposed as
 constants for the places that need the unnormalized measure.
+
+`U1` and `SU2` are the two group objects, each equal to its name as a str.
+The other modules read all that differs between the groups from them: the
+irreps (labels, dim, casimir, dual, trivial), the bands of products and the
+quadrature degree exact for a band (product_band, exact_degree), the Haar
+quadrature and the fields that hold points (quadrature, default_degree,
+node_field, element_field), an irrep on the Euler grid (euler_factors:
+twice-weights of its rows and columns, its d-table), irrep matrices at
+points (irreps: one (L, M, d, d) array per run of consecutive labels of one
+dimension) and generators (generator), the Lie algebra coordinates (n_dirs;
+(N, 1) on U(1)) with exp, log, inv and injectivity_radius, the cosine of a
+point's angle, -1 at the branch locus -1 of log (cos_angle), the Jacobian
+j(Y)^2 of exp (haar_density) and the structure constants (structure: (k, l,
+m) with [tau_k, tau_l] = tau_m, none on U(1)). Both quadratures are Euler
+product grids; U(1)'s has shape (n, 1, 1) with alpha = phi, and its
+d-tables are 1.
 """
 
 import math
@@ -16,11 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _gauss_legendre
-from .wigner import wigner_D_euler_grid
-
-U1 = "U1"
-SU2 = "SU2"
+from ._kernels import _gauss_legendre, wigner_d_grid
+from .wigner import su2_generator, wigner_D_euler_grid
 
 VOL_U1 = 2 * math.pi
 VOL_SU2 = 16 * math.pi ** 2
@@ -30,27 +44,6 @@ MAX_QUAD_NODES = 4_000_000
 
 class QuadratureResourceError(RuntimeError):
     pass
-
-
-def dim(group, label):
-    if group == U1:
-        return 1
-    if label < 1:
-        raise ValueError("SU(2) label must be >= 1")
-    return label
-
-
-def casimir(group, label):
-    """Positive Laplace eigenvalue: j^2 for U(1), (n^2-1)/4 for SU(2)."""
-    if group == U1:
-        return float(label) ** 2
-    return (label ** 2 - 1) / 4.0
-
-
-def irrep_labels(group, band):
-    if group == U1:
-        return list(range(-band, band + 1))
-    return list(range(1, band + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +123,134 @@ def euler_to_quat(alpha, beta, gamma):
 
 
 # ---------------------------------------------------------------------------
+# the group objects
+# ---------------------------------------------------------------------------
+
+class _Group(str):
+    """A compact group that compares equal to its name (module docstring)."""
+
+    structure = ()
+
+    def product_band(self, band_1, band_2):
+        """Labels above the trivial one add: n_1 + n_2 - 1 on SU(2)."""
+        return band_1 + band_2 - self.trivial
+
+    def exact_degree(self, band):
+        return (band + 1 + self.trivial) // 2
+
+
+class _U1(_Group):
+    trivial, n_dirs, injectivity_radius = 0, 1, math.pi
+    node_field, element_field = "angles", "angle"
+
+    def dim(self, label):
+        return 1
+
+    def casimir(self, label):
+        return float(label) ** 2
+
+    def labels(self, band):
+        return list(range(-band, band + 1))
+
+    def dual(self, label):
+        return -label
+
+    def default_degree(self, band):
+        return 2 * band + 2
+
+    def quadrature(self, degree):
+        return u1_quadrature(degree)
+
+    def euler_factors(self, label, beta):
+        rows, cols = np.array([-2 * label]), np.zeros(1, int)
+        return rows, cols, np.ones((len(beta), 1, 1))
+
+    def irreps(self, labels, angles):
+        return [np.exp(1j * np.multiply.outer(
+            labels, np.reshape(angles, -1)))[..., None, None]]
+
+    def generator(self, label, k):
+        return np.array([[1j * label]])
+
+    def exp(self, Y):
+        return Y[..., 0]
+
+    def log(self, angles):
+        return np.where(angles > math.pi, angles - 2 * math.pi, angles)[:, None]
+
+    def inv(self, angles):
+        return -angles
+
+    def cos_angle(self, angles):
+        return np.cos(angles)
+
+    def haar_density(self, Y):
+        return np.ones(np.shape(Y)[:-1])
+
+
+class _SU2(_Group):
+    trivial, n_dirs, injectivity_radius = 1, 3, 2 * math.pi
+    node_field, element_field = "quats", "quat"
+    structure = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    exp, log, inv = (staticmethod(quat_exp), staticmethod(quat_log),
+                     staticmethod(quat_inv))
+
+    def dim(self, label):
+        if label < 1:
+            raise ValueError("SU(2) label must be >= 1")
+        return label
+
+    def casimir(self, label):
+        return (label ** 2 - 1) / 4.0
+
+    def labels(self, band):
+        return list(range(1, band + 1))
+
+    def dual(self, label):
+        return label
+
+    def default_degree(self, band):
+        return band + 2
+
+    def quadrature(self, degree):
+        return su2_quadrature(degree)
+
+    def euler_factors(self, label, beta):
+        w = np.arange(label - 1, -label, -2)
+        return w, w, wigner_d_grid(label - 1, beta)
+
+    def irreps(self, labels, quats):
+        euler = quat_to_euler(quats)
+        return [wigner_D_euler_grid(n - 1, *euler)[None] for n in labels]
+
+    def cos_angle(self, quats):
+        return quats[:, 0]
+
+    def generator(self, label, k):
+        return su2_generator(label - 1, k)
+
+    def haar_density(self, Y):
+        h = np.linalg.norm(Y, axis=-1)
+        out = np.ones_like(h)
+        nz = h > 1e-12
+        out[nz] = (np.sin(h[nz] / 2.0) / (h[nz] / 2.0)) ** 2
+        return out
+
+
+U1 = _U1("U1")
+SU2 = _SU2("SU2")
+
+
+def casimir(group, label):
+    """Positive Laplace eigenvalue: j^2 for U(1), (n^2-1)/4 for SU(2)."""
+    return group.casimir(label)
+
+
+def irrep_labels(group, band):
+    return group.labels(band)
+
+
+# ---------------------------------------------------------------------------
 # group elements (thin wrapper; internals stay vectorized)
 # ---------------------------------------------------------------------------
 
@@ -155,13 +276,11 @@ class GroupElement:
 
 
 def rep_matrix(group, label, g):
-    """Unitary irrep matrix; U(1): [e^{i j phi}], SU(2): Wigner D."""
-    if group == U1:
-        phi = g.angle if isinstance(g, GroupElement) else float(g)
-        return np.array([[np.exp(1j * label * phi)]])
-    q = np.asarray(g.quat if isinstance(g, GroupElement) else g, dtype=float)
-    alpha, beta, gamma = quat_to_euler(q)
-    return wigner_D_euler_grid(label - 1, alpha, beta, gamma)[0]
+    """Unitary irrep matrix at g, a GroupElement or a point; U(1):
+    [e^{i j phi}], SU(2): Wigner D."""
+    if isinstance(g, GroupElement):
+        g = getattr(g, group.element_field)
+    return group.irreps([label], g)[0][0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +289,38 @@ def rep_matrix(group, label, g):
 
 @dataclass
 class Quadrature:
-    """Haar quadrature with sum(weights) = 1 (vol(G) = 1 convention)."""
+    """Haar quadrature with sum(weights) = 1 (vol(G) = 1 convention), on
+    an Euler product grid: nodes in C order over (alpha, beta, gamma)."""
     group: str
     exactness_degree: int
     weights: np.ndarray
     angles: np.ndarray = None     # U(1): node angles
     quats: np.ndarray = None      # SU(2): node quaternions (N,4)
-    euler: tuple = None           # SU(2): (alpha, beta, gamma) arrays
-    shape: tuple = None           # SU(2): (n_alpha, n_beta, n_gamma) axes
+    euler: tuple = None           # (alpha, beta, gamma) arrays
+    shape: tuple = None           # (n_alpha, n_beta, n_gamma) axes
+    axis_weights: tuple = None    # per axis, the weights summed over the
+                                  # other two: 1 on U(1)'s beta and gamma
 
     @property
     def n_nodes(self):
         return len(self.weights)
 
+    @property
+    def nodes(self):
+        """The node array, angles or quaternions: group.node_field."""
+        return getattr(self, self.group.node_field)
+
 
 def u1_quadrature(degree):
-    """Uniform grid, exact for Schur pairs with |j|, |j'| <= degree."""
+    """Uniform grid, exact for Schur pairs with |j|, |j'| <= degree; the
+    Euler grid of shape (n, 1, 1) with alpha = phi."""
     n = 2 * degree + 1
     if n > MAX_QUAD_NODES:
         raise QuadratureResourceError("U(1) grid of %d nodes exceeds cap" % n)
     phi = 2 * math.pi * np.arange(n) / n
-    return Quadrature(U1, degree, np.full(n, 1.0 / n), angles=phi)
+    w, zero, one = np.full(n, 1.0 / n), np.zeros(n), np.ones(1)
+    return Quadrature(U1, degree, w, angles=phi, euler=(phi, zero, zero),
+                      shape=(n, 1, 1), axis_weights=(w, one, one))
 
 
 def su2_quadrature(degree):
@@ -217,16 +347,15 @@ def su2_quadrature(degree):
     alpha = A.ravel()
     betas = B.ravel()
     gamma = C.ravel()
-    weights = (WA * WB * WC).ravel()
+    W = WA * WB * WC
     quats = euler_to_quat(alpha, betas, gamma)
-    return Quadrature(SU2, degree, weights, quats=quats,
-                      euler=(alpha, betas, gamma), shape=A.shape)
+    return Quadrature(SU2, degree, W.ravel(), quats=quats,
+                      euler=(alpha, betas, gamma), shape=A.shape,
+                      axis_weights=tuple(W.sum(axis=axes) for axes in
+                                         ((1, 2), (0, 2), (0, 1))))
 
 
 def group_quadrature(group, exactness_degree):
     if exactness_degree < 1:
         raise ValueError("exactness degree must be >= 1")
-    if group == U1:
-        return u1_quadrature(exactness_degree)
-    return su2_quadrature(exactness_degree)
-
+    return group.quadrature(exactness_degree)

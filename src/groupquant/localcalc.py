@@ -5,9 +5,9 @@ Local symbols are finite trigonometric polynomials in the momentum,
     sigma(theta, g) = sum_p m_p(g) e^{-i theta(Y_p)}  +  sum_k theta_k q_k(g),
 
 with Y_p = step * p on a uniform lattice inside the injectivity set
-U = exp^{-1}(G \ {-1}) (|Y| < pi on U(1), |Y| < 2 pi on SU(2)) and
-band-limited coefficient functions. Both groups store the integer points p
-as one (P, n_dirs) array, n_dirs = dim g = 1 or 3. Equivalently the
+U = exp^{-1}(G \ {-1}) (|Y| < group.injectivity_radius: pi on U(1), 2 pi
+on SU(2)) and band-limited coefficient functions. The integer points p are
+one (P, n_dirs) array, n_dirs = dim g = 1 or 3. Equivalently the
 momentum-side inverse Fourier data sigma_check^1 is a finite sum of point
 masses (plus a first-order distribution at 0 for the linear part), which
 makes every operation of the calculus exact: quantization is a finite sum
@@ -15,9 +15,18 @@ of multiplication and translation operators,
 
     (Q_eps sigma Psi)(g) = sum_p j(eps Y_p)^2 m_p(g) Psi(e^{-eps Y_p} g) + ...
 
-with j the Haar Jacobian of exp (j = 1 for U(1), sin(|X|/2)/(|X|/2) for
-SU(2)); the Weyl variant evaluates the coefficients at the geodesic midpoint
-e^{-eps Y_p/2} g.
+with j^2 = group.haar_density the Haar Jacobian of exp (j = 1 for U(1),
+sin(|X|/2)/(|X|/2) for SU(2)); the Weyl variant evaluates the coefficients
+at the geodesic midpoint e^{-eps Y_p/2} g.
+
+The second derivatives of j^2 at 0 fix the kinetic term. With R_k the right
+derivatives and d_k d_l j^2(0) = -delta_kl / 6 on SU(2) (0 on U(1)),
+
+    Q_eps(theta_k theta_l) = eps^2 (-(R_k R_l + R_l R_k) / 2 + delta_kl / 6),
+
+the second theta-derivative of Q_eps(e^{-i theta(Y)}) = j(eps Y)^2
+T_{e^{eps Y}} at Y = 0. Summed over k it is eps^2 (C + 1/2) on SU(2), C the
+Casimir of the irrep, and eps^2 n^2 on the U(1) irrep n, with no shift.
 
 As operators, with T_v the left translation and M_f the multiplication by
 f, two identities put the eps dependence into translations alone:
@@ -43,13 +52,11 @@ coefficients, on the entries of that triangle rule alone
 (`PWSpace.multiplication_operator`): the calculus makes no transform.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import groups as G
-from .peterweyl import PWSpace, _generators, _product_band
+from .peterweyl import PWSpace
 
 KN = "KN"
 WEYL = "Weyl"
@@ -61,25 +68,13 @@ class SymbolClassError(ValueError):
     """Operation leaves the finite trig (+ linear momentum) symbol class."""
 
 
-def haar_jacobian_sq(group, Y):
-    """j(X)^2 at the rows X of Y, (P, n_dirs): the density of Haar measure
-    against Lebesgue measure through exp (1 on U(1))."""
-    h = np.linalg.norm(Y, axis=-1)
-    out = np.ones_like(h)
-    if group == G.SU2:
-        nz = h > 1e-12
-        out[nz] = (np.sin(h[nz] / 2.0) / (h[nz] / 2.0)) ** 2
-    return out
-
-
 @dataclass
 class LocalSymbol:
-    """Lattice points, (P, n_dirs) ints with n_dirs = 1 on U(1) and 3 on
-    SU(2) (a 1-D array is read as one column), and the PW coefficients of
-    m_p and of the momentum-linear q_k: one row of g_pw.dim per point, one
-    (g_pw.dim,) vector per k, else ValueError. The lattice must lie in the
-    injectivity set: |Y_p| < pi on U(1) and |Y_p| < 2 pi on SU(2), else
-    SymbolClassError."""
+    """Lattice points, (P, group.n_dirs) ints (a 1-D array is read as one
+    column), and the PW coefficients of m_p and of the momentum-linear q_k:
+    one row of g_pw.dim per point, one (g_pw.dim,) vector per k, else
+    ValueError. The lattice must lie in the injectivity set, |Y_p| <
+    group.injectivity_radius, else SymbolClassError."""
     group: str
     step: float
     points: np.ndarray            # (P, n_dirs) ints
@@ -99,9 +94,8 @@ class LocalSymbol:
             if np.shape(v) != (dim,):
                 raise ValueError("poly[%r] has shape %s; g_pw.dim = %d needs "
                                  "(%d,)" % (k, np.shape(v), dim, dim))
-        lim = math.pi if self.group == G.U1 else 2 * math.pi
-        if (self.points.size
-                and np.linalg.norm(self.lattice(), axis=1).max() >= lim):
+        if self.points.size and np.linalg.norm(
+                self.lattice(), axis=1).max() >= self.group.injectivity_radius:
             raise SymbolClassError(
                 "momentum-side support leaves the injectivity set")
 
@@ -110,7 +104,7 @@ class LocalSymbol:
 
     @property
     def n_dirs(self):
-        return 1 if self.group == G.U1 else 3
+        return self.group.n_dirs
 
     def scaled(self, c):
         return LocalSymbol(self.group, self.step, self.points.copy(),
@@ -173,7 +167,7 @@ def _factor_band(a, b, g_pw_out):
     and right derivatives keep the bands, so it covers all their terms."""
     ga, gb = (s.g_pw._held_band(np.vstack([s.coeffs, *s.poly.values()]))
               for s in (a, b))
-    if _product_band(a.group, ga, gb) > g_pw_out.band:
+    if a.group.product_band(ga, gb) > g_pw_out.band:
         raise ValueError("a product of bands %d and %d exceeds the band %d "
                          "of g_pw_out" % (ga, gb, g_pw_out.band))
     return max(ga, gb)
@@ -281,9 +275,8 @@ def _lie_poisson_part(a, b, g_pw_out):
     """{f, f'}_-(theta) = -theta([d_theta f, d_theta f']); None when zero.
 
     For momentum-linear f = theta_k q_k, f' = theta_l q'_l the bracket
-    [tau_k, tau_l] = eps_klm tau_m gives -eps_klm q_k q'_l theta_m."""
-    if a.group == G.U1:
-        return None
+    [tau_k, tau_l] = eps_klm tau_m, the group's structure constants (none
+    on U(1)), gives -eps_klm q_k q'_l theta_m."""
     if _lattice_dirs(a).any() or _lattice_dirs(b).any():
         # vanishes when all momentum directions are parallel
         dirs = np.concatenate([a.points, b.points])
@@ -292,12 +285,12 @@ def _lie_poisson_part(a, b, g_pw_out):
             raise SymbolClassError("Lie-Poisson part of oscillatory symbols "
                                    "with non-parallel momentum support "
                                    "leaves the finite class")
-        if a.poly or b.poly:
+        if (a.poly or b.poly) and a.group.structure:
             raise SymbolClassError("mixed oscillatory / momentum-linear "
                                    "Lie-Poisson part is unsupported")
         return None
     poly = {}
-    for k, l, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for k, l, m in a.group.structure:
         for sign, i, j in ((1.0, k, l), (-1.0, l, k)):
             if i in a.poly and j in b.poly:
                 poly[m] = poly.get(m, 0) - sign * _coeff_products(
@@ -311,22 +304,19 @@ def _lie_poisson_part(a, b, g_pw_out):
 # quantization
 # ---------------------------------------------------------------------------
 
-def _exp_points(group, Y):
-    """exp(Y) for the rows of Y: angles (U(1)) or quaternions (SU(2))."""
-    return Y[:, 0] if group == G.U1 else G.quat_exp(Y)
-
-
 def _operators(s, pw, in_band=None, out_band=None):
     """The eps- and variant-free half of Q_eps(sigma): the multiplication
     operators M_p of the lattice coefficients m_p, (P, m, n), and M_q of
-    the momentum-linear q_k, {k: (m, n)}, on the rows and columns `rows`,
-    `cols` of pw.band_mask(out_band), pw.band_mask(in_band) or all."""
+    the momentum-linear q_k, {k: (m, n)}, on the rows and columns of
+    pw.band_mask(out_band), pw.band_mask(in_band) or all, and the first
+    basis index of those rows and of those columns."""
     mults = pw.multiplication_operator(
         s.g_pw, np.vstack([s.coeffs, *s.poly.values()]), in_band, out_band)
     P = len(s.coeffs)
-    rows, cols = (slice(None) if band is None else pw.band_mask(band)
-                  for band in (out_band, in_band))
-    return mults[:P], dict(zip(s.poly, mults[P:])), rows, cols
+    first_row, first_col = (0 if band is None else
+                            int(np.argmax(pw.band_mask(band)))
+                            for band in (out_band, in_band))
+    return mults[:P], dict(zip(s.poly, mults[P:])), first_row, first_col
 
 
 def _translation_keys(items):
@@ -349,50 +339,36 @@ def _translation_keys(items):
 def _translations(table, eps_list, pw):
     """The blocks conj D(e^{eps step k / 2}) at the rows (step, k) of a
     `_translation_keys` table, one table per eps of eps_list, from one
-    evaluation for all of them: on SU(2) one batched `pw._reps` over the
-    (eps, row) elements, a table being one (K, d, d) array per label; on
-    U(1) one (E, K, labels) array of the phases e^{-i eps step k lab / 2},
-    a table being its (K, labels) slice."""
+    batched `pw._reps` over the (eps, row) elements: a table is one
+    (L, K, d, d) array per run of labels (`PWSpace._reps`)."""
     eps = np.asarray(eps_list, float)
     if not np.all((0 < eps) & (eps <= 1)):
         raise ValueError("eps must be in (0, 1]")
     Y = eps[:, None, None] * (table[:, :1] * table[:, 1:]) / 2.0
-    if pw.group == G.U1:
-        return np.exp(1j * np.multiply.outer(Y[..., 0], pw.labels)).conj()
-    blocks = pw._reps(_exp_points(pw.group, Y.reshape(-1, Y.shape[-1])))
-    return list(zip(*(D.conj().reshape(Y.shape[:2] + D.shape[1:])
-                      for D in blocks)))
+    blocks = pw._reps(pw.group.exp(Y.reshape(-1, Y.shape[-1])))
+    return list(zip(*(D.conj().reshape(
+        D.shape[:1] + Y.shape[:2] + D.shape[2:]).swapaxes(0, 1)
+        for D in blocks)))
 
 
 def _assemble(s, ops, eps, pw, variant, T, keys):
     """Q_eps(sigma)[rows, cols] from ops = _operators(s, pw, ...) by
     block-diagonal translations alone (see local_quantize): the blocks of
     s's points are the rows `keys` of T, eps's `_translations` table."""
-    mults, lin, rows, cols = ops
+    mults, lin, first_row, first_col = ops
     weyl = variant == WEYL
-    jfac = haar_jacobian_sq(s.group, eps * s.lattice())
-    if s.group == G.U1:
-        # T_p = diag(t_p) and R = diag(i n): one einsum over the points
-        t = T[keys]
-        r = 1j * np.array(pw.labels)
-        tw = jfac[:, None] * t[:, cols]
-        out = (np.einsum("pi,pij,pj->ij", t[:, rows], mults, tw) if weyl
-               else np.einsum("pij,pj->ij", mults, tw))
-        for M in lin.values():
-            MR = M * r[cols]
-            out += ((-0.5j * eps) * (MR + r[rows][:, None] * M) if weyl
-                    else (-1j * eps) * MR)
-        return out
-    T = [D[keys] for D in T]
+    jfac = s.group.haar_density(eps * s.lattice())
+    T = [D[:, keys] for D in T]
     if weyl:
-        mults = pw._kron_rows(T, mults)
-    out = pw._kron_cols(mults, [jfac[:, None, None] * D for D in T])
+        mults = pw._kron_rows(T, mults, first_row)
+    out = pw._kron_cols(mults, [jfac[:, None, None] * D for D in T],
+                        first_col)
     for k, M in lin.items():
         # R_k has blocks kron(dpi(tau_k)^T, 1)
-        R = [X.T[None] for X in _generators(pw.group, pw.labels, k)]
-        MR = pw._kron_cols(M[None], R)
-        out += ((-0.5j * eps) * (MR + pw._kron_rows(R, M[None])[0]) if weyl
-                else (-1j * eps) * MR)
+        R = pw._generator_blocks(k)
+        MR = pw._kron_cols(M[None], R, first_col)
+        out += ((-0.5j * eps) * (MR + pw._kron_rows(R, M[None], first_row)[0])
+                if weyl else (-1j * eps) * MR)
     return out
 
 
@@ -412,8 +388,8 @@ def local_quantize(s, eps, pw, variant=KN):
 
     So Q_eps is the composition of two parts. `_operators` builds M_p and
     M_q, which depend on neither eps nor the variant; `_assemble` applies
-    the block-diagonal T and R to them, one irrep block at a time (on U(1)
-    both are diagonal phases: one einsum over the points). It reads the
+    the block-diagonal T and R to them, one batched product per run of
+    labels of one dimension (`PWSpace._kron_cols`). It reads the
     blocks of T from a table, `_translations`, one batched evaluation of
     the irreps at the distinct e^{eps step k / 2} (`_translation_keys`).
     `ensemble_order_fit` builds the first part once per symbol, on the
@@ -468,7 +444,7 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
 
     Only what the residuals read is built (module docstring): with g the
     larger band that a and b hold (`_factor_band`), reach = in_band (+) g
-    (`_product_band`, capped at pw's band) and r = band_mask(reach),
+    (`product_band`, capped at pw's band) and r = band_mask(reach),
     Q(a) Q(b)[:, in-band] = Q(a)[:, r] Q(b)[r, in-band], so Q(a) and Q(b)
     are built on the columns r, a prefix of whole irrep blocks on SU(2),
     and Q(ab) and Q({a,b}) on the in-band ones; all four on the rows up to
@@ -488,8 +464,8 @@ def ensemble_order_fit(pairs, eps_list, pw, in_band, g_pw_out):
         ab = symbol_product(a, b, g_pw_out)
         br = poisson_bracket(a, b, g_pw_out)
         g = _factor_band(a, b, g_pw_out)
-        reach = min(pw.band, _product_band(pw.group, in_band, g))
-        top = min(pw.band, _product_band(pw.group, reach, g))
+        reach = min(pw.band, pw.group.product_band(in_band, g))
+        top = min(pw.band, pw.group.product_band(reach, g))
         r = pw.band_mask(reach)[pw.band_mask(top)]
         c = cols[pw.band_mask(reach)]
         syms = (a, b, ab, br)

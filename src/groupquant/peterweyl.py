@@ -8,25 +8,29 @@ Left translations and right derivatives are block diagonal: one Kronecker
 block kron(X, 1) per irrep, X acting on the first index of D_{ab}.
 `right_derivative` returns its blocks as one dense matrix; `_kron_rows` and
 `_kron_cols` apply kron(X, 1) blocks to the rows or the columns of a stack
-of matrices one irrep at a time without forming them, which is how the
-local calculus translates.
+of matrices without forming them, one batched product per run of
+consecutive labels of one dimension (all of U(1)'s labels are one run),
+which is how the local calculus translates. Blocks come as one (L, P, d, d)
+array per run (`_reps`).
 
-On SU(2) the quadrature is a product grid: uniform alpha and gamma on
-[0, 4pi), Gauss-Legendre in cos beta. The basis separates on it,
+The quadrature is an Euler product grid (groups): uniform alpha and gamma
+on [0, 4pi), Gauss-Legendre in cos beta on SU(2); on U(1) the grid of shape
+(n, 1, 1) with alpha = phi. The basis separates on it,
 
-    e_(n,a,b)(alpha, beta, gamma) = e^{-i m_a alpha} sqrt(n) d^n_ab(beta)
+    e_(n,a,b)(alpha, beta, gamma) = e^{-i m_a alpha} sqrt(d) d^n_ab(beta)
                                     e^{-i m_b gamma},
 
 the separation of variables of Kostelec & Rockmore, "FFTs on the Rotation
 Group", J. Fourier Anal. Appl. 14 (2008) 145. The space keeps only its
-factors: the phase tables e^{-i m alpha} and e^{-i m gamma} over the 2B - 1
-twice-weights 2m, and one real d-table sqrt(n) d^n_ab(beta), (n_beta, dim).
+factors: the phase tables e^{-i m alpha} and e^{-i m gamma} over the
+twice-weights 2m of its modes, and one real d-table sqrt(d) d^n_ab(beta),
+(n_beta, dim). On U(1) e_j = e^{i j phi} has 2m_a = -2j, 2m_b = 0 and d = 1.
 `synthesis` sums first over the modes of each row twice-weight 2m_a,
 against the d-table times the gamma phases, then over the row
 twice-weights by one matrix product with the alpha phase table; `analysis`
 takes the quadrature sum in the reverse order. Both are the dense sums
 E @ c and _EW @ f reordered, equal to them for any grid values, at O(B^5)
-operations per column against O(B^6). On U(1) both are one FFT.
+operations per column against O(B^6) on SU(2).
 
 `_rep_products` multiplies a stack of matrices at the nodes by the irreps
 out of the factors, without forming them; data of band b on the grid of
@@ -43,12 +47,12 @@ U(1)). `_dual_index` and `_dual_sign` hold the map. It holds at every node,
 so for any grid values v with analysis c, that of conj v is s conj(c[ibar]).
 
 A multiplication operator is the quadrature sum _EW diag(f) E reordered,
-formed from f's coefficients: on U(1) their Toeplitz matrix; on SU(2) a
-short sum over the beta nodes, against the d-table, of f's (alpha, gamma)
-Fourier coefficients at each beta, which are its coefficients times its
-own d-table. An f whose coefficients hold band g admits only entries with
-|j - j'| <= g (U(1)), or |n - n'|, |2m_a - 2m_a'|, |2m_b - 2m_b'| <= g - 1
-(SU(2)): O(g^3) per column are computed; the rest are exact zeros.
+formed from f's coefficients: a short sum over the beta nodes, against the
+d-table, of f's (alpha, gamma) Fourier coefficients at each beta, which are
+its coefficients times its own d-table (on U(1) their Toeplitz matrix). An
+f whose coefficients hold band g admits only entries whose labels and
+twice-weights differ by at most the largest twice-weight of band g: O(g^3)
+per column on SU(2); the rest are exact zeros.
 """
 
 import functools
@@ -57,28 +61,12 @@ import math
 import numpy as np
 
 from . import groups as G
-from ._kernels import wigner_d_grid
-from .wigner import su2_generator, wigner_D_euler_grid
 
 # complex entries of the per-block temporaries of the SU(2) transforms
 # (4 MB): a transform of many columns, or at a large band, runs over blocks
 # of beta nodes instead of making temporaries of the size of its output.
 # The KN calculus (symbols) stacks as many labels' grid values as fit in it.
 _BLOCK = 1 << 18
-
-
-def _product_band(group, band_1, band_2):
-    """The band of a product of functions of bands band_1 and band_2:
-    n_1 + n_2 - 1 on SU(2), whose labels are irrep dimensions, and
-    j_1 + j_2 on U(1)."""
-    return band_1 + band_2 - 1 if group == G.SU2 else band_1 + band_2
-
-
-def _generators(group, labels, k):
-    """dpi(X) per label, X = tau_k (SU(2)) or X = 1 (U(1))."""
-    if group == G.U1:
-        return [np.array([[1j * lab]]) for lab in labels]
-    return [su2_generator(lab - 1, k) for lab in labels]
 
 
 @functools.lru_cache(maxsize=32)
@@ -92,59 +80,69 @@ class PWSpace:
         self.group = group
         self.band = band
         if quad_degree is None:
-            quad_degree = 2 * band + 2 if group == G.U1 else band + 2
+            quad_degree = group.default_degree(band)
         self.quad = G.group_quadrature(group, quad_degree)
-        self.labels = G.irrep_labels(group, band)
+        self.labels = group.labels(band)
         self.index = []
         self.offsets = {}
+        self._runs = []    # (labels, d, offset): consecutive labels of one d
         for lab in self.labels:
-            d = G.dim(group, lab)
+            d = group.dim(lab)
             self.offsets[lab] = len(self.index)
+            if self._runs and self._runs[-1][1] == d:
+                self._runs[-1][0].append(lab)
+            else:
+                self._runs.append(([lab], d, len(self.index)))
             for a in range(d):
                 for b in range(d):
                     self.index.append((lab, a, b))
         self.dim = len(self.index)
         # the conjugation map conj(e_i) = s_i e_ibar (module docstring)
-        sizes = [G.dim(group, n) ** 2 for n in self.labels]
-        ends = [self.offsets[n] + self.offsets[-n if group == G.U1 else n]
-                + k - 1 for n, k in zip(self.labels, sizes)]
+        sizes = [group.dim(n) ** 2 for n in self.labels]
+        ends = [self.offsets[n] + self.offsets[group.dual(n)] + k - 1
+                for n, k in zip(self.labels, sizes)]
         self._dual_index = (np.repeat(np.array(ends, dtype=int), sizes)
                             - np.arange(self.dim))
         self._dual_sign = (-1.0) ** np.array([a + b for _, a, b in self.index])
         self._abs_label = np.repeat(np.abs(self.labels), sizes)
-        self._entry_cache = {}
-        if group == G.SU2:
-            self._euler_tables()
+        self._entry_cache, self._run_cache = {}, {}
+        self._euler_tables()
 
     def _euler_tables(self):
-        """The factors of the SU(2) basis on the Euler product grid.
+        """The factors of the basis on the Euler product grid.
 
-        Twice-weights 2m = B - 1 - u are indexed by u = 0..2B-2, so label n
-        occupies u = B - n, B - n + 2, ..., B + n - 2. `_pad` lists, per u,
-        the modes (n, a, b) whose row weight is u, padded with the index dim
-        to a common length; `_pad_v` is the column weight u of each entry,
-        and `_dpad` the d-table per u, (2B-1, n_beta, slots), zero in the
-        padding slots.
+        The distinct twice-weights 2m of the modes' rows and columns, in
+        descending order, are indexed by u (on SU(2) 2m = B - 1 - u, u =
+        0..2B-2); `_u` and `_v` are the indices of each mode's row and
+        column weight, and `_weights` the two twice-weights, (dim, 2).
+        `_pad` lists, per u, the modes (n, a, b) whose row weight is u,
+        padded with the index dim to a common length; `_pad_v` is the
+        column weight u of each entry, and `_dpad` the d-table per u, (u,
+        n_beta, slots), zero in the padding slots.
         """
-        B, shape = self.band, self.quad.shape
+        shape = self.quad.shape
         alpha, beta, gamma = (x.reshape(shape) for x in self.quad.euler)
-        W = self.quad.weights.reshape(shape)
-        m = np.arange(B - 1, -B, -1) / 2.0
+        w_alpha, self._w_beta, w_gamma = self.quad.axis_weights
+        factors = [self.group.euler_factors(lab, beta[0, :, 0])
+                   for lab in self.labels]
+        rows = np.concatenate([np.repeat(r, len(r)) for r, _, _ in factors])
+        cols = np.concatenate([np.tile(c, len(c)) for _, c, _ in factors])
+        self._weights = np.column_stack([rows, cols])
+        tw, at = np.unique(np.concatenate([rows, cols]), return_inverse=True)
+        u, v = self._u, self._v = np.split(len(tw) - 1 - at.ravel(), 2)
+        m = tw[::-1] / 2.0
         self._phase_a = np.exp(-1j * np.multiply.outer(alpha[:, 0, 0], m))
         self._phase_g = np.exp(-1j * np.multiply.outer(gamma[0, 0, :], m))
-        self._ana_a = (self._phase_a.conj() * W.sum(axis=(1, 2))[:, None]).T
-        self._ana_g = (self._phase_g.conj() * W.sum(axis=(0, 1))[:, None]).T
-        self._w_beta = W.sum(axis=(0, 2))
+        self._ana_a = (self._phase_a.conj() * w_alpha[:, None]).T
+        self._ana_g = (self._phase_g.conj() * w_gamma[:, None]).T
         self._dtable = np.concatenate(
-            [math.sqrt(n) * wigner_d_grid(n - 1, beta[0, :, 0]).reshape(
-                shape[1], n * n) for n in self.labels], axis=1)
-        u = np.array([B - n + 2 * a for n, a, _ in self.index])
-        v = np.array([B - n + 2 * b for n, _, b in self.index])
-        counts = np.bincount(u, minlength=2 * B - 1)
+            [math.sqrt(len(r)) * d.reshape(shape[1], -1)
+             for r, _, d in factors], axis=1)
+        counts = np.bincount(u, minlength=len(tw))
         order = np.argsort(u, kind="stable")
         slot = np.arange(self.dim) - np.repeat(np.cumsum(counts) - counts,
                                                counts)
-        self._pad = np.full((2 * B - 1, counts.max()), self.dim)
+        self._pad = np.full((len(tw), counts.max()), self.dim)
         self._pad[u[order], slot] = order
         self._pad_v = np.append(v, 0)[self._pad]
         self._dpad = np.append(self._dtable, np.zeros((shape[1], 1)),
@@ -154,8 +152,7 @@ class PWSpace:
     def E(self):
         """Dense basis matrix (N, dim), `eval_basis` at the nodes: built on
         first use, for the dense oracles."""
-        return self.eval_basis(self.quad.angles if self.group == G.U1
-                               else self.quad.quats)
+        return self.eval_basis(self.quad.nodes)
 
     @functools.cached_property
     def _EW(self):
@@ -166,37 +163,37 @@ class PWSpace:
         """Per node g and label, D(g) @ v(g) for the label's block v of the
         grid stack (N, sum of d^2): one (d, d) matrix per node and label,
         the labels consecutive ones of this space, in order; with conj,
-        v(g)^T @ conj(D(g)). No irrep is formed at the nodes. On U(1) D is
-        the phase e^{i lab phi}. On SU(2) the factors of D_mn = e^{-i m_m
-        alpha} d_mn(beta) e^{-i m_n gamma} act in turn: the phase of the
+        v(g)^T @ conj(D(g)). No irrep is formed at the nodes: the factors
+        of D_mn = e^{-i m_m alpha} d_mn(beta) e^{-i m_n gamma} act in turn,
+        one run of labels of one dimension at a time. The phase of the
         contracted index n multiplies the stack, the d-table contracts it,
-        one real matrix product per beta node, and the phase of m
+        one real matrix product per beta node and label, and the phase of m
         multiplies the result."""
-        if self.group == G.U1:
-            lab = np.array(labels)
-            return stack * np.exp((-1j if conj else 1j)
-                                  * np.multiply.outer(self.quad.angles, lab))
-        n_alpha, n_beta, n_gamma = shape = self.quad.shape
+        shape, n_beta = self.quad.shape, self.quad.shape[1]
         out = np.empty(stack.shape, dtype=complex)
-        for lab in labels:
-            o = self.offsets[lab]
-            s = slice(o - self.offsets[labels[0]],
-                      o - self.offsets[labels[0]] + lab * lab)  # in the stack
-            u = np.arange(self.band - lab, self.band + lab - 1, 2)
-            d = self._dtable[:, o:o + lab * lab].reshape(
-                n_beta, lab, lab) / math.sqrt(lab)
-            a, g = self._phase_a[:, u].T, self._phase_g[:, u].T   # (n, node)
-            # the blocks of stack and out as (beta, n, p, alpha, gamma)
-            v, w = (x[:, s].reshape(shape + (lab, lab)).transpose(
-                1, 3, 4, 0, 2) for x in (stack, out))
+        for k, labs, s, d in self._block_runs(self.offsets[labels[0]],
+                                              stack.shape[1]):
+            o = self._runs[k][2] + labs.start * d * d
+            n = labs.stop - labs.start
+            # the row weights of the rows and the column weights of the
+            # columns of each label's block, (n, d), and its phases
+            first = o + d * d * np.arange(n)[:, None]
+            a = self._phase_a[:, self._u[first + d * np.arange(d)]]
+            g = self._phase_g[:, self._v[first + np.arange(d)]]
+            a = a.transpose(1, 2, 0)[:, None, :, None, :, None]
+            g = g.transpose(1, 2, 0)[:, None, :, None, None, :]
+            D = self._dtable[:, o:o + n * d * d].reshape(
+                n_beta, n, d, d).swapaxes(0, 1) / math.sqrt(d)
+            # the blocks of stack and out as (label, beta, n, p, alpha, gamma)
+            v, w = (x[:, s].reshape(shape + (n, d, d)).transpose(
+                3, 1, 4, 5, 0, 2) for x in (stack, out))
             if conj:   # sum_n v_np conj(D_nm): conjugate phases, d transposed
-                pre, d, post = (a.conj()[:, None, :, None], d.swapaxes(1, 2),
-                                g.conj()[:, None, None, :])
-                w = w.swapaxes(1, 2)                      # written at (p, m)
+                pre, D, post = a.conj(), D.swapaxes(2, 3), g.conj()
+                w = w.swapaxes(2, 3)                      # written at (p, m)
             else:      # sum_n D_mn v_np (docstring's factors of D_mn)
-                pre, post = g[:, None, None, :], a[:, None, :, None]
+                pre, post = g, a
             Y = np.multiply(v, pre, out=np.empty(v.shape, dtype=complex))
-            Z = (d @ Y.view(float).reshape(n_beta, lab, -1)).view(complex)
+            Z = (D @ Y.view(float).reshape(n, n_beta, d, -1)).view(complex)
             np.multiply(Z.reshape(Y.shape), post, out=w)
         return out
 
@@ -210,43 +207,34 @@ class PWSpace:
     def _check_grid(self, quad):
         """ValueError unless quad has this space's nodes and weights, the
         grid that its transforms sum over."""
-        nodes = "angles" if self.group == G.U1 else "quats"
         if not all(np.array_equal(getattr(self.quad, a), getattr(quad, a))
-                   for a in ("weights", nodes)):
+                   for a in ("weights", "nodes")):
             raise ValueError("the quadrature must be group_quadrature(%r, %d)"
                              % (self.group, self.quad.exactness_degree))
 
-    def _reps(self, quats_or_angles):
-        """Irrep matrices per label at arbitrary group elements: a list of
-        (M, d, d) arrays, one batched evaluation per label."""
-        if self.group == G.U1:
-            phi = np.asarray(quats_or_angles)
-            return [np.exp(1j * lab * phi)[:, None, None] for lab in self.labels]
-        euler = G.quat_to_euler(quats_or_angles)
-        return [wigner_D_euler_grid(lab - 1, *euler) for lab in self.labels]
+    def _reps(self, points):
+        """Irrep matrices at arbitrary group elements: per run of labels of
+        one dimension (`_runs`), an (L, M, d, d) array of the L labels'
+        matrices."""
+        return self.group.irreps(self.labels, points)
 
     # -- transforms ---------------------------------------------------------
 
     def analysis(self, values):
         """Grid values (N, ...) -> coefficients (dim, ...): the quadrature
         sum c_i = sum_k w_k conj(e_i(g_k)) values_k, exact for band-limited
-        data. U(1): one FFT. SU(2): the weighted alpha sum at every row
-        twice-weight u, one matrix product with the alpha analysis table;
-        then per u the sum over the (beta, gamma) nodes against
-        w_beta sqrt(n) d^n_ab(beta) e^{i m_b gamma} w_gamma for the modes of
-        row weight u, in the cheaper of two orders (`_many_columns`)."""
+        data: the weighted alpha sum at every row twice-weight u, one
+        matrix product with the alpha analysis table; then per u the sum
+        over the (beta, gamma) nodes against w_beta sqrt(d) d^n_ab(beta)
+        e^{i m_b gamma} w_gamma for the modes of row weight u, in the
+        cheaper of two orders (`_many_columns`)."""
         v = np.asarray(values)
         if v.shape[:1] != (self.quad.n_nodes,):
             raise ValueError("grid values need quad.n_nodes = %d rows, got "
                              "shape %s" % (self.quad.n_nodes, v.shape))
         tail = v.shape[1:]
-        v = v.reshape(len(v), -1)
-        if self.group == G.U1:
-            lab = np.array(self.labels)
-            out = np.fft.fft(v, axis=0)[lab % len(v)] / len(v)
-            return out.reshape((self.dim,) + tail)
         n_alpha, _, n_gamma = self.quad.shape
-        n_cols = v.shape[1]
+        n_cols = math.prod(tail)
         v = v.reshape(n_alpha, -1)
         wd = self._dpad * self._w_beta[:, None]           # (u, beta, slot)
         ag = self._ana_g[self._pad_v]                     # (u, slot, gamma)
@@ -269,17 +257,12 @@ class PWSpace:
     def synthesis(self, coeffs):
         """Coefficients (dim, ...) -> grid values (N, ...), the sum
         sum_i e_i(g_k) coeffs_i: per row twice-weight u the sum against
-        sqrt(n) d^n_ab(beta) e^{-i m_b gamma} over the modes of row weight
+        sqrt(d) d^n_ab(beta) e^{-i m_b gamma} over the modes of row weight
         u, in the cheaper of two orders (`_many_columns`), then the alpha
         sum, one matrix product with the alpha phase table."""
         c = np.asarray(coeffs)
         tail = c.shape[1:]
         c = c.reshape(self.dim, -1)
-        if self.group == G.U1:
-            n = self.quad.n_nodes
-            spec = np.zeros((n, c.shape[1]), dtype=complex)
-            np.add.at(spec, np.array(self.labels) % n, c)
-            return (np.fft.ifft(spec, axis=0) * n).reshape((n,) + tail)
         n_alpha, _, n_gamma = self.quad.shape
         n_cols = c.shape[1]
         cpad = np.append(c, np.zeros((1, n_cols)), axis=0)[self._pad]
@@ -319,10 +302,10 @@ class PWSpace:
         return [slice(k, min(k + step, n_beta))
                 for k in range(0, n_beta, step)]
 
-    def eval_basis(self, quats_or_angles):
+    def eval_basis(self, points):
         """Basis matrix at arbitrary group elements, shape (M, dim)."""
-        cols = [math.sqrt(D.shape[1]) * D.reshape(len(D), -1)
-                for D in self._reps(quats_or_angles)]
+        cols = [math.sqrt(D.shape[-1]) * D.swapaxes(0, 1).reshape(
+            D.shape[1], -1) for D in self._reps(points)]
         return np.concatenate(cols, axis=1)
 
     def band_mask(self, band):
@@ -332,46 +315,56 @@ class PWSpace:
 
     def block(self, lab, mat):
         """Coefficient slice of one irrep as a (d, d) matrix view."""
-        d = G.dim(self.group, lab)
+        d = self.group.dim(lab)
         o = self.offsets[lab]
         return mat[o:o + d * d].reshape(d, d)
 
     # -- block-diagonal operators -------------------------------------------
 
-    def _kron_rows(self, blocks, mats):
-        """kron(X_p, 1) @ mats[p] on the rows mats holds, a prefix like the
-        columns of `_kron_cols`: blocks per label (P, d, d), mats (P, m, n);
-        one irrep block of rows at a time, a batch of (d, d) @ (d, d * n)."""
+    def _block_runs(self, lo, n):
+        """(k, labels, cols, d) per run k of labels of one dimension d that
+        the basis indices lo..lo + n - 1, whole irrep blocks, meet: the
+        slice of the run's labels among them, and the slice of their basis
+        indices relative to lo; built on first use."""
+        if (lo, n) not in self._run_cache:
+            out = self._run_cache[lo, n] = []
+            for k, (labs, d, o) in enumerate(self._runs):
+                a, b = max(o, lo), min(o + len(labs) * d * d, lo + n)
+                if a < b:
+                    out.append((k, slice((a - o) // (d * d),
+                                         (b - o) // (d * d)),
+                                slice(a - lo, b - lo), d))
+        return self._run_cache[lo, n]
+
+    def _kron_rows(self, blocks, mats, lo=0):
+        """kron(X_p, 1) @ mats[p] on the rows mats holds, the basis indices
+        lo, lo + 1, ... in whole irrep blocks: blocks per run (L, P, d, d)
+        (`_reps`), mats (P, m, n); per run one batched product of the (d, d)
+        blocks with the (d, d * n) rows."""
+        P, m, n = mats.shape
         out = np.empty(mats.shape, dtype=complex)
-        for lab, X in zip(self.labels, blocks):
-            d = X.shape[-1]
-            o = self.offsets[lab]
-            if o >= mats.shape[1]:
-                break
-            rows = mats[:, o:o + d * d]
-            out[:, o:o + d * d] = (X @ rows.reshape(len(X), d, -1)).reshape(
-                rows.shape)
+        for k, labs, s, d in self._block_runs(lo, m):
+            X = blocks[k][labs].swapaxes(0, 1)
+            out[:, s] = (X @ mats[:, s].reshape(P, len(X[0]), d, -1)).reshape(
+                P, -1, n)
         return out
 
-    def _kron_cols(self, mats, blocks):
-        """sum_p mats[p] @ kron(X_p, 1) on the columns mats holds: mats
-        (P, rows, n), blocks per label (P, d, d). The n columns are the
-        first n basis indices, whole irrep blocks (on SU(2) a `band_mask`
-        is such a prefix). One irrep block of columns at a time, as one
+    def _kron_cols(self, mats, blocks, lo=0):
+        """sum_p mats[p] @ kron(X_p, 1) on the columns mats holds, the basis
+        indices lo, lo + 1, ... in whole irrep blocks (a `band_mask`): mats
+        (P, rows, n), blocks per run (L, P, d, d). Per run one batched
         matrix product over (p, x): out[r, (a, b)] = sum mats[p, r, (x, b)]
         X_p[x, a]."""
         P, rows, n = mats.shape
         out = np.empty((rows, n), dtype=complex)
-        for lab, X in zip(self.labels, blocks):
-            d = X.shape[-1]
-            o = self.offsets[lab]
-            if o >= n:
-                break
-            cols = mats[:, :, o:o + d * d].reshape(P, rows, d, d)
-            prod = cols.transpose(1, 3, 0, 2).reshape(rows * d, P * d) @ (
-                X.reshape(P * d, d))                      # (r, b), a
-            out[:, o:o + d * d] = prod.reshape(rows, d, d).transpose(
-                0, 2, 1).reshape(rows, d * d)
+        for k, labs, s, d in self._block_runs(lo, n):
+            X = blocks[k][labs]
+            L = len(X)
+            cols = mats[:, :, s].reshape(P, rows, L, d, d)
+            prod = cols.transpose(2, 1, 4, 0, 3).reshape(L, rows * d, P * d) @ (
+                X.reshape(L, P * d, d))                   # (l, (r, b), a)
+            out[:, s] = prod.reshape(L, rows, d, d).transpose(
+                1, 0, 3, 2).reshape(rows, -1)
         return out
 
     # -- standard operators as matrices on the coefficient basis ------------
@@ -379,13 +372,14 @@ class PWSpace:
     def right_derivative(self, k=0):
         """R_X for X = tau_k (SU(2)) or X = 1 (U(1)): d/ds Psi(e^{sX} g), the
         dense block-diagonal matrix with kron(dpi(X)^T, 1) per label."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for lab, X in zip(self.labels,
-                          _generators(self.group, self.labels, k)):
-            d = len(X)
-            o = self.offsets[lab]
-            out[o:o + d * d, o:o + d * d] = np.kron(X.T, np.eye(d))
-        return out
+        return self._kron_rows(self._generator_blocks(k),
+                               np.eye(self.dim)[None])[0]
+
+    def _generator_blocks(self, k):
+        """dpi(X)^T per run, (L, 1, d, d): the blocks of `right_derivative`
+        for `_kron_rows` and `_kron_cols`."""
+        return [np.stack([self.group.generator(lab, k).T for lab in labs])[
+            :, None] for labs, _, _ in self._runs]
 
     def _held_band(self, coeffs):
         """Largest |label| of a nonzero column of coeffs, else the smallest."""
@@ -420,7 +414,7 @@ class PWSpace:
         g = g_pw._held_band(c)
         n_rows, n_cols, rows, cols, freq, weights, modes = self._entries(
             in_band, out_band, g)
-        d = 1.0 if self.group == G.U1 else self._band_space(g)._dtable
+        d = self._band_space(g)._dtable
         F = (c[:, None, g_pw.band_mask(g)] * d) @ modes  # (row, beta, freq)
         out = np.zeros((len(c), n_rows, n_cols), dtype=complex)
         for o, f in zip(out, F):
@@ -430,16 +424,18 @@ class PWSpace:
     def _entries(self, in_band, out_band, g):
         """Per (in_band, out_band, g), built on first use: the row and
         column counts; per entry that a band-g f admits, its row, column,
-        frequency and beta weights (w_beta e_i(beta) e_j(beta) on SU(2), 1
-        on U(1)); and the one-hot map from f's modes to frequencies, the
-        flat weight pairs (2m_a, 2m_b), (j, 0) on U(1)."""
+        frequency and beta weights w_beta e_i(beta) e_j(beta); and the
+        one-hot map from f's modes to frequencies, the flat twice-weight
+        pairs (2m_a, 2m_b). An entry is admitted when its labels and
+        twice-weights differ by at most lim, the largest twice-weight of
+        band g: g - 1 on SU(2), 2g on U(1), where the labels' bound follows
+        from the weights'."""
         if (in_band, out_band, g) not in self._entry_cache:
             rsel, cols = (np.flatnonzero(self.band_mask(b))
                           for b in (out_band, in_band))
-            q = np.array([(n, n, 0) if self.group == G.U1 else
-                          (n, n - 1 - 2 * a, n - 1 - 2 * b)
-                          for n, a, b in self.index])
-            lim = g - (self.group == G.SU2)
+            q = np.column_stack([[n for n, _, _ in self.index],
+                                 self._weights])
+            lim = np.abs(q[self.band_mask(g), 1:]).max()
             w = 2 * lim + 1
             diff = q[rsel, None] - q[cols]
             rows, cs = np.nonzero(np.abs(diff).max(axis=2) <= lim)
@@ -448,7 +444,6 @@ class PWSpace:
             flat = lambda pairs: pairs @ [w, 1] + lim * (w + 1)
             self._entry_cache[in_band, out_band, g] = (
                 len(rsel), len(cols), rows, cs, flat(d[:, 1:]),
-                np.ones((1, len(rows))) if self.group == G.U1 else
                 self._w_beta[:, None] * self._dtable[:, rsel[rows]]
                 * self._dtable[:, cols[cs]],
                 np.eye(w * w)[flat(q[self.band_mask(g), 1:])])

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import groups as G
-from .peterweyl import _BLOCK, PWSpace, _generators, _product_band, space
+from .peterweyl import _BLOCK, PWSpace, space
 
 # Weyl kernels with more relative mass than _BRANCH_TOL within _BRANCH_MARGIN
 # of the square-root branch locus are rejected
@@ -77,7 +76,7 @@ class MatrixSymbol:
 
     @property
     def labels(self):
-        return G.irrep_labels(self.group, self.pi_band)
+        return self.group.labels(self.pi_band)
 
     @property
     def quad(self):
@@ -100,7 +99,7 @@ class MatrixSymbol:
         """sigma(lab, .) at a group_quadrature's nodes, else ValueError."""
         gs = space(self.group, self.g_pw.band, quad.exactness_degree)
         gs._check_grid(quad)
-        d = G.dim(self.group, lab)
+        d = self.group.dim(lab)
         return gs.synthesis(self._coefficient_stack([lab])).reshape(-1, d, d)
 
     def max_abs_diff(self, other):
@@ -119,28 +118,27 @@ def identity_symbol(group, pi_band, g_pw):
 def function_symbol(group, pi_band, g_pw, f_grid):
     """sigma_f(pi, g) = f(g) 1."""
     vals = {}
-    for lab in G.irrep_labels(group, pi_band):
-        d = G.dim(group, lab)
+    for lab in group.labels(pi_band):
+        d = group.dim(lab)
         vals[lab] = f_grid[:, None, None] * np.eye(d, dtype=complex)
     return MatrixSymbol(group, pi_band, g_pw, vals)
 
 
 def momentum_symbol(group, pi_band, g_pw, eps, direction=0):
     """sigma_{P_X}(pi, g) = i eps dpi(X), X = tau_direction (or 1 for U(1))."""
-    labels = G.irrep_labels(group, pi_band)
     n = g_pw.quad.n_nodes
     return MatrixSymbol(group, pi_band, g_pw, {
-        lab: np.broadcast_to(1j * eps * X, (n,) + X.shape).copy()
-        for lab, X in zip(labels, _generators(group, labels, direction))})
+        lab: np.repeat(1j * eps * group.generator(lab, direction)[None], n,
+                       axis=0) for lab in group.labels(pi_band)})
 
 
 def random_symbol(group, pi_band, g_pw, rng):
     """Band-limited random symbol (g-band = g_pw.band) with standard complex
     Gaussian coefficients, drawn per label, real parts then imaginary parts;
     one synthesis."""
-    labels = G.irrep_labels(group, pi_band)
+    labels = group.labels(pi_band)
     draws = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in
-             [(g_pw.dim, G.dim(group, lab) ** 2) for lab in labels]]
+             [(g_pw.dim, group.dim(lab) ** 2) for lab in labels]]
     return MatrixSymbol(group, pi_band, g_pw, _label_views(
         group, labels, g_pw.synthesis(np.concatenate(draws, axis=1))))
 
@@ -173,7 +171,7 @@ def _label_runs(group, labels, n_nodes):
     peterweyl._BLOCK entries; one label at least per run."""
     runs, size = [], 0
     for lab in labels:
-        d2 = G.dim(group, lab) ** 2
+        d2 = group.dim(lab) ** 2
         if not runs or (size + d2) * n_nodes > _BLOCK:
             runs, size = runs + [[]], 0
         runs[-1].append(lab)
@@ -186,7 +184,7 @@ def _label_views(group, labels, stack):
     the labels' matrices side by side, d^2 columns per label."""
     views, o = {}, 0
     for lab in labels:
-        d = G.dim(group, lab)
+        d = group.dim(lab)
         views[lab] = stack[:, o:o + d * d].reshape(-1, d, d)
         o += d * d
     return views
@@ -195,7 +193,7 @@ def _label_views(group, labels, stack):
 def _stack_dims(group, run):
     """The irrep dimension d of each column of a stack of the labels of a
     run: d^2 columns per label."""
-    d = np.array([G.dim(group, lab) for lab in run])
+    d = np.array([group.dim(lab) for lab in run])
     return np.repeat(d, d * d)
 
 
@@ -221,8 +219,8 @@ def kn_quantize(sym, pw):
     truncation_error measures what is dropped.
     """
     gs = pw._band_space(sym.g_pw.band)
-    rs = pw._band_space(min(pw.band, _product_band(
-        sym.group, sym.pi_band, sym.g_pw.band)))
+    rs = pw._band_space(min(pw.band, sym.group.product_band(
+        sym.pi_band, sym.g_pw.band)))
     rows = np.flatnonzero(pw.band_mask(rs.band))
     matrix = np.zeros((pw.dim, pw.dim), dtype=complex)
     resid = scale = 0.0
@@ -260,7 +258,7 @@ def kn_symbol(op, pi_band, g_pw):
     (`PWSpace._rep_products`).
     """
     pw = op.pw
-    labels = G.irrep_labels(pw.group, pi_band)
+    labels = pw.group.labels(pi_band)
     missing = [lab for lab in labels if lab not in pw.offsets]
     if missing:
         raise ValueError("operator band too small for label %r" % missing[0])
@@ -304,16 +302,16 @@ def kn_compose(sa, sb, h_quad):
 
     h_quad must be a group_quadrature exact for conj(pi'(h)) pi(h)
     conj(rho(h)), pi' up to sa.pi_band, pi up to the result's band, rho up
-    to sb.g_pw.band; else ValueError. On U(1): 2 * degree >= the sum of the
-    three bands; on SU(2), whose bands count dimensions: 2 * degree >= that
-    sum - 1.
+    to sb.g_pw.band, the group's exact_degree of their product band; else
+    ValueError. On U(1): 2 * degree >= the sum of the three bands; on
+    SU(2), whose bands count dimensions: 2 * degree >= that sum - 1.
     """
     if sa.group != sb.group:
         raise ValueError("group mismatch")
     group = sa.group
     pi_band = min(sa.pi_band, sb.pi_band)
-    top = sa.pi_band + pi_band + sb.g_pw.band
-    need = (top + 1) // 2 if group == G.U1 else top // 2
+    need = group.exact_degree(group.product_band(group.product_band(
+        sa.pi_band, pi_band), sb.g_pw.band))
     if h_quad.exactness_degree < need:
         raise ValueError(
             "h quadrature of degree %d is not exact for the composition "
@@ -322,25 +320,25 @@ def kn_compose(sa, sb, h_quad):
     N_h, N_g = h_quad.n_nodes, gq.n_nodes
     hs = space(group, max(sa.pi_band, g_pw.band), h_quad.exactness_degree)
     hs._check_grid(h_quad)
-    Dh = dict(zip(hs.labels, hs._reps(h_quad.angles if group == G.U1
-                                      else h_quad.quats)))
+    Dh = dict(zip(hs.labels, (D for run in hs._reps(h_quad.nodes)
+                              for D in run)))
 
     # F_A(h, g) = sum_r U_r(h) V_r(g), r = (pi', p, q): weighted U, (r, h)
-    wU = np.concatenate([G.dim(group, lab) * Dh[lab].conj().reshape(N_h, -1)
+    wU = np.concatenate([group.dim(lab) * Dh[lab].conj().reshape(N_h, -1)
                          for lab in sa.values], axis=1).T * h_quad.weights
     V = np.concatenate([v.reshape(N_g, -1) for v in sa.values.values()],
                        axis=1)
-    E = g_pw.eval_basis(gq.angles if group == G.U1 else gq.quats)
+    E = g_pw.eval_basis(gq.nodes)
     VE = (V[:, :, None] * E[:, None, :]).reshape(N_g, -1)   # (g, (r, i))
 
-    labels = G.irrep_labels(group, pi_band)
+    labels = group.labels(pi_band)
     coefs = _label_views(group, labels, sb._coefficient_stack(labels))
     out = {}
     for lab, CB in coefs.items():             # CB: (dim_g, d, d)
-        d = G.dim(group, lab)
+        d = group.dim(lab)
         GC = np.empty((len(wU), g_pw.dim, d, d), dtype=complex)
         for lab2 in g_pw.labels:
-            d2 = G.dim(group, lab2)
+            d2 = group.dim(lab2)
             blk = slice(g_pw.offsets[lab2], g_pw.offsets[lab2] + d2 * d2)
             # G[r, (x, m), (k, a)] = sum_h w_h U_r(h) conj(rho(h))_xa pi(h)_mk
             P = (Dh[lab2].conj()[:, :, None, None, :]
@@ -361,23 +359,18 @@ def kn_compose(sa, sb, h_quad):
 # ---------------------------------------------------------------------------
 
 def sqrt_elements(group, quad):
-    """Pointwise square roots of the quadrature nodes, angle in (-pi, pi)."""
-    if group == G.U1:
-        phi = np.where(quad.angles > math.pi, quad.angles - 2 * math.pi,
-                       quad.angles)
-        return phi / 2.0  # angles of sqrt(h)
-    X = G.quat_log(quad.quats)
-    return G.quat_exp(X / 2.0)
+    """Pointwise square roots exp(log(h) / 2) of the quadrature nodes h,
+    angle in (-pi, pi)."""
+    return group.exp(group.log(quad.nodes) / 2.0)
 
 
 def branch_mass(group, quad, coef):
     """Relative Haar mass of a kernel within _BRANCH_MARGIN of the branch
-    locus, angle pi: cos of the U(1) angle, or the SU(2) real part
-    cos(|X|/2), below -cos(_BRANCH_MARGIN). coef holds F(h, .)'s g-band
-    coefficients at quad's nodes: int |F(h, g)|^2 dg = |coef[h]|^2."""
+    locus, angle pi: group.cos_angle (cos of the U(1) angle, or the SU(2)
+    real part cos(|X|/2)) below -cos(_BRANCH_MARGIN). coef holds F(h, .)'s
+    g-band coefficients at quad's nodes: int |F(h, g)|^2 dg = |coef[h]|^2."""
     m_h = quad.weights * np.einsum("hi,hi->h", coef, coef.conj()).real
-    cos = np.cos(quad.angles) if group == G.U1 else quad.quats[:, 0]
-    near = m_h[cos < -math.cos(_BRANCH_MARGIN)]
+    near = m_h[group.cos_angle(quad.nodes) < -math.cos(_BRANCH_MARGIN)]
     return float(np.sum(near)) / max(float(np.sum(m_h)), 1e-300)
 
 
@@ -408,11 +401,10 @@ def _deform(sym, h_quad, s, pi_band):
     if mass > _BRANCH_TOL:
         raise BranchLocusError(mass, _BRANCH_TOL)
     v = sqrt_elements(group, h_quad)
-    if s < 0:
-        v = -v if group == G.U1 else G.quat_inv(v)
-    DvT = [np.swapaxes(D, 1, 2) for D in g_pw._reps(v)]
+    DvT = [np.swapaxes(D, -1, -2)
+           for D in g_pw._reps(v if s > 0 else group.inv(v))]
     A = hp.analysis(g_pw._kron_rows(DvT, coef[:, :, None])[:, :, 0])
-    labels = G.irrep_labels(group, pi_band)
+    labels = group.labels(pi_band)
     j = np.flatnonzero(hp.band_mask(pi_band))     # the labels' whole blocks
     scale = hp._dual_sign[j] / np.sqrt(_stack_dims(group, labels))
     return _label_views(group, labels, g_pw.synthesis(

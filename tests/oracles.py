@@ -31,7 +31,7 @@ def rep_grid(quad, label):
 def basis_matrix(pw, quad):
     """pw's basis sqrt(d) D_ab at quad's nodes, (N, pw.dim)."""
     return np.concatenate(
-        [math.sqrt(G.dim(pw.group, lab))
+        [math.sqrt(pw.group.dim(lab))
          * rep_grid(quad, lab).reshape(quad.n_nodes, -1)
          for lab in pw.labels], axis=1)
 

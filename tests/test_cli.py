@@ -315,6 +315,36 @@ def test_bohr_props_pinned(tmp_path, seed):
         assert res[key] < 1e-13 and abs(res[key] - ref) <= 1e-15
 
 
+@pytest.mark.parametrize("cmd", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("arg", [("--seed", "-1"), ("--tol", "nan"),
+                                 ("--tol", "inf"), ("--tol", "0"),
+                                 ("--tol", "-1")])
+def test_commands_refuse_negative_seed_and_bad_tol(cmd, arg, capsys):
+    # --seed -1 ended in a traceback in moyal-fit, sw-props and bohr-props;
+    # table1 --tol nan passed a gate that could not fail, and the JSON
+    # commands wrote "tolerance": NaN, which is not JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["--cmd", cmd, *arg])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage: groupquant" in err and arg[0] in err
+    assert "Traceback" not in err
+
+
+def _refuse_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+@pytest.mark.parametrize("cmd", ["resolution-u1", "moyal-fit", "sw-props",
+                                 "bohr-props"])
+def test_default_reports_are_strict_json(cmd, tmp_path):
+    out = tmp_path / "report.json"
+    main(["--cmd", cmd, "--out", str(out)])
+    rep = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert rep["command"] == cmd
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["--cmd", "nonsense"])

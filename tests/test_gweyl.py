@@ -1,6 +1,7 @@
 """Global KN/Weyl matrix-symbol calculus and the local epsilon-scaled one."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -97,7 +98,7 @@ def test_random_symbol_is_one_synthesis(spaces, pi_band, request,
     rng = np.random.default_rng(pi_band)
     loop = {}
     for lab in G.irrep_labels(gpw.group, pi_band):
-        shape = (gpw.dim,) + (G.dim(gpw.group, lab),) * 2
+        shape = (gpw.dim,) + (gpw.group.dim(lab),) * 2
         loop[lab] = gpw.synthesis(rng.standard_normal(shape)
                                   + 1j * rng.standard_normal(shape))
     calls = []
@@ -158,7 +159,7 @@ def test_compose_elementary_su2(su2_spaces):
     sf = S.function_symbol(G.SU2, 4, gpw, f1)
     cc2 = S.kn_compose(sf, sf, h_quad)
     for lab, v in cc2.values.items():
-        d = G.dim(G.SU2, lab)
+        d = G.SU2.dim(lab)
         expect = (f1 ** 2)[:, None, None] * np.eye(d)
         assert np.abs(v - expect).max() < 1e-10
 
@@ -175,7 +176,7 @@ def _eval_left_shifted(g_pw, coef, h_quad, h_slice, gq):
     n_h = h_slice.stop - h_slice.start
     out = np.zeros((n_h, gq.n_nodes) + coef.shape[1:], dtype=complex)
     for lab2 in g_pw.labels:
-        d2 = G.dim(group, lab2)
+        d2 = group.dim(lab2)
         o = g_pw.offsets[lab2]
         c = coef[o:o + d2 * d2].reshape((d2, d2) + coef.shape[1:])
         Dh2 = rep_grid(h_quad, lab2)[h_slice]
@@ -190,13 +191,13 @@ def _kn_compose_loop(sa, sb, h_quad):
     wh = h_quad.weights
     FA = np.zeros((h_quad.n_nodes, gq.n_nodes), dtype=complex)
     for lab in sa.labels:
-        FA += G.dim(group, lab) * np.einsum(
+        FA += group.dim(lab) * np.einsum(
             "hnm,gnm->hg", rep_grid(h_quad, lab).conj(), sa.values[lab],
             optimize=True)
     out = {}
     pi_band = min(sa.pi_band, sb.pi_band)
     for lab in G.irrep_labels(group, pi_band):
-        d = G.dim(group, lab)
+        d = group.dim(lab)
         Dh = rep_grid(h_quad, lab)
         CB = sb.g_pw.analysis(sb.values[lab])
         acc = np.zeros((gq.n_nodes, d, d), dtype=complex)
@@ -218,7 +219,7 @@ def _kn_quantize_all_columns(sym, pw):
         psihat = pw.analysis(D.conj()).conj()
         sig = np.tensordot(E_g, sym.g_pw.analysis(sym.values[lab]),
                            axes=(1, 0))
-        out_vals += G.dim(sym.group, lab) * np.einsum(
+        out_vals += sym.group.dim(lab) * np.einsum(
             "knm,knp,ipm->ik", D.conj(), sig, psihat, optimize=True)
     coeffs = pw.analysis(out_vals.T)
     resid = np.abs(out_vals.T - pw.synthesis(coeffs)).max()
@@ -312,7 +313,7 @@ def test_kn_quantize_rows_end_at_product_band(spaces, pi_band, request):
     gpw, pw = request.getfixturevalue(spaces)[:2]
     sym = S.random_symbol(gpw.group, pi_band, gpw,
                           np.random.default_rng(pi_band))
-    reach = L._product_band(pw.group, pi_band, gpw.band)
+    reach = pw.group.product_band(pi_band, gpw.band)
     assert reach < pw.band
     matrix, _ = _kn_quantize_all_columns(sym, pw)
     out = ~pw.band_mask(reach)
@@ -374,7 +375,7 @@ def _kn_symbol_by_analysis(op, pi_band, g_pw):
     pw, quad = op.pw, op.pw.quad
     vals, resid, scale = {}, 0.0, 0.0
     for lab in G.irrep_labels(pw.group, pi_band):
-        d = G.dim(pw.group, lab)
+        d = pw.group.dim(lab)
         D = rep_grid(quad, lab)
         F = np.conj(np.swapaxes(D, 1, 2)).reshape(quad.n_nodes, d * d)
         W = pw.synthesis(op.matrix @ pw.analysis(F))
@@ -411,8 +412,7 @@ def test_left_right_covariance_su2(su2_spaces):
     # U_h as the local calculus applies it: kron(conj D(h), 1) blocks by
     # _kron_rows, which is (U_h Psi)(g) = Psi(h^{-1} g) at every node
     hq_inv = G.quat_inv(np.array(h.quat))
-    blocks = [D.conj() for D in pw._reps(np.array(h.quat)[None])]
-    Uh = pw._kron_rows(blocks, np.eye(pw.dim)[None])[0]
+    Uh = _left_translation(pw, h.quat)
     c = _crand(np.random.default_rng(294), pw.dim)
     psi_sh = pw.eval_basis(G.quat_mul(hq_inv[None, :], pw.quad.quats)) @ c
     assert (np.abs(pw.eval_basis(pw.quad.quats) @ (Uh @ c) - psi_sh).max()
@@ -445,7 +445,7 @@ def test_adjoint_property_su2(su2_spaces):
     FA_shift = np.zeros((h_quad.n_nodes, gq.n_nodes), dtype=complex)
     E_sh = gpw.eval_basis(pts.reshape(-1, 4))
     for lab in sym.values:
-        d = G.dim(G.SU2, lab)
+        d = G.SU2.dim(lab)
         Dh = rep_grid(h_quad, lab)
         coef = sym.g_pw.analysis(sym.values[lab])
         vals = np.tensordot(E_sh, coef, axes=(1, 0)).reshape(
@@ -471,7 +471,7 @@ def test_hs_pairing(su2_spaces):
     hs_op = np.einsum("ij,ij->", A.conj(), B)
     hs_sym = 0.0
     for lab in sa.values:
-        d = G.dim(G.SU2, lab)
+        d = G.SU2.dim(lab)
         hs_sym += d * np.einsum("k,kmn,kmn->", sa.quad.weights,
                                 sa.values[lab].conj(), sb.values[lab])
     assert abs(hs_op - hs_sym) < 1e-10 * abs(hs_op)
@@ -499,7 +499,7 @@ def gaussian_profile_symbol(gpw, pi_band, s, rng, kmax=3):
         x = lab if group == G.U1 else lam
         prof = math.exp(-s * lam) * sum(a[k] * (x ** k) * us[k]
                                         for k in range(kmax + 1))
-        vals[lab] = prof[:, None, None] * np.eye(G.dim(group, lab))
+        vals[lab] = prof[:, None, None] * np.eye(group.dim(lab))
     return S.MatrixSymbol(group, pi_band, gpw, vals)
 
 
@@ -626,7 +626,7 @@ def _schwartz_kernel(op, xs, ys):
 def _kernel_quantize_oracle(kern, pw, h_quad):
     """rho_L(F) as (A Psi)(g) = int dh F(h, g) Psi(h^{-1} g) by quadrature."""
     group, gq = kern.group, kern.g_pw.quad
-    F = sum(G.dim(group, lab) * np.einsum("hnm,gnm->hg",
+    F = sum(group.dim(lab) * np.einsum("hnm,gnm->hg",
                                           rep_grid(h_quad, lab).conj(), Kv)
             for lab, Kv in kern.K.items())
     h_inv = _inverse(group, h_quad.angles if group == G.U1 else h_quad.quats)
@@ -713,14 +713,14 @@ def kernel_values(sym, h_quad):
 def _kernel_values_rep_grid(sym, h_quad, s=0):
     """F(h, sqrt(h)^s g) on the (h_quad, sym.quad) double grid."""
     group, g_pw = sym.group, sym.g_pw
-    coef = sum(G.dim(group, lab) * rep_grid(h_quad, lab).conj().reshape(
+    coef = sum(group.dim(lab) * rep_grid(h_quad, lab).conj().reshape(
         h_quad.n_nodes, -1) @ g_pw.analysis(sym.values[lab]).reshape(
             g_pw.dim, -1).T for lab in sym.labels)
     if s:
         v = S.sqrt_elements(group, h_quad)
         if s < 0:
             v = _inverse(group, v)
-        DvT = [np.swapaxes(D, 1, 2) for D in g_pw._reps(v)]
+        DvT = [np.swapaxes(D, -1, -2) for D in g_pw._reps(v)]
         coef = g_pw._kron_rows(DvT, coef[:, :, None])[:, :, 0]
     return g_pw.synthesis(coef.T).T
 
@@ -873,7 +873,7 @@ def _local_quantize_dense(s, eps, pw, variant):
                             else pw.quad.quats)
     A = np.zeros((pw.dim, pw.dim), dtype=complex)
     Y = np.atleast_2d(s.lattice().reshape(len(s.points), -1))
-    jfac = L.haar_jacobian_sq(s.group, eps * Y)
+    jfac = s.group.haar_density(eps * Y)
     for p in range(len(s.points)):
         c = s.coeffs[p]
         if variant == L.WEYL:
@@ -989,7 +989,7 @@ def test_multiplication_operator_reads_the_band_coefficients_hold(
     c_hi[:, g_hi.band_mask(2)] = c_lo
     assert g_hi._held_band(c_hi) == 2
     in_band = band // 2
-    out_band = L._product_band(group, in_band, 2)
+    out_band = group.product_band(in_band, 2)
     rows = pw.band_mask(out_band)
     assert not rows.all()
     full = pw.multiplication_operator(g_lo, c_lo, in_band)
@@ -1010,12 +1010,11 @@ def test_kron_rows_on_a_row_prefix(group, band):
     # the first m rows of the product on all rows
     pw = PWSpace(group, band)
     rng = np.random.default_rng(band)
-    blocks = [_crand(rng, 2, G.dim(group, lab), G.dim(group, lab))
-              for lab in pw.labels]
+    blocks = [_crand(rng, len(labs), 2, d, d) for labs, d, _ in pw._runs]
     mats = _crand(rng, 2, pw.dim, 7)
     full = pw._kron_rows(blocks, mats)
     for lab in pw.labels:
-        m = pw.offsets[lab] + G.dim(group, lab) ** 2
+        m = pw.offsets[lab] + group.dim(lab) ** 2
         assert np.array_equal(pw._kron_rows(blocks, mats[:, :m]),
                               full[:, :m])
 
@@ -1603,7 +1602,7 @@ def test_quantized_columns_reach_product_band(fit):
     poly = {k: rng.standard_normal(g_pw.dim) + 1j * rng.standard_normal(
         g_pw.dim) for k in range(pts.shape[1])}
     linear = L.LocalSymbol(pw.group, a.step, pts, cs, g_pw, poly)
-    reach = L._product_band(pw.group, in_band, g_pw.band)
+    reach = pw.group.product_band(in_band, g_pw.band)
     assert reach < pw.band
     out, cols = ~pw.band_mask(reach), pw.band_mask(in_band)
     assert out.any()
@@ -1635,11 +1634,13 @@ def test_order_fit_makes_one_translation_table_per_pair(fit, monkeypatch):
     # three band checks per pair, one each for ab, {a,b} and the fit's
     # bands: none per term of the bracket
     assert len(checks) == 3 * 2
+    # one table per pair for every eps
     if fit == "moyal_fit_u1":
-        # the U(1) table is one array of phases: no irrep evaluation
-        assert rows == []
+        # k = -4..4 (Weyl points of a, b, ab and {a,b}, and twice the KN
+        # points of a and b) and +-6, +-8 (twice the KN points of {a,b})
+        assert rows == [13 * len(eps_list)] * 2
     else:
-        # one table per pair for every eps: the 27 translations that the 7
+        # the 27 translations that the 7
         # assemblies of a, b, ab and {a,b} apply are 7 distinct elements
         # e^{eps step k/2} per eps, k = 0, +-1, +-2 (Weyl points) and +-4
         # (twice the KN points of {a,b}) on the z axis
@@ -1885,7 +1886,7 @@ def test_haar_jacobian_matches_per_group_oracle(group):
     n = 1 if group == G.U1 else 3
     Y = rng.uniform(-3.0, 3.0, size=(40, n))
     Y[:3] *= np.array([0.0, 1e-14, 1e-13])[:, None]
-    got = L.haar_jacobian_sq(group, Y)
+    got = group.haar_density(Y)
     assert got.shape == (40,)
     assert np.abs(got - _haar_jacobian_sq_per_group(group, Y)).max() < 1e-14
 
@@ -1895,12 +1896,12 @@ def test_haar_jacobian_below_cutoff():
     # which agrees with 1 - h^2/12 there to rounding
     tiny = np.array([[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [3e-13, -4e-13, 0.0],
                      [0.0, 0.0, 2e-12], [1e-7, 0.0, 0.0]])
-    got = L.haar_jacobian_sq(G.SU2, tiny)
+    got = G.SU2.haar_density(tiny)
     assert np.array_equal(got[:3], np.ones(3))
     assert np.all(np.isfinite(got))
     h = np.linalg.norm(tiny, axis=1)
     assert np.abs(got - (1.0 - h ** 2 / 12.0)).max() < 1e-15
-    assert np.array_equal(L.haar_jacobian_sq(G.U1, tiny[:, :1]), np.ones(5))
+    assert np.array_equal(G.U1.haar_density(tiny[:, :1]), np.ones(5))
 
 
 def test_su2_injectivity_uses_the_norm():
@@ -1928,3 +1929,100 @@ def test_mixed_lattice_steps_raise(op, layout_spaces):
     b = L.LocalSymbol(G.U1, 0.3, [1], ones, gpw)
     with pytest.raises(L.SymbolClassError, match="incompatible lattice"):
         op(a, b, gout)
+
+
+def _theta_theta(group, pw, k, l, eps, h):
+    """Q_eps(theta_k theta_l) = -d_k d_l Q_eps(e^{-i theta(Y)}) at Y = 0:
+    central second differences of local_quantize at Y = +-h e_k +- h e_l
+    (+-2h e_k and 0 when k = l), Richardson-extrapolated from h and h/2."""
+    g_pw = S.make_g_space(group, 1, 4)
+    one = g_pw.analysis(np.ones(g_pw.quad.n_nodes))[None]
+
+    def second_difference(step):
+        out = 0.0
+        for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            p = np.zeros(group.n_dirs, int)
+            p[k] += a
+            p[l] += b
+            s = L.LocalSymbol(group, step, p[None], one, g_pw)
+            out = out + a * b * L.local_quantize(s, eps, pw, L.KN)
+        return -out / (4 * step * step)
+
+    return (4 * second_difference(h / 2) - second_difference(h)) / 3
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_kinetic_term_identity(group):
+    # Q_eps(theta_k theta_l) = eps^2 (-(R_k R_l + R_l R_k) / 2 + delta_kl c)
+    # with c = -d_k d_l j^2(0): 1/6 for j^2 = (sin(|Y|/2) / (|Y|/2))^2 on
+    # SU(2), 0 for j^2 = 1 on U(1); summed over k, eps^2 (C + 1/2) on SU(2)
+    # and eps^2 n^2 on U(1), C the Casimir of the irrep n
+    pw = PWSpace(group, 3 if group == G.SU2 else 4)
+    eps, c = 0.5, (1.0 / 6.0 if group == G.SU2 else 0.0)
+    R = [pw.right_derivative(k) for k in range(group.n_dirs)]
+    total = 0.0
+    for k in range(group.n_dirs):
+        for l in range(k, group.n_dirs):
+            Q = _theta_theta(group, pw, k, l, eps, 1e-3)
+            expect = eps ** 2 * (-(R[k] @ R[l] + R[l] @ R[k]) / 2
+                                 + (k == l) * c * np.eye(pw.dim))
+            assert np.abs(Q - expect).max() < 1e-8 * np.abs(expect).max()
+            total = total + (k == l) * Q
+    casimir = np.array([G.casimir(group, lab) for lab, _, _ in pw.index])
+    expect = eps ** 2 * np.diag(casimir + group.n_dirs * c)
+    assert np.abs(total - expect).max() < 1e-8 * np.abs(expect).max()
+
+
+def _binary_octahedral():
+    """The 48 unit quaternions of the binary octahedral group: +-1, +-i,
+    +-j, +-k, (+-1 +-i +-j +-k) / 2 and the 24 with two entries +-1/sqrt 2.
+    Their rotations map the cubic lattice to itself."""
+    out = [s * e for e in np.eye(4) for s in (1, -1)]
+    out += [np.array(s) / 2 for s in itertools.product((1, -1), repeat=4)]
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            q = np.zeros(4)
+            q[[i, j]] = si / math.sqrt(2), sj / math.sqrt(2)
+            out.append(q)
+    return np.array(out)
+
+
+def _left_translation(pw, h):
+    """U_h, (U_h Psi)(g) = Psi(h^{-1} g), as the local calculus applies it:
+    kron(conj D(h), 1) blocks by _kron_rows."""
+    blocks = [D.conj() for D in pw._reps(np.asarray(h)[None])]
+    return pw._kron_rows(blocks, np.eye(pw.dim)[None])[0]
+
+
+@pytest.mark.parametrize("group", [G.U1, G.SU2])
+def test_local_calculus_is_covariant(group):
+    # U_h Q(m e^{-i theta(Y)}) U_h^* = Q(m(h^{-1} .) e^{-i theta(Ad_h Y)}):
+    # on SU(2) for the binary octahedral group, whose Ad maps the lattice
+    # to itself; on U(1), where Ad_h = 1, for a few angles
+    rng = np.random.default_rng(36)
+    if group == G.SU2:
+        g_pw, pw = S.make_g_space(G.SU2, 2, 5), PWSpace(G.SU2, 4, 6)
+        hs, step = _binary_octahedral(), 0.5
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, -1, 1], [1, 1, -1]])
+    else:
+        g_pw, pw = S.make_g_space(G.U1, 2, 10), PWSpace(G.U1, 8, 20)
+        hs, step = np.array([0.3, 1.7, -2.4, math.pi]), 0.4
+        pts = np.arange(-2, 3)[:, None]
+    assert len(hs) == (48 if group == G.SU2 else 4)
+    s = L.LocalSymbol(group, step, pts, _crand(rng, len(pts), g_pw.dim), g_pw)
+    Q = {v: L.local_quantize(s, 0.7, pw, v) for v in (L.KN, L.WEYL)}
+    for h in hs:
+        if group == G.SU2:
+            Y = G.quat_log(G.quat_mul(G.quat_mul(h, G.quat_exp(
+                s.lattice())), G.quat_inv(h)))
+            moved = np.rint(Y / step).astype(int)
+            assert np.abs(Y - step * moved).max() < 1e-12
+        else:
+            moved = pts
+        Ug = _left_translation(g_pw, h)
+        sh = L.LocalSymbol(group, step, moved, s.coeffs @ Ug.T, g_pw)
+        U = _left_translation(pw, h)
+        for v, Qv in Q.items():
+            got = U @ Qv @ U.conj().T
+            assert (np.abs(got - L.local_quantize(sh, 0.7, pw, v)).max()
+                    < 1e-13 * np.abs(Qv).max())

@@ -128,7 +128,7 @@ def test_rep_products_oracle(group, band):
     left, right = coarse._rep_products(v, coarse.labels), (
         coarse._rep_products(v, coarse.labels, conj=True))
     for lab in coarse.labels:
-        D, d = rep_grid(coarse.quad, lab), G.dim(group, lab)
+        D, d = rep_grid(coarse.quad, lab), group.dim(lab)
         blk = slice(coarse.offsets[lab], coarse.offsets[lab] + d * d)
         V = v[:, blk].reshape(N, d, d)
         assert _rel(left[:, blk].reshape(N, d, d), D @ V) < 1e-13
@@ -136,7 +136,7 @@ def test_rep_products_oracle(group, band):
                     np.swapaxes(V, 1, 2) @ D.conj()) < 1e-13
     pw = PWSpace(group, band)
     for lab in pw.labels:
-        d = G.dim(group, lab)
+        d = group.dim(lab)
         eye = np.broadcast_to(np.eye(d).ravel(), (pw.quad.n_nodes, d * d))
         assert np.abs(pw._rep_products(eye, [lab]).reshape(-1, d, d)
                       - rep_grid(pw.quad, lab)).max() < 1e-14

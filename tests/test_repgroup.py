@@ -19,8 +19,8 @@ def random_quats(n):
 
 
 def test_dim_and_casimir():
-    assert G.dim(G.U1, -7) == 1
-    assert G.dim(G.SU2, 5) == 5
+    assert G.U1.dim(-7) == 1
+    assert G.SU2.dim(5) == 5
     assert G.casimir(G.U1, 3) == 9.0
     assert G.casimir(G.SU2, 4) == (16 - 1) / 4.0
 
@@ -86,7 +86,7 @@ def _schur_orthogonality_residual(quad, max_label):
             Db = rep_grid(quad, lb)
             gram = np.einsum("k,kmn,kpq->mnpq", quad.weights, Da, Db.conj())
             if la == lb:
-                d = G.dim(quad.group, la)
+                d = quad.group.dim(la)
                 expect = np.einsum("mp,nq->mnpq",
                                    np.eye(d), np.eye(d)) / d
                 worst = max(worst, np.abs(gram - expect).max())
