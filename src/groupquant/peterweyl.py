@@ -33,8 +33,9 @@ E @ c and _EW @ f reordered, equal to them for any grid values, at O(B^5)
 operations per column against O(B^6) on SU(2).
 
 `_rep_products` multiplies a stack of matrices at the nodes by the irreps
-out of the factors, without forming them; data of band b on the grid of
-degree q is transformed, unpadded, by the memoised `space(group, b, q)`.
+out of the factors, without forming them, for `symbols.kn_symbol` only;
+data of band b on the grid of degree q is transformed, unpadded, by the
+memoised `space(group, b, q)`.
 Outside this module only `symbols.kn_compose`, the composition oracle,
 evaluates a basis at nodes: sb's `eval_basis` at sa's nodes. E and _EW,
 the dense basis and analysis matrices, are cached for the oracles alone.
@@ -52,7 +53,10 @@ d-table, of f's (alpha, gamma) Fourier coefficients at each beta, which are
 its coefficients times its own d-table (on U(1) their Toeplitz matrix). An
 f whose coefficients hold band g admits only entries whose labels and
 twice-weights differ by at most the largest twice-weight of band g: O(g^3)
-per column on SU(2); the rest are exact zeros.
+per column on SU(2); the rest are exact zeros. `_entries` lists them for a
+span of columns: the columns of a band for multiplication_operator, those
+of one run of labels for `symbols.kn_quantize`, whose columns are sums of
+multiplication-operator columns.
 """
 
 import functools
@@ -65,7 +69,8 @@ from . import groups as G
 # complex entries of the per-block temporaries of the SU(2) transforms
 # (4 MB): a transform of many columns, or at a large band, runs over blocks
 # of beta nodes instead of making temporaries of the size of its output.
-# The KN calculus (symbols) stacks as many labels' grid values as fit in it.
+# The KN calculus (symbols) stacks as many labels' grid values, and gathers
+# as many entries' Fourier coefficients, as fit in it.
 _BLOCK = 1 << 18
 
 
@@ -159,16 +164,15 @@ class PWSpace:
         """Dense analysis matrix conj(E)^T diag(w), built on first use."""
         return (self.E.conj() * self.quad.weights[:, None]).T
 
-    def _rep_products(self, stack, labels, conj=False):
+    def _rep_products(self, stack, labels):
         """Per node g and label, D(g) @ v(g) for the label's block v of the
         grid stack (N, sum of d^2): one (d, d) matrix per node and label,
-        the labels consecutive ones of this space, in order; with conj,
-        v(g)^T @ conj(D(g)). No irrep is formed at the nodes: the factors
-        of D_mn = e^{-i m_m alpha} d_mn(beta) e^{-i m_n gamma} act in turn,
-        one run of labels of one dimension at a time. The phase of the
-        contracted index n multiplies the stack, the d-table contracts it,
-        one real matrix product per beta node and label, and the phase of m
-        multiplies the result."""
+        the labels consecutive ones of this space, in order. No irrep is
+        formed at the nodes: the factors of D_mn = e^{-i m_m alpha}
+        d_mn(beta) e^{-i m_n gamma} act in turn, one run of labels of one
+        dimension at a time. The phase of the contracted index n multiplies
+        the stack, the d-table contracts it, one real matrix product per
+        beta node and label, and the phase of m multiplies the result."""
         shape, n_beta = self.quad.shape, self.quad.shape[1]
         out = np.empty(stack.shape, dtype=complex)
         for k, labs, s, d in self._block_runs(self.offsets[labels[0]],
@@ -187,14 +191,9 @@ class PWSpace:
             # the blocks of stack and out as (label, beta, n, p, alpha, gamma)
             v, w = (x[:, s].reshape(shape + (n, d, d)).transpose(
                 3, 1, 4, 5, 0, 2) for x in (stack, out))
-            if conj:   # sum_n v_np conj(D_nm): conjugate phases, d transposed
-                pre, D, post = a.conj(), D.swapaxes(2, 3), g.conj()
-                w = w.swapaxes(2, 3)                      # written at (p, m)
-            else:      # sum_n D_mn v_np (docstring's factors of D_mn)
-                pre, post = g, a
-            Y = np.multiply(v, pre, out=np.empty(v.shape, dtype=complex))
+            Y = np.multiply(v, g, out=np.empty(v.shape, dtype=complex))
             Z = (D @ Y.view(float).reshape(n, n_beta, d, -1)).view(complex)
-            np.multiply(Z.reshape(Y.shape), post, out=w)
+            np.multiply(Z.reshape(Y.shape), a, out=w)
         return out
 
     def _band_space(self, band):
@@ -412,8 +411,10 @@ class PWSpace:
                 raise ValueError("%s %d exceeds the band %d"
                                  % (name, band, self.band))
         g = g_pw._held_band(c)
+        mask = self.band_mask(in_band)
+        lo = int(mask.argmax())
         n_rows, n_cols, rows, cols, freq, weights, modes = self._entries(
-            in_band, out_band, g)
+            (lo, lo + int(mask.sum())), out_band, g)
         d = self._band_space(g)._dtable
         F = (c[:, None, g_pw.band_mask(g)] * d) @ modes  # (row, beta, freq)
         out = np.zeros((len(c), n_rows, n_cols), dtype=complex)
@@ -421,18 +422,20 @@ class PWSpace:
             o[rows, cols] = np.einsum("be,be->e", weights, f[:, freq])
         return out
 
-    def _entries(self, in_band, out_band, g):
-        """Per (in_band, out_band, g), built on first use: the row and
-        column counts; per entry that a band-g f admits, its row, column,
+    def _entries(self, span, out_band, g):
+        """Per (span, out_band, g), built on first use: the row and column
+        counts; per entry that a band-g f admits, its row, column,
         frequency and beta weights w_beta e_i(beta) e_j(beta); and the
         one-hot map from f's modes to frequencies, the flat twice-weight
-        pairs (2m_a, 2m_b). An entry is admitted when its labels and
+        pairs (2m_a, 2m_b). The columns are the basis indices lo..hi - 1 of
+        span = (lo, hi), the rows those of band_mask(out_band), and each
+        counts from its first. An entry is admitted when its labels and
         twice-weights differ by at most lim, the largest twice-weight of
         band g: g - 1 on SU(2), 2g on U(1), where the labels' bound follows
         from the weights'."""
-        if (in_band, out_band, g) not in self._entry_cache:
-            rsel, cols = (np.flatnonzero(self.band_mask(b))
-                          for b in (out_band, in_band))
+        if (span, out_band, g) not in self._entry_cache:
+            rsel = np.flatnonzero(self.band_mask(out_band))
+            cols = np.arange(*span)
             q = np.column_stack([[n for n, _, _ in self.index],
                                  self._weights])
             lim = np.abs(q[self.band_mask(g), 1:]).max()
@@ -442,9 +445,9 @@ class PWSpace:
             d = diff[rows, cs]
             # the weight pair (x, y) has flat frequency (x + lim) w + y + lim
             flat = lambda pairs: pairs @ [w, 1] + lim * (w + 1)
-            self._entry_cache[in_band, out_band, g] = (
+            self._entry_cache[span, out_band, g] = (
                 len(rsel), len(cols), rows, cs, flat(d[:, 1:]),
                 self._w_beta[:, None] * self._dtable[:, rsel[rows]]
                 * self._dtable[:, cols[cs]],
                 np.eye(w * w)[flat(q[self.band_mask(g), 1:])])
-        return self._entry_cache[in_band, out_band, g]
+        return self._entry_cache[span, out_band, g]

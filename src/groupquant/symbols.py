@@ -23,7 +23,9 @@ mass at the branch locus (angle pi) are rejected.
 Three identities keep the KN paths cheap. Schur orthogonality limits
 kn_quantize to the columns within the symbol's pi-band. By Schur's
 conjugation identity conj(e_i) = s_i e_ibar (peterweyl), kn_quantize and
-kn_symbol read Psihat_i(pi) and pi^* off an index map. Left translation of
+kn_symbol read Psihat_i(pi) and pi^* off an index map, so that
+kn_quantize's columns are sums of multiplication-operator columns, formed
+from the symbol's coefficients. Left translation of
 coefficients, rho(h^{-1} g) = rho(h)^* rho(g), lets kn_compose translate a
 band-limited symbol without evaluating it at the points h^{-1} g.
 
@@ -203,43 +205,86 @@ def kn_quantize(sym, pw):
     Column i reads e_i only through Psihat_i(pi) = int e_i(g) pi(g) dg,
     which by Schur orthogonality vanishes unless the label of e_i is dual
     to pi (SU(2) labels are self-dual; the dual of the U(1) label j is -j):
-    labels without a dual in pw add nothing, the columns outside
-    pw.band_mask(sym.pi_band) are exactly zero, and only the others are
-    evaluated, analysed and checked: truncation_error is the largest value
-    they drop outside the operator band, relative to their largest value.
+    labels without a dual in pw add nothing, and the columns outside
+    pw.band_mask(sym.pi_band) are exactly zero.
 
-    The labels go in stacks (`_label_runs` on pw's grid) of four
-    transforms each: sigma's analysis on g_pw and synthesis on pw's grid,
-    then the columns' analysis and synthesis. pi^* multiplies sigma out of
-    pw's factor tables (`PWSpace._rep_products`). A column's values are
-    products of pi^*'s entries with sigma, of at most the product band of
-    sym.pi_band and the g-band: they are analysed on pw's space of that
-    band capped at pw.band, and the rows beyond stay zero. Since pw's grid
-    is exact for pw's own band, this drops nothing; above pw.band,
-    truncation_error measures what is dropped.
+    The others are columns of multiplication operators. By conj(pi_nm) =
+    s_(pi,n,m) e_bar(pi,n,m) / sqrt(d) (peterweyl's conjugation map),
+    column bar(pi,p,m) is sqrt(d) s_(pi,p,m) times the coefficients of
+    sum_n sigma(pi, .)_np conj(pi_nm), that is
+
+        Q[:, bar(pi,p,m)] = s_(pi,p,m) sum_n s_(pi,n,m)
+                            M_(sigma_np)[:, bar(pi,n,m)],
+
+    M_f the multiplication operator of f (`PWSpace.multiplication_operator`)
+    and sigma_np the entry function g -> sigma(pi, g)_np. One analysis
+    gives every entry function's g-band coefficients; then, per run of
+    labels of one dimension (all of U(1)'s labels are one), each entry
+    function reads the d columns bar(pi,n,m), m = 0..d-1, on the entries
+    that the selection rule of the g-band admits: rows whose label and
+    twice-weights differ from the column's by at most the largest
+    twice-weight of the g-band (`PWSpace._entries`, summed over the beta
+    nodes as multiplication_operator sums them). No function is evaluated
+    on pw's grid. The runs' labels are closed under duality, so a run's
+    columns are its own blocks.
+
+    The rows reach the product band of the labels and the g-band. Where
+    that fits in pw.band nothing is dropped, and truncation_error is 0.0.
+    Above, the columns are the same quadrature sums on the space of the
+    product band on pw's grid, and truncation_error is the grid maximum of
+    what their rows above pw.band hold, relative to the grid maximum of
+    the columns, synthesised in stacks of `_label_runs`.
     """
     gs = pw._band_space(sym.g_pw.band)
-    rs = pw._band_space(min(pw.band, sym.group.product_band(
-        sym.pi_band, sym.g_pw.band)))
-    rows = np.flatnonzero(pw.band_mask(rs.band))
-    matrix = np.zeros((pw.dim, pw.dim), dtype=complex)
-    resid = scale = 0.0
+    group, g, q = sym.group, sym.g_pw.band, pw.quad.exactness_degree
     labels = [lab for lab in sym.labels if lab in pw.offsets]
-    for run in _label_runs(sym.group, labels, pw.quad.n_nodes):
-        # tr(pi(g)^* sigma(pi, g) Psihat_j) is X[g, p, m] = (sigma^T
-        # conj(pi))_pm with Psihat_j = s_j int conj(e_jbar) pi: s_j /
-        # sqrt(d) at (p, m) = the place of jbar in pi's block, zero
-        # elsewhere; column jbar takes sqrt(d) s_j X at j = (pi, p, m)
-        d = _stack_dims(sym.group, run)
-        j = pw.offsets[run[0]] + np.arange(len(d))
-        X = pw._rep_products(gs.synthesis(sym._coefficient_stack(run)), run,
-                             conj=True)
-        X *= np.sqrt(d) * pw._dual_sign[j]
-        coeffs = rs.analysis(X)
-        resid = max(resid, np.abs(X - rs.synthesis(coeffs)).max())
-        scale = max(scale, np.abs(X).max())
-        matrix[rows[:, None], pw._dual_index[j]] = coeffs
-    return TruncatedOperator(pw, matrix,
+    if not labels:
+        return TruncatedOperator(pw, np.zeros((pw.dim, pw.dim), dtype=complex))
+    reach = group.product_band(max(abs(lab) for lab in labels), g)
+    rs = pw if reach <= pw.band else space(group, reach, q)
+    rows = np.flatnonzero(rs.band_mask(reach))
+    full = np.zeros((rs.dim, pw.dim), dtype=complex)    # rs's rows
+    C = sym._coefficient_stack(labels)
+    n_beta = pw.quad.shape[1]
+    for k, labs, s, d in pw._block_runs(pw.offsets[labels[0]], C.shape[1]):
+        first = pw._runs[k][0][labs.start]
+        lo, o = rs.offsets[first], pw.offsets[first]
+        _, _, r, c, freq, weights, modes = rs._entries(
+            (lo, lo + s.stop - s.start), reach, g)
+        # F[(pi, n, p), freq, beta]: the entry functions' (alpha, gamma)
+        # Fourier coefficients at each beta node
+        F = modes.T @ (C[:, s].T[:, :, None] * gs._dtable.T)
+        # entry (row, bar(pi,n,m)) reads sigma_np for every p and adds to
+        # column bar(pi,p,m); j = (pi, n, m) counts from the run's first
+        j = rs._dual_index[lo + c] - lo
+        m = j % d
+        out = (j - j % (d * d) + m)[:, None] + d * np.arange(d)
+        func = (j - m)[:, None] + np.arange(d)
+        vals = np.empty(out.shape, dtype=complex)
+        step = max(1, _BLOCK // (d * n_beta))
+        for e in range(0, len(j), step):
+            x = slice(e, e + step)
+            vals[x] = (F[func[x], freq[x, None]]
+                       @ weights[:, x].T[:, :, None])[..., 0]
+        vals *= rs._dual_sign[lo + out] * rs._dual_sign[lo + j][:, None]
+        np.add.at(full, (rows[r, None], o + rs._dual_index[lo + out] - lo),
+                  vals)
+    if rs is pw:
+        return TruncatedOperator(pw, full)
+    kept = rs.band_mask(pw.band)
+    resid = scale = 0.0
+    for run in _label_runs(group, labels, pw.quad.n_nodes):
+        blk = slice(pw.offsets[run[0]],
+                    pw.offsets[run[-1]] + group.dim(run[-1]) ** 2)
+        cols = full[:, blk, None]
+        if cols[~kept].any():      # and the rows above pw.band alone
+            cols = np.concatenate([cols, np.where(kept[:, None, None], 0,
+                                                  cols)], axis=2)
+        v = rs.synthesis(cols)
+        scale = max(scale, np.abs(v[..., 0]).max())
+        resid = max(resid, np.abs(v[..., 1:]).max(initial=0.0))
+    # rs's rows within pw.band are pw's, in order
+    return TruncatedOperator(pw, full[kept],
                              truncation_error=resid / max(scale, 1e-300))
 
 
@@ -424,8 +469,10 @@ def weyl_deform(sym, h_quad):
 def kernel_quantize(kernel, pw, h_quad):
     """rho_L(F): (A Psi)(g) = int dh F(h, g) Psi(h^{-1} g) on the PW space.
 
-    kernel.K is the KN symbol of rho_L(F), so this is kn_quantize. h_quad is
-    not read; the parameter stays for the callers that pass it.
+    kernel.K is the KN symbol of rho_L(F), so this is kn_quantize: columns
+    of multiplication operators by the entries of K's g-band coefficients,
+    with no h-sum and no grid. h_quad is not read; the parameter stays for
+    the callers that pass it.
     """
     return kn_quantize(MatrixSymbol(kernel.group, kernel.h_band,
                                     kernel.g_pw, kernel.K), pw)

@@ -325,7 +325,8 @@ def test_kn_quantize_rows_end_at_product_band(spaces, pi_band, request):
                                            ("su2_spaces", 4)])
 def test_kn_transform_count_is_fixed(spaces, pi_band, request, monkeypatch):
     # every label goes into one stack: the transforms per call do not grow
-    # with the number of labels
+    # with the number of labels. Where the product band fits, kn_quantize
+    # makes one analysis, of the symbol, and no synthesis
     gpw, pw = request.getfixturevalue(spaces)[:2]
     calls = {"analysis": 0, "synthesis": 0}
     for name in calls:
@@ -347,8 +348,44 @@ def test_kn_transform_count_is_fixed(spaces, pi_band, request, monkeypatch):
         seen.append([counts(S.kn_quantize, sym, pw),
                      counts(S.kn_symbol, op, band, gpw)])
     assert seen[0] == seen[1]
-    for c in seen[1]:
-        assert c["analysis"] + c["synthesis"] == 4
+    assert seen[1] == [{"analysis": 1, "synthesis": 0},
+                       {"analysis": 1, "synthesis": 3}]
+
+
+@pytest.mark.parametrize("spaces,pi_band", [("weyl_u1", 24),
+                                           ("su2_spaces", 4)])
+def test_kn_quantize_works_from_coefficients(spaces, pi_band, request,
+                                             monkeypatch):
+    # its columns are multiplication-operator columns: no irrep products at
+    # the nodes and no transform on the operator's grid, only the
+    # analysis of the symbol on its own
+    gpw, pw = request.getfixturevalue(spaces)[:2]
+    assert gpw.quad.exactness_degree != pw.quad.exactness_degree
+    calls = []
+    for name in ("analysis", "synthesis", "_rep_products"):
+        def spy(self, *args, _f=getattr(PWSpace, name), _n=name):
+            calls.append((_n, self.quad.exactness_degree))
+            return _f(self, *args)
+        monkeypatch.setattr(PWSpace, name, spy)
+    sym = S.random_symbol(gpw.group, pi_band, gpw,
+                          np.random.default_rng(pi_band))
+    calls.clear()
+    S.kn_quantize(sym, pw)
+    assert calls == [("analysis", gpw.quad.exactness_degree)]
+
+
+@pytest.mark.parametrize("spaces,pi_band", [
+    ("u1_spaces", 6), ("u1_spaces", 12), ("weyl_u1", 24), ("su2_spaces", 4),
+    ("su2_spaces", 7), ("su2_band3", 2)])
+def test_kn_quantize_drops_nothing_within_the_band(spaces, pi_band,
+                                                   request):
+    # where the product band of pi_band and the g-band fits in the
+    # operator band, every row is kept: truncation_error is exactly 0
+    gpw, pw = request.getfixturevalue(spaces)[:2]
+    assert pw.group.product_band(pi_band, gpw.band) <= pw.band
+    sym = S.random_symbol(gpw.group, pi_band, gpw,
+                          np.random.default_rng(pi_band))
+    assert S.kn_quantize(sym, pw).truncation_error == 0.0
 
 
 def test_kn_round_trip_keeps_no_grid_matrices():
@@ -1971,6 +2008,26 @@ def test_kinetic_term_identity(group):
     casimir = np.array([G.casimir(group, lab) for lab, _, _ in pw.index])
     expect = eps ** 2 * np.diag(casimir + group.n_dirs * c)
     assert np.abs(total - expect).max() < 1e-8 * np.abs(expect).max()
+
+
+def test_kirillov_character_formula():
+    # tr pi_n(e^Y) J(Y)^{1/2} = sin(n|Y|/2) / (|Y|/2) for |Y| < 2 pi, J the
+    # Haar density of exp: the Fourier transform of the Liouville measure
+    # on the orbit of radius n/2 (Kirillov, Lectures on the Orbit Method,
+    # AMS GSM 64, 2004), on the blocks of PWSpace._reps
+    rng = np.random.default_rng(24)
+    u = rng.standard_normal((300, 3))
+    r = np.concatenate([[0.0, 1e-9, 2 * math.pi - 1e-9],
+                        rng.uniform(0.0, 2 * math.pi, 297)])
+    Y = u / np.linalg.norm(u, axis=1, keepdims=True) * r[:, None]
+    half = r / 2
+    pw = PWSpace(G.SU2, 16, quad_degree=3)
+    blocks = [D for run in pw._reps(G.SU2.exp(Y)) for D in run]
+    for n, D in zip(pw.labels, blocks):
+        lhs = np.trace(D, axis1=1, axis2=2) * np.sqrt(G.SU2.haar_density(Y))
+        rhs = np.where(half > 0, np.sin(n * half), n) / np.where(
+            half > 0, half, 1.0)
+        assert np.abs(lhs - rhs).max() < 1e-14 * n
 
 
 def _binary_octahedral():

@@ -51,7 +51,7 @@ def test_pw_transforms_dense_oracle(group, band, degree):
 
 @pytest.mark.parametrize("degree", [9, 10])
 def test_pw_transforms_many_columns(degree):
-    # 204 columns, as kn_quantize transforms at band 8, run over several
+    # 204 columns, as kn_symbol synthesises at band 8, run over several
     # blocks of beta nodes
     pw = PWSpace(G.SU2, 8, quad_degree=degree)
     assert len(pw._beta_blocks(pw.dim)) > 1
@@ -118,22 +118,18 @@ def test_band_mask_matches_index_loop(group, band, degree):
     (group, band) for group in (G.U1, G.SU2) for band in range(1, 17)])
 def test_rep_products_oracle(group, band):
     # against the irreps of wigner_D_euler_grid at the grid's Euler angles
-    # (U(1): the exponential): D(g) v(g) and v(g)^T conj(D(g)) for one
-    # stack of every label on a coarse grid, since the products are taken
-    # node by node; and D, the product with the identity, label by label
-    # on the space's own grid
+    # (U(1): the exponential): D(g) v(g) for one stack of every label on a
+    # coarse grid, since the products are taken node by node; and D, the
+    # product with the identity, label by label on the space's own grid
     coarse = PWSpace(group, band, quad_degree=3)
     N = coarse.quad.n_nodes
     v = _crandn(np.random.default_rng(band), N, coarse.dim)
-    left, right = coarse._rep_products(v, coarse.labels), (
-        coarse._rep_products(v, coarse.labels, conj=True))
+    left = coarse._rep_products(v, coarse.labels)
     for lab in coarse.labels:
         D, d = rep_grid(coarse.quad, lab), group.dim(lab)
         blk = slice(coarse.offsets[lab], coarse.offsets[lab] + d * d)
         V = v[:, blk].reshape(N, d, d)
         assert _rel(left[:, blk].reshape(N, d, d), D @ V) < 1e-13
-        assert _rel(right[:, blk].reshape(N, d, d),
-                    np.swapaxes(V, 1, 2) @ D.conj()) < 1e-13
     pw = PWSpace(group, band)
     for lab in pw.labels:
         d = group.dim(lab)
